@@ -10,10 +10,10 @@ Weight file (free coordinates first, then one per torsion factor)::
 
     {"schema": 1, "free_rank": 2, "torsion": [], "weights": [[1, 0], ...]}
 
-Exit codes: 0 on success, 1 on any input problem, 2 when ``--strict`` is
-set and the run left unresolved warnings (for example inconclusive
-bounded searches).  JSON output is canonical: two-space indentation,
-sorted keys, trailing newline.
+Exit codes: 0 on success, 1 on any input problem.  Every verdict is
+decided exactly, so no command leaves warnings behind; only ``roots``
+takes a search bound, the coordinate box it enumerates.  JSON output is
+canonical: two-space indentation, sorted keys, trailing newline.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from .abelian import FgAbGroup
 from .cones import Cone, build_cone
 from .divisors import build_toric, face_orbit_data
-from .engine import StratificationReport, StratifyOptions, stratify
+from .engine import StratificationReport, stratify
 from .errors import InputError
 from .linalg import IntMatrix, integer_rank
 from .luna import (
@@ -66,10 +66,16 @@ def _load_json(path: str):
         raise InputError(f"{path}: file not found")
     except IsADirectoryError:
         raise InputError(f"{path}: is a directory")
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # e.g. an integer beyond the digit limit
+        raise InputError(f"{path}: unreadable JSON value: {exc}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
 
 
 def _as_int(value, what: str) -> int:
@@ -169,8 +175,6 @@ def _verdict_payload(graph, i1: int, i2: int, verdict) -> dict:
         entry["distinguished_ray"] = verdict.witness.distinguished_ray
     if verdict.certificate is not None:
         entry["certificate"] = verdict.certificate
-    if verdict.bound_used is not None:
-        entry["bound_used"] = verdict.bound_used
     return entry
 
 
@@ -182,10 +186,8 @@ def _verdict_text(graph, i1: int, i2: int, verdict) -> str:
             f"yes, witness {_vec(verdict.witness.vector)} "
             f"(distinguished ray {verdict.witness.distinguished_ray})"
         )
-    elif verdict.status == "no":
-        detail = f"no ({verdict.certificate})"
     else:
-        detail = f"inconclusive (searched box {verdict.bound_used})"
+        detail = f"no ({verdict.certificate})"
     return f"  {left} -> {right}: {detail}"
 
 
@@ -217,7 +219,6 @@ def _report_payload(report: StratificationReport) -> dict:
         ],
         "closure": [[a, b] for a, b in report.closure],
         "connections": {
-            "box_bound": graph.box_bound,
             "verdicts": [
                 _verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts
             ],
@@ -231,11 +232,8 @@ def _report_payload(report: StratificationReport) -> dict:
                 report.cross_checks.smooth_iff_trivial_local_class
             ),
         },
-        "warnings": list(report.warnings),
-        "options": {
-            "box_bound": report.box_bound,
-            "coeff_bound": report.coeff_bound,
-        },
+        # Part of schema 1; every check is a hard guarantee, so it stays empty.
+        "warnings": [],
     }
 
 
@@ -275,19 +273,14 @@ def _report_text(report: StratificationReport) -> list[str]:
         order = ", ".join(f"{a} < {b}" for a, b in report.closure)
         lines.append(f"closure order on strata (lower < upper): {order}")
     graph = report.connections
-    yes = sum(1 for _, _, v in graph.verdicts if v.status == "yes")
-    no = sum(1 for _, _, v in graph.verdicts if v.status == "no")
-    open_ = len(graph.verdicts) - yes - no
+    yes = sum(1 for _, _, v in graph.verdicts if v.is_yes())
     lines.append(
         f"connections: {len(graph.verdicts)} candidate pairs — {yes} connected, "
-        f"{no} certified impossible, {open_} unresolved (box bound {graph.box_bound})"
+        f"{len(graph.verdicts) - yes} certified impossible"
     )
-    checks = report.cross_checks
-    equal = {True: "yes", False: "no", None: "undetermined"}[checks.connections_equal]
     lines.append(
         "cross-checks: subgroup/Luna agree; connections stay within strata; "
-        f"components match strata: {equal}; semigroup generation verified: "
-        f"{'yes' if checks.semigroup_verified else 'incomplete'}"
+        "components match strata: yes; semigroup generation verified: yes"
     )
     return lines
 
@@ -298,16 +291,13 @@ def _report_text(report: StratificationReport) -> list[str]:
 
 def _cmd_stratify(args):
     rank, rays = _load_cone_file(args.file)
-    options = StratifyOptions(
-        box_bound=args.bound,
-        coeff_bound=args.coeff_bound,
-        normalize=args.normalize,
-    )
-    report = stratify(rank, rays, options)
-    return _report_payload(report), _report_text(report), list(report.warnings)
+    report = stratify(rank, rays, normalize=args.normalize)
+    return _report_payload(report), _report_text(report)
 
 
 def _cmd_roots(args):
+    if args.bound is not None and args.bound < 0:
+        raise InputError("--bound must be nonnegative")
     cone = _load_pointed_cone(args)
     bound = args.bound if args.bound is not None else default_box_bound(cone)
     groups = enumerate_roots(cone, bound)
@@ -328,19 +318,16 @@ def _cmd_roots(args):
         lines.append(f"  ray {i} = {_vec(cone.rays[i])}: {len(group)} found")
         for root in group:
             lines.append(f"    {_vec(root.vector)}")
-    return payload, lines, []
+    return payload, lines
 
 
 def _cmd_connections(args):
     cone = _load_pointed_cone(args)
-    bound = args.bound if args.bound is not None else default_box_bound(cone)
-    graph = connection_graph(cone, bound)
+    graph = connection_graph(cone)
     components = graph_components(graph)
     isolated = isolated_faces(graph)
-    inconclusive = sum(1 for _, _, v in graph.verdicts if v.status == "inconclusive")
     payload = {
         "schema": 1,
-        "box_bound": bound,
         "faces": [list(f.ray_indices) for f in graph.faces],
         "verdicts": [
             _verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts
@@ -356,7 +343,7 @@ def _cmd_connections(args):
             for entry in isolated
         ],
     }
-    lines = [f"candidate pairs ({len(graph.verdicts)}), box bound {bound}:"]
+    lines = [f"candidate pairs ({len(graph.verdicts)}):"]
     lines.extend(_verdict_text(graph, i1, i2, v) for i1, i2, v in graph.verdicts)
     lines.append(f"components over yes-edges ({len(components)}):")
     for comp in components:
@@ -364,19 +351,11 @@ def _cmd_connections(args):
             "  " + " ".join(_idx_set(graph.faces[i].ray_indices) for i in comp)
         )
     if isolated:
-        parts = [
-            _idx_set(e.face.ray_indices)
-            + ("" if e.fully_certified else " (searches inconclusive)")
-            for e in isolated
-        ]
-        lines.append("faces with no connection: " + ", ".join(parts))
-    warnings = []
-    if inconclusive:
-        warnings.append(
-            f"{inconclusive} connection searches were inconclusive at box bound "
-            f"{bound} — raise the bound to resolve"
+        lines.append(
+            "faces with no connection: "
+            + ", ".join(_idx_set(e.face.ray_indices) for e in isolated)
         )
-    return payload, lines, warnings
+    return payload, lines
 
 
 def _cmd_luna(args):
@@ -408,7 +387,7 @@ def _cmd_luna(args):
         lines.append(
             "    supports: " + " ".join(_idx_set(sup) for sup in s.supports)
         )
-    return payload, lines, []
+    return payload, lines
 
 
 def _cmd_stable(args):
@@ -445,7 +424,7 @@ def _cmd_stable(args):
         lines.append("strongly stable: no")
         for f in report.failures:
             lines.append(f"  support {_idx_set(f.support)}: {f.reason}")
-    return payload, lines, []
+    return payload, lines
 
 
 def _cmd_classgroup(args):
@@ -481,32 +460,18 @@ def _cmd_classgroup(args):
             f"  face {_idx_set(d.face.ray_indices)}: orbit dim {d.orbit_dim}, "
             f"local class group {d.local_class_group.describe()}, {word}"
         )
-    return payload, lines, []
+    return payload, lines
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, *, bound: bool, cone_input: bool):
+def _add_common(parser: argparse.ArgumentParser, *, cone_input: bool):
     parser.add_argument("file", help="input JSON file")
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit with code 2 if the run leaves unresolved warnings",
-    )
-    if bound:
-        parser.add_argument(
-            "--bound",
-            type=int,
-            default=None,
-            metavar="N",
-            help="coordinate box for witness searches "
-            "(default: 10 times the largest ray coordinate)",
-        )
     if cone_input:
         parser.add_argument(
             "--normalize",
@@ -529,45 +494,46 @@ def build_parser() -> argparse.ArgumentParser:
         "stratify",
         help="full orbit decomposition of the variety of a cone, cross-validated",
     )
-    _add_common(p, bound=True, cone_input=True)
-    p.add_argument(
-        "--coeff-bound",
-        type=int,
-        default=16,
-        metavar="N",
-        help="first-pass coefficient cap for the semigroup verification",
-    )
+    _add_common(p, cone_input=True)
     p.set_defaults(handler=_cmd_stratify)
 
     p = sub.add_parser("roots", help="enumerate roots of a cone within a box")
-    _add_common(p, bound=True, cone_input=True)
+    _add_common(p, cone_input=True)
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=None,
+        metavar="N",
+        help="coordinate box to enumerate (default: 10 times the largest ray "
+        "coordinate)",
+    )
     p.set_defaults(handler=_cmd_roots)
 
     p = sub.add_parser(
         "connections",
         help="decide which orbit pairs a one-parameter subgroup connects",
     )
-    _add_common(p, bound=True, cone_input=True)
+    _add_common(p, cone_input=True)
     p.set_defaults(handler=_cmd_connections)
 
     p = sub.add_parser(
         "luna", help="Luna strata of a diagonal quasitorus action (weight file)"
     )
-    _add_common(p, bound=False, cone_input=False)
+    _add_common(p, cone_input=False)
     p.set_defaults(handler=_cmd_luna)
 
     p = sub.add_parser(
         "stable",
         help="check strong stability of a weight system and rebuild its cone",
     )
-    _add_common(p, bound=False, cone_input=False)
+    _add_common(p, cone_input=False)
     p.set_defaults(handler=_cmd_stable)
 
     p = sub.add_parser(
         "classgroup",
         help="divisor class group and local class groups of a cone",
     )
-    _add_common(p, bound=False, cone_input=True)
+    _add_common(p, cone_input=True)
     p.set_defaults(handler=_cmd_classgroup)
 
     return parser
@@ -577,11 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "bound", None) is not None and args.bound < 0:
-            raise InputError("--bound must be nonnegative")
-        if getattr(args, "coeff_bound", 1) < 1:
-            raise InputError("--coeff-bound must be positive")
-        payload, lines, warnings = args.handler(args)
+        payload, lines = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -590,11 +552,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for line in lines:
             print(line)
-        for warning in warnings:
-            print(f"warning: {warning}")
-    if args.strict and warnings:
-        print("strict mode: unresolved warnings remain", file=sys.stderr)
-        return 2
     return 0
 
 

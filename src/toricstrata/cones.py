@@ -36,6 +36,7 @@ __all__ = [
     "SplitCone",
     "build_cone",
     "face_from_ray_indices",
+    "face_functional",
     "face_lattice",
     "facet_normals",
     "is_smooth_face",
@@ -172,7 +173,12 @@ def _require_full_dimensional(cone: Cone) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+# Entries kept by the per-cone caches below: enough for every face query of
+# the cones in use, without growing with each distinct cone a process sees.
+_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     """Primitive inner normals of the facets of a full-dimensional cone.
 
@@ -202,7 +208,7 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     return tuple(sorted(normals))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def face_lattice(cone: Cone) -> tuple[Face, ...]:
     """All faces of a full-dimensional pointed cone, sorted by (dim, rays).
 
@@ -237,6 +243,21 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
         faces.append(Face(indices, dim))
     faces.sort(key=lambda f: (f.dim, f.ray_indices))
     return tuple(faces)
+
+
+def face_functional(cone: Cone, face: Face) -> IntVec:
+    """A lattice functional vanishing on the face and positive off it.
+
+    The sum of the inner normals of the facets containing the face: a face
+    is the intersection of those facets, so every ray outside it misses at
+    least one of them and pairs positively with that facet's normal.
+    """
+    face_rays = [cone.rays[i] for i in face.ray_indices]
+    u = [0] * cone.ambient_rank
+    for normal in facet_normals(cone):
+        if all(sum(a * b for a, b in zip(ray, normal)) == 0 for ray in face_rays):
+            u = [a + b for a, b in zip(u, normal)]
+    return tuple(u)
 
 
 def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:

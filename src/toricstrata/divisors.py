@@ -8,9 +8,10 @@ standard basis vectors gives the divisor classes in ray order.
 Each face carries the subgroup of the class group generated by the divisors
 *not* containing the corresponding orbit (the complement ray set, ``dset``),
 and the local class group is the quotient by that subgroup.  The subgroup
-coincides with the semigroup the same classes generate; that identity is
-re-verified numerically by :func:`verify_semigroup_equals_group` and treated
-as a hard invariant (a counterexample aborts the run).
+coincides with the semigroup the same classes generate;
+:func:`verify_semigroup_equals_group` certifies that identity with one
+character per face, positive off the face, and treats it as a hard
+invariant (a failed certificate aborts the run).
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .abelian import (
     group_from_cokernel,
     is_full,
     quotient_group,
-    semigroup_member,
     subgroup_canon,
 )
-from .cones import Cone, Face, face_lattice, is_smooth_face
+from .cones import Cone, Face, face_functional, face_lattice, is_smooth_face
 from .errors import ConsistencyError, InputError
-from .linalg import IntMatrix, first_lattice_point, linear_system
+from .linalg import IntMatrix, IntVec
 
 __all__ = [
     "FaceOrbitData",
@@ -70,10 +70,15 @@ class FaceOrbitData:
 
 @dataclass(frozen=True)
 class SemigroupCheck:
-    """Outcome of the semigroup-equals-group verification for one face."""
+    """Certificate of the semigroup-equals-group identity for one face.
+
+    ``functional`` is the character whose pairings with the rays outside
+    the face give the coefficients of every inverse (see
+    :func:`verify_semigroup_equals_group`).
+    """
 
     verified: bool
-    details: tuple[str, ...]
+    functional: IntVec
 
 
 def build_toric(cone: Cone) -> ToricData:
@@ -111,84 +116,41 @@ def face_orbit_data(toric: ToricData, face: Face) -> FaceOrbitData:
     )
 
 
-def _functional_witness(toric: ToricData, face: Face, dset, i: int):
-    """Nonnegative coefficients for the inverse of class ``i`` via a character.
-
-    A character vanishing on the face's rays, pairing at least 1 with ray
-    ``i`` and nonnegatively with the other outside rays has a trivial
-    divisor class, and reading off its pairings expresses the inverse of
-    class ``i`` inside the semigroup of the outside-ray classes.  Such a
-    character always exists because the face is exactly the cone's
-    intersection with the face's span.
-    """
-    cone = toric.cone
-    eqs = [(cone.rays[j], 0) for j in face.ray_indices]
-    ineqs = [
-        (cone.rays[j], 1 if j == i else 0, False) for j in dset
-    ]
-    system = linear_system(cone.ambient_rank, eqs, ineqs)
-    base = max((abs(x) for ray in cone.rays for x in ray), default=1)
-    for box in (4 * base, 64 * base):
-        u = first_lattice_point(system, box)
-        if u is not None:
-            coeffs = []
-            for j in dset:
-                pairing = sum(a * b for a, b in zip(cone.rays[j], u))
-                coeffs.append(pairing - 1 if j == i else pairing)
-            return tuple(coeffs)
-    return None
-
-
-def verify_semigroup_equals_group(
-    toric: ToricData, face: Face, coeff_bound: int = 16
-) -> SemigroupCheck:
-    """Check that the dset classes generate a semigroup closed under inverses.
+def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupCheck:
+    """Certify that the dset classes generate a semigroup closed under inverses.
 
     The subgroup generated by the dset classes always contains their
     nonnegative-combination semigroup; equality holds exactly when every
-    generator's inverse is reachable.  Inverses are confirmed by a direct
-    bounded membership search, or failing that by the character-functional
-    construction; a certified miss would contradict a hard invariant of the
-    theory, so it aborts instead of degrading.
+    generator's inverse is reachable.  The character ``u`` of
+    :func:`~toricstrata.cones.face_functional` has trivial divisor class
+    ``sum_j <p_j, u> [D_j] = 0`` and vanishes on the face's rays, so
+    ``-[D_i] = sum_j (<p_j, u> - delta_ij) [D_j]`` over the dset, with
+    nonnegative coefficients because ``<p_i, u> >= 1``.  Signs and sums are
+    checked exactly; a failure contradicts the theory and aborts the run.
     """
-    data = face_orbit_data(toric, face)
-    gens = [toric.divisor_classes[i] for i in data.dset]
-    details: list[str] = []
-    for i in data.dset:
-        target = -toric.divisor_classes[i]
-        if toric.class_group.free_rank == 0:
-            result = semigroup_member(toric.class_group, gens, target, coeff_bound)
-            if result.status == "no":
-                raise ConsistencyError(
-                    f"inverse of divisor class #{i} is provably outside the "
-                    f"semigroup of face {list(face.ray_indices)}; the "
-                    "subgroup/semigroup identity failed"
-                )
-            if result.status == "yes":
-                continue
-        witness = _functional_witness(toric, face, data.dset, i)
-        if witness is not None:
-            total = toric.class_group.zero()
-            for c, g in zip(witness, gens):
-                if c < 0:
-                    raise ConsistencyError("functional witness went negative")
-                total = total + c * g
-            if total != target:
-                raise ConsistencyError(
-                    f"functional witness for class #{i} sums to {total.coords}, "
-                    f"not the inverse {target.coords}"
-                )
-            continue
-        result = semigroup_member(toric.class_group, gens, target, coeff_bound)
-        if result.status == "no":
+    if face not in toric.faces:
+        raise InputError("face does not belong to the cone's face lattice")
+    cone = toric.cone
+    u = face_functional(cone, face)
+    inside = set(face.ray_indices)
+    dset = [j for j in range(cone.nrays) if j not in inside]
+    pairings = [sum(a * b for a, b in zip(cone.rays[j], u)) for j in dset]
+    gens = [toric.divisor_classes[j] for j in dset]
+    # principal = sum_j <p_j, u> [D_j]; the coefficients for the inverse of
+    # class i are the pairings minus one at i, so they sum to principal - g_i.
+    principal = toric.class_group.zero()
+    for p, g in zip(pairings, gens):
+        principal = principal + p * g
+    for i, g in zip(dset, gens):
+        coeffs = [p - (1 if j == i else 0) for j, p in zip(dset, pairings)]
+        if min(coeffs) < 0:
             raise ConsistencyError(
-                f"inverse of divisor class #{i} is provably outside the "
-                f"semigroup of face {list(face.ray_indices)}; the "
-                "subgroup/semigroup identity failed"
+                f"face functional {list(u)} gives a negative coefficient for the "
+                f"inverse of divisor class #{i} at face {list(face.ray_indices)}"
             )
-        if result.status != "yes":
-            details.append(
-                f"inverse of divisor class #{i} not located within coefficient "
-                f"bound {coeff_bound} for face {list(face.ray_indices)}"
+        if principal - g != -g:
+            raise ConsistencyError(
+                f"face functional coefficients for divisor class #{i} sum to "
+                f"{(principal - g).coords}, not the inverse {(-g).coords}"
             )
-    return SemigroupCheck(verified=not details, details=tuple(details))
+    return SemigroupCheck(verified=True, functional=u)

@@ -8,18 +8,19 @@ compared before a report is returned:
 * route two runs the Luna stratification of the characteristic quasitorus
   action on the total coordinate space and carries it over face by face;
 * route three connects orbits by explicit one-parameter automorphism
-  subgroups found through root searches.
+  subgroups, each backed by a re-validated root.
 
-Routes one and two must agree exactly; route three must never join faces
-from different strata, and when every connection search is conclusive it
-must reproduce the strata exactly.  Any disagreement raises
+Routes one and two must agree exactly, and the components of route three
+must reproduce the strata exactly: every connection verdict is decided, so
+no comparison is left open.  The semigroup-equals-group identity is
+certified for every face as well.  Any disagreement raises
 :class:`~toricstrata.errors.ConsistencyError` because it can only mean a
 bug, never a property of the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_canon, subgroup_leq
 from .abelian import subgroup_structure as _structure_of
@@ -28,31 +29,15 @@ from .divisors import FaceOrbitData, build_toric, face_orbit_data, verify_semigr
 from .errors import ConsistencyError, InputError
 from .linalg import IntVec
 from .luna import cox_weight_system, face_support_bridge, luna_strata
-from .roots import ConnectionGraph, connection_graph, default_box_bound, graph_components
+from .roots import ConnectionGraph, connection_graph, graph_components
 
 __all__ = [
     "CrossChecks",
     "StratificationReport",
-    "StratifyOptions",
     "Stratum",
     "closure_edges",
     "stratify",
 ]
-
-
-@dataclass(frozen=True)
-class StratifyOptions:
-    """Tuning knobs for the searches; exactness is never affected.
-
-    ``box_bound`` limits witness searches for connections (default: ten
-    times the largest ray coordinate); ``coeff_bound`` is the first-pass
-    coefficient cap of the semigroup verification.
-    """
-
-    box_bound: int | None = None
-    coeff_bound: int = 16
-    verify_semigroup: bool = True
-    normalize: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,14 +62,13 @@ class Stratum:
 class CrossChecks:
     """Outcome of the independent-route comparisons.
 
-    Boolean fields are hard guarantees (a report is only returned when
-    they hold); ``connections_equal`` is ``None`` when inconclusive
-    searches leave the component comparison undetermined.
+    Every field is a hard guarantee: a report is only returned when they
+    all hold.
     """
 
     subgroup_vs_luna: bool
     connections_refine: bool
-    connections_equal: bool | None
+    connections_equal: bool
     semigroup_verified: bool
     smooth_iff_trivial_local_class: bool
 
@@ -101,9 +85,6 @@ class StratificationReport:
     closure: tuple[tuple[int, int], ...]
     connections: ConnectionGraph
     cross_checks: CrossChecks
-    warnings: tuple[str, ...] = field(default=())
-    box_bound: int = 0
-    coeff_bound: int = 0
 
 
 def closure_edges(strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
@@ -132,7 +113,7 @@ def closure_edges(strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
 
 
 def _torus_report(
-    ambient_rank: int, input_rays: tuple[IntVec, ...], torus_rank: int, options: StratifyOptions
+    ambient_rank: int, input_rays: tuple[IntVec, ...], torus_rank: int
 ) -> StratificationReport:
     group = FgAbGroup(0, ())
     sub = subgroup_canon(group, ())
@@ -148,7 +129,7 @@ def _torus_report(
         smooth=True,
     )
     checks = CrossChecks(True, True, True, True, True)
-    graph = ConnectionGraph(Cone(0, ()), (face,), 0, ())
+    graph = ConnectionGraph(Cone(0, ()), (face,), ())
     return StratificationReport(
         ambient_rank=ambient_rank,
         input_rays=input_rays,
@@ -160,31 +141,25 @@ def _torus_report(
         closure=(),
         connections=graph,
         cross_checks=checks,
-        warnings=(),
-        box_bound=0,
-        coeff_bound=options.coeff_bound,
     )
 
 
-def stratify(
-    ambient_rank: int, rays, options: StratifyOptions = StratifyOptions()
-) -> StratificationReport:
+def stratify(ambient_rank: int, rays, normalize: bool = False) -> StratificationReport:
     """Full orbit decomposition of the affine toric variety of a cone.
 
     Accepts any rational polyhedral cone given by extremal ray generators;
-    a degenerate cone is split off as a torus factor first.  See the
-    module docstring for the three routes and the checks between them.
+    a degenerate cone is split off as a torus factor first, and
+    ``normalize`` scales non-primitive generators down as in
+    :func:`~toricstrata.cones.build_cone`.  See the module docstring for
+    the three routes and the checks between them.
     """
-    split = split_degenerate(ambient_rank, rays, normalize=options.normalize)
+    split = split_degenerate(ambient_rank, rays, normalize=normalize)
     input_rays = tuple(tuple(int(x) for x in ray) for ray in rays)
     if split.cone.nrays == 0:
-        return _torus_report(ambient_rank, input_rays, split.torus_rank, options)
+        return _torus_report(ambient_rank, input_rays, split.torus_rank)
 
     cone = split.cone
-    n = cone.ambient_rank
-    box_bound = options.box_bound if options.box_bound is not None else default_box_bound(cone)
     toric = build_toric(cone)
-    warnings: list[str] = []
 
     # Route one: group faces by the subgroup attached to their orbit.
     orbit_data = {face: face_orbit_data(toric, face) for face in toric.faces}
@@ -243,16 +218,13 @@ def stratify(
         )
 
     # Route three: explicit one-parameter connections.
-    graph = connection_graph(cone, box_bound)
+    graph = connection_graph(cone)
     stratum_of_face = {}
     for stratum in strata:
         for face in stratum.faces:
             stratum_of_face[face] = stratum.index
     face_index_stratum = [stratum_of_face[face] for face in graph.faces]
-    inconclusive = 0
     for i1, i2, verdict in graph.verdicts:
-        if verdict.status == "inconclusive":
-            inconclusive += 1
         if verdict.is_yes() and face_index_stratum[i1] != face_index_stratum[i2]:
             raise ConsistencyError(
                 f"one-parameter connection joins faces "
@@ -264,33 +236,17 @@ def stratify(
         tuple(sorted(i for i, s in enumerate(face_index_stratum) if s == stratum.index))
         for stratum in strata
     )
-    if component_partition == stratum_partition:
-        connections_equal: bool | None = True
-    elif inconclusive:
-        connections_equal = None
-        warnings.append(
-            f"connection components are finer than the strata; {inconclusive} "
-            f"searches were inconclusive at box bound {box_bound} — raise the bound "
-            f"to resolve"
-        )
-    else:
-        raise ConsistencyError(
-            "all connection searches were conclusive but the components do not "
-            "match the strata"
-        )
+    if component_partition != stratum_partition:
+        raise ConsistencyError("connection components do not match the strata")
 
-    semigroup_verified = True
-    if options.verify_semigroup:
-        for face in toric.faces:
-            check = verify_semigroup_equals_group(toric, face, options.coeff_bound)
-            if not check.verified:
-                semigroup_verified = False
-                warnings.extend(check.details)
+    semigroup_verified = all(
+        verify_semigroup_equals_group(toric, face).verified for face in toric.faces
+    )
 
     checks = CrossChecks(
         subgroup_vs_luna=True,
         connections_refine=True,
-        connections_equal=connections_equal,
+        connections_equal=True,
         semigroup_verified=semigroup_verified,
         smooth_iff_trivial_local_class=True,
     )
@@ -305,7 +261,4 @@ def stratify(
         closure=closure_edges(tuple(strata)),
         connections=graph,
         cross_checks=checks,
-        warnings=tuple(warnings),
-        box_bound=box_bound,
-        coeff_bound=options.coeff_bound,
     )

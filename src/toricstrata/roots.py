@@ -7,24 +7,28 @@ orbit of a face ``f2`` onto the orbit of a facet ``f1`` of ``f2`` exactly
 when ``e`` vanishes on the rays of ``f1``, pairs -1 with the single extra
 ray of ``f2``, and is nonnegative on all rays outside ``f2``.
 
-``connection_exists`` decides that condition in three exact stages
-(combinatorial, integral equalities, rational inequalities) and finishes
-with a boxed lattice search, so a "no" is always certified while a missing
-witness inside the box is reported honestly as inconclusive.
+``connection_exists`` decides that condition exactly.  A "no" is certified
+combinatorially or by the integer equalities having no solution.  Once the
+equalities are solvable a root always exists: adding a large enough
+multiple of :func:`~toricstrata.cones.face_functional` of ``f2`` to any
+solution keeps the equalities and makes every outside pairing nonnegative.
+Only :func:`enumerate_roots`, which lists all roots in a coordinate box,
+depends on a search bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, Face, face_lattice
+from .cones import Cone, Face, face_functional, face_lattice
 from .errors import ConsistencyError, InputError
 from .linalg import (
+    IntMatrix,
     IntVec,
-    first_lattice_point,
+    _reduce_mod_rows,
+    hermite_normal_form,
     lattice_points_bounded,
     linear_system,
-    rational_feasible,
     solve_integer_system,
 )
 
@@ -99,29 +103,22 @@ def enumerate_roots(
 
 @dataclass(frozen=True)
 class ConnectionVerdict:
-    """Yes (with live witness) / certified no (with stage) / inconclusive."""
+    """Yes (with live witness) or certified no (with the certificate kind)."""
 
-    status: str  # "yes" | "no" | "inconclusive"
+    status: str  # "yes" | "no"
     witness: DemazureRoot | None = None
-    certificate: str | None = None  # "combinatorial" | "integral-equalities" | "rational"
-    bound_used: int | None = None
+    certificate: str | None = None  # "combinatorial" | "integral-equalities"
 
     def is_yes(self) -> bool:
         return self.status == "yes"
 
 
-def connection_exists(
-    cone: Cone, face1: Face, face2: Face, box_bound: int | None = None
-) -> ConnectionVerdict:
+def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict:
     """Can some root move the orbit of ``face2`` onto the orbit of ``face1``?
 
-    The witness, when found, is re-validated against the full condition set
-    before it is returned.
+    The witness is re-validated against the full condition set before it is
+    returned.
     """
-    if box_bound is None:
-        box_bound = default_box_bound(cone)
-    if box_bound < 0:
-        raise InputError("box bound must be nonnegative")
     faces = face_lattice(cone)
     if face1 not in faces or face2 not in faces:
         raise InputError("faces must belong to the cone's face lattice")
@@ -140,32 +137,31 @@ def connection_exists(
     if solution is None:
         return ConnectionVerdict("no", certificate="integral-equalities")
 
-    outside = [i for i in range(cone.nrays) if i not in outer]
-    # Rational check over the integral solution lattice: substitute
-    # e = particular + kernel * t and test the outside inequalities in t.
-    kdim = len(solution.kernel_basis)
-    reduced = []
-    for i in outside:
-        ray = cone.rays[i]
-        coeffs = tuple(
-            sum(a * b for a, b in zip(ray, k)) for k in solution.kernel_basis
-        )
-        rhs = -sum(a * b for a, b in zip(ray, solution.particular))
-        reduced.append((coeffs, rhs, False))
-    if rational_feasible(linear_system(kdim, (), reduced)) is None:
-        return ConnectionVerdict("no", certificate="rational")
-
-    ineqs = [(cone.rays[i], 0, False) for i in outside]
-    point = first_lattice_point(linear_system(n, eqs, ineqs), box_bound)
-    if point is not None:
-        try:
-            witness = demazure_root(cone, point, tau)
-        except InputError as exc:
-            raise ConsistencyError(f"search produced an invalid root: {exc}")
-        if face2.dim != face1.dim + 1:
-            raise ConsistencyError("connected faces must differ by one dimension")
-        return ConnectionVerdict("yes", witness=witness, bound_used=box_bound)
-    return ConnectionVerdict("inconclusive", bound_used=box_bound)
+    # A particular solution reduced modulo the Hermite kernel basis, so the
+    # witness does not inherit the solver's large coordinates.
+    e0 = solution.particular
+    if solution.kernel_basis:
+        hnf, _ = hermite_normal_form(IntMatrix.from_rows(solution.kernel_basis, n))
+        e0 = _reduce_mod_rows(e0, hnf.entries)
+    # u vanishes on face2 (so the equalities still hold) and is positive on
+    # every outside ray; k is the least multiple making those pairings >= 0.
+    u = face_functional(cone, face2)
+    k = 0
+    for j in range(cone.nrays):
+        if j not in outer:
+            p_e0 = sum(a * b for a, b in zip(cone.rays[j], e0))
+            p_u = sum(a * b for a, b in zip(cone.rays[j], u))
+            if p_u <= 0:
+                raise ConsistencyError("face functional vanishes off the face")
+            k = max(k, -(p_e0 // p_u))
+    point = tuple(a + k * b for a, b in zip(e0, u))
+    try:
+        witness = demazure_root(cone, point, tau)
+    except InputError as exc:
+        raise ConsistencyError(f"face functional produced an invalid root: {exc}")
+    if face2.dim != face1.dim + 1:
+        raise ConsistencyError("connected faces must differ by one dimension")
+    return ConnectionVerdict("yes", witness=witness)
 
 
 @dataclass(frozen=True)
@@ -179,14 +175,11 @@ class ConnectionGraph:
 
     cone: Cone
     faces: tuple[Face, ...]
-    box_bound: int
     verdicts: tuple[tuple[int, int, ConnectionVerdict], ...]
 
 
-def connection_graph(cone: Cone, box_bound: int | None = None) -> ConnectionGraph:
+def connection_graph(cone: Cone) -> ConnectionGraph:
     """Evaluate every candidate pair of the face lattice."""
-    if box_bound is None:
-        box_bound = default_box_bound(cone)
     faces = face_lattice(cone)
     index_of = {face.ray_indices: i for i, face in enumerate(faces)}
     verdicts = []
@@ -196,9 +189,9 @@ def connection_graph(cone: Cone, box_bound: int | None = None) -> ConnectionGrap
             i1 = index_of.get(rest)
             if i1 is None:
                 continue
-            verdict = connection_exists(cone, faces[i1], face2, box_bound)
+            verdict = connection_exists(cone, faces[i1], face2)
             verdicts.append((i1, i2, verdict))
-    return ConnectionGraph(cone, faces, box_bound, tuple(verdicts))
+    return ConnectionGraph(cone, faces, tuple(verdicts))
 
 
 def graph_components(graph: ConnectionGraph) -> tuple[tuple[int, ...], ...]:
@@ -227,8 +220,7 @@ class IsolatedFace:
     """A face with no incident yes-edge.
 
     ``fully_certified`` is true when every incident candidate pair came back
-    as a certified no, so the isolation is exact rather than an artifact of
-    the search bound.
+    as a certified no.
     """
 
     face: Face

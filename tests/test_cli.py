@@ -32,7 +32,7 @@ def test_stratify_text_output(capsys, fixture_path):
     assert "strata (3), by descending dimension" in out
     assert "stratum 0: dim 3, subgroup Z/4, local class group 0, smooth" in out
     assert "closure order on strata (lower < upper): 1 < 0, 2 < 1" in out
-    assert "7 connected, 5 certified impossible, 0 unresolved" in out
+    assert "7 connected, 5 certified impossible" in out
     assert "components match strata: yes" in out
 
 
@@ -161,37 +161,39 @@ def test_quadrant_classgroup_is_trivial(capsys, fixture_path):
 
 
 # ---------------------------------------------------------------------------
-# warnings and strict mode
+# no search bounds outside roots
 
 
-def test_strict_mode_fails_on_inconclusive_searches(capsys, fixture_path):
+@pytest.mark.parametrize(
+    "name", ["cone_a1.json", "cone_quadrant2.json", "cone_rank3.json"]
+)
+def test_connections_are_all_decided(capsys, fixture_path, name):
     code, out, err = run_cli(
-        capsys,
-        "connections",
-        fixture_path("cone_a1.json"),
-        "--bound",
-        "0",
-        "--strict",
-    )
-    assert code == 2
-    assert "inconclusive" in out
-    assert "warning:" in out
-    assert "strict mode" in err
-
-
-def test_warnings_do_not_fail_without_strict(capsys, fixture_path):
-    code, out, _ = run_cli(
-        capsys, "connections", fixture_path("cone_a1.json"), "--bound", "0"
-    )
-    assert code == 0
-    assert "warning:" in out
-
-
-def test_strict_mode_passes_when_everything_is_certified(capsys, fixture_path):
-    code, _, err = run_cli(
-        capsys, "connections", fixture_path("cone_rank3.json"), "--strict"
+        capsys, "connections", fixture_path(name), "--format", "json"
     )
     assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert "box_bound" not in payload
+    assert {v["status"] for v in payload["verdicts"]} <= {"yes", "no"}
+    assert all(entry["fully_certified"] for entry in payload["isolated"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connections", "--strict"],
+        ["stratify", "--coeff-bound", "16"],
+        ["stratify", "--bound", "20"],
+        ["connections", "--bound", "20"],
+    ],
+    ids=["strict", "coeff-bound", "stratify-bound", "connections-bound"],
+)
+def test_removed_search_flags_are_rejected(capsys, fixture_path, argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("cone_a1.json"), *flags])
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,21 @@ def test_invalid_json_reports_position(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stratify", str(path))
     assert code == 1
     assert "invalid JSON at line 1" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"schema": 1, "rank": 2, "rays": [[1, 0]], "note": "\xff"}',
+     b'{"schema": 1, "rank": ' + b"9" * 5000 + b', "rays": []}',
+     b"[" * 100000],
+    ids=["non-utf8", "huge-integer", "deep-nesting"],
+)
+def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "stratify", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_wrong_schema_is_rejected(capsys, tmp_path):
@@ -274,14 +291,6 @@ def test_negative_bound_is_rejected(capsys, fixture_path):
     )
     assert code == 1
     assert "--bound must be nonnegative" in err
-
-
-def test_bad_coeff_bound_is_rejected(capsys, fixture_path):
-    code, _, err = run_cli(
-        capsys, "stratify", fixture_path("cone_a1.json"), "--coeff-bound", "0"
-    )
-    assert code == 1
-    assert "--coeff-bound must be positive" in err
 
 
 def test_unknown_command_exits_one(capsys):

@@ -119,6 +119,27 @@ def test_faces_are_exactly_the_supported_subsets():
             assert (subset in actual) == supported, (cone.rays, subset)
 
 
+def test_face_functional_vanishes_exactly_on_the_face():
+    for cone in sample_cones(ts, 17, 20):
+        for face in ts.face_lattice(cone):
+            u = ts.face_functional(cone, face)
+            for i, ray in enumerate(cone.rays):
+                pairing = sum(a * b for a, b in zip(ray, u))
+                if i in face.ray_indices:
+                    assert pairing == 0, (cone.rays, face.ray_indices)
+                else:
+                    assert pairing > 0, (cone.rays, face.ray_indices)
+
+
+def test_face_caches_stay_bounded():
+    limit = ts.face_lattice.cache_info().maxsize
+    assert limit is not None and ts.facet_normals.cache_info().maxsize == limit
+    for k in range(limit + 8):
+        ts.stratify(2, [(1, 0), (k, 1)])
+    assert ts.face_lattice.cache_info().currsize <= limit
+    assert ts.facet_normals.cache_info().currsize <= limit
+
+
 # ---------------------------------------------------------------------------
 # smoothness
 

@@ -3,16 +3,12 @@
 import pytest
 
 import toricstrata as ts
+from toricstrata import stratify
 
 from oracles import sample_cones
 
 
 RANK3_RAYS = [(1, 0, 0), (1, 2, 0), (0, 1, 2)]
-
-
-def stratify(rank, rays, **kw):
-    options = ts.StratifyOptions(**kw) if kw else ts.StratifyOptions()
-    return ts.stratify(rank, rays, options)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +47,6 @@ def test_stratification_of_the_cyclic_quotient_singularity():
     assert checks.connections_equal is True
     assert checks.semigroup_verified
     assert checks.smooth_iff_trivial_local_class
-    assert report.warnings == ()
 
 
 def test_stratification_of_the_quadric_cone():
@@ -110,29 +105,14 @@ def test_stratify_rejects_lines_and_bad_rays():
 
 
 # ---------------------------------------------------------------------------
-# options
+# connections
 
 
-def test_stratify_with_tiny_box_bound_reports_undetermined_components():
-    report = stratify(2, [(1, 0), (1, 2)], box_bound=0)
-    checks = report.cross_checks
-    assert checks.connections_equal is None
-    assert any("inconclusive" in w for w in report.warnings)
-    # the hard guarantees still hold
-    assert checks.subgroup_vs_luna and checks.connections_refine
-
-
-def test_stratify_can_skip_the_semigroup_verification():
-    report = stratify(3, RANK3_RAYS, verify_semigroup=False)
-    assert report.cross_checks.semigroup_verified
-    assert report.warnings == ()
-
-
-def test_stratify_records_the_bounds_used():
-    report = stratify(3, RANK3_RAYS, box_bound=7, coeff_bound=3)
-    assert report.box_bound == 7
-    assert report.coeff_bound == 3
-    assert report.connections.box_bound == 7
+def test_components_match_strata_where_the_box_search_left_them_undetermined():
+    # a boxed root search left this comparison open; every pair is now decided
+    report = stratify(4, [(3, 0, -4, -3), (3, -3, 4, -5), (2, 3, 2, 3), (-3, 4, 4, -4)])
+    assert report.cross_checks.connections_equal is True
+    assert {v.status for _, _, v in report.connections.verdicts} == {"yes", "no"}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +152,9 @@ def test_stratification_invariants_on_random_cones():
             assert strata[low].dim < strata[high].dim
         for verdict_index in report.connections.verdicts:
             i1, i2, verdict = verdict_index
-            assert verdict.status in {"yes", "no", "inconclusive"}
+            assert verdict.status in {"yes", "no"}
+            if verdict.status == "no":
+                assert verdict.certificate in {"combinatorial", "integral-equalities"}
 
 
 def test_closure_edges_are_covering_relations():

@@ -119,10 +119,19 @@ def test_connection_rejects_foreign_faces():
         ts.connection_exists(RANK3, face(RANK3, [0, 1, 2]), full)
 
 
-def test_connection_inconclusive_at_zero_box_bound():
-    verdict = ts.connection_exists(A1, face(A1, []), face(A1, [0]), box_bound=0)
-    assert verdict.status == "inconclusive"
-    assert verdict.bound_used == 0
+def test_connection_witness_lies_beyond_the_old_search_box():
+    # a boxed search at bound 50 found no root here; the face functional does
+    cone = ts.build_cone(
+        4, [(1, 5, -3, 4), (-1, -5, 5, -3), (5, 2, -4, 4), (-3, -5, -1, -4)]
+    )
+    verdict = ts.connection_exists(cone, face(cone, [2, 3]), face(cone, [1, 2, 3]))
+    assert verdict.status == "yes"
+    root = verdict.witness
+    assert root.distinguished_ray == 1
+    assert max(abs(x) for x in root.vector) > 50
+    ts.demazure_root(cone, root.vector, 1)
+    for i in (2, 3):
+        assert sum(a * b for a, b in zip(cone.rays[i], root.vector)) == 0
 
 
 def test_connection_graph_of_the_cyclic_example():
