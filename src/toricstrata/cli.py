@@ -27,7 +27,6 @@ from .cones import Cone, build_cone
 from .divisors import build_toric, face_orbit_data
 from .engine import StratificationReport, stratify
 from .errors import InputError
-from .linalg import IntMatrix, integer_rank
 from .luna import (
     WeightSystem,
     check_strongly_stable,
@@ -121,12 +120,13 @@ def _load_pointed_cone(args) -> Cone:
             f"{args.file}: no rays — the variety is a torus; "
             f"use the stratify command, which handles torus factors"
         )
-    if integer_rank(IntMatrix.from_rows(rays, cols=rank)) < rank:
+    cone = build_cone(rank, rays, normalize=args.normalize)
+    if not cone.is_full_dimensional():
         raise InputError(
             f"{args.file}: rays span a proper subspace (torus factor present); "
             f"use the stratify command, which splits the factor off"
         )
-    return build_cone(rank, rays, normalize=args.normalize)
+    return cone
 
 
 def _load_weight_system(path: str) -> WeightSystem:

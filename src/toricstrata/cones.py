@@ -3,12 +3,13 @@
 A cone is stored by its extremal ray generators (primitive integer vectors,
 input order preserved).  Validation rejects zero, non-primitive (unless
 normalization is requested), duplicate and non-extremal rays, and cones that
-contain a line.  Face machinery requires a full-dimensional cone; inputs
-spanning a proper subspace go through :func:`split_degenerate` first, which
-factors off the torus directions exactly.
+contain a line; the last two are read off integer facet incidence
+(Cox-Little-Schenck, *Toric Varieties*, 1.2).  Face machinery requires a
+full-dimensional cone; inputs spanning a proper subspace go through
+:func:`split_degenerate` first, which factors off the torus directions
+exactly.
 
-The facet enumeration is deliberately brute force over ray subsets; the
-intended envelope is at most ~12 rays in rank at most ~6.
+Facets are enumerated by brute force over the (rank-1)-subsets of rays.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
+    hermite_normal_form,
     integer_rank,
     linear_system,
     primitive_vector,
-    rational_feasible,
     smith_normal_form,
     solve_integer_system,
 )
@@ -123,44 +124,38 @@ def build_cone(
 
     Rejects zero, non-primitive (without ``normalize``), duplicate and
     non-extremal rays, and generator sets that span a line through the
-    origin.  Ray order is preserved.
+    origin.  Ray order is preserved.  A non-extremal ray is reported with
+    the other rays of the smallest face containing it.
     """
     if ambient_rank < 1:
         raise InputError("ambient rank must be at least 1")
     if not raw_rays:
         raise InputError("at least one ray is required")
     rays = _validated_rays(ambient_rank, raw_rays, normalize)
-    m = len(rays)
 
-    # Pointedness: some nonzero nonnegative combination of rays vanishes
-    # exactly when the cone contains a line.
-    eqs = [(tuple(r[c] for r in rays), 0) for c in range(ambient_rank)]
-    eqs.append((tuple(1 for _ in range(m)), 1))
-    nonneg = [
-        (tuple(1 if j == i else 0 for j in range(m)), 0, False) for i in range(m)
-    ]
-    if rational_feasible(linear_system(m, eqs, nonneg)) is not None:
+    # Projecting onto the Hermite pivot columns is injective on the span of
+    # the rays: the probe cone has the same faces, is full-dimensional in
+    # rank d, and for a full-dimensional input is the cone itself.
+    hnf, _ = hermite_normal_form(IntMatrix.from_rows(rays, ambient_rank))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries if any(row)]
+    d = len(pivots)
+    probe = Cone(d, tuple(primitive_vector([r[j] for j in pivots]) for r in rays))
+    normals = facet_normals(probe)
+    if integer_rank(IntMatrix.from_rows(normals, d)) < d:
         raise InputError("cone is not pointed (it contains a line)")
 
-    # Extremality: no ray may be a nonnegative combination of the others.
-    for i in range(m):
-        others = [j for j in range(m) if j != i]
-        eqs = [
-            (tuple(rays[j][c] for j in others), rays[i][c])
-            for c in range(ambient_rank)
-        ]
-        nonneg = [
-            (tuple(1 if k == j else 0 for k in range(len(others))), 0, False)
-            for j in range(len(others))
-        ]
-        witness = rational_feasible(linear_system(len(others), eqs, nonneg))
-        if witness is not None:
-            combo = ", ".join(
-                f"{w} * ray#{others[j]}" for j, w in enumerate(witness) if w
-            )
+    # A ray of a pointed cone is extremal iff the normals vanishing on it
+    # have rank d - 1; the rays on all of those facets span its smallest face.
+    zeros = [
+        {k for k, u in enumerate(normals) if not sum(a * b for a, b in zip(r, u))}
+        for r in probe.rays
+    ]
+    for i, incident in enumerate(zeros):
+        if integer_rank(IntMatrix.from_rows([normals[k] for k in incident], d)) < d - 1:
+            face = [j for j, z in enumerate(zeros) if j != i and incident <= z]
             raise InputError(
-                f"ray #{i} {list(rays[i])} is not extremal: "
-                f"it equals {combo if combo else '0'}"
+                f"ray #{i} {list(rays[i])} is not extremal: it lies inside the "
+                f"face spanned by rays {', '.join(f'#{j}' for j in face)}"
             )
     return Cone(ambient_rank, tuple(rays))
 

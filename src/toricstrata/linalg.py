@@ -13,7 +13,10 @@ no floating point enters any decision.  Conventions relied on elsewhere:
   ``coeffs . x == rhs`` with integer data.
 * Rational feasibility is decided by Fourier-Motzkin elimination after exact
   Gaussian substitution of the equalities.  The intended operating envelope
-  is small: at most ~10 variables and a few dozen constraints.
+  is small: at most ~10 variables and a few dozen constraints.  Its callers
+  are Luna closedness (``luna._spans_rational_subspace``), the boxed lattice
+  search behind ``roots.enumerate_roots`` and ``abelian.semigroup_member``;
+  cone validation works from facet incidence instead.
 """
 
 from __future__ import annotations
@@ -630,9 +633,7 @@ def _inequality_rows(inequalities) -> list[_Row]:
     return rows
 
 
-def _lattice_dfs(
-    chain: list[list[_Row]], n: int, stop_at_first: bool, small_first: bool
-) -> list[IntVec]:
+def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
     found: list[IntVec] = []
     prefix: list[int] = []
 
@@ -655,7 +656,7 @@ def _lattice_dfs(
         if lo is None or hi is None:
             raise ConsistencyError("unbounded level in boxed lattice search")
         values = range(lo, hi + 1)
-        if small_first:
+        if stop_at_first:
             values = sorted(values, key=lambda v: (abs(v), v < 0))
         for val in values:
             prefix.append(val)
@@ -689,7 +690,7 @@ def _boxed_solutions(
         chain = _fm_chain(rows, n)
         if chain is None:
             return []
-        return _lattice_dfs(chain, n, stop_at_first, small_first=stop_at_first)
+        return _lattice_dfs(chain, n, stop_at_first)
 
     solution = solve_integer_system(linear_system(n, system.equalities))
     if solution is None:
@@ -737,7 +738,7 @@ def _boxed_solutions(
     if chain is None:
         return []
     points = []
-    for t in _lattice_dfs(chain, k, stop_at_first, small_first=stop_at_first):
+    for t in _lattice_dfs(chain, k, stop_at_first):
         point = tuple(
             particular[j] + sum(t[i] * kernel[i][j] for i in range(k))
             for j in range(n)

@@ -147,7 +147,7 @@ class LunaStratum:
     dim: int
 
 
-def luna_strata(ws: WeightSystem, max_weights: int = MAX_WEIGHTS) -> tuple[LunaStratum, ...]:
+def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     """All Luna strata, sorted by descending dimension.
 
     Enumerates every index subset, so the number of weights is capped.
@@ -155,10 +155,10 @@ def luna_strata(ws: WeightSystem, max_weights: int = MAX_WEIGHTS) -> tuple[LunaS
     supports in the class.
     """
     m = ws.ncoordinates
-    if m > max_weights:
+    if m > MAX_WEIGHTS:
         raise InputError(
             f"stratification enumerates all index subsets; "
-            f"{m} weights exceed the limit of {max_weights}"
+            f"{m} weights exceed the limit of {MAX_WEIGHTS}"
         )
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
     for mask in range(1 << m):

@@ -266,6 +266,16 @@ def test_degenerate_cone_points_to_stratify(capsys, tmp_path):
         assert "stratify" in err
 
 
+@pytest.mark.parametrize("command", ["roots", "connections", "classgroup"])
+def test_ragged_rays_name_the_ray(capsys, tmp_path, command):
+    path = write_json(
+        tmp_path, "ragged.json", {"schema": 1, "rank": 2, "rays": [[1, 0], [1]]}
+    )
+    code, _, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert "ray #1 has 1 coordinates, expected 2" in err
+
+
 def test_invalid_ray_data_is_rejected(capsys, tmp_path):
     path = write_json(
         tmp_path, "zero.json", {"schema": 1, "rank": 2, "rays": [[0, 0]]}

@@ -1,6 +1,7 @@
 """Cone construction, face lattices, smoothness and torus-factor splitting."""
 
-
+import random
+import time
 
 import pytest
 
@@ -53,6 +54,83 @@ def test_build_cone_accepts_lower_dimensional_pointed_cones():
     cone = ts.build_cone(3, [(1, 0, 0), (1, 2, 0)])
     assert cone.ambient_rank == 3 and cone.nrays == 2
     assert not cone.is_full_dimensional()
+
+
+def test_build_cone_names_lower_dimensional_non_extremal_ray():
+    with pytest.raises(ts.InputError) as err:
+        ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    message = str(err.value)
+    assert "ray #2 [1, 1, 0] is not extremal" in message
+    assert "#0, #1" in message
+
+
+def _random_ray_set(rng):
+    """Distinct primitive rays; some span a proper subspace, some a line."""
+    n = rng.randint(1, 4)
+    k = rng.randint(1, n - 1) if n > 1 and rng.random() < 0.3 else n
+    basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    rays = set()
+    for _ in range(rng.randint(1, 6)):
+        c = [rng.randint(-3, 3) for _ in range(k)]
+        v = tuple(sum(c[i] * basis[i][j] for i in range(k)) for j in range(n))
+        if any(v):
+            rays.add(ts.primitive_vector(v))
+    if 0 < len(rays) < 6 and rng.random() < 0.2:
+        rays.add(tuple(-x for x in rng.choice(sorted(rays))))
+    return n, sorted(rays)
+
+
+def test_build_cone_agrees_with_the_vertex_enumeration_oracle():
+    # oracle: the cone is pointed iff some functional is positive on every
+    # ray, and a ray is extremal iff some functional vanishes on it alone
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(80):
+        n, rays = _random_ray_set(rng)
+        if not rays:
+            continue
+        pointed = closed_system_feasible(n, [(r, 1) for r in rays])
+        expected = pointed and all(
+            closed_system_feasible(
+                n, [(r, 0 if j == i else 1) for j, r in enumerate(rays)]
+                + [(tuple(-x for x in rays[i]), 0)]
+            )
+            for i in range(len(rays))
+        )
+        try:
+            ts.build_cone(n, rays)
+            accepted = True
+        except ts.InputError as err:
+            accepted = False
+            kind = "not extremal" if pointed else "not pointed"
+            assert kind in str(err), (n, rays, str(err))
+        assert accepted == expected, (n, rays)
+        verdicts.add((accepted, pointed))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+# A strictly convex lattice 16-gon: cumulative sums of the sixteen primitive
+# edge vectors of slope in {0, +-1/2, +-1, +-2, oo} in angular order.
+EDGES16 = [
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+    (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
+]
+
+
+def test_sixteen_ray_cone_builds_quickly():
+    x, y = -1, -4
+    rays = []
+    for dx, dy in EDGES16:
+        rays.append((x, y, 1))
+        x, y = x + dx, y + dy
+    start = time.perf_counter()
+    cone = ts.build_cone(3, rays)
+    faces = ts.face_lattice(cone)
+    assert time.perf_counter() - start < 5.0
+    assert len(faces) == 34  # apex, 16 rays, 16 facets, the cone
+    with pytest.raises(ts.InputError) as err:
+        ts.build_cone(3, rays + [(0, 0, 1)])
+    assert "ray #16 [0, 0, 1] is not extremal" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
