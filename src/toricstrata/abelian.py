@@ -56,8 +56,9 @@ class FgAbGroup:
     torsion: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.free_rank < 0:
-            raise InputError("free rank must be nonnegative")
+        r = self.free_rank
+        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
+            raise InputError("free rank must be a nonnegative integer")
         prev = None
         for d in self.torsion:
             if not isinstance(d, int) or d < 2:
@@ -216,10 +217,7 @@ def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHa
             raise InputError("generator belongs to a different group")
         rows.append(g.coords)
     rows.extend(_relation_rows(group))
-    n = group.ncoords
-    if not rows:
-        return SubgroupHandle(group, ())
-    h, _ = hermite_normal_form(IntMatrix.from_rows(rows, n))
+    h, _ = hermite_normal_form(IntMatrix.from_rows(rows, group.ncoords))
     basis = tuple(row for row in h.entries if any(row))
     return SubgroupHandle(group, basis)
 
@@ -310,11 +308,8 @@ def rank_over_rationals(group: FgAbGroup, gens: Sequence[GroupElement]) -> int:
     for g in gens:
         if g.group != group:
             raise InputError("generator belongs to a different group")
-    r = group.free_rank
-    if r == 0 or not gens:
-        return 0
     rows = [g.free_part() for g in gens]
-    return integer_rank(IntMatrix.from_rows(rows, r))
+    return integer_rank(IntMatrix.from_rows(rows, group.free_rank))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .abelian import FgAbGroup
 from .cones import Cone, build_cone
@@ -106,6 +107,15 @@ def _checked_document(path: str, required: tuple[str, ...]):
     return data
 
 
+@contextmanager
+def _naming(path: str):
+    """Prefix input errors raised by library validation with the file."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_cone_file(path: str) -> tuple[int, list[tuple[int, ...]]]:
     data = _checked_document(path, ("rank", "rays"))
     rank = _as_int(data["rank"], f"{path}: rank")
@@ -120,7 +130,8 @@ def _load_pointed_cone(args) -> Cone:
             f"{args.file}: no rays — the variety is a torus; "
             f"use the stratify command, which handles torus factors"
         )
-    cone = build_cone(rank, rays, normalize=args.normalize)
+    with _naming(args.file):
+        cone = build_cone(rank, rays, normalize=args.normalize)
     if not cone.is_full_dimensional():
         raise InputError(
             f"{args.file}: rays span a proper subspace (torus factor present); "
@@ -140,8 +151,8 @@ def _load_weight_system(path: str) -> WeightSystem:
     rows = _as_int_rows(data["weights"], f"{path}: weights")
     if not rows:
         raise InputError(f"{path}: at least one weight is required")
-    group = FgAbGroup(free_rank, torsion)
-    return weight_system(group, rows)
+    with _naming(path):
+        return weight_system(FgAbGroup(free_rank, torsion), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +302,8 @@ def _report_text(report: StratificationReport) -> list[str]:
 
 def _cmd_stratify(args):
     rank, rays = _load_cone_file(args.file)
-    report = stratify(rank, rays, normalize=args.normalize)
+    with _naming(args.file):
+        report = stratify(rank, rays, normalize=args.normalize)
     return _report_payload(report), _report_text(report)
 
 

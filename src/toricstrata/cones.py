@@ -57,8 +57,6 @@ class Cone:
         return len(self.rays)
 
     def is_full_dimensional(self) -> bool:
-        if self.ambient_rank == 0:
-            return True
         mat = IntMatrix(self.nrays, self.ambient_rank, self.rays)
         return integer_rank(mat) == self.ambient_rank
 
@@ -305,9 +303,10 @@ def split_degenerate(
     """
     if ambient_rank < 0:
         raise InputError("ambient rank must be nonnegative")
-    rays = _validated_rays(ambient_rank, raw_rays, normalize)
-    if not rays:
+    if not raw_rays:
         return SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
+    # Validate in the input's coordinates, so errors name the user's rays.
+    rays = build_cone(ambient_rank, raw_rays, normalize).rays
 
     # Saturation = kernel of the kernel: integer kernels are saturated, and
     # the orthogonal complement of the complement of the ray span is exactly
@@ -327,7 +326,9 @@ def split_degenerate(
         if sol is None or sol.kernel_basis:
             raise ConsistencyError("ray does not embed uniquely in the sublattice")
         induced.append(sol.particular)
-    cone = build_cone(d, induced)
+    # Extremality, pointedness, primitivity and distinctness carry over to
+    # the rays' coordinates in a basis of their saturated span.
+    cone = Cone(d, tuple(induced))
     if not cone.is_full_dimensional():
         raise ConsistencyError("induced cone failed to be full-dimensional")
     return SplitCone(basis, cone, ambient_rank - d)

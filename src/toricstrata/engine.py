@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_canon, subgroup_leq
+from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq
 from .abelian import subgroup_structure as _structure_of
 from .cones import Cone, Face, split_degenerate
 from .divisors import FaceOrbitData, build_toric, face_orbit_data, verify_semigroup_equals_group
 from .errors import ConsistencyError, InputError
 from .linalg import IntVec
-from .luna import cox_weight_system, face_support_bridge, luna_strata
+from .luna import cox_weight_system, luna_strata
 from .roots import ConnectionGraph, connection_graph, graph_components
 
 __all__ = [
@@ -112,38 +112,6 @@ def closure_edges(strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _torus_report(
-    ambient_rank: int, input_rays: tuple[IntVec, ...], torus_rank: int
-) -> StratificationReport:
-    group = FgAbGroup(0, ())
-    sub = subgroup_canon(group, ())
-    face = Face((), 0)
-    stratum = Stratum(
-        index=0,
-        subgroup=sub,
-        structure=group,
-        local_class_group=group,
-        faces=(face,),
-        orbit_dims=(torus_rank,),
-        dim=torus_rank,
-        smooth=True,
-    )
-    checks = CrossChecks(True, True, True, True, True)
-    graph = ConnectionGraph(Cone(0, ()), (face,), ())
-    return StratificationReport(
-        ambient_rank=ambient_rank,
-        input_rays=input_rays,
-        torus_rank=torus_rank,
-        cone=Cone(0, ()),
-        class_group=group,
-        divisor_classes=(),
-        strata=(stratum,),
-        closure=(),
-        connections=graph,
-        cross_checks=checks,
-    )
-
-
 def stratify(ambient_rank: int, rays, normalize: bool = False) -> StratificationReport:
     """Full orbit decomposition of the affine toric variety of a cone.
 
@@ -155,9 +123,6 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
     """
     split = split_degenerate(ambient_rank, rays, normalize=normalize)
     input_rays = tuple(tuple(int(x) for x in ray) for ray in rays)
-    if split.cone.nrays == 0:
-        return _torus_report(ambient_rank, input_rays, split.torus_rank)
-
     cone = split.cone
     toric = build_toric(cone)
 
@@ -170,15 +135,15 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
         by_subgroup.setdefault(data.subgroup.basis, []).append(face)
         handle_for[data.subgroup.basis] = data.subgroup
 
-    # Route two: Luna strata of the characteristic quasitorus action.
-    bridge = face_support_bridge(toric)
+    # Route two: Luna strata of the characteristic quasitorus action.  Their
+    # supports are the closed ones, so matching them with the face
+    # complements also checks that every complement is closed.
     luna = luna_strata(cox_weight_system(toric))
     luna_by_basis = {stratum.subgroup.basis: stratum for stratum in luna}
     if set(luna_by_basis) != set(by_subgroup):
         raise ConsistencyError("face subgroups and Luna stabilizers disagree")
-    support_of = {face: bridge[face] for face in toric.faces}
     for basis, faces in by_subgroup.items():
-        expected = sorted(support_of[face] for face in faces)
+        expected = sorted(orbit_data[face].dset for face in faces)
         got = sorted(luna_by_basis[basis].supports)
         if expected != got:
             raise ConsistencyError(

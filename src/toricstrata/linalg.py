@@ -248,10 +248,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    um = IntMatrix.from_rows(u, m) if m else IntMatrix(0, 0, ())
-    vm = IntMatrix.from_rows(v, n) if n else IntMatrix(0, 0, ())
-    sm = IntMatrix.from_rows(d, n) if m else IntMatrix(0, n, ())
-    return um, sm, vm
+    return IntMatrix.from_rows(u, m), IntMatrix.from_rows(d, n), IntMatrix.from_rows(v, n)
 
 
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -301,9 +298,7 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 add_row(r, i, -q)
         r += 1
 
-    hm = IntMatrix.from_rows(h, n) if m else IntMatrix(0, n, ())
-    um = IntMatrix.from_rows(u, m) if m else IntMatrix(0, 0, ())
-    return hm, um
+    return IntMatrix.from_rows(h, n), IntMatrix.from_rows(u, m)
 
 
 def integer_rank(a: IntMatrix) -> int:
@@ -378,9 +373,6 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
         raise InputError("solve_integer_system accepts equality-only systems")
     n = system.dim
     k = len(system.equalities)
-    if k == 0:
-        basis = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return IntegerSolution(tuple(0 for _ in range(n)), basis)
     a = IntMatrix.from_rows([c for c, _ in system.equalities], n)
     b = [rhs for _, rhs in system.equalities]
     u, s, v = smith_normal_form(a)
@@ -681,17 +673,6 @@ def _boxed_solutions(
     if box_bound < 0:
         raise InputError("box bound must be nonnegative")
     n = system.dim
-    if not system.equalities:
-        rows = _inequality_rows(system.inequalities)
-        for i in range(n):
-            unit = tuple(1 if j == i else 0 for j in range(n))
-            rows.append((unit, -box_bound, False))
-            rows.append((tuple(-x for x in unit), -box_bound, False))
-        chain = _fm_chain(rows, n)
-        if chain is None:
-            return []
-        return _lattice_dfs(chain, n, stop_at_first)
-
     solution = solve_integer_system(linear_system(n, system.equalities))
     if solution is None:
         return []

@@ -78,7 +78,11 @@ def weight_system(group: FgAbGroup, rows) -> WeightSystem:
     """Build a weight system from raw coordinate rows (free coords first)."""
     weights = []
     for idx, row in enumerate(rows):
+        row = tuple(row)
         try:
+            for j, x in enumerate(row):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError(f"coordinate {j} must be an integer")
             weights.append(group.element(row))
         except InputError as exc:
             raise InputError(f"weight {idx}: {exc}")

@@ -24,8 +24,9 @@ def test_group_validation_divisibility_chain():
         grp(0, (2, 3))
     with pytest.raises(ts.InputError):
         grp(0, (1,))
-    with pytest.raises(ts.InputError):
-        grp(-1)
+    for bad in (-1, 1.0, True, "1"):
+        with pytest.raises(ts.InputError, match="free rank must be a nonnegative integer"):
+            grp(bad)
 
 
 def test_group_describe_names():

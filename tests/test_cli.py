@@ -57,6 +57,43 @@ def test_stratify_json_output_is_canonical(capsys, fixture_path):
     assert payload["warnings"] == []
 
 
+def test_stratify_of_a_rayless_cone_file(capsys, tmp_path):
+    path = write_json(tmp_path, "torus.json", {"schema": 1, "rank": 3, "rays": []})
+    code, out, _ = run_cli(capsys, "stratify", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "ambient_rank": 3,
+        "checks": {
+            "connections_equal": True,
+            "connections_refine": True,
+            "semigroup_verified": True,
+            "smooth_iff_trivial_local_class": True,
+            "subgroup_vs_luna": True,
+        },
+        "class_group": {"free_rank": 0, "name": "0", "torsion": []},
+        "closure": [],
+        "cone": {"rank": 0, "rays": []},
+        "connections": {"verdicts": []},
+        "divisor_classes": [],
+        "input_rays": [],
+        "schema": 1,
+        "strata": [
+            {
+                "dim": 3,
+                "faces": [[]],
+                "index": 0,
+                "local_class_group": "0",
+                "orbit_dims": [3],
+                "smooth": True,
+                "structure": "0",
+                "subgroup_basis": [],
+            }
+        ],
+        "torus_rank": 3,
+        "warnings": [],
+    }
+
+
 def test_stratify_splits_torus_factors(capsys, tmp_path):
     path = write_json(
         tmp_path, "degen.json", {"schema": 1, "rank": 2, "rays": [[1, 0]]}
@@ -266,14 +303,26 @@ def test_degenerate_cone_points_to_stratify(capsys, tmp_path):
         assert "stratify" in err
 
 
-@pytest.mark.parametrize("command", ["roots", "connections", "classgroup"])
+@pytest.mark.parametrize("command", ["stratify", "roots", "connections", "classgroup"])
 def test_ragged_rays_name_the_ray(capsys, tmp_path, command):
     path = write_json(
         tmp_path, "ragged.json", {"schema": 1, "rank": 2, "rays": [[1, 0], [1]]}
     )
     code, _, err = run_cli(capsys, command, path)
     assert code == 1
-    assert "ray #1 has 1 coordinates, expected 2" in err
+    assert f"{path}: ray #1 has 1 coordinates, expected 2" in err
+
+
+@pytest.mark.parametrize("command", ["luna", "stable"])
+def test_invalid_weight_group_names_the_file(capsys, tmp_path, command):
+    path = write_json(
+        tmp_path,
+        "w.json",
+        {"schema": 1, "free_rank": 1, "torsion": [1], "weights": [[1, 0]]},
+    )
+    code, _, err = run_cli(capsys, command, path)
+    assert code == 1
+    assert f"{path}: torsion orders must be integers >= 2" in err
 
 
 def test_invalid_ray_data_is_rejected(capsys, tmp_path):

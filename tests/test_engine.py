@@ -85,12 +85,44 @@ def test_stratify_splits_off_torus_factors():
 
 
 def test_stratify_of_a_pure_torus():
-    report = stratify(3, [])
-    assert report.torus_rank == 3
-    assert len(report.strata) == 1
-    assert report.strata[0].dim == 3
-    assert report.strata[0].smooth
-    assert report.class_group.describe() == "0"
+    for k in range(4):
+        report = stratify(k, [])
+        assert report.ambient_rank == k and report.torus_rank == k
+        assert report.input_rays == ()
+        assert report.cone == ts.Cone(0, ())
+        assert report.class_group == ts.FgAbGroup(0, ())
+        assert report.divisor_classes == ()
+        (stratum,) = report.strata
+        assert stratum.index == 0
+        assert stratum.faces == (ts.Face((), 0),)
+        assert stratum.orbit_dims == (k,) and stratum.dim == k
+        assert stratum.subgroup.basis == ()
+        assert stratum.structure.is_trivial()
+        assert stratum.local_class_group.is_trivial()
+        assert stratum.smooth
+        assert report.closure == ()
+        assert report.connections.faces == (ts.Face((), 0),)
+        assert report.connections.verdicts == ()
+        assert report.cross_checks == ts.CrossChecks(True, True, True, True, True)
+
+
+def test_lower_dimensional_errors_name_the_input_ray():
+    with pytest.raises(ts.InputError) as err:
+        stratify(3, [(1, 0, 2), (0, 1, 0), (1, 1, 2)])
+    assert "ray #2 [1, 1, 2] is not extremal" in str(err.value)
+
+
+def test_luna_comparison_catches_a_face_complement_that_is_not_closed(monkeypatch):
+    real = ts.luna.is_closed_support
+
+    def rejecting(ws, support):
+        if tuple(sorted(support)) == (0, 1, 2):
+            return False
+        return real(ws, support)
+
+    monkeypatch.setattr(ts.luna, "is_closed_support", rejecting)
+    with pytest.raises(ts.ConsistencyError, match="covers supports"):
+        stratify(3, RANK3_RAYS)
 
 
 def test_stratify_rejects_lines_and_bad_rays():

@@ -32,6 +32,10 @@ def test_weight_system_validates_rows():
     with pytest.raises(ts.InputError) as err:
         weight_system(1, (), [(1,), (1, 2)])
     assert str(err.value).startswith("weight 1:")
+    for bad in (1.5, True):
+        with pytest.raises(ts.InputError) as err:
+            weight_system(2, (), [(1, 0), (bad, 0)])
+        assert str(err.value) == "weight 1: coordinate 0 must be an integer"
 
 
 def test_cox_weight_system_reuses_the_class_group_data():
