@@ -86,8 +86,11 @@ class FgAbGroup:
     def reduce(self, coords: Sequence[int]) -> IntVec:
         if len(coords) != self.ncoords:
             raise InputError("element coordinate length does not match the group")
+        for j, x in enumerate(coords):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InputError(f"coordinate {j} must be an integer")
         r = self.free_rank
-        out = list(int(x) for x in coords)
+        out = list(coords)
         for j, d in enumerate(self.torsion):
             out[r + j] %= d
         return tuple(out)

@@ -11,12 +11,18 @@ no floating point enters any decision.  Conventions relied on elsewhere:
 * An inequality ``(coeffs, rhs, strict)`` means ``coeffs . x >= rhs``
   (``> rhs`` when strict); an equality ``(coeffs, rhs)`` means
   ``coeffs . x == rhs`` with integer data.
-* Rational feasibility is decided by Fourier-Motzkin elimination after exact
-  Gaussian substitution of the equalities.  The intended operating envelope
-  is small: at most ~10 variables and a few dozen constraints.  Its callers
-  are Luna closedness (``luna._spans_rational_subspace``), the boxed lattice
-  search behind ``roots.enumerate_roots`` and ``abelian.semigroup_member``;
-  cone validation works from facet incidence instead.
+* Rational feasibility is decided by Fourier-Motzkin elimination after
+  fraction-free Gauss-Jordan elimination of the equalities: rows stay
+  primitive integer vectors, pivot variables are substituted into the
+  inequalities in integers, and a pivot divides only when the witness is
+  rebuilt.  Back-substitution picks every coordinate strictly inside its
+  segment, so the witness lies in the relative interior of the solution
+  set.  The intended operating envelope is small: at most ~10 variables and
+  a few dozen constraints.  Its callers are Luna closedness
+  (``luna._largest_closed_subset``, which relies on the relative-interior
+  witness), the boxed lattice search behind ``roots.enumerate_roots`` and
+  ``abelian.semigroup_member``; cone validation works from facet incidence
+  instead.
 """
 
 from __future__ import annotations
@@ -415,8 +421,8 @@ def _scale_inequality(coeffs: Sequence[Fraction], rhs: Fraction, strict: bool) -
     denom = rhs.denominator
     for x in coeffs:
         denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    vec = tuple(int(x * denom) for x in coeffs)
-    return vec, int(rhs * denom), strict
+    vec = tuple(x.numerator * (denom // x.denominator) for x in coeffs)
+    return vec, rhs.numerator * (denom // rhs.denominator), strict
 
 
 def _normalize_row(row: _Row) -> _Row | None:
@@ -498,6 +504,14 @@ def _segment(
     return lower, upper
 
 
+def _divide_content(row: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries (zero rows stay)."""
+    g = 0
+    for x in row:
+        g = math.gcd(g, x)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     """Decide rational feasibility; return an exact witness or ``None``.
 
@@ -508,53 +522,53 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     """
     n = system.dim
 
-    # Gaussian elimination on the equalities over the rationals.
-    eq_rows = [
-        [Fraction(x) for x in coeffs] + [Fraction(rhs)]
-        for coeffs, rhs in system.equalities
-    ]
-    pivots: list[tuple[int, int]] = []  # (row index, pivot column)
+    # Fraction-free Gauss-Jordan elimination on the equalities: every row
+    # stays a primitive integer vector with a positive pivot, and a pivot
+    # divides only once, when its variable's witness value is recovered.
+    int_rows = [_divide_content([*coeffs, rhs]) for coeffs, rhs in system.equalities]
+    pivot_cols: list[int] = []
     rank = 0
     for col in range(n):
         sel = None
-        for i in range(rank, len(eq_rows)):
-            if eq_rows[i][col]:
+        for i in range(rank, len(int_rows)):
+            if int_rows[i][col]:
                 sel = i
                 break
         if sel is None:
             continue
-        eq_rows[rank], eq_rows[sel] = eq_rows[sel], eq_rows[rank]
-        piv = eq_rows[rank][col]
-        eq_rows[rank] = [x / piv for x in eq_rows[rank]]
-        for i in range(len(eq_rows)):
-            if i != rank and eq_rows[i][col]:
-                f = eq_rows[i][col]
-                eq_rows[i] = [x - f * y for x, y in zip(eq_rows[i], eq_rows[rank])]
-        pivots.append((rank, col))
+        int_rows[rank], int_rows[sel] = int_rows[sel], int_rows[rank]
+        if int_rows[rank][col] < 0:
+            int_rows[rank] = [-x for x in int_rows[rank]]
+        prow = int_rows[rank]
+        piv = prow[col]
+        for i in range(len(int_rows)):
+            f = int_rows[i][col]
+            if i != rank and f:
+                int_rows[i] = _divide_content(
+                    [piv * x - f * y for x, y in zip(int_rows[i], prow)]
+                )
+        pivot_cols.append(col)
         rank += 1
-    for i in range(rank, len(eq_rows)):
-        if eq_rows[i][n]:
+    for i in range(rank, len(int_rows)):
+        if int_rows[i][n]:
             return None  # 0 == nonzero
-    pivot_cols = [col for _, col in pivots]
     free_cols = [c for c in range(n) if c not in pivot_cols]
 
-    # Substitute pivot variables into the inequalities.
+    # Substitute the pivot variables into the inequalities: adding a
+    # multiple of an equality to a positive multiple of an inequality keeps
+    # every row integral.
+    ineq_rows = [_scale_inequality(*ineq) for ineq in system.inequalities]
     reduced: list[_Row] = []
     try:
-        for coeffs, rhs, strict in system.inequalities:
-            const = Fraction(0)
-            free_coeffs = {c: coeffs[c] for c in free_cols}
-            for (ri, col) in pivots:
-                f = coeffs[col]
-                if not f:
-                    continue
-                const += f * eq_rows[ri][n]
-                for c in free_cols:
-                    free_coeffs[c] -= f * eq_rows[ri][c]
-            row = _scale_inequality(
-                [free_coeffs[c] for c in free_cols], rhs - const, strict
-            )
-            norm = _normalize_row(row)
+        for vec, rhs, strict in ineq_rows:
+            row = list(vec) + [rhs]
+            for ri, col in enumerate(pivot_cols):
+                f = row[col]
+                if f:
+                    prow = int_rows[ri]
+                    p = prow[col]
+                    row = [p * x - f * y for x, y in zip(row, prow)]
+            norm = _normalize_row((tuple(row[c] for c in free_cols), row[n], strict))
             if norm is not None:
                 reduced.append(norm)
     except _Infeasible:
@@ -586,17 +600,23 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     witness = [Fraction(0)] * n
     for c, val in zip(free_cols, free_vals):
         witness[c] = val
-    for (ri, col) in pivots:
-        witness[col] = eq_rows[ri][n] - sum(
-            eq_rows[ri][c] * witness[c] for c in free_cols
+    for ri, col in enumerate(pivot_cols):
+        prow = int_rows[ri]
+        witness[col] = Fraction(
+            prow[n] - sum(prow[c] * witness[c] for c in free_cols), prow[col]
         )
 
+    # Re-check the witness in integers, scaled by its common denominator.
+    den = 1
+    for x in witness:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    point = [x.numerator * (den // x.denominator) for x in witness]
     for coeffs, rhs in system.equalities:
-        if sum(a * x for a, x in zip(coeffs, witness)) != rhs:
+        if sum(a * x for a, x in zip(coeffs, point)) != rhs * den:
             raise ConsistencyError("feasibility witness violates an equality")
-    for coeffs, rhs, strict in system.inequalities:
-        val = sum(a * x for a, x in zip(coeffs, witness))
-        if val < rhs or (strict and val == rhs):
+    for vec, rhs, strict in ineq_rows:
+        val = sum(a * x for a, x in zip(vec, point))
+        if val < rhs * den or (strict and val == rhs * den):
             raise ConsistencyError("feasibility witness violates an inequality")
     return tuple(witness)
 

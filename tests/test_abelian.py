@@ -62,6 +62,15 @@ def test_element_reduction_and_arithmetic():
         g.element((1, 0)) + grp(2).element((0, 0))
 
 
+def test_element_coordinates_must_be_integers():
+    g = grp(2)
+    for coords, j in (((1.5, 0), 0), ((0, True), 1), ((1, 2.0), 1), (("1", 0), 0)):
+        with pytest.raises(ts.InputError, match=f"^coordinate {j} must be an integer$"):
+            g.element(coords)
+    with pytest.raises(ts.InputError, match="coordinate 0 must be an integer"):
+        ts.subgroup_canon(g, [g.element((True, 0.9))])
+
+
 def test_group_from_cokernel_examples():
     # Z^2 --diag(2, 4)--> Z^2 has cokernel Z/2 x Z/4
     group, gens = ts.group_from_cokernel(IntMatrix.from_rows([[2, 0], [0, 4]]))

@@ -113,14 +113,12 @@ def test_lower_dimensional_errors_name_the_input_ray():
 
 
 def test_luna_comparison_catches_a_face_complement_that_is_not_closed(monkeypatch):
-    real = ts.luna.is_closed_support
+    real = ts.luna._closed_supports
 
-    def rejecting(ws, support):
-        if tuple(sorted(support)) == (0, 1, 2):
-            return False
-        return real(ws, support)
+    def dropping(ws):
+        return [support for support in real(ws) if support != (0, 1, 2)]
 
-    monkeypatch.setattr(ts.luna, "is_closed_support", rejecting)
+    monkeypatch.setattr(ts.luna, "_closed_supports", dropping)
     with pytest.raises(ts.ConsistencyError, match="covers supports"):
         stratify(3, RANK3_RAYS)
 

@@ -300,6 +300,29 @@ def test_rational_feasible_handles_equalities():
         assert point_satisfies(system, witness)
 
 
+def test_rational_feasible_witness_has_the_largest_support_on_a_cone():
+    # on {A x = 0, x >= 0} the witness lies in the relative interior:
+    # coordinate i is positive exactly when x_i >= 1 is feasible (Luna
+    # closedness reads the largest closed subset off this support)
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        eqs = [
+            (tuple(rng.randint(-3, 3) for _ in range(n)), 0)
+            for _ in range(rng.randint(0, 3))
+        ]
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        nonneg = [(u, 0, False) for u in units]
+        witness = ts.rational_feasible(ts.linear_system(n, eqs, nonneg))
+        for i in range(n):
+            lifted = ts.linear_system(n, eqs, nonneg + [(units[i], 1, False)])
+            positive = ts.rational_feasible(lifted) is not None
+            assert (witness[i] > 0) == positive, (eqs, witness)
+            outcomes.add(positive)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # bounded lattice point search
 

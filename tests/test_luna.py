@@ -1,12 +1,13 @@
 """Quasitorus weight systems: closed supports, strata, stability, duality."""
 
 import random
+import time
 
 import pytest
 
 import toricstrata as ts
 
-from oracles import permutation_equivalent, sample_cones
+from oracles import closed_system_feasible, permutation_equivalent, sample_cones
 
 
 def weight_system(free_rank, torsion, rows):
@@ -135,9 +136,50 @@ def test_luna_strata_group_supports_by_subgroup_not_by_size():
 
 def test_luna_strata_respects_the_weight_cap():
     ws = weight_system(1, (), [(1,)] * 21)
-    with pytest.raises(ts.InputError):
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match="21 weights exceed the limit of 20"):
         ts.luna_strata(ws)
+    assert time.perf_counter() - start < 0.1
     assert len(ts.luna_strata(weight_system(1, (), [(0,)]))) == 1
+
+
+def spans_a_subspace(rank, parts):
+    """Gordan's alternative: vectors positively span a linear subspace
+    exactly when no functional is nonnegative on all of them and positive on
+    one, which vertex enumeration decides without the library."""
+    total = tuple(sum(p[k] for p in parts) for k in range(rank))
+    rows = [(p, 0) for p in parts] + [(total, 1)]
+    return not closed_system_feasible(rank, rows)
+
+
+def test_luna_strata_supports_match_a_brute_force_scan():
+    rng = random.Random(34)
+    sizes = []
+    for _ in range(60):
+        free = rng.randint(0, 3)
+        torsion = rng.choice([(), (), (2,), (3,), (2, 4)])
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            roll = rng.random()
+            tors = tuple(rng.randrange(d) for d in torsion)
+            if rows and roll < 0.2:
+                rows.append(rng.choice(rows))  # a repeated weight
+            elif roll < 0.35:
+                rows.append((0,) * free + tors)  # an invariant coordinate
+            else:
+                rows.append(tuple(rng.randint(-2, 2) for _ in range(free)) + tors)
+        ws = weight_system(free, torsion, rows)
+        m = len(rows)
+        expected = []
+        for mask in range(1 << m):
+            support = tuple(i for i in range(m) if mask >> i & 1)
+            if spans_a_subspace(free, [rows[i][:free] for i in support]):
+                expected.append(support)
+        got = [support for s in ts.luna_strata(ws) for support in s.supports]
+        assert sorted(got) == sorted(expected), rows
+        sizes.append(len(expected))
+    # the scan is not vacuous: some systems have few closed supports, some all
+    assert min(sizes) == 1 and sum(n == 1 << 6 for n in sizes) > 0
 
 
 def test_luna_strata_sorted_by_descending_dimension():
