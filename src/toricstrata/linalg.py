@@ -1,7 +1,9 @@
 """Exact integer and rational linear algebra.
 
-Everything here runs on arbitrary-precision ``int`` and ``fractions.Fraction``;
-no floating point enters any decision.  Conventions relied on elsewhere:
+Everything here runs on arbitrary-precision ``int``; ``fractions.Fraction``
+appears only as optional inequality input and in rational witnesses and
+bounds.  No floating point enters any decision.  Conventions relied on
+elsewhere:
 
 * Hermite normal form is row-style: ``U @ A == H`` with ``U`` unimodular,
   positive pivots, entries above a pivot reduced into ``[0, pivot)``, zero
@@ -10,7 +12,10 @@ no floating point enters any decision.  Conventions relied on elsewhere:
   diagonal and nonnegative, each diagonal entry dividing the next.
 * An inequality ``(coeffs, rhs, strict)`` means ``coeffs . x >= rhs``
   (``> rhs`` when strict); an equality ``(coeffs, rhs)`` means
-  ``coeffs . x == rhs`` with integer data.
+  ``coeffs . x == rhs``.  A ``LinearSystem`` stores both as integer rows:
+  ``linear_system`` accepts ``Fraction`` inequality data and scales each row
+  once by the lcm of its denominators, so no consumer does ``Fraction``
+  arithmetic on the rows or re-scales them.
 * Rational feasibility is decided by Fourier-Motzkin elimination after
   fraction-free Gauss-Jordan elimination of the equalities: rows stay
   primitive integer vectors, pivot variables are substituted into the
@@ -317,19 +322,38 @@ def integer_rank(a: IntMatrix) -> int:
 # Linear systems
 
 
+# Inequality rows are integer triples (coeffs, rhs, strict) meaning
+# coeffs . x >= rhs (strictly when strict).
+_Row = tuple[IntVec, int, bool]
+
+
+def _scale_inequality(
+    coeffs: Sequence[int | Fraction], rhs: int | Fraction, strict: bool
+) -> _Row:
+    """Clear denominators by their positive lcm; the solution set is unchanged."""
+    denom = math.lcm(rhs.denominator, *(x.denominator for x in coeffs))
+    vec = tuple(x.numerator * (denom // x.denominator) for x in coeffs)
+    return vec, rhs.numerator * (denom // rhs.denominator), strict
+
+
+def _is_rational(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Mixed equality/inequality system over a fixed number of variables.
 
-    ``equalities`` entries are ``(coeffs, rhs)`` over the integers meaning
-    ``coeffs . x == rhs``.  ``inequalities`` entries are
-    ``(coeffs, rhs, strict)`` over the rationals meaning ``coeffs . x >= rhs``
-    (strictly greater when ``strict``).
+    ``equalities`` entries are ``(coeffs, rhs)`` meaning ``coeffs . x == rhs``
+    and ``inequalities`` entries are ``(coeffs, rhs, strict)`` meaning
+    ``coeffs . x >= rhs`` (strictly greater when ``strict``), all with
+    integer data.  :func:`linear_system` also accepts ``Fraction``
+    inequality data and clears its denominators.
     """
 
     dim: int
     equalities: tuple[tuple[IntVec, int], ...]
-    inequalities: tuple[tuple[tuple[Fraction, ...], Fraction, bool], ...]
+    inequalities: tuple[_Row, ...]
 
 
 def linear_system(
@@ -337,7 +361,11 @@ def linear_system(
     equalities: Iterable[tuple[Sequence[int], int]] = (),
     inequalities: Iterable[tuple[Sequence[Fraction | int], Fraction | int, bool]] = (),
 ) -> LinearSystem:
-    """Validate and freeze a :class:`LinearSystem`."""
+    """Validate and freeze a :class:`LinearSystem`.
+
+    Each inequality is scaled once, by the positive lcm of its
+    denominators, into an integer row with the same solution set.
+    """
     if dim < 0:
         raise InputError("system dimension must be nonnegative")
     eqs = []
@@ -353,10 +381,14 @@ def linear_system(
         eqs.append((vec, rhs))
     ineqs = []
     for coeffs, rhs, strict in inequalities:
-        vec = tuple(Fraction(x) for x in coeffs)
+        vec = tuple(coeffs)
         if len(vec) != dim:
             raise InputError("inequality coefficient vector has wrong length")
-        ineqs.append((vec, Fraction(rhs), bool(strict)))
+        if not all(_is_rational(x) for x in vec):
+            raise InputError("inequality coefficients must be integers or Fractions")
+        if not _is_rational(rhs):
+            raise InputError("inequality right-hand side must be an integer or a Fraction")
+        ineqs.append(_scale_inequality(vec, rhs, bool(strict)))
     return LinearSystem(dim, tuple(eqs), tuple(ineqs))
 
 
@@ -406,23 +438,12 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin machinery
 #
-# Internal rows are integer triples (coeffs, rhs, strict) meaning
-# coeffs . x >= rhs (strictly when strict).  Constant rows are checked and
-# dropped as they appear.
-
-_Row = tuple[IntVec, int, bool]
+# Works on integer ``_Row``s; constant rows are checked and dropped as they
+# appear.
 
 
 class _Infeasible(Exception):
     pass
-
-
-def _scale_inequality(coeffs: Sequence[Fraction], rhs: Fraction, strict: bool) -> _Row:
-    denom = rhs.denominator
-    for x in coeffs:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    vec = tuple(x.numerator * (denom // x.denominator) for x in coeffs)
-    return vec, rhs.numerator * (denom // rhs.denominator), strict
 
 
 def _normalize_row(row: _Row) -> _Row | None:
@@ -557,10 +578,9 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     # Substitute the pivot variables into the inequalities: adding a
     # multiple of an equality to a positive multiple of an inequality keeps
     # every row integral.
-    ineq_rows = [_scale_inequality(*ineq) for ineq in system.inequalities]
     reduced: list[_Row] = []
     try:
-        for vec, rhs, strict in ineq_rows:
+        for vec, rhs, strict in system.inequalities:
             row = list(vec) + [rhs]
             for ri, col in enumerate(pivot_cols):
                 f = row[col]
@@ -614,7 +634,7 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     for coeffs, rhs in system.equalities:
         if sum(a * x for a, x in zip(coeffs, point)) != rhs * den:
             raise ConsistencyError("feasibility witness violates an equality")
-    for vec, rhs, strict in ineq_rows:
+    for vec, rhs, strict in system.inequalities:
         val = sum(a * x for a, x in zip(vec, point))
         if val < rhs * den or (strict and val == rhs * den):
             raise ConsistencyError("feasibility witness violates an inequality")
@@ -634,15 +654,14 @@ def _reduce_mod_rows(vec: IntVec, rows) -> IntVec:
     return tuple(out)
 
 
-def _inequality_rows(inequalities) -> list[_Row]:
-    """Inequalities as closed integer >= rows (strict shifted by one)."""
-    rows: list[_Row] = []
-    for coeffs, rhs, strict in inequalities:
-        vec, r, s = _scale_inequality(coeffs, rhs, strict)
-        if s:
-            r += 1  # integer points: a.x > r  <=>  a.x >= r + 1
-        rows.append((vec, r, False))
-    return rows
+def _inequality_rows(inequalities: Iterable[_Row]) -> list[_Row]:
+    """Integer rows as closed >= rows: for integer points a.x > r <=> a.x >= r + 1."""
+    return [(vec, rhs + 1 if strict else rhs, False) for vec, rhs, strict in inequalities]
+
+
+def _check_box_bound(box_bound) -> None:
+    if not isinstance(box_bound, int) or isinstance(box_bound, bool) or box_bound < 0:
+        raise InputError("box bound must be a nonnegative integer")
 
 
 def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
@@ -690,8 +709,7 @@ def _boxed_solutions(
     integer solution lattice, which keeps the search dimension at the
     lattice rank; the box constrains the original coordinates either way.
     """
-    if box_bound < 0:
-        raise InputError("box bound must be nonnegative")
+    _check_box_bound(box_bound)
     n = system.dim
     solution = solve_integer_system(linear_system(n, system.equalities))
     if solution is None:

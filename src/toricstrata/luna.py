@@ -235,8 +235,14 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
             f"{m} weights exceed the limit of {MAX_WEIGHTS}"
         )
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
+    # The subgroup depends only on the set of weights, and supports that
+    # differ by repeated weights share it.
+    by_weights: dict[frozenset[IntVec], SubgroupHandle] = {}
     for support in _closed_supports(ws):
-        sub = weight_subgroup(ws, support)
+        key = frozenset(ws.weights[i].coords for i in support)
+        sub = by_weights.get(key)
+        if sub is None:
+            sub = by_weights[key] = weight_subgroup(ws, support)
         entry = classes.get(sub.basis)
         if entry is None:
             classes[sub.basis] = (sub, [support])

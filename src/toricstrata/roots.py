@@ -25,6 +25,7 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
+    _check_box_bound,
     _reduce_mod_rows,
     hermite_normal_form,
     lattice_points_bounded,
@@ -87,8 +88,7 @@ def enumerate_roots(
     """
     if box_bound is None:
         box_bound = default_box_bound(cone)
-    if box_bound < 0:
-        raise InputError("box bound must be nonnegative")
+    _check_box_bound(box_bound)
     n = cone.ambient_rank
     groups = []
     for tau in range(cone.nrays):

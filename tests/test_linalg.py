@@ -229,6 +229,59 @@ def test_solve_integer_system_rejects_inequalities():
         ts.solve_integer_system(system)
 
 
+def test_linear_system_rows_define_the_input_set():
+    # Fraction input is stored as integer rows, each a positive multiple of
+    # its input row, that accept exactly the points the input accepts
+    rng = random.Random(10)
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        ineqs = [
+            (
+                tuple(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(dim)
+                ),
+                Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+                rng.random() < 0.5,
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        system = ts.linear_system(dim, (), ineqs)
+        assert len(system.inequalities) == len(ineqs)
+        for (coeffs, rhs, strict), (vec, r, s) in zip(ineqs, system.inequalities):
+            assert s is strict
+            assert all(type(x) is int for x in (*vec, r))
+            given, stored = (*coeffs, rhs), (*vec, r)
+            k = next((Fraction(b) / a for a, b in zip(given, stored) if a), Fraction(1))
+            assert k > 0
+            assert all(Fraction(b) == k * a for a, b in zip(given, stored))
+            for _ in range(10):
+                point = tuple(
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(dim)
+                )
+                val = sum(c * x for c, x in zip(coeffs, point))
+                wanted = val > rhs if strict else val >= rhs
+                got = sum(a * x for a, x in zip(vec, point))
+                assert (got > r if s else got >= r) == wanted
+
+
+def test_linear_system_scales_by_the_lcm_of_the_denominators():
+    half, three_quarters = Fraction(1, 2), Fraction(3, 4)
+    system = ts.linear_system(
+        2, (), [((2, -4), 6, True), ((half, 0), -three_quarters, False)]
+    )
+    assert system.inequalities == (((2, -4), 6, True), ((2, 0), -3, False))
+
+
+def test_linear_system_rejects_non_numeric_inequality_data():
+    for bad in (True, 0.1, "1/3", None):
+        with pytest.raises(ts.InputError, match="inequality coefficients"):
+            ts.linear_system(2, (), [((1, bad), 0, False)])
+        with pytest.raises(ts.InputError, match="inequality right-hand side"):
+            ts.linear_system(1, (), [((1,), bad, False)])
+    with pytest.raises(ts.InputError, match="equality coefficients"):
+        ts.linear_system(1, [((True,), 0)])
+
+
 # ---------------------------------------------------------------------------
 # rational feasibility
 
@@ -379,3 +432,29 @@ def test_first_lattice_point_prefers_small_coordinates():
     point = ts.first_lattice_point(system, 50)
     assert point is not None and point[0] == 3
     assert abs(point[1]) <= 1
+
+
+def test_box_bound_must_be_a_nonnegative_integer():
+    system = ts.linear_system(1)
+    for bad in (-1, 2.5, "3", True, None):
+        for search in (ts.lattice_points_bounded, ts.first_lattice_point):
+            with pytest.raises(ts.InputError, match="nonnegative integer"):
+                search(system, bad)
+    assert ts.lattice_points_bounded(system, 0) == [(0,)]
+
+
+def test_boxed_search_recheck_catches_a_bad_point(monkeypatch):
+    # the search re-checks each point against the stored integer rows, so a
+    # point outside the system is caught even when the projection lets it in
+    from toricstrata import linalg
+
+    real = linalg._lattice_dfs
+
+    def leaky(chain, n, stop_at_first):
+        return real(chain, n, stop_at_first) + [(-1, 0)]
+
+    system = ts.linear_system(2, (), [((1, 0), 0, False)])
+    assert (-1, 0) not in ts.lattice_points_bounded(system, 2)
+    monkeypatch.setattr(linalg, "_lattice_dfs", leaky)
+    with pytest.raises(ts.ConsistencyError, match="bad point"):
+        ts.lattice_points_bounded(system, 2)

@@ -182,6 +182,26 @@ def test_luna_strata_supports_match_a_brute_force_scan():
     assert min(sizes) == 1 and sum(n == 1 << 6 for n in sizes) > 0
 
 
+def test_luna_strata_builds_one_subgroup_per_distinct_weight_set(monkeypatch):
+    from toricstrata import luna
+
+    rng = random.Random(35)
+    rows = [rng.choice([(1, 0), (-1, 1), (0, -1), (-1, -1), (2, 1)]) for _ in range(10)]
+    ws = weight_system(2, (), rows)
+    calls = []
+    real = luna.subgroup_canon
+    monkeypatch.setattr(
+        luna, "subgroup_canon", lambda group, gens: calls.append(gens) or real(group, gens)
+    )
+    strata = ts.luna_strata(ws)
+    supports = [support for s in strata for support in s.supports]
+    weight_sets = {frozenset(rows[i] for i in support) for support in supports}
+    assert len(calls) == len(weight_sets) < len(supports)
+    for s in strata:
+        for support in s.supports:
+            assert real(ws.group, [ws.weights[i] for i in support]) == s.subgroup
+
+
 def test_luna_strata_sorted_by_descending_dimension():
     rng = random.Random(32)
     for _ in range(20):

@@ -84,6 +84,12 @@ def test_every_ray_keeps_producing_roots_as_the_box_grows():
             assert 0 < small < large
 
 
+def test_enumerate_roots_rejects_a_bad_box_bound():
+    for bad in (-1, 2.5, "3", True):
+        with pytest.raises(ts.InputError, match="box bound must be a nonnegative"):
+            ts.enumerate_roots(A1, bad)
+
+
 # ---------------------------------------------------------------------------
 # connections
 
