@@ -23,11 +23,8 @@ elsewhere:
   rebuilt.  Back-substitution picks every coordinate strictly inside its
   segment, so the witness lies in the relative interior of the solution
   set.  The intended operating envelope is small: at most ~10 variables and
-  a few dozen constraints.  Its callers are Luna closedness
-  (``luna._largest_closed_subset``, which relies on the relative-interior
-  witness), the boxed lattice search behind ``roots.enumerate_roots`` and
-  ``abelian.semigroup_member``; cone validation works from facet incidence
-  instead.
+  a few dozen constraints.  Its callers are the boxed lattice search behind
+  ``roots.enumerate_roots`` and ``abelian.semigroup_member``.
 """
 
 from __future__ import annotations

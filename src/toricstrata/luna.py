@@ -12,13 +12,13 @@ are classified by their support, the set of coordinates that are nonzero:
   character group (equal stabilizers).
 
 Closedness depends only on the set of nonzero free parts in the support,
-and unions of closed sets are closed.  ``luna_strata`` therefore finds the
-closed sets of free parts by walking down from the largest one, taking at
-each step the largest closed subset left after dropping one part; each such
-subset is read off the support of a single rational feasibility witness.
-The work follows the number of closed supports, not the ``2^m`` index
-subsets: the rank-3 cone over a lattice 16-gon has 34 closed supports
-among the 65,536 subsets of its rays.
+which is closed exactly when it supports a point of the pointed relation
+cone ``{c >= 0 : sum c_p * p = 0}``.  The extreme rays of that cone are the
+positive circuits, minimal dependent sets of parts whose relation has one
+sign (Ziegler, *Lectures on Polytopes*, ch. 6), so the closed sets are the
+unions of positive circuits, read off integer kernels with no linear
+program: the rank-3 cone over a lattice 16-gon has 16 positive circuits
+and 34 closed supports among the 65,536 subsets of its rays.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -27,8 +27,10 @@ cone from a strongly stable weight system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from typing import Iterator
 
 from .abelian import (
     FgAbGroup,
@@ -46,9 +48,9 @@ from .linalg import (
     IntMatrix,
     IntVec,
     hermite_normal_form,
+    integer_rank,
     linear_system,
     primitive_vector,
-    rational_feasible,
     solve_integer_system,
 )
 
@@ -68,7 +70,9 @@ __all__ = [
     "weight_system",
 ]
 
-MAX_WEIGHTS = 20
+# Limits on the work, each checked before the work it bounds.
+MAX_CIRCUIT_CANDIDATES = 10_000
+MAX_SUPPORTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,71 +104,67 @@ def cox_weight_system(toric: ToricData) -> WeightSystem:
 
 
 def _checked_support(ws: WeightSystem, support) -> tuple[int, ...]:
-    idx = sorted(set(support))
+    idx = list(support)
+    if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
+        raise InputError("support index must be an integer")
+    idx = sorted(set(idx))
     if idx and (idx[0] < 0 or idx[-1] >= ws.ncoordinates):
         raise InputError("support index out of range")
     return tuple(idx)
 
 
-def _largest_closed_subset(parts: frozenset[IntVec]) -> frozenset[IntVec]:
-    """The largest subset of ``parts`` that positively spans a subspace.
-
-    A subset is closed when some combination with every coefficient
-    positive sums to zero, and a union of closed subsets is closed, so the
-    answer is the largest support of a point of the cone
-    ``{c >= 0 : sum c_p * p = 0}``.  ``rational_feasible`` picks each
-    coordinate strictly inside its segment during back-substitution, so its
-    witness lies in the relative interior of that cone (Rockafellar,
-    *Convex Analysis*, Thm 6.8) and has exactly that support.
-    """
-    if not parts:
-        return parts
+def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
+    """The positive circuits of ``parts``.  With ``r`` the rank of the parts,
+    a circuit extended by parts independent of it is an ``(r+1)``-subset
+    whose integer kernel is the circuit's one relation."""
     vs = sorted(parts)
-    n = len(vs)
-    eqs = [(tuple(v[k] for v in vs), 0) for k in range(len(vs[0]))]
-    ineqs = [
-        (tuple(1 if j == i else 0 for j in range(n)), 0, False) for i in range(n)
-    ]
-    witness = rational_feasible(linear_system(n, eqs, ineqs))
-    return frozenset(v for v, c in zip(vs, witness) if c)
+    rank = integer_rank(IntMatrix.from_rows(vs)) if vs else 0
+    candidates = math.comb(len(vs), rank + 1)
+    if candidates > MAX_CIRCUIT_CANDIDATES:
+        raise InputError(
+            f"{candidates} positive-circuit candidates ({rank + 1}-subsets of "
+            f"{len(vs)} parts) exceed the limit of {MAX_CIRCUIT_CANDIDATES}"
+        )
+    circuits = set()
+    for subset in combinations(vs, rank + 1):
+        eqs = [(column, 0) for column in zip(*subset)]
+        kernel = solve_integer_system(linear_system(rank + 1, eqs)).kernel_basis
+        if len(kernel) == 1 and (min(kernel[0]) >= 0 or max(kernel[0]) <= 0):
+            circuits.add(frozenset(v for v, c in zip(subset, kernel[0]) if c))
+    return circuits
 
 
-def _closed_part_sets(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
-    """Every closed subset of ``parts``, found by walking down from the top.
+def _closed_part_sets(parts: frozenset[IntVec]) -> Iterator[frozenset[IntVec]]:
+    """Every closed subset of ``parts``: the union closure of the positive
+    circuits, the empty set first, yielded as found so a caller can stop."""
+    circuits = _positive_circuits(parts)
+    found = [frozenset()]
+    seen = set(found)
+    for s in found:
+        yield s
+        for circuit in circuits:
+            t = s | circuit
+            if t not in seen:
+                seen.add(t)
+                found.append(t)
 
-    Each closed set ``T`` strictly inside a closed set ``S`` misses some
-    ``p`` in ``S``, so it lies inside the largest closed subset of
-    ``S - {p}``; visiting those from every visited set reaches them all.
-    """
-    largest: dict[frozenset[IntVec], frozenset[IntVec]] = {}
 
-    def closed_within(s: frozenset[IntVec]) -> frozenset[IntVec]:
-        if s not in largest:
-            largest[s] = _largest_closed_subset(s)
-        return largest[s]
+def _free_parts(ws: WeightSystem, support) -> frozenset[IntVec]:
+    parts = (ws.weights[i].free_part() for i in support)
+    return frozenset(p for p in parts if any(p))
 
-    top = closed_within(parts)
-    found = {top}
-    pending = [top]
-    while pending:
-        s = pending.pop()
-        for p in s:
-            t = closed_within(s - {p})
-            if t not in found:
-                found.add(t)
-                pending.append(t)
-    return found
+
+def _covered(parts: frozenset[IntVec], circuits: set[frozenset[IntVec]]) -> bool:
+    """Do the positive circuits inside ``parts`` cover it?  A subset's
+    circuits are those of the whole inside it, so one list serves them all."""
+    return frozenset().union(*(c for c in circuits if c <= parts)) == parts
 
 
 def is_closed_support(ws: WeightSystem, support) -> bool:
-    """Are the orbits of points with this support closed?"""
-    support = _checked_support(ws, support)
-    parts = frozenset(
-        ws.weights[i].free_part()
-        for i in support
-        if any(ws.weights[i].free_part())
-    )
-    return _largest_closed_subset(parts) == parts
+    """Are the orbits of points with this support closed, that is, do the
+    positive circuits among its nonzero free parts cover them?"""
+    parts = _free_parts(ws, _checked_support(ws, support))
+    return _covered(parts, _positive_circuits(parts))
 
 
 def weight_subgroup(ws: WeightSystem, support) -> SubgroupHandle:
@@ -210,8 +210,14 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
             by_part.setdefault(part, []).append(i)
         else:
             invariant.append(i)
-    supports = []
+    closed_sets, count = [], 0
     for closed in _closed_part_sets(frozenset(by_part)):
+        count += math.prod((1 << len(by_part[p])) - 1 for p in closed) << len(invariant)
+        if count > MAX_SUPPORTS:
+            raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
+        closed_sets.append(closed)
+    supports = []
+    for closed in closed_sets:
         pools = [_subsets(by_part[p])[1:] for p in closed]
         pools.append(_subsets(invariant))
         for pieces in product(*pools):
@@ -222,18 +228,12 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
 def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     """All Luna strata, sorted by descending dimension.
 
-    Walks down the closed sets of free parts (see ``_closed_part_sets``),
-    so the work follows the number of closed supports, not the 2^m index
-    subsets.  The supports are listed, and there can be up to 2^m of them,
-    so the number of weights is capped.  Stratum dimension is the largest
-    ``|support| - rational rank`` over the supports in the class.
+    The closed sets of free parts are the unions of positive circuits (see
+    ``_closed_part_sets``), so the work follows the number of closed
+    supports, not the 2^m index subsets; the circuit candidates and the
+    supports are limited before they are computed.  Stratum dimension is
+    the largest ``|support| - rational rank`` over the supports in the class.
     """
-    m = ws.ncoordinates
-    if m > MAX_WEIGHTS:
-        raise InputError(
-            f"Luna strata list their closed supports, up to 2^m of them; "
-            f"{m} weights exceed the limit of {MAX_WEIGHTS}"
-        )
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
     # The subgroup depends only on the set of weights, and supports that
     # differ by repeated weights share it.
@@ -284,9 +284,10 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     supports.extend(
         tuple(j for j in range(m) if j != i) for i in range(m)
     )
+    circuits = _positive_circuits(_free_parts(ws, range(m)))
     failures = []
     for support in supports:
-        if not is_closed_support(ws, support):
+        if not _covered(_free_parts(ws, support), circuits):
             failures.append(StabilityFailure(support, "orbit-not-closed"))
         if not is_full(weight_subgroup(ws, support)):
             failures.append(StabilityFailure(support, "stabilizer-nontrivial"))
@@ -366,11 +367,12 @@ def face_support_bridge(toric: ToricData) -> dict[Face, tuple[int, ...]]:
     computation routes disagree.
     """
     ws = cox_weight_system(toric)
+    circuits = _positive_circuits(_free_parts(ws, range(ws.ncoordinates)))
     mapping: dict[Face, tuple[int, ...]] = {}
     for face in toric.faces:
         inside = set(face.ray_indices)
         support = tuple(i for i in range(toric.cone.nrays) if i not in inside)
-        if not is_closed_support(ws, support):
+        if not _covered(_free_parts(ws, support), circuits):
             raise ConsistencyError(
                 f"support {support} of face {face.ray_indices} is not closed"
             )

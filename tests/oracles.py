@@ -268,6 +268,60 @@ def permutation_equivalent(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# closed supports
+
+
+def spans_a_subspace(rank, parts):
+    """Gordan's alternative: vectors positively span a linear subspace
+    exactly when no functional is nonnegative on all of them and positive on
+    one, which vertex enumeration decides without the library."""
+    total = tuple(sum(p[k] for p in parts) for k in range(rank))
+    rows = [(p, 0) for p in parts] + [(total, 1)]
+    return not closed_system_feasible(rank, rows)
+
+
+# ---------------------------------------------------------------------------
+# lattice polygons
+
+
+def polygon_rays(start, edges):
+    """Rays (x, y, 1) over the vertices of the lattice polygon that starts
+    at ``start`` and follows ``edges``; edges in angular order that sum to
+    zero give a strictly convex polygon, so every ray is extremal."""
+    x, y = start
+    rays = []
+    for dx, dy in edges:
+        rays.append((x, y, 1))
+        x, y = x + dx, y + dy
+    assert (x, y) == tuple(start), "edges must sum to zero"
+    return rays
+
+
+def _centrally_symmetric(half):
+    return list(half) + [(-dx, -dy) for dx, dy in half]
+
+
+# The sixteen primitive edge vectors of slope in {0, +-1/2, +-1, +-2, oo},
+# and twenty-four with slope in {0, +-1/3, +-1/2, +-1, +-2, +-3, oo}, in
+# angular order.
+EDGES16 = _centrally_symmetric(
+    [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
+)
+EDGES24 = _centrally_symmetric(
+    [(1, 0), (3, 1), (2, 1), (1, 1), (1, 2), (1, 3),
+     (0, 1), (-1, 3), (-1, 2), (-1, 1), (-2, 1), (-3, 1)]
+)
+
+
+def sixteen_gon_rays():
+    return polygon_rays((-1, -4), EDGES16)
+
+
+def twenty_four_gon_rays():
+    return polygon_rays((0, -9), EDGES24)
+
+
+# ---------------------------------------------------------------------------
 # random test data
 
 

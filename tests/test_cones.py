@@ -7,7 +7,13 @@ import pytest
 
 import toricstrata as ts
 
-from oracles import closed_system_feasible, det_int, sample_cones
+from oracles import (
+    closed_system_feasible,
+    det_int,
+    sample_cones,
+    sixteen_gon_rays,
+    twenty_four_gon_rays,
+)
 
 
 QUADRANT2 = ts.build_cone(2, [(1, 0), (0, 1)])
@@ -109,25 +115,6 @@ def test_build_cone_agrees_with_the_vertex_enumeration_oracle():
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
-# A strictly convex lattice 16-gon: cumulative sums of the sixteen primitive
-# edge vectors of slope in {0, +-1/2, +-1, +-2, oo} in angular order.
-EDGES16 = [
-    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
-    (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1),
-]
-
-
-def sixteen_gon_rays():
-    """Rays (x, y, 1) over the vertices of the lattice 16-gon with edges
-    EDGES16."""
-    x, y = -1, -4
-    rays = []
-    for dx, dy in EDGES16:
-        rays.append((x, y, 1))
-        x, y = x + dx, y + dy
-    return rays
-
-
 def test_sixteen_ray_cone_builds_quickly():
     rays = sixteen_gon_rays()
     start = time.perf_counter()
@@ -141,12 +128,23 @@ def test_sixteen_ray_cone_builds_quickly():
 
 
 def test_sixteen_ray_cone_stratifies_quickly():
-    # the Luna route walks the 34 closed supports, not the 2^16 subsets;
-    # about 0.5 s was measured on a 2-core x86_64 host
+    # the Luna route closes the 16 positive circuits (the facet complements)
+    # into the 34 closed supports, not the 2^16 subsets; about 0.17 s was
+    # measured on a 2-core x86_64 host
     start = time.perf_counter()
     report = ts.stratify(3, sixteen_gon_rays())
     assert time.perf_counter() - start < 10.0
     assert sum(len(stratum.faces) for stratum in report.strata) == 34
+
+
+def test_twenty_four_ray_cone_stratifies_within_the_envelope():
+    # C(24, 22) = 276 circuit candidates, 50 closed supports; about 0.8 s was
+    # measured on a 2-core x86_64 host
+    start = time.perf_counter()
+    report = ts.stratify(3, twenty_four_gon_rays())
+    assert time.perf_counter() - start < 10.0
+    assert report.cone.nrays == 24
+    assert sum(len(stratum.faces) for stratum in report.strata) == 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The cross-validated stratification pipeline end to end."""
 
+import json
+import sys
+
 import pytest
 
 import toricstrata as ts
 from toricstrata import stratify
 
-from oracles import sample_cones
+from oracles import sample_cones, sixteen_gon_rays
 
 
 RANK3_RAYS = [(1, 0, 0), (1, 2, 0), (0, 1, 2)]
@@ -121,6 +124,38 @@ def test_luna_comparison_catches_a_face_complement_that_is_not_closed(monkeypatc
     monkeypatch.setattr(ts.luna, "_closed_supports", dropping)
     with pytest.raises(ts.ConsistencyError, match="covers supports"):
         stratify(3, RANK3_RAYS)
+
+
+def test_stratify_solves_no_linear_program(monkeypatch, suite_cones, fixture_path):
+    # Fourier-Motzkin elimination is reached only through _fm_chain and
+    # rational_feasible; every module binding of either is made to fail.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear program was solved")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "toricstrata":
+            continue
+        for attr in ("_fm_chain", "rational_feasible"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+                patched.add(f"{name}.{attr}")
+    assert {
+        "toricstrata.rational_feasible",
+        "toricstrata.linalg.rational_feasible",
+        "toricstrata.linalg._fm_chain",
+        "toricstrata.abelian._fm_chain",
+    } <= patched
+    with open(fixture_path("cone_rank3.json")) as handle:
+        rank3 = json.load(handle)
+    stratify(rank3["rank"], rank3["rays"])
+    stratify(3, sixteen_gon_rays())
+    for cone in suite_cones[:20]:
+        stratify(cone.ambient_rank, cone.rays)
+    with open(fixture_path("weights_k7.json")) as handle:
+        k7 = json.load(handle)
+    group = ts.FgAbGroup(k7["free_rank"], tuple(k7["torsion"]))
+    assert len(ts.luna_strata(ts.weight_system(group, k7["weights"]))) == 3
 
 
 def test_stratify_rejects_lines_and_bad_rays():

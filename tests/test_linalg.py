@@ -355,8 +355,7 @@ def test_rational_feasible_handles_equalities():
 
 def test_rational_feasible_witness_has_the_largest_support_on_a_cone():
     # on {A x = 0, x >= 0} the witness lies in the relative interior:
-    # coordinate i is positive exactly when x_i >= 1 is feasible (Luna
-    # closedness reads the largest closed subset off this support)
+    # coordinate i is positive exactly when x_i >= 1 is feasible
     rng = random.Random(8)
     outcomes = set()
     for _ in range(150):

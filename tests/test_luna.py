@@ -7,7 +7,7 @@ import pytest
 
 import toricstrata as ts
 
-from oracles import closed_system_feasible, permutation_equivalent, sample_cones
+from oracles import permutation_equivalent, sample_cones, spans_a_subspace
 
 
 def weight_system(free_rank, torsion, rows):
@@ -78,6 +78,14 @@ def test_is_closed_support_rejects_bad_indices():
         ts.is_closed_support(K7, (9,))
 
 
+def test_support_indices_must_be_integers():
+    # True is not index 1, and 0.5 or "0" must not reach the index arithmetic
+    for check in (ts.is_closed_support, ts.weight_subgroup):
+        for bad in (True, False, 0.5, "0", None):
+            with pytest.raises(ts.InputError, match="support index must be an integer"):
+                check(K7, (bad, 0))
+
+
 def test_closed_supports_generate_their_inverses():
     # on a closed support the weight semigroup is a group: the inverse of
     # every member weight is a nonnegative combination of the others
@@ -135,21 +143,25 @@ def test_luna_strata_group_supports_by_subgroup_not_by_size():
 
 
 def test_luna_strata_respects_the_weight_cap():
-    ws = weight_system(1, (), [(1,)] * 21)
-    start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="21 weights exceed the limit of 20"):
-        ts.luna_strata(ws)
-    assert time.perf_counter() - start < 0.1
+    # 21 alternating weights have (2^11 - 1) * (2^10 - 1) = 2,094,081
+    # nonempty closed supports; 20 random weights in Z^10 have
+    # C(20, 11) = 167,960 circuit candidates.  Both limits trip before the
+    # work they bound.
+    alternating = weight_system(1, (), [(1,), (-1,)] * 10 + [(1,)])
+    rng = random.Random(36)
+    wide = weight_system(
+        10, (), [tuple(rng.randint(-3, 3) for _ in range(10)) for _ in range(20)]
+    )
+    for ws, message in (
+        (alternating, "more closed supports than the limit of 1048576"),
+        (wide, r"167960 positive-circuit candidates \(11-subsets of 20 parts\) "
+               "exceed the limit of 10000"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ts.InputError, match=message):
+            ts.luna_strata(ws)
+        assert time.perf_counter() - start < 0.1
     assert len(ts.luna_strata(weight_system(1, (), [(0,)]))) == 1
-
-
-def spans_a_subspace(rank, parts):
-    """Gordan's alternative: vectors positively span a linear subspace
-    exactly when no functional is nonnegative on all of them and positive on
-    one, which vertex enumeration decides without the library."""
-    total = tuple(sum(p[k] for p in parts) for k in range(rank))
-    rows = [(p, 0) for p in parts] + [(total, 1)]
-    return not closed_system_feasible(rank, rows)
 
 
 def test_luna_strata_supports_match_a_brute_force_scan():
