@@ -25,6 +25,8 @@ elsewhere:
   set.  The intended operating envelope is small: at most ~10 variables and
   a few dozen constraints.  Its callers are the boxed lattice search behind
   ``roots.enumerate_roots`` and ``abelian.semigroup_member``.
+* The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
+  raises ``InputError`` before it would build more.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InputError
@@ -68,18 +72,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _ceil_div(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return -((-a) // b)
-
-
-def _floor_div(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return a // b
 
 
 @dataclass(frozen=True)
@@ -446,9 +438,7 @@ class _Infeasible(Exception):
 def _normalize_row(row: _Row) -> _Row | None:
     """Reduce by the content gcd; return None for a satisfied constant row."""
     vec, rhs, strict = row
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
+    g = math.gcd(*vec)
     if g == 0:
         if rhs > 0 or (strict and rhs >= 0):
             raise _Infeasible
@@ -661,40 +651,82 @@ def _check_box_bound(box_bound) -> None:
         raise InputError("box bound must be a nonnegative integer")
 
 
-def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
-    found: list[IntVec] = []
-    prefix: list[int] = []
+# Limit on the points one boxed search lists, checked before each batch of
+# points is built.
+MAX_LATTICE_POINTS = 2**20
 
-    def descend(level: int) -> bool:
-        if level == n:
-            found.append(tuple(prefix))
-            return stop_at_first
-        lo, hi = None, None
-        for vec, rhs, _ in chain[level + 1]:
-            c = vec[level]
-            if c == 0:
-                continue
-            rest = rhs - sum(a * x for a, x in zip(vec[:level], prefix))
-            if c > 0:
-                b = _ceil_div(rest, c)
-                lo = b if lo is None else max(lo, b)
-            else:
-                b = _floor_div(rest, c)
-                hi = b if hi is None else min(hi, b)
-        if lo is None or hi is None:
+
+def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
+    """Integer points of the projection chain, in search coordinates.
+
+    Variable ``level`` is bounded by the rows of ``chain[level + 1]`` that
+    involve it.  Each such row ``a . x >= rhs`` is split once into its
+    prefix coefficients and ``|a[level]|``, lower-bounding rows first.  A
+    node carries, for its own and every deeper level, the sums ``s = a .
+    prefix - rhs`` of that level's rows over the variables fixed so far, so
+    fixing a variable costs one multiply-add per deeper row.  A row then
+    bounds its variable by one floor division: ``x >= -(s // |a[level]|)``
+    for a lower row, ``x <= s // |a[level]|`` for an upper one.  The last
+    level is listed as one batch, counted against ``MAX_LATTICE_POINTS``
+    before it is built.  With ``stop_at_first`` values are tried in the
+    order 0, 1, -1, 2, -2, ... and the search ends at the first point.
+    """
+    if n == 0:
+        return [()]
+    own, nlower, cols, start = [], [], [], []
+    for level in range(n):
+        rows = [row for row in chain[level + 1] if row[0][level] > 0]
+        nlower.append(len(rows))
+        rows += [row for row in chain[level + 1] if row[0][level] < 0]
+        if not 0 < nlower[level] < len(rows):
             raise ConsistencyError("unbounded level in boxed lattice search")
-        values = range(lo, hi + 1)
-        if stop_at_first:
-            values = sorted(values, key=lambda v: (abs(v), v < 0))
-        for val in values:
-            prefix.append(val)
-            if descend(level + 1):
+        own.append([abs(vec[level]) for vec, _, _ in rows])
+        cols.append([[vec[i] for vec, _, _ in rows] for i in range(level)])
+        start.append([-rhs for _, rhs, _ in rows])
+    found: list[IntVec] = []
+
+    def descend(level: int, prefix: IntVec, sums: list[list[int]]) -> bool:
+        # sums[m] belongs to level ``level + m``
+        quotients = list(map(floordiv, sums[0], own[level]))
+        split = nlower[level]
+        lo, hi = -min(quotients[:split]), min(quotients[split:])
+        if lo > hi:
+            return False
+        if level == n - 1:
+            if stop_at_first:
+                found.append((*prefix, 0 if lo <= 0 <= hi else lo if lo > 0 else hi))
                 return True
-            prefix.pop()
+            count = hi - lo + 1
+            if len(found) + count > MAX_LATTICE_POINTS:
+                raise InputError(
+                    f"more than {MAX_LATTICE_POINTS} lattice points in the box, the "
+                    "limit of the boxed search; use a smaller box bound"
+                )
+            found.extend(zip(*(repeat(x, count) for x in prefix), range(lo, hi + 1)))
+            return False
+        candidates = range(lo, hi + 1)
+        if stop_at_first:
+            candidates = sorted(candidates, key=lambda v: (abs(v), v < 0))
+        deeper = list(zip(sums[1:], [cols[m][level] for m in range(level + 1, n)]))
+        for v in candidates:
+            shifted = [[x + a * v for x, a in zip(row_sums, col)] for row_sums, col in deeper]
+            if descend(level + 1, (*prefix, v), shifted):
+                return True
         return False
 
-    descend(0)
+    descend(0, (), start)
     return found
+
+
+def _affine_column(
+    const: int, terms: Iterable[tuple[int, Sequence[int]]], count: int
+) -> list[int]:
+    """``const + sum(c * column[m] for c, column in terms)`` for m < count."""
+    out = repeat(const, count)
+    for c, column in terms:
+        if c:
+            out = map(add, out, map(mul, column, repeat(c)))
+    return list(out)
 
 
 def _boxed_solutions(
@@ -705,6 +737,9 @@ def _boxed_solutions(
     Equalities are eliminated first by passing to coordinates on their
     integer solution lattice, which keeps the search dimension at the
     lattice rank; the box constrains the original coordinates either way.
+    Every point found is rebuilt in the original coordinates and re-checked
+    against the box, the equalities and the inequalities, one coordinate or
+    row at a time over all points.
     """
     _check_box_bound(box_bound)
     n = system.dim
@@ -722,47 +757,45 @@ def _boxed_solutions(
         kernel = tuple(hnf.row(i) for i in range(k))
         particular = _reduce_mod_rows(particular, kernel)
 
-    def satisfied(point: IntVec) -> bool:
-        if any(abs(x) > box_bound for x in point):
-            return False
-        for coeffs, rhs, strict in system.inequalities:
-            val = sum(a * x for a, x in zip(coeffs, point))
-            if val < rhs or (strict and val == rhs):
-                return False
-        return True
-
-    if k == 0:
-        return [particular] if satisfied(particular) else []
-
-    t_ineqs = []
-    for coeffs, rhs, strict in system.inequalities:
-        t_coeffs = tuple(
-            sum(a * b for a, b in zip(coeffs, basis_vec)) for basis_vec in kernel
-        )
-        t_rhs = rhs - sum(a * b for a, b in zip(coeffs, particular))
-        t_ineqs.append((t_coeffs, t_rhs, strict))
+    inequalities = _inequality_rows(system.inequalities)
+    t_rows = []
+    for coeffs, rhs, _ in inequalities:
+        t_coeffs = tuple(sum(map(mul, coeffs, basis_vec)) for basis_vec in kernel)
+        t_rows.append((t_coeffs, rhs - sum(map(mul, coeffs, particular)), False))
     for j in range(n):
         column = tuple(kernel[i][j] for i in range(k))
         if any(column):
-            t_ineqs.append((column, -box_bound - particular[j], False))
-            t_ineqs.append(
-                (tuple(-x for x in column), particular[j] - box_bound, False)
-            )
+            t_rows.append((column, -box_bound - particular[j], False))
+            t_rows.append((tuple(-x for x in column), particular[j] - box_bound, False))
         elif abs(particular[j]) > box_bound:
             return []
-    chain = _fm_chain(_inequality_rows(t_ineqs), k)
+    chain = _fm_chain(t_rows, k)
     if chain is None:
         return []
-    points = []
-    for t in _lattice_dfs(chain, k, stop_at_first):
-        point = tuple(
-            particular[j] + sum(t[i] * kernel[i][j] for i in range(k))
-            for j in range(n)
-        )
-        if not satisfied(point):
-            raise ConsistencyError("reduced lattice search produced a bad point")
-        points.append(point)
-    return points
+    found = _lattice_dfs(chain, k, stop_at_first)
+    count = len(found)
+    if not count:
+        return []
+    t_columns = list(zip(*found))
+    del found  # free the search tuples before the points are built
+    x_columns = [
+        _affine_column(particular[j], [(kernel[i][j], t_columns[i]) for i in range(k)], count)
+        for j in range(n)
+    ]
+    del t_columns
+
+    def violations() -> Iterable[bool]:
+        for column in x_columns:
+            yield min(column) < -box_bound or max(column) > box_bound
+        for coeffs, rhs in system.equalities:
+            values = _affine_column(0, zip(coeffs, x_columns), count)
+            yield min(values) != rhs or max(values) != rhs
+        for coeffs, rhs, _ in inequalities:
+            yield min(_affine_column(0, zip(coeffs, x_columns), count)) < rhs
+
+    if any(violations()):
+        raise ConsistencyError("reduced lattice search produced a bad point")
+    return list(zip(*x_columns)) if n else [()]
 
 
 def lattice_points_bounded(system: LinearSystem, box_bound: int) -> list[IntVec]:

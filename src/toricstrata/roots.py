@@ -50,7 +50,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DemazureRoot:
-    """A validated root: build through :func:`demazure_root`."""
+    """A validated root.
+
+    Built by :func:`demazure_root`, or by :func:`enumerate_roots` from
+    lattice points that the boxed search re-checked against the same
+    conditions.
+    """
 
     vector: IntVec
     distinguished_ray: int
@@ -84,7 +89,12 @@ def enumerate_roots(
     """All roots with coordinates in the box, grouped by distinguished ray.
 
     Groups follow ray order; roots inside a group are in lexicographic
-    order of their vectors.
+    order of their vectors.  The roots of ray ``tau`` are the lattice points
+    of ``ray_tau . x == -1``, ``ray_j . x >= 0`` (j != tau) in the box, and
+    :func:`~toricstrata.linalg.lattice_points_bounded` re-checks every point
+    against exactly those conditions, so each is wrapped without a second
+    validation.  A box holding more than ``MAX_LATTICE_POINTS`` roots of one
+    ray raises :class:`InputError`.
     """
     if box_bound is None:
         box_bound = default_box_bound(cone)
@@ -97,7 +107,7 @@ def enumerate_roots(
             (cone.rays[j], 0, False) for j in range(cone.nrays) if j != tau
         ]
         points = lattice_points_bounded(linear_system(n, eqs, ineqs), box_bound)
-        groups.append(tuple(demazure_root(cone, p, tau) for p in points))
+        groups.append(tuple(DemazureRoot(p, tau) for p in points))
     return tuple(groups)
 
 

@@ -133,6 +133,15 @@ def test_roots_json_output(capsys, fixture_path):
     assert payload["box_bound"] == 2
 
 
+def test_roots_refuses_a_default_box_over_the_lattice_point_limit(capsys, tmp_path):
+    # the default bound 110 holds about 2.5 million roots of the first ray
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 11, 1]]
+    path = write_json(tmp_path, "big.json", {"schema": 1, "rank": 4, "rays": rays})
+    code, out, err = run_cli(capsys, "roots", path)
+    assert code == 1 and out == ""
+    assert "more than 1048576 lattice points in the box" in err
+
+
 def test_connections_text_output(capsys, fixture_path):
     code, out, _ = run_cli(capsys, "connections", fixture_path("cone_a1.json"))
     assert code == 0

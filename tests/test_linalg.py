@@ -1,6 +1,7 @@
 """Exact integer/rational linear algebra against naive reference oracles."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -454,6 +455,66 @@ def test_boxed_search_recheck_catches_a_bad_point(monkeypatch):
 
     system = ts.linear_system(2, (), [((1, 0), 0, False)])
     assert (-1, 0) not in ts.lattice_points_bounded(system, 2)
+    monkeypatch.setattr(linalg, "_lattice_dfs", leaky)
+    with pytest.raises(ts.ConsistencyError, match="bad point"):
+        ts.lattice_points_bounded(system, 2)
+
+
+def test_boxed_search_recheck_catches_an_off_lattice_particular(monkeypatch):
+    # the re-check covers the equalities too: a particular solution shifted
+    # off the equality lattice passes the box and the inequalities, which the
+    # search derives from it, but not the equality
+    from toricstrata import linalg
+
+    real = linalg.solve_integer_system
+
+    def shifted(system):
+        solution = real(system)
+        moved = (solution.particular[0] + 1, *solution.particular[1:])
+        return linalg.IntegerSolution(moved, solution.kernel_basis)
+
+    system = ts.linear_system(2, [((1, 1), 1)], [((1, 0), 0, False)])
+    assert ts.lattice_points_bounded(system, 2) == [(0, 1), (1, 0), (2, -1)]
+    monkeypatch.setattr(linalg, "solve_integer_system", shifted)
+    with pytest.raises(ts.ConsistencyError, match="bad point"):
+        ts.lattice_points_bounded(system, 2)
+
+
+def test_boxed_search_limit_counts_points_exactly(monkeypatch):
+    from toricstrata import linalg
+
+    # the running count covers every batch: 9 points in three batches pass,
+    # 10 points in four batches (1 + 2 + 3 + 4) are one too many
+    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 9)
+    assert len(ts.lattice_points_bounded(ts.linear_system(2), 1)) == 9
+    system = ts.linear_system(2, (), [((1, 1), 1, False)])
+    assert len(scan_lattice_points(system, 2)) == 10
+    with pytest.raises(ts.InputError, match="more than 9 lattice points in the box"):
+        ts.lattice_points_bounded(system, 2)
+    # the first-hit search lists one point, so the limit does not apply
+    assert ts.first_lattice_point(ts.linear_system(3), 1) == (0, 0, 0)
+
+
+def test_boxed_search_refuses_more_points_than_the_limit_quickly():
+    from toricstrata import linalg
+
+    assert linalg.MAX_LATTICE_POINTS == 2**20
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
+        ts.lattice_points_bounded(ts.linear_system(3), 51)  # 103^3 points
+    assert time.perf_counter() - start < 10
+    assert ts.first_lattice_point(ts.linear_system(3), 51) == (0, 0, 0)
+
+
+def test_boxed_search_recheck_catches_a_point_outside_the_box(monkeypatch):
+    from toricstrata import linalg
+
+    real = linalg._lattice_dfs
+
+    def leaky(chain, n, stop_at_first):
+        return real(chain, n, stop_at_first) + [(3, 0)]
+
+    system = ts.linear_system(2, (), [((1, 0), 0, False)])
     monkeypatch.setattr(linalg, "_lattice_dfs", leaky)
     with pytest.raises(ts.ConsistencyError, match="bad point"):
         ts.lattice_points_bounded(system, 2)

@@ -1,10 +1,12 @@
 """Root enumeration and one-parameter orbit connections."""
 
+import time
+
 import pytest
 
 import toricstrata as ts
 
-from oracles import brute_force_roots
+from oracles import brute_force_roots, sample_cones
 
 
 A1 = ts.build_cone(2, [(1, 0), (1, 2)])
@@ -67,6 +69,29 @@ def test_enumerate_roots_matches_brute_force_scan():
             assert [r.vector for r in roots] == expected[i]
             for r in roots:
                 assert r.distinguished_ray == i
+
+
+def test_enumerate_roots_matches_brute_force_scan_in_rank_four():
+    # the enumeration wraps the re-checked lattice points without calling
+    # demazure_root; both the scan and the validator must agree with it
+    cones = sample_cones(ts, 404, 20, min_rank=4, max_rank=4)
+    listed = 0
+    for cone in cones:
+        per_ray = ts.enumerate_roots(cone, 3)
+        expected = brute_force_roots(cone, 3)
+        for i, roots in enumerate(per_ray):
+            assert [r.vector for r in roots] == expected[i]
+            for r in roots:
+                assert ts.demazure_root(cone, r.vector, i) == r
+            listed += len(roots)
+    assert listed > 500
+
+
+def test_enumerate_roots_refuses_more_roots_than_the_lattice_point_limit():
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
+        ts.enumerate_roots(quadrant(4), 101)  # 102^3 roots on the first ray
+    assert time.perf_counter() - start < 10
 
 
 def test_enumerate_roots_a1_reference_values():
