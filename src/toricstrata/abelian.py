@@ -28,7 +28,6 @@ from .linalg import (
     integer_rank,
     linear_system,
     smith_normal_form,
-    solve_integer_system,
 )
 
 __all__ = [
@@ -225,27 +224,29 @@ def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHa
     return SubgroupHandle(group, basis)
 
 
-def _lattice_contains(basis: tuple[IntVec, ...], vec: IntVec) -> bool:
-    """Membership of an integer vector in the row lattice of a Hermite basis."""
+def _lattice_coordinates(basis: tuple[IntVec, ...], vec: IntVec) -> IntVec | None:
+    """Coordinates of an integer vector in a Hermite basis, by one
+    back-substitution; ``None`` when it is not in the row lattice."""
     pivot_of = {}
     for idx, row in enumerate(basis):
         for col, x in enumerate(row):
             if x:
                 pivot_of[col] = idx
                 break
+    coords = [0] * len(basis)
     v = list(vec)
     for col in range(len(vec)):
         if v[col] == 0:
             continue
         idx = pivot_of.get(col)
         if idx is None:
-            return False
+            return None
         p = basis[idx][col]
         if v[col] % p:
-            return False
-        q = v[col] // p
+            return None
+        coords[idx] = q = v[col] // p
         v = [x - q * y for x, y in zip(v, basis[idx])]
-    return not any(v)
+    return None if any(v) else tuple(coords)
 
 
 def subgroups_equal(a: SubgroupHandle, b: SubgroupHandle) -> bool:
@@ -258,7 +259,7 @@ def subgroup_leq(a: SubgroupHandle, b: SubgroupHandle) -> bool:
     """Whether subgroup ``a`` is contained in subgroup ``b``."""
     if a.parent != b.parent:
         raise InputError("subgroups live in different parent groups")
-    return all(_lattice_contains(b.basis, row) for row in a.basis)
+    return all(_lattice_coordinates(b.basis, row) is not None for row in a.basis)
 
 
 def full_subgroup(group: FgAbGroup) -> SubgroupHandle:
@@ -282,25 +283,15 @@ def quotient_group(group: FgAbGroup, sub: SubgroupHandle) -> FgAbGroup:
 
 def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
     """Abstract invariant-factor form of the subgroup itself."""
-    group = sub.parent
     k = len(sub.basis)
-    relations = _relation_rows(group)
-    if k == 0:
-        if relations:
-            raise ConsistencyError("relation lattice escaped the subgroup basis")
-        return FgAbGroup(0, ())
     # Express each relation vector in basis coordinates; the subgroup is the
     # cokernel-free presentation L / R in those coordinates.
     cols = []
-    for rel in relations:
-        eqs = [
-            (tuple(sub.basis[l][c] for l in range(k)), rel[c])
-            for c in range(group.ncoords)
-        ]
-        sol = solve_integer_system(linear_system(k, eqs))
-        if sol is None:
+    for rel in _relation_rows(sub.parent):
+        coords = _lattice_coordinates(sub.basis, rel)
+        if coords is None:
             raise ConsistencyError("relation vector not contained in subgroup lattice")
-        cols.append(sol.particular)
+        cols.append(coords)
     mat = IntMatrix(k, len(cols), tuple(tuple(col[i] for col in cols) for i in range(k)))
     structure, _ = group_from_cokernel(mat)
     return structure

@@ -158,14 +158,6 @@ def build_cone(
     return Cone(ambient_rank, tuple(rays))
 
 
-def _require_full_dimensional(cone: Cone) -> None:
-    if not cone.is_full_dimensional():
-        raise InputError(
-            "cone is not full-dimensional; run split_degenerate and work with "
-            "the induced cone"
-        )
-
-
 # Entries kept by the per-cone caches below: enough for every face query of
 # the cones in use, without growing with each distinct cone a process sees.
 _CACHE_SIZE = 128
@@ -178,15 +170,17 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     Brute force: every (rank-1)-subset of rays spanning a hyperplane
     proposes a normal, which is kept when it supports the whole cone.
     """
-    _require_full_dimensional(cone)
+    if not cone.is_full_dimensional():
+        raise InputError(
+            "cone is not full-dimensional; run split_degenerate and work with "
+            "the induced cone"
+        )
     n = cone.ambient_rank
     if n == 0:
         return ()
     normals: set[IntVec] = set()
     for subset in combinations(range(cone.nrays), n - 1):
         rows = [cone.rays[i] for i in subset]
-        if rows and integer_rank(IntMatrix.from_rows(rows, n)) != n - 1:
-            continue
         sol = solve_integer_system(
             linear_system(n, [(row, 0) for row in rows])
         )
@@ -207,9 +201,9 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
 
     Faces are exactly the intersections of facets with the cone; each is
     identified by the set of rays it contains (the apex has none, the cone
-    itself has all).
+    itself has all).  A cone that is not full-dimensional is refused by
+    :func:`facet_normals`.
     """
-    _require_full_dimensional(cone)
     normals = facet_normals(cone)
     pairings = [
         tuple(sum(a * b for a, b in zip(ray, u)) for u in normals)
@@ -316,19 +310,19 @@ def split_degenerate(
     d = len(sat_basis)
     basis = IntMatrix.from_rows(sat_basis, ambient_rank)
 
-    induced: list[IntVec] = []
-    for ray in rays:
-        eqs = [
-            (tuple(sat_basis[l][c] for l in range(d)), ray[c])
-            for c in range(ambient_rank)
-        ]
-        sol = solve_integer_system(linear_system(d, eqs))
-        if sol is None or sol.kernel_basis:
-            raise ConsistencyError("ray does not embed uniquely in the sublattice")
-        induced.append(sol.particular)
+    # A basis of a saturated sublattice has Smith form U @ B @ V == [I | 0],
+    # so V[:, :d] @ U is an integer right inverse of B and one factorization
+    # gives the coordinates of every ray.
+    u, s, v = smith_normal_form(basis)
+    if any(s.entries[i][i] != 1 for i in range(d)):
+        raise ConsistencyError("saturated sublattice basis has a non-unit invariant factor")
+    ray_matrix = IntMatrix.from_rows(rays, ambient_rank)
+    coords = ray_matrix @ IntMatrix(ambient_rank, d, tuple(r[:d] for r in v.entries)) @ u
+    if coords @ basis != ray_matrix:
+        raise ConsistencyError("ray coordinates in the sublattice basis miss the rays")
     # Extremality, pointedness, primitivity and distinctness carry over to
     # the rays' coordinates in a basis of their saturated span.
-    cone = Cone(d, tuple(induced))
+    cone = Cone(d, coords.entries)
     if not cone.is_full_dimensional():
         raise ConsistencyError("induced cone failed to be full-dimensional")
     return SplitCone(basis, cone, ambient_rank - d)

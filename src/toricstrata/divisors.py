@@ -10,8 +10,8 @@ Each face carries the subgroup of the class group generated by the divisors
 and the local class group is the quotient by that subgroup.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
-character per face, positive off the face, and treats it as a hard
-invariant (a failed certificate aborts the run).
+character ``u`` per face: u >= 1 off the face, principal class zero.  It
+is a hard invariant (a failed certificate aborts the run).
 """
 
 from __future__ import annotations
@@ -121,36 +121,32 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
 
     The subgroup generated by the dset classes always contains their
     nonnegative-combination semigroup; equality holds exactly when every
-    generator's inverse is reachable.  The character ``u`` of
-    :func:`~toricstrata.cones.face_functional` has trivial divisor class
-    ``sum_j <p_j, u> [D_j] = 0`` and vanishes on the face's rays, so
-    ``-[D_i] = sum_j (<p_j, u> - delta_ij) [D_j]`` over the dset, with
-    nonnegative coefficients because ``<p_i, u> >= 1``.  Signs and sums are
-    checked exactly; a failure contradicts the theory and aborts the run.
+    generator's inverse is reachable.  The certificate is the character
+    ``u`` of :func:`~toricstrata.cones.face_functional`: u >= 1 on every
+    ray off the face, and the principal class ``sum_j <p_j, u> [D_j]`` is
+    zero.  Then ``-[D_i] = sum_j (<p_j, u> - delta_ij) [D_j]`` over the
+    dset with nonnegative coefficients.  Both facts are checked exactly; a
+    failure contradicts the theory and aborts the run.
     """
     if face not in toric.faces:
         raise InputError("face does not belong to the cone's face lattice")
     cone = toric.cone
     u = face_functional(cone, face)
     inside = set(face.ray_indices)
-    dset = [j for j in range(cone.nrays) if j not in inside]
-    pairings = [sum(a * b for a, b in zip(cone.rays[j], u)) for j in dset]
-    gens = [toric.divisor_classes[j] for j in dset]
-    # principal = sum_j <p_j, u> [D_j]; the coefficients for the inverse of
-    # class i are the pairings minus one at i, so they sum to principal - g_i.
     principal = toric.class_group.zero()
-    for p, g in zip(pairings, gens):
-        principal = principal + p * g
-    for i, g in zip(dset, gens):
-        coeffs = [p - (1 if j == i else 0) for j, p in zip(dset, pairings)]
-        if min(coeffs) < 0:
+    for j in range(cone.nrays):
+        if j in inside:
+            continue
+        p = sum(a * b for a, b in zip(cone.rays[j], u))
+        if p < 1:
             raise ConsistencyError(
-                f"face functional {list(u)} gives a negative coefficient for the "
-                f"inverse of divisor class #{i} at face {list(face.ray_indices)}"
+                f"face functional {list(u)} pairs to {p} with ray #{j} outside "
+                f"face {list(face.ray_indices)}"
             )
-        if principal - g != -g:
-            raise ConsistencyError(
-                f"face functional coefficients for divisor class #{i} sum to "
-                f"{(principal - g).coords}, not the inverse {(-g).coords}"
-            )
+        principal = principal + p * toric.divisor_classes[j]
+    if not principal.is_zero():
+        raise ConsistencyError(
+            f"face functional {list(u)} has divisor class {principal.coords} at "
+            f"face {list(face.ray_indices)}, not zero"
+        )
     return SemigroupCheck(verified=True, functional=u)

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq
-from .abelian import subgroup_structure as _structure_of
 from .cones import Cone, Face, split_degenerate
-from .divisors import FaceOrbitData, build_toric, face_orbit_data, verify_semigroup_equals_group
-from .errors import ConsistencyError, InputError
+from .divisors import build_toric, face_orbit_data, verify_semigroup_equals_group
+from .errors import ConsistencyError
 from .linalg import IntVec
 from .luna import cox_weight_system, luna_strata
 from .roots import ConnectionGraph, connection_graph, graph_components
@@ -189,18 +188,13 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
         for face in stratum.faces:
             stratum_of_face[face] = stratum.index
     face_index_stratum = [stratum_of_face[face] for face in graph.faces]
-    for i1, i2, verdict in graph.verdicts:
-        if verdict.is_yes() and face_index_stratum[i1] != face_index_stratum[i2]:
-            raise ConsistencyError(
-                f"one-parameter connection joins faces "
-                f"{graph.faces[i1].ray_indices} and {graph.faces[i2].ray_indices} "
-                f"from different strata"
-            )
     component_partition = sorted(graph_components(graph))
     stratum_partition = sorted(
         tuple(sorted(i for i, s in enumerate(face_index_stratum) if s == stratum.index))
         for stratum in strata
     )
+    # Equal partitions also mean no "yes" edge joins two strata: a component
+    # holding faces of two strata would match no stratum.
     if component_partition != stratum_partition:
         raise ConsistencyError("connection components do not match the strata")
 

@@ -450,15 +450,20 @@ def _normalize_row(row: _Row) -> _Row | None:
     return vec, rhs, strict
 
 
-def _add_rows(store: dict[IntVec, tuple[int, bool]], rows: Iterable[_Row]) -> None:
+def _add_rows(store: dict[IntVec, _Row], rows: Iterable[_Row]) -> None:
+    """Keep one row per primitive direction ``vec / content``: the one with
+    the largest bound ``rhs / content``, a strict row winning a tie, which
+    implies every other row of that direction."""
     for row in rows:
         norm = _normalize_row(row)
         if norm is None:
             continue
         vec, rhs, strict = norm
-        prev = store.get(vec)
-        if prev is None or (rhs, strict) > prev:
-            store[vec] = (rhs, strict)
+        g = math.gcd(*vec)
+        key = tuple(x // g for x in vec)
+        prev = store.get(key)
+        if prev is None or (rhs * math.gcd(*prev[0]), strict) > (prev[1] * g, prev[2]):
+            store[key] = norm
 
 
 def _fm_chain(rows: Iterable[_Row], nvars: int) -> list[list[_Row]] | None:
@@ -467,10 +472,10 @@ def _fm_chain(rows: Iterable[_Row], nvars: int) -> list[list[_Row]] | None:
     Returns ``None`` when the system is rationally infeasible.
     """
     try:
-        store: dict[IntVec, tuple[int, bool]] = {}
+        store: dict[IntVec, _Row] = {}
         _add_rows(store, rows)
         chain: list[list[_Row]] = [[] for _ in range(nvars + 1)]
-        chain[nvars] = [(v, r, s) for v, (r, s) in store.items()]
+        chain[nvars] = list(store.values())
         for k in range(nvars, 0, -1):
             var = k - 1
             pos, neg, zero = [], [], []
@@ -485,7 +490,7 @@ def _fm_chain(rows: Iterable[_Row], nvars: int) -> list[list[_Row]] | None:
                     qc = -qvec[var]
                     vec = tuple(qc * x + pc * y for x, y in zip(pvec, qvec))
                     _add_rows(store, [(vec, qc * prhs + pc * qrhs, pstr or qstr)])
-            chain[k - 1] = [(v, r, s) for v, (r, s) in store.items()]
+            chain[k - 1] = list(store.values())
         return chain
     except _Infeasible:
         return None

@@ -36,7 +36,6 @@ from .abelian import (
     FgAbGroup,
     GroupElement,
     SubgroupHandle,
-    rank_over_rationals,
     subgroup_canon,
     subgroup_structure,
     is_full,
@@ -231,8 +230,9 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     The closed sets of free parts are the unions of positive circuits (see
     ``_closed_part_sets``), so the work follows the number of closed
     supports, not the 2^m index subsets; the circuit candidates and the
-    supports are limited before they are computed.  Stratum dimension is
-    the largest ``|support| - rational rank`` over the supports in the class.
+    supports are limited before they are computed.  A stratum's dimension
+    is ``max |support| - free_rank`` of its subgroup's structure: the free
+    rank of the subgroup is the rational rank of its weights.
     """
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
     # The subgroup depends only on the set of weights, and supports that
@@ -250,12 +250,9 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
             entry[1].append(support)
     strata = []
     for sub, supports in classes.values():
-        gens = tuple(ws.group.element(b) for b in sub.basis)
-        rank = rank_over_rationals(ws.group, gens)
-        dim = max(len(s) for s in supports) - rank
-        strata.append(
-            LunaStratum(sub, subgroup_structure(sub), tuple(sorted(supports)), dim)
-        )
+        structure = subgroup_structure(sub)
+        dim = max(len(s) for s in supports) - structure.free_rank
+        strata.append(LunaStratum(sub, structure, tuple(sorted(supports)), dim))
     strata.sort(key=lambda s: (-s.dim, s.subgroup.basis))
     return tuple(strata)
 

@@ -178,6 +178,19 @@ def test_rank_over_rationals_ignores_torsion():
         )
 
 
+
+def test_subgroup_free_rank_is_the_rational_rank_of_its_generators():
+    rng = random.Random(14)
+    for _ in range(60):
+        free = rng.randint(1, 3)
+        g = grp(free, rng.choice([(2,), (3,), (2, 4), (2, 6)]))
+        gens = [
+            g.element(tuple(rng.randint(-4, 4) for _ in range(g.ncoords)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        structure = ts.subgroup_structure(ts.subgroup_canon(g, gens))
+        assert structure.free_rank == ts.rank_over_rationals(g, gens)
+
 # ---------------------------------------------------------------------------
 # semigroup membership
 

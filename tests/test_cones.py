@@ -6,6 +6,7 @@ import time
 import pytest
 
 import toricstrata as ts
+from toricstrata.linalg import IntMatrix
 
 from oracles import (
     closed_system_feasible,
@@ -294,6 +295,28 @@ def test_split_degenerate_preserves_pairing_structure():
     assert inner.ambient_rank == 2 and inner.nrays == 2
     # primitive induced rays still span a pointed two-dimensional cone
     assert inner.is_full_dimensional()
+
+
+def test_split_degenerate_coordinates_embed_back_onto_the_rays():
+    # cones of rank d mapped into rank d + 1 or d + 2 by an injective integer
+    # matrix, so the images span a proper, possibly non-saturated, sublattice
+    rng = random.Random(31)
+    for cone in sample_cones(ts, 32, 200, max_rank=3):
+        d = cone.ambient_rank
+        n = d + rng.randint(1, 2)
+        while True:
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+            if ts.integer_rank(IntMatrix.from_rows(b)) == d:
+                break
+        rays = [
+            ts.primitive_vector([sum(r[l] * b[l][j] for l in range(d)) for j in range(n)])
+            for r in cone.rays
+        ]
+        split = ts.split_degenerate(n, rays)
+        assert split.torus_rank == n - d
+        assert split.cone.is_full_dimensional()
+        basis = split.sublattice_basis
+        assert [basis.transpose().apply(c) for c in split.cone.rays] == rays
 
 
 def test_split_degenerate_rejects_lines():

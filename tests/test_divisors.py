@@ -1,5 +1,7 @@
 """Class groups, per-face orbit data and the semigroup-generation check."""
 
+import dataclasses
+
 import pytest
 
 import toricstrata as ts
@@ -167,3 +169,25 @@ def test_semigroup_certificate_is_the_face_functional():
         for p, g in zip(pairings, RANK3.divisor_classes):
             total = total + p * g
         assert total.is_zero()
+
+
+def test_semigroup_certificate_refuses_a_functional_vanishing_off_the_face(monkeypatch):
+    # (1, 0) pairs to 0 with the ray (0, 1), which lies off the apex face
+    monkeypatch.setattr(ts.divisors, "face_functional", lambda cone, face: (1, 0))
+    apex = ts.face_from_ray_indices(QUADRANT2.cone, ())
+    with pytest.raises(ts.ConsistencyError, match="pairs to 0 with ray #1"):
+        ts.verify_semigroup_equals_group(QUADRANT2, apex)
+
+
+def test_semigroup_certificate_refuses_a_nonzero_principal_class():
+    # the conifold has class group Z; shifting one divisor class breaks the
+    # relation sum_j <p_j, u> [D_j] = 0 at every face that misses the ray
+    toric = ts.build_toric(ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    assert toric.class_group.describe() == "Z"
+    classes = list(toric.divisor_classes)
+    classes[0] = classes[0] + toric.class_group.element((1,))
+    broken = dataclasses.replace(toric, divisor_classes=tuple(classes))
+    apex = ts.face_from_ray_indices(toric.cone, ())
+    assert ts.verify_semigroup_equals_group(toric, apex).verified
+    with pytest.raises(ts.ConsistencyError, match="has divisor class"):
+        ts.verify_semigroup_equals_group(broken, apex)

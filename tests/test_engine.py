@@ -1,5 +1,6 @@
 """The cross-validated stratification pipeline end to end."""
 
+import dataclasses
 import json
 import sys
 
@@ -123,6 +124,31 @@ def test_luna_comparison_catches_a_face_complement_that_is_not_closed(monkeypatc
 
     monkeypatch.setattr(ts.luna, "_closed_supports", dropping)
     with pytest.raises(ts.ConsistencyError, match="covers supports"):
+        stratify(3, RANK3_RAYS)
+
+
+def test_partition_check_catches_a_connection_across_strata(monkeypatch):
+    stratum_of = {
+        face: stratum.index
+        for stratum in stratify(3, RANK3_RAYS).strata
+        for face in stratum.faces
+    }
+    real = ts.engine.connection_graph
+
+    def one_false_yes(cone):
+        graph = real(cone)
+        verdicts = list(graph.verdicts)
+        k = next(
+            k
+            for k, (i1, i2, verdict) in enumerate(verdicts)
+            if not verdict.is_yes()
+            and stratum_of[graph.faces[i1]] != stratum_of[graph.faces[i2]]
+        )
+        verdicts[k] = (verdicts[k][0], verdicts[k][1], ts.ConnectionVerdict("yes"))
+        return dataclasses.replace(graph, verdicts=tuple(verdicts))
+
+    monkeypatch.setattr(ts.engine, "connection_graph", one_false_yes)
+    with pytest.raises(ts.ConsistencyError, match="connection components do not match the strata"):
         stratify(3, RANK3_RAYS)
 
 

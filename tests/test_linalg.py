@@ -312,6 +312,15 @@ def test_rational_feasible_strict_edge_cases():
     assert witness == (Fraction(0),)
 
 
+def test_fourier_motzkin_keeps_one_row_per_direction():
+    # 3t >= 5 implies t >= 1: only the row with the larger bound 5/3 stays
+    chain = ts.linalg._fm_chain([((3,), 5, False), ((1,), 1, False)], 1)
+    assert chain[1] == [((3,), 5, False)]
+    # on a tie of bounds the strict row wins
+    chain = ts.linalg._fm_chain([((2,), 2, False), ((1,), 1, True)], 1)
+    assert chain[1] == [((1,), 1, True)]
+
+
 def test_rational_feasible_random_against_vertex_enumeration():
     rng = random.Random(6)
     for _ in range(200):
