@@ -2,7 +2,9 @@
 
 A group is ``Z^r x Z/d_1 x ... x Z/d_t`` with ``2 <= d_1 | d_2 | ... | d_t``.
 Elements carry ``r + t`` integer coordinates, free coordinates first, torsion
-coordinates stored reduced modulo the invariant factors.
+coordinates stored reduced modulo the invariant factors.  Outside
+coordinates enter through :meth:`FgAbGroup.element`, which checks them once;
+elements the package computes itself are built without a second check.
 
 Subgroups are canonicalized as the Hermite normal form basis of their
 preimage lattice in ``Z^(r+t)``, which always contains the relation lattice
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mod, neg, sub
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InputError
@@ -83,27 +86,28 @@ class FgAbGroup:
         return n
 
     def reduce(self, coords: Sequence[int]) -> IntVec:
+        """Check outside coordinates and reduce the torsion ones."""
         if len(coords) != self.ncoords:
             raise InputError("element coordinate length does not match the group")
         for j, x in enumerate(coords):
             if not isinstance(x, int) or isinstance(x, bool):
                 raise InputError(f"coordinate {j} must be an integer")
+        return self._reduced(coords)
+
+    def _reduced(self, coords: Sequence[int]) -> IntVec:
         r = self.free_rank
-        out = list(coords)
-        for j, d in enumerate(self.torsion):
-            out[r + j] %= d
-        return tuple(out)
+        return (*coords[:r], *map(mod, coords[r:], self.torsion))
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, self.reduce(coords))
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, tuple(0 for _ in range(self.ncoords)))
+        return GroupElement(self, (0,) * self.ncoords)
 
     def standard_generators(self) -> tuple["GroupElement", ...]:
         n = self.ncoords
         return tuple(
-            self.element(tuple(1 if i == j else 0 for j in range(n))) for i in range(n)
+            GroupElement(self, tuple(1 if i == j else 0 for j in range(n))) for i in range(n)
         )
 
     def describe(self) -> str:
@@ -118,39 +122,37 @@ class FgAbGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of an :class:`FgAbGroup`, torsion coordinates reduced."""
+    """An element of an :class:`FgAbGroup`, torsion coordinates reduced.
+
+    Construct through :meth:`FgAbGroup.element`, which checks the
+    coordinates; the constructor trusts its caller.
+    """
 
     group: FgAbGroup
     coords: IntVec
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.group.ncoords:
-            raise InputError("element coordinate length does not match the group")
-        r = self.group.free_rank
-        for j, d in enumerate(self.group.torsion):
-            c = self.coords[r + j]
-            if not 0 <= c < d:
-                raise InputError("torsion coordinates must be stored reduced")
 
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.group != other.group:
             raise InputError("elements belong to different groups")
 
+    def _element(self, coords) -> "GroupElement":
+        return GroupElement(self.group, self.group._reduced(tuple(coords)))
+
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check_same_group(other)
-        return self.group.element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._element(map(add, self.coords, other.coords))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         self._check_same_group(other)
-        return self.group.element(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._element(map(sub, self.coords, other.coords))
 
     def __neg__(self) -> "GroupElement":
-        return self.group.element(tuple(-a for a in self.coords))
+        return self._element(map(neg, self.coords))
 
     def __rmul__(self, k: int) -> "GroupElement":
         if not isinstance(k, int):
             return NotImplemented
-        return self.group.element(tuple(k * a for a in self.coords))
+        return self._element(k * a for a in self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -219,7 +221,7 @@ def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHa
             raise InputError("generator belongs to a different group")
         rows.append(g.coords)
     rows.extend(_relation_rows(group))
-    h, _ = hermite_normal_form(IntMatrix.from_rows(rows, group.ncoords))
+    h, _ = hermite_normal_form(IntMatrix(len(rows), group.ncoords, tuple(rows)))
     basis = tuple(row for row in h.entries if any(row))
     return SubgroupHandle(group, basis)
 
@@ -303,7 +305,7 @@ def rank_over_rationals(group: FgAbGroup, gens: Sequence[GroupElement]) -> int:
         if g.group != group:
             raise InputError("generator belongs to a different group")
     rows = [g.free_part() for g in gens]
-    return integer_rank(IntMatrix.from_rows(rows, group.free_rank))
+    return integer_rank(IntMatrix(len(rows), group.free_rank, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def _torsion_closure(
         for coords in frontier:
             base = seen[coords]
             for i, g in enumerate(gens):
-                new = group.reduce(tuple(a + b for a, b in zip(coords, g)))
+                new = group._reduced(tuple(a + b for a, b in zip(coords, g)))
                 if new not in seen:
                     seen[new] = tuple(
                         c + (1 if j == i else 0) for j, c in enumerate(base)

@@ -9,23 +9,26 @@ full-dimensional cone; inputs spanning a proper subspace go through
 :func:`split_degenerate` first, which factors off the torus directions
 exactly.
 
-Facets are enumerated by brute force over the (rank-1)-subsets of rays.
+Facets are enumerated by brute force over the (rank-1)-subsets of rays, at
+most ``MAX_FACET_CANDIDATES`` of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
+    LinearSystem,
     hermite_normal_form,
     integer_rank,
-    linear_system,
     primitive_vector,
     smith_normal_form,
     solve_integer_system,
@@ -134,29 +137,34 @@ def build_cone(
     # Projecting onto the Hermite pivot columns is injective on the span of
     # the rays: the probe cone has the same faces, is full-dimensional in
     # rank d, and for a full-dimensional input is the cone itself.
-    hnf, _ = hermite_normal_form(IntMatrix.from_rows(rays, ambient_rank))
+    hnf, _ = hermite_normal_form(IntMatrix(len(rays), ambient_rank, tuple(rays)))
     pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries if any(row)]
     d = len(pivots)
     probe = Cone(d, tuple(primitive_vector([r[j] for j in pivots]) for r in rays))
     normals = facet_normals(probe)
-    if integer_rank(IntMatrix.from_rows(normals, d)) < d:
+    if integer_rank(IntMatrix(len(normals), d, normals)) < d:
         raise InputError("cone is not pointed (it contains a line)")
 
-    # A ray of a pointed cone is extremal iff the normals vanishing on it
-    # have rank d - 1; the rays on all of those facets span its smallest face.
+    # In a pointed cone the facets through a ray meet in the smallest face
+    # containing it, so the ray is extremal iff no other ray lies on all of
+    # them.
     zeros = [
         {k for k, u in enumerate(normals) if not sum(a * b for a, b in zip(r, u))}
         for r in probe.rays
     ]
     for i, incident in enumerate(zeros):
-        if integer_rank(IntMatrix.from_rows([normals[k] for k in incident], d)) < d - 1:
-            face = [j for j, z in enumerate(zeros) if j != i and incident <= z]
+        face = [j for j, z in enumerate(zeros) if j != i and incident <= z]
+        if face:
             raise InputError(
                 f"ray #{i} {list(rays[i])} is not extremal: it lies inside the "
                 f"face spanned by rays {', '.join(f'#{j}' for j in face)}"
             )
     return Cone(ambient_rank, tuple(rays))
 
+
+# Limit on the (rank-1)-subsets of rays that facet enumeration tries, checked
+# before the first one.
+MAX_FACET_CANDIDATES = 10_000
 
 # Entries kept by the per-cone caches below: enough for every face query of
 # the cones in use, without growing with each distinct cone a process sees.
@@ -178,11 +186,16 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     n = cone.ambient_rank
     if n == 0:
         return ()
+    candidates = math.comb(cone.nrays, n - 1)
+    if candidates > MAX_FACET_CANDIDATES:
+        raise InputError(
+            f"{candidates} facet candidates ({n - 1}-subsets of {cone.nrays} rays) "
+            f"exceed the limit of {MAX_FACET_CANDIDATES}"
+        )
     normals: set[IntVec] = set()
     for subset in combinations(range(cone.nrays), n - 1):
-        rows = [cone.rays[i] for i in subset]
         sol = solve_integer_system(
-            linear_system(n, [(row, 0) for row in rows])
+            LinearSystem(n, tuple((cone.rays[i], 0) for i in subset), ())
         )
         if sol is None or len(sol.kernel_basis) != 1:
             continue
@@ -224,7 +237,7 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
         indices = tuple(sorted(s))
         if indices:
             rows = [cone.rays[i] for i in indices]
-            dim = integer_rank(IntMatrix.from_rows(rows, cone.ambient_rank))
+            dim = integer_rank(IntMatrix(len(rows), cone.ambient_rank, tuple(rows)))
         else:
             dim = 0
         faces.append(Face(indices, dim))
@@ -242,7 +255,7 @@ def face_functional(cone: Cone, face: Face) -> IntVec:
     face_rays = [cone.rays[i] for i in face.ray_indices]
     u = [0] * cone.ambient_rank
     for normal in facet_normals(cone):
-        if all(sum(a * b for a, b in zip(ray, normal)) == 0 for ray in face_rays):
+        if all(sum(map(mul, ray, normal)) == 0 for ray in face_rays):
             u = [a + b for a, b in zip(u, normal)]
     return tuple(u)
 
@@ -267,7 +280,7 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
     if len(face.ray_indices) != face.dim:
         return False
     rows = [cone.rays[i] for i in face.ray_indices]
-    _, s, _ = smith_normal_form(IntMatrix.from_rows(rows, cone.ambient_rank))
+    _, s, _ = smith_normal_form(IntMatrix(len(rows), cone.ambient_rank, tuple(rows)))
     for i in range(min(s.rows, s.cols)):
         d = s.entries[i][i]
         if d > 1:
@@ -275,11 +288,9 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
     return True
 
 
-def _kernel_rows(mat_rows: list[IntVec], dim: int) -> tuple[IntVec, ...]:
+def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     """Basis of the integer kernel {x : row . x == 0 for all rows}."""
-    sol = solve_integer_system(
-        linear_system(dim, [(row, 0) for row in mat_rows])
-    )
+    sol = solve_integer_system(LinearSystem(dim, tuple((row, 0) for row in mat_rows), ()))
     if sol is None:
         raise ConsistencyError("homogeneous system reported unsolvable")
     return sol.kernel_basis
@@ -306,9 +317,9 @@ def split_degenerate(
     # the orthogonal complement of the complement of the ray span is exactly
     # the rational ray span intersected with the lattice.
     complement = _kernel_rows(rays, ambient_rank)
-    sat_basis = _kernel_rows(list(complement), ambient_rank)
+    sat_basis = _kernel_rows(complement, ambient_rank)
     d = len(sat_basis)
-    basis = IntMatrix.from_rows(sat_basis, ambient_rank)
+    basis = IntMatrix(d, ambient_rank, sat_basis)
 
     # A basis of a saturated sublattice has Smith form U @ B @ V == [I | 0],
     # so V[:, :d] @ U is an integer right inverse of B and one factorization
@@ -316,13 +327,11 @@ def split_degenerate(
     u, s, v = smith_normal_form(basis)
     if any(s.entries[i][i] != 1 for i in range(d)):
         raise ConsistencyError("saturated sublattice basis has a non-unit invariant factor")
-    ray_matrix = IntMatrix.from_rows(rays, ambient_rank)
+    ray_matrix = IntMatrix(len(rays), ambient_rank, rays)
     coords = ray_matrix @ IntMatrix(ambient_rank, d, tuple(r[:d] for r in v.entries)) @ u
     if coords @ basis != ray_matrix:
         raise ConsistencyError("ray coordinates in the sublattice basis miss the rays")
     # Extremality, pointedness, primitivity and distinctness carry over to
-    # the rays' coordinates in a basis of their saturated span.
-    cone = Cone(d, coords.entries)
-    if not cone.is_full_dimensional():
-        raise ConsistencyError("induced cone failed to be full-dimensional")
-    return SplitCone(basis, cone, ambient_rank - d)
+    # the rays' coordinates in a basis of their saturated span, and the rays
+    # span it, so the induced cone is full-dimensional.
+    return SplitCone(basis, Cone(d, coords.entries), ambient_rank - d)

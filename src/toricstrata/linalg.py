@@ -27,6 +27,9 @@ elsewhere:
   ``roots.enumerate_roots`` and ``abelian.semigroup_member``.
 * The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
   raises ``InputError`` before it would build more.
+* Outside integer data is checked once, where it enters: by
+  :meth:`IntMatrix.from_rows` and :func:`linear_system`.  The ``IntMatrix``
+  and ``LinearSystem`` constructors trust their caller.
 """
 
 from __future__ import annotations
@@ -76,39 +79,44 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers (row-major)."""
+    """Immutable dense matrix of arbitrary-precision integers (row-major).
+
+    Build matrices with :meth:`from_rows`, which checks its rows; the
+    constructor trusts its caller, as ``Cone`` and ``LinearSystem`` do.
+    """
 
     rows: int
     cols: int
     entries: tuple[IntVec, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise InputError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise InputError("ragged matrix rows")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError("matrix entries must be integers")
-
     @staticmethod
     def from_rows(data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(row) for row in data]
+        """Check rows of integers from outside the package and freeze them."""
+        rows = tuple(tuple(row) for row in data)
         if cols is None:
             if not rows:
                 raise InputError("column count required for an empty matrix")
             cols = len(rows[0])
-        return IntMatrix(len(rows), cols, tuple(rows))
+        if cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
+        for row in rows:
+            if len(row) != cols:
+                raise InputError("ragged matrix rows")
+            for x in row:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InputError("matrix entries must be integers")
+        return IntMatrix(len(rows), cols, rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        if n < 0:
+            raise InputError("matrix dimensions must be nonnegative")
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
+        if rows < 0 or cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     def row(self, i: int) -> IntVec:
@@ -248,7 +256,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             u[t] = [-x for x in u[t]]
         t += 1
 
-    return IntMatrix.from_rows(u, m), IntMatrix.from_rows(d, n), IntMatrix.from_rows(v, n)
+    return (
+        IntMatrix(m, m, tuple(map(tuple, u))),
+        IntMatrix(m, n, tuple(map(tuple, d))),
+        IntMatrix(n, n, tuple(map(tuple, v))),
+    )
 
 
 def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -298,7 +310,7 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 add_row(r, i, -q)
         r += 1
 
-    return IntMatrix.from_rows(h, n), IntMatrix.from_rows(u, m)
+    return IntMatrix(m, n, tuple(map(tuple, h))), IntMatrix(m, m, tuple(map(tuple, u)))
 
 
 def integer_rank(a: IntMatrix) -> int:
@@ -400,7 +412,7 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
         raise InputError("solve_integer_system accepts equality-only systems")
     n = system.dim
     k = len(system.equalities)
-    a = IntMatrix.from_rows([c for c, _ in system.equalities], n)
+    a = IntMatrix(k, n, tuple(c for c, _ in system.equalities))
     b = [rhs for _, rhs in system.equalities]
     u, s, v = smith_normal_form(a)
     c = u.apply(b)
@@ -661,7 +673,7 @@ def _check_box_bound(box_bound) -> None:
 MAX_LATTICE_POINTS = 2**20
 
 
-def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
+def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: int) -> list[IntVec]:
     """Integer points of the projection chain, in search coordinates.
 
     Variable ``level`` is bounded by the rows of ``chain[level + 1]`` that
@@ -672,9 +684,10 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[I
     fixing a variable costs one multiply-add per deeper row.  A row then
     bounds its variable by one floor division: ``x >= -(s // |a[level]|)``
     for a lower row, ``x <= s // |a[level]|`` for an upper one.  The last
-    level is listed as one batch, counted against ``MAX_LATTICE_POINTS``
-    before it is built.  With ``stop_at_first`` values are tried in the
-    order 0, 1, -1, 2, -2, ... and the search ends at the first point.
+    level is listed as one batch, counted with the ``listed`` points of
+    earlier searches against ``MAX_LATTICE_POINTS`` before it is built.
+    With ``stop_at_first`` values are tried in the order 0, 1, -1, 2, -2,
+    ... and the search ends at the first point.
     """
     if n == 0:
         return [()]
@@ -702,7 +715,7 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[I
                 found.append((*prefix, 0 if lo <= 0 <= hi else lo if lo > 0 else hi))
                 return True
             count = hi - lo + 1
-            if len(found) + count > MAX_LATTICE_POINTS:
+            if listed + len(found) + count > MAX_LATTICE_POINTS:
                 raise InputError(
                     f"more than {MAX_LATTICE_POINTS} lattice points in the box, the "
                     "limit of the boxed search; use a smaller box bound"
@@ -735,7 +748,7 @@ def _affine_column(
 
 
 def _boxed_solutions(
-    system: LinearSystem, box_bound: int, stop_at_first: bool
+    system: LinearSystem, box_bound: int, stop_at_first: bool, listed: int = 0
 ) -> list[IntVec]:
     """Integer solutions with coordinates in the box.
 
@@ -748,7 +761,7 @@ def _boxed_solutions(
     """
     _check_box_bound(box_bound)
     n = system.dim
-    solution = solve_integer_system(linear_system(n, system.equalities))
+    solution = solve_integer_system(LinearSystem(n, system.equalities, ()))
     if solution is None:
         return []
     particular = solution.particular
@@ -758,7 +771,7 @@ def _boxed_solutions(
         # Reparametrize: a triangular (Hermite) kernel basis and a particular
         # point reduced into its fundamental domain keep the search ranges
         # close to the box instead of inheriting huge solver coordinates.
-        hnf, _ = hermite_normal_form(IntMatrix.from_rows(kernel, n))
+        hnf, _ = hermite_normal_form(IntMatrix(k, n, kernel))
         kernel = tuple(hnf.row(i) for i in range(k))
         particular = _reduce_mod_rows(particular, kernel)
 
@@ -777,7 +790,7 @@ def _boxed_solutions(
     chain = _fm_chain(t_rows, k)
     if chain is None:
         return []
-    found = _lattice_dfs(chain, k, stop_at_first)
+    found = _lattice_dfs(chain, k, stop_at_first, listed)
     count = len(found)
     if not count:
         return []

@@ -46,9 +46,9 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
+    LinearSystem,
     hermite_normal_form,
     integer_rank,
-    linear_system,
     primitive_vector,
     solve_integer_system,
 )
@@ -117,7 +117,7 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     a circuit extended by parts independent of it is an ``(r+1)``-subset
     whose integer kernel is the circuit's one relation."""
     vs = sorted(parts)
-    rank = integer_rank(IntMatrix.from_rows(vs)) if vs else 0
+    rank = integer_rank(IntMatrix(len(vs), len(vs[0]), tuple(vs))) if vs else 0
     candidates = math.comb(len(vs), rank + 1)
     if candidates > MAX_CIRCUIT_CANDIDATES:
         raise InputError(
@@ -126,8 +126,8 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
         )
     circuits = set()
     for subset in combinations(vs, rank + 1):
-        eqs = [(column, 0) for column in zip(*subset)]
-        kernel = solve_integer_system(linear_system(rank + 1, eqs)).kernel_basis
+        eqs = tuple((column, 0) for column in zip(*subset))
+        kernel = solve_integer_system(LinearSystem(rank + 1, eqs, ())).kernel_basis
         if len(kernel) == 1 and (min(kernel[0]) >= 0 or max(kernel[0]) <= 0):
             circuits.add(frozenset(v for v, c in zip(subset, kernel[0]) if c))
     return circuits
@@ -242,7 +242,7 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
         key = frozenset(ws.weights[i].coords for i in support)
         sub = by_weights.get(key)
         if sub is None:
-            sub = by_weights[key] = weight_subgroup(ws, support)
+            sub = by_weights[key] = subgroup_canon(ws.group, [ws.weights[i] for i in support])
         entry = classes.get(sub.basis)
         if entry is None:
             classes[sub.basis] = (sub, [support])
@@ -286,7 +286,7 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     for support in supports:
         if not _covered(_free_parts(ws, support), circuits):
             failures.append(StabilityFailure(support, "orbit-not-closed"))
-        if not is_full(weight_subgroup(ws, support)):
+        if not is_full(subgroup_canon(ws.group, [ws.weights[i] for i in support])):
             failures.append(StabilityFailure(support, "stabilizer-nontrivial"))
     return StabilityReport(not failures, tuple(failures))
 
@@ -330,7 +330,7 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
             -torsion[j] if row == r + j else 0 for j in range(t)
         )
         eqs.append((tuple(coeffs), 0))
-    solution = solve_integer_system(linear_system(m + t, eqs))
+    solution = solve_integer_system(LinearSystem(m + t, tuple(eqs), ()))
     if solution is None:
         raise ConsistencyError("homogeneous system lost its zero solution")
     projected = [vec[:m] for vec in solution.kernel_basis]
@@ -339,8 +339,8 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
         raise ConsistencyError(
             f"invariant-character lattice has rank {len(projected)}, expected {d}"
         )
-    hnf, _ = hermite_normal_form(IntMatrix.from_rows(projected, cols=m))
-    basis = IntMatrix.from_rows([hnf.row(k) for k in range(d)], cols=m)
+    hnf, _ = hermite_normal_form(IntMatrix(d, m, tuple(projected)))
+    basis = IntMatrix(d, m, hnf.entries[:d])
     rays = []
     for i in range(m):
         column = basis.column(i)

@@ -25,11 +25,11 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
+    LinearSystem,
+    _boxed_solutions,
     _check_box_bound,
     _reduce_mod_rows,
     hermite_normal_form,
-    lattice_points_bounded,
-    linear_system,
     solve_integer_system,
 )
 
@@ -91,22 +91,25 @@ def enumerate_roots(
     Groups follow ray order; roots inside a group are in lexicographic
     order of their vectors.  The roots of ray ``tau`` are the lattice points
     of ``ray_tau . x == -1``, ``ray_j . x >= 0`` (j != tau) in the box, and
-    :func:`~toricstrata.linalg.lattice_points_bounded` re-checks every point
-    against exactly those conditions, so each is wrapped without a second
-    validation.  A box holding more than ``MAX_LATTICE_POINTS`` roots of one
-    ray raises :class:`InputError`.
+    the boxed search of :func:`~toricstrata.linalg.lattice_points_bounded`
+    re-checks every point against exactly those conditions, so each is
+    wrapped without a second validation.  The roots of all rays count
+    against ``MAX_LATTICE_POINTS``: a box holding more raises
+    :class:`InputError` before the batch that would pass the limit is built.
     """
     if box_bound is None:
         box_bound = default_box_bound(cone)
     _check_box_bound(box_bound)
     n = cone.ambient_rank
     groups = []
+    listed = 0
     for tau in range(cone.nrays):
-        eqs = [(cone.rays[tau], -1)]
-        ineqs = [
+        eqs = ((cone.rays[tau], -1),)
+        ineqs = tuple(
             (cone.rays[j], 0, False) for j in range(cone.nrays) if j != tau
-        ]
-        points = lattice_points_bounded(linear_system(n, eqs, ineqs), box_bound)
+        )
+        points = sorted(_boxed_solutions(LinearSystem(n, eqs, ineqs), box_bound, False, listed))
+        listed += len(points)
         groups.append(tuple(DemazureRoot(p, tau) for p in points))
     return tuple(groups)
 
@@ -141,17 +144,16 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     tau = extra.pop()
 
     n = cone.ambient_rank
-    eqs = [(cone.rays[tau], -1)]
-    eqs.extend((cone.rays[i], 0) for i in sorted(inner))
-    solution = solve_integer_system(linear_system(n, eqs))
+    eqs = ((cone.rays[tau], -1), *((cone.rays[i], 0) for i in sorted(inner)))
+    solution = solve_integer_system(LinearSystem(n, eqs, ()))
     if solution is None:
         return ConnectionVerdict("no", certificate="integral-equalities")
 
     # A particular solution reduced modulo the Hermite kernel basis, so the
     # witness does not inherit the solver's large coordinates.
-    e0 = solution.particular
-    if solution.kernel_basis:
-        hnf, _ = hermite_normal_form(IntMatrix.from_rows(solution.kernel_basis, n))
+    e0, kernel = solution.particular, solution.kernel_basis
+    if kernel:
+        hnf, _ = hermite_normal_form(IntMatrix(len(kernel), n, kernel))
         e0 = _reduce_mod_rows(e0, hnf.entries)
     # u vanishes on face2 (so the equalities still hold) and is positive on
     # every outside ray; k is the least multiple making those pairings >= 0.

@@ -1,0 +1,183 @@
+"""Integer data is checked once, where it enters the package.
+
+The checking factories (``IntMatrix.from_rows``, ``FgAbGroup.element``,
+``linear_system``, ``build_cone``, ``weight_system``) and the CLI loaders
+refuse malformed input with an ``InputError``; everything the package
+builds from integers it already holds goes through the trusting
+constructors and never re-enters those factories.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import toricstrata as ts
+from toricstrata import cones
+from toricstrata.cli import main
+from toricstrata.linalg import IntMatrix
+
+from oracles import sample_cones
+
+small = st.integers(-3, 3)
+bad_entry = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(small, max_size=2),
+)
+
+
+@st.composite
+def corrupted_rows(draw):
+    """An integer matrix with one bad entry or one row of the wrong length,
+    and the index of that row."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [[draw(small) for _ in range(ncols)] for _ in range(nrows)]
+    i = draw(st.integers(0, nrows - 1))
+    if draw(st.booleans()):
+        rows[i][draw(st.integers(0, ncols - 1))] = draw(bad_entry)
+    elif ncols > 1 and draw(st.booleans()):
+        rows[i].pop()
+    else:
+        rows[i].append(draw(small))
+    return ncols, rows, i
+
+
+def raises_input_error(build) -> bool:
+    try:
+        build()
+    except ts.InputError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_rows())
+def test_checking_factories_refuse_malformed_integer_data(data):
+    ncols, rows, bad = data
+    group = ts.FgAbGroup(ncols, ())
+    factories = {
+        "from_rows": lambda: IntMatrix.from_rows(rows, ncols),
+        "element": lambda: group.element(rows[bad]),
+        "equalities": lambda: ts.linear_system(ncols, [(row, 0) for row in rows]),
+        "inequalities": lambda: ts.linear_system(ncols, (), [(row, 0, False) for row in rows]),
+        "build_cone": lambda: ts.build_cone(ncols, rows),
+        "weight_system": lambda: ts.weight_system(group, rows),
+    }
+    for name, build in factories.items():
+        assert raises_input_error(build), (name, rows)
+
+
+garbage = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        small,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+
+def int_rows(draw, length):
+    """1-4 rows of ``length`` small integers, maybe one entry garbage."""
+    row = st.lists(small, min_size=length, max_size=length)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    if length and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, length - 1))] = draw(garbage)
+    return rows
+
+
+def spoil(draw, doc):
+    """Replace one field of the document by garbage, or none."""
+    key = draw(st.sampled_from([None, None, *doc]))
+    if key is not None:
+        doc[key] = draw(garbage)
+    return doc
+
+
+@st.composite
+def cone_doc(draw):
+    rank = draw(st.integers(0, 3))
+    rows = int_rows(draw, draw(st.sampled_from([rank, rank, rank + 1])))
+    return spoil(draw, {"schema": 1, "rank": rank, "rays": rows})
+
+
+@st.composite
+def weight_doc(draw):
+    free_rank = draw(st.integers(0, 2))
+    torsion = draw(st.lists(st.sampled_from([-1, 0, 2, 3, 4]), max_size=2))
+    rows = int_rows(draw, free_rank + len(torsion))
+    return spoil(draw, {"schema": 1, "free_rank": free_rank, "torsion": torsion, "weights": rows})
+
+
+CONE_COMMANDS = ("stratify", "roots", "connections", "classgroup")
+WEIGHT_COMMANDS = ("luna", "stable")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(CONE_COMMANDS), cone_doc()),
+        st.tuples(st.sampled_from(WEIGHT_COMMANDS), weight_doc()),
+    )
+)
+def test_cli_loaders_refuse_garbage_with_a_message(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    assert code in (0, 1), (command, doc)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (command, doc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("internal data went back through a checking factory")
+
+
+def test_internal_data_skips_the_checking_factories(monkeypatch):
+    # Results computed with the checking factories patched to fail must
+    # equal the unpatched ones: the package only checks what enters it.
+    inputs = sample_cones(ts, 77, 20)
+
+    def results():
+        cones.facet_normals.cache_clear()
+        cones.face_lattice.cache_clear()
+        out = []
+        for cone in inputs:
+            weights = ts.cox_weight_system(ts.build_toric(cone))
+            out.append(
+                (
+                    ts.stratify(cone.ambient_rank, cone.rays),
+                    ts.enumerate_roots(cone, 4),
+                    ts.luna_strata(weights),
+                    ts.gale_dual(weights),
+                )
+            )
+        return out
+
+    expected = results()
+    monkeypatch.setattr(IntMatrix, "from_rows", refuse)
+    monkeypatch.setattr(ts.FgAbGroup, "reduce", refuse)
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "toricstrata" and hasattr(module, "linear_system"):
+            monkeypatch.setattr(module, "linear_system", refuse)
+            patched += 1
+    assert patched >= 2  # toricstrata.linalg and the package root
+    assert results() == expected

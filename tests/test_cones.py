@@ -148,6 +148,27 @@ def test_twenty_four_ray_cone_stratifies_within_the_envelope():
     assert sum(len(stratum.faces) for stratum in report.strata) == 50
 
 
+def cyclic_rays(rank, count):
+    """Points (1, t, t^2, ...) of the moment curve, t = 0..count-1."""
+    return [tuple(t**k for k in range(rank)) for t in range(count)]
+
+
+def test_facet_enumeration_refuses_too_many_candidates_at_once():
+    # C(16, 7) = 11,440 candidate subsets, over the 10,000 limit; the whole
+    # enumeration would take several seconds
+    from toricstrata import cones
+
+    assert cones.MAX_FACET_CANDIDATES == 10_000
+    rays = cyclic_rays(8, 16)
+    start = time.perf_counter()
+    for build in (ts.build_cone, ts.stratify):
+        with pytest.raises(ts.InputError, match="11440 facet candidates .* limit of 10000"):
+            build(8, rays)
+    with pytest.raises(ts.InputError, match="11440 facet candidates"):
+        ts.facet_normals(ts.Cone(8, tuple(rays)))
+    assert time.perf_counter() - start < 1.0
+
+
 # ---------------------------------------------------------------------------
 # facet normals and faces
 

@@ -1,7 +1,10 @@
 """The decomposition depends only on the variety, not on how the cone is
 written down: it is unchanged by lattice automorphisms and ray
-permutations, and an added torus factor shifts every dimension."""
+permutations, and an added torus factor shifts every dimension.  Likewise
+the Luna strata of a weight system are unchanged by automorphisms of its
+character group."""
 
+import json
 import random
 
 import toricstrata as ts
@@ -74,3 +77,26 @@ def test_stratify_adds_torus_factors_for_zero_coordinates():
         base = ts.stratify(cone.ambient_rank, cone.rays)
         assert report.torus_rank == base.torus_rank + k
         assert signature(report, shift=k) == signature(base), (cone.rays, k)
+
+
+def luna_signature(ws):
+    return {(s.dim, s.structure, s.supports) for s in ts.luna_strata(ws)}
+
+
+def test_luna_strata_are_invariant_under_character_automorphisms(fixture_path):
+    # a GL_r(Z) change of the free coordinates of the weights is an
+    # automorphism of the character group: strata keep their supports
+    with open(fixture_path("weights_k7.json")) as f:
+        doc = json.load(f)
+    systems = [ts.weight_system(ts.FgAbGroup(doc["free_rank"], ()), doc["weights"])]
+    systems += [ts.cox_weight_system(ts.build_toric(cone)) for cone in CONES]
+    rng = random.Random(4)
+    for ws in systems:
+        r = ws.group.free_rank
+        g = unimodular(rng, r) if r > 1 else [[-1]] * r
+        rows = [
+            tuple(sum(w.coords[i] * g[i][j] for i in range(r)) for j in range(r)) + w.coords[r:]
+            for w in ws.weights
+        ]
+        moved = ts.weight_system(ws.group, rows)
+        assert luna_signature(moved) == luna_signature(ws), [w.coords for w in ws.weights]

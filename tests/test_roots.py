@@ -94,6 +94,20 @@ def test_enumerate_roots_refuses_more_roots_than_the_lattice_point_limit():
     assert time.perf_counter() - start < 10
 
 
+def test_enumerate_roots_limit_counts_the_roots_of_all_rays(monkeypatch):
+    from toricstrata import linalg
+
+    # each ray of the quadrant has B + 1 = 4 roots at bound 3: eight in all
+    # pass a limit of 8, and a limit of 7 refuses the second ray's batch
+    # although each ray alone stays under it
+    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 8)
+    assert [len(g) for g in ts.enumerate_roots(quadrant(2), 3)] == [4, 4]
+    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 7)
+    with pytest.raises(ts.InputError, match="more than 7 lattice points in the box"):
+        ts.enumerate_roots(quadrant(2), 3)
+    assert len(ts.lattice_points_bounded(ts.linear_system(1), 3)) == 7
+
+
 def test_enumerate_roots_a1_reference_values():
     per_ray = ts.enumerate_roots(A1, 2)
     assert [r.vector for r in per_ray[0]] == [(-1, 1), (-1, 2)]
