@@ -10,7 +10,11 @@ full-dimensional cone; inputs spanning a proper subspace go through
 exactly.
 
 Facets are enumerated by brute force over the (rank-1)-subsets of rays, at
-most ``MAX_FACET_CANDIDATES`` of them.
+most ``MAX_FACET_CANDIDATES`` of them.  Each subset costs one vector of
+maximal minors (fraction-free elimination, no Smith form), which is zero
+when the subset spans no hyperplane and is its normal otherwise.  The same
+scan, on vectors that may repeat, vanish or span a cone with a line, gives
+``luna`` its positive circuits on the Gale side.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .linalg import (
     IntMatrix,
     IntVec,
     LinearSystem,
+    _maximal_minors,
     hermite_normal_form,
     integer_rank,
     primitive_vector,
@@ -162,13 +167,39 @@ def build_cone(
     return Cone(ambient_rank, tuple(rays))
 
 
-# Limit on the (rank-1)-subsets of rays that facet enumeration tries, checked
-# before the first one.
+# Limit on the candidate subsets of one hyperplane scan, checked before the
+# first: the (rank-1)-subsets of rays for facets, and the circuit candidates
+# of ``luna._positive_circuits``.
 MAX_FACET_CANDIDATES = 10_000
 
 # Entries kept by the per-cone caches below: enough for every face query of
 # the cones in use, without growing with each distinct cone a process sees.
 _CACHE_SIZE = 128
+
+
+def _supporting_hyperplanes(
+    vectors: Sequence[IntVec], dim: int
+) -> dict[IntVec, tuple[int, ...]]:
+    """The hyperplanes spanned by ``dim - 1`` of the vectors that support
+    the cone they generate, each as its primitive inner normal mapped to its
+    pairings with the vectors.
+
+    The vectors must span Q^dim.  They may include zero or repeated vectors,
+    and their cone need not be pointed.  A subset spans a hyperplane exactly
+    when its maximal minors are not all zero, and they are then its normal.
+    """
+    found: dict[IntVec, tuple[int, ...]] = {}
+    for subset in combinations(vectors, dim - 1):
+        minors = _maximal_minors(subset)
+        if not any(minors):
+            continue
+        u = primitive_vector(minors)
+        pairings = tuple(sum(map(mul, v, u)) for v in vectors)
+        if min(pairings) >= 0:
+            found[u] = pairings
+        elif max(pairings) <= 0:
+            found[tuple(-x for x in u)] = tuple(-p for p in pairings)
+    return found
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -192,20 +223,7 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
             f"{candidates} facet candidates ({n - 1}-subsets of {cone.nrays} rays) "
             f"exceed the limit of {MAX_FACET_CANDIDATES}"
         )
-    normals: set[IntVec] = set()
-    for subset in combinations(range(cone.nrays), n - 1):
-        sol = solve_integer_system(
-            LinearSystem(n, tuple((cone.rays[i], 0) for i in subset), ())
-        )
-        if sol is None or len(sol.kernel_basis) != 1:
-            continue
-        u = primitive_vector(sol.kernel_basis[0])
-        pairings = [sum(a * b for a, b in zip(ray, u)) for ray in cone.rays]
-        if all(p >= 0 for p in pairings):
-            normals.add(u)
-        elif all(p <= 0 for p in pairings):
-            normals.add(tuple(-x for x in u))
-    return tuple(sorted(normals))
+    return tuple(sorted(_supporting_hyperplanes(cone.rays, n)))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

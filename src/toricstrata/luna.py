@@ -16,9 +16,13 @@ which is closed exactly when it supports a point of the pointed relation
 cone ``{c >= 0 : sum c_p * p = 0}``.  The extreme rays of that cone are the
 positive circuits, minimal dependent sets of parts whose relation has one
 sign (Ziegler, *Lectures on Polytopes*, ch. 6), so the closed sets are the
-unions of positive circuits, read off integer kernels with no linear
-program: the rank-3 cone over a lattice 16-gon has 16 positive circuits
-and 34 closed supports among the 65,536 subsets of its rays.
+unions of positive circuits, found with no linear program: the rank-3 cone
+over a lattice 16-gon has 16 positive circuits and 34 closed supports among
+the 65,536 subsets of its rays.  One Hermite form of the parts gives their
+rank and Gale vectors; the circuits are read off the supporting hyperplanes
+of the Gale vectors, or off the subsets of parts when those need smaller
+minors, with the hyperplane scan and candidate limit of
+:mod:`toricstrata.cones`.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -40,6 +44,7 @@ from .abelian import (
     subgroup_structure,
     is_full,
 )
+from . import cones
 from .cones import Cone, Face, build_cone
 from .divisors import ToricData
 from .errors import ConsistencyError, InputError
@@ -47,8 +52,8 @@ from .linalg import (
     IntMatrix,
     IntVec,
     LinearSystem,
+    _maximal_minors,
     hermite_normal_form,
-    integer_rank,
     primitive_vector,
     solve_integer_system,
 )
@@ -69,8 +74,8 @@ __all__ = [
     "weight_system",
 ]
 
-# Limits on the work, each checked before the work it bounds.
-MAX_CIRCUIT_CANDIDATES = 10_000
+# Limit on the listed closed supports, checked before they are listed; the
+# circuit candidates share ``cones.MAX_FACET_CANDIDATES``.
 MAX_SUPPORTS = 1 << 20
 
 
@@ -113,23 +118,70 @@ def _checked_support(ws: WeightSystem, support) -> tuple[int, ...]:
 
 
 def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
-    """The positive circuits of ``parts``.  With ``r`` the rank of the parts,
-    a circuit extended by parts independent of it is an ``(r+1)``-subset
-    whose integer kernel is the circuit's one relation."""
+    """The positive circuits of ``parts``: the minimal sets of parts with a
+    relation whose coefficients all have one sign.
+
+    One Hermite form of the parts gives their rank ``r``, ``r`` coordinates
+    on which they stay independent, and a basis of their relations, whose
+    columns are the ``e = n - r`` Gale vectors.  Both sides below scan the
+    same C(n, r+1) = C(n, e-1) candidates, each one ``k x (k+1)`` minor
+    vector, so the side with ``k = min(r, e-1)`` is taken: many parts of low
+    rank would otherwise cost large minors (40 distinct weights in Z take
+    about 0.01 s on the subset side and 5.6 s on the Gale side).
+    """
     vs = sorted(parts)
-    rank = integer_rank(IntMatrix(len(vs), len(vs[0]), tuple(vs))) if vs else 0
-    candidates = math.comb(len(vs), rank + 1)
-    if candidates > MAX_CIRCUIT_CANDIDATES:
+    if not vs:
+        return set()
+    n = len(vs)
+    hnf, transform = hermite_normal_form(IntMatrix(n, len(vs[0]), tuple(vs)))
+    rank = sum(1 for row in hnf.entries if any(row))
+    candidates = math.comb(n, rank + 1)
+    if candidates > cones.MAX_FACET_CANDIDATES:
         raise InputError(
             f"{candidates} positive-circuit candidates ({rank + 1}-subsets of "
-            f"{len(vs)} parts) exceed the limit of {MAX_CIRCUIT_CANDIDATES}"
+            f"{n} parts) exceed the limit of {cones.MAX_FACET_CANDIDATES}"
         )
+    relations = transform.entries[rank:]
+    if not relations:
+        return set()
+    if len(relations) - 1 <= rank:
+        return _gale_side_circuits(vs, relations)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries[:rank]]
+    return _subset_side_circuits(vs, [tuple(v[j] for j in pivots) for v in vs])
+
+
+def _gale_side_circuits(
+    vs: list[IntVec], relations: tuple[IntVec, ...]
+) -> set[frozenset[IntVec]]:
+    """Positive circuits from a basis of the relations among ``vs``.
+
+    Part ``i``'s Gale vector holds the ``i``-th coefficients of the basis
+    relations, so every relation is the pairing of the Gale vectors with a
+    functional (Ziegler, *Lectures on Polytopes*, ch. 6).  A circuit, a
+    minimal support, is the set of parts whose Gale vectors lie off a
+    hyperplane spanned by Gale vectors, and its relation has one sign
+    exactly when that hyperplane supports their cone, which need not be
+    pointed.
+    """
+    hyperplanes = cones._supporting_hyperplanes(list(zip(*relations)), len(relations))
+    return {
+        frozenset(v for v, p in zip(vs, pairings) if p)
+        for pairings in hyperplanes.values()
+    }
+
+
+def _subset_side_circuits(
+    vs: list[IntVec], projected: list[IntVec]
+) -> set[frozenset[IntVec]]:
+    """Positive circuits of ``vs`` from their images ``projected`` on ``r``
+    coordinates where they keep rank ``r``: a circuit extended by parts
+    independent of it is an ``(r+1)``-subset whose maximal minors are the
+    circuit's one relation."""
     circuits = set()
-    for subset in combinations(vs, rank + 1):
-        eqs = tuple((column, 0) for column in zip(*subset))
-        kernel = solve_integer_system(LinearSystem(rank + 1, eqs, ())).kernel_basis
-        if len(kernel) == 1 and (min(kernel[0]) >= 0 or max(kernel[0]) <= 0):
-            circuits.add(frozenset(v for v, c in zip(subset, kernel[0]) if c))
+    for subset in combinations(range(len(vs)), len(projected[0]) + 1):
+        relation = _maximal_minors(tuple(zip(*(projected[i] for i in subset))))
+        if any(relation) and (min(relation) >= 0 or max(relation) <= 0):
+            circuits.add(frozenset(vs[i] for i, c in zip(subset, relation) if c))
     return circuits
 
 

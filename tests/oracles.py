@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import atan2, gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,77 @@ def spans_a_subspace(rank, parts):
 
 
 # ---------------------------------------------------------------------------
+# supporting hyperplanes and positive circuits
+
+
+def rational_kernel(rows, ncols):
+    """Basis of ``{x in Q^ncols : row . x == 0 for every row}`` by
+    Gauss-Jordan elimination over ``Fraction``: one vector per free column."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col]
+        mat[r] = [a / inv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -mat[i][free]
+        basis.append(x)
+    return basis
+
+
+def primitive_integer(vec):
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    denom = lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def supporting_hyperplanes(vectors, dim):
+    """Inner normal -> pairings for every hyperplane spanned by ``dim - 1``
+    of the vectors with all of them on one side of it."""
+    found = {}
+    for subset in combinations(vectors, dim - 1):
+        kernel = rational_kernel(subset, dim)
+        if len(kernel) != 1:
+            continue
+        u = primitive_integer(kernel[0])
+        pairings = tuple(sum(a * b for a, b in zip(v, u)) for v in vectors)
+        if all(p >= 0 for p in pairings):
+            found[u] = pairings
+        elif all(p <= 0 for p in pairings):
+            found[tuple(-x for x in u)] = tuple(-p for p in pairings)
+    return found
+
+
+def minimal_closed_sets(rank, parts):
+    """The positive circuits of ``parts`` in Q^rank by their definition:
+    the inclusion-minimal nonempty subsets that positively span a subspace."""
+    minimal = []
+    for k in range(1, len(parts) + 1):
+        for subset in combinations(parts, k):
+            s = frozenset(subset)
+            if not any(t <= s for t in minimal) and spans_a_subspace(rank, subset):
+                minimal.append(s)
+    return set(minimal)
+
+
+# ---------------------------------------------------------------------------
 # lattice polygons
 
 
@@ -313,12 +384,31 @@ EDGES24 = _centrally_symmetric(
 )
 
 
+# The forty primitive edge vectors (a, b) with |a| + |b| <= 5, in angular
+# order.
+EDGES40 = _centrally_symmetric(
+    sorted(
+        (
+            (a, b)
+            for a in range(-5, 6)
+            for b in range(6)
+            if gcd(a, b) == 1 and abs(a) + abs(b) <= 5 and (b > 0 or a > 0)
+        ),
+        key=lambda v: atan2(v[1], v[0]),
+    )
+)
+
+
 def sixteen_gon_rays():
     return polygon_rays((-1, -4), EDGES16)
 
 
 def twenty_four_gon_rays():
     return polygon_rays((0, -9), EDGES24)
+
+
+def forty_gon_rays():
+    return polygon_rays((0, 0), EDGES40)
 
 
 # ---------------------------------------------------------------------------

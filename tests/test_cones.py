@@ -12,6 +12,7 @@ from oracles import (
     closed_system_feasible,
     det_int,
     sample_cones,
+    forty_gon_rays,
     sixteen_gon_rays,
     twenty_four_gon_rays,
 )
@@ -130,8 +131,8 @@ def test_sixteen_ray_cone_builds_quickly():
 
 def test_sixteen_ray_cone_stratifies_quickly():
     # the Luna route closes the 16 positive circuits (the facet complements)
-    # into the 34 closed supports, not the 2^16 subsets; about 0.17 s was
-    # measured on a 2-core x86_64 host
+    # into the 34 closed supports, not the 2^16 subsets; about 0.07 s was
+    # measured on a 2-core x86_64 host (Python 3.11)
     start = time.perf_counter()
     report = ts.stratify(3, sixteen_gon_rays())
     assert time.perf_counter() - start < 10.0
@@ -139,13 +140,24 @@ def test_sixteen_ray_cone_stratifies_quickly():
 
 
 def test_twenty_four_ray_cone_stratifies_within_the_envelope():
-    # C(24, 22) = 276 circuit candidates, 50 closed supports; about 0.8 s was
-    # measured on a 2-core x86_64 host
+    # C(24, 22) = 276 circuit candidates, 50 closed supports; about 0.17 s was
+    # measured on a 2-core x86_64 host (Python 3.11)
     start = time.perf_counter()
     report = ts.stratify(3, twenty_four_gon_rays())
     assert time.perf_counter() - start < 10.0
     assert report.cone.nrays == 24
     assert sum(len(stratum.faces) for stratum in report.strata) == 50
+
+
+def test_forty_ray_cone_stratifies_within_the_envelope():
+    # C(40, 2) = 780 facet and 780 circuit candidates, each one 2 x 3 minor
+    # vector, and 82 faces; about 0.8 s was measured on a 2-core x86_64 host
+    # (Python 3.11), most of it in the per-face class-group quotients
+    start = time.perf_counter()
+    report = ts.stratify(3, forty_gon_rays())
+    assert time.perf_counter() - start < 10.0
+    assert report.cone.nrays == 40
+    assert sum(len(stratum.faces) for stratum in report.strata) == 82
 
 
 def cyclic_rays(rank, count):
@@ -155,7 +167,7 @@ def cyclic_rays(rank, count):
 
 def test_facet_enumeration_refuses_too_many_candidates_at_once():
     # C(16, 7) = 11,440 candidate subsets, over the 10,000 limit; the whole
-    # enumeration would take several seconds
+    # scan would take about 1.7 s on a 2-core x86_64 host (Python 3.11)
     from toricstrata import cones
 
     assert cones.MAX_FACET_CANDIDATES == 10_000

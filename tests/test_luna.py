@@ -164,6 +164,29 @@ def test_luna_strata_respects_the_weight_cap():
     assert len(ts.luna_strata(weight_system(1, (), [(0,)]))) == 1
 
 
+def test_many_weights_of_low_rank_stay_within_the_envelope():
+    # 40 distinct weights in Z: C(40, 2) = 780 circuit candidates, each a
+    # 1 x 2 minor vector on the subset side (about 0.01 s on a 2-core x86_64
+    # host, Python 3.11) but 38 x 39 on the Gale side (about 5.6 s).
+    ws = weight_system(1, (), [(k,) for k in range(-20, 21) if k])
+    start = time.perf_counter()
+    assert ts.is_closed_support(ws, range(40))
+    assert not ts.is_closed_support(ws, range(20))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_one_candidate_limit_bounds_facets_and_circuits(monkeypatch):
+    # Lowering the documented limit refuses both scans: the square cone has
+    # C(4, 2) = 6 facet candidates, three weights in Z C(3, 2) = 3 circuit
+    # candidates.
+    monkeypatch.setattr(ts.cones, "MAX_FACET_CANDIDATES", 2)
+    ts.cones.facet_normals.cache_clear()
+    with pytest.raises(ts.InputError, match="6 facet candidates"):
+        ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    with pytest.raises(ts.InputError, match="3 positive-circuit candidates"):
+        ts.luna_strata(weight_system(1, (), [(1,), (2,), (-1,)]))
+
+
 def test_luna_strata_supports_match_a_brute_force_scan():
     rng = random.Random(34)
     sizes = []
@@ -296,6 +319,34 @@ def test_gale_dual_round_trip_up_to_lattice_isomorphism():
         assert permutation_equivalent(
             pairing_matrix(toric.cone), pairing_matrix(dual.cone)
         )
+
+
+def test_gale_round_trip_on_random_strongly_stable_weights():
+    # Random weights in Z^r (r = 1..3, some with torsion), kept when strongly
+    # stable: the Cox weights of the rebuilt cone must give the same strata.
+    def strata(ws):
+        return sorted(
+            (s.supports, s.structure.describe(), s.dim) for s in ts.luna_strata(ws)
+        )
+
+    rng = random.Random(5)
+    kept = []
+    while len(kept) < 25:
+        free = rng.randint(1, 3)
+        torsion = rng.choice([(), (), (2,), (3,)])
+        rows = [
+            tuple(rng.randint(-2, 2) for _ in range(free))
+            + tuple(rng.randrange(t) for t in torsion)
+            for _ in range(rng.randint(free + 3, 2 * free + 4))
+        ]
+        ws = weight_system(free, torsion, rows)
+        if not ts.check_strongly_stable(ws).stable:
+            continue
+        rebuilt = ts.cox_weight_system(ts.build_toric(ts.gale_dual(ws).cone))
+        assert strata(rebuilt) == strata(ws), rows
+        kept.append((free, torsion))
+    assert {free for free, _ in kept} == {1, 2, 3}
+    assert any(torsion for _, torsion in kept)
 
 
 def test_gale_dual_requires_strong_stability():

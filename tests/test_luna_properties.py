@@ -1,13 +1,12 @@
 """Property checks of the Luna closed supports against the subset scan."""
 
-from itertools import combinations
-
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import toricstrata as ts
 from toricstrata import luna
 
-from oracles import spans_a_subspace
+from oracles import minimal_closed_sets, spans_a_subspace
 
 
 @st.composite
@@ -57,11 +56,30 @@ def test_luna_supports_match_the_subset_scan(system):
 def test_positive_circuits_are_the_minimal_closed_part_sets(system):
     free, _, rows = system
     parts = sorted({row[:free] for row in rows if any(row[:free])})
-    closed = [
-        frozenset(subset)
-        for k in range(1, len(parts) + 1)
-        for subset in combinations(parts, k)
-        if spans_a_subspace(free, subset)
-    ]
-    minimal = {s for s in closed if not any(t < s for t in closed)}
-    assert luna._positive_circuits(frozenset(parts)) == minimal
+    assert luna._positive_circuits(frozenset(parts)) == minimal_closed_sets(free, parts)
+
+
+@st.composite
+def distinct_parts(draw):
+    """1-6 distinct nonzero vectors in Z^1..Z^3 with entries in [-2, 2]."""
+    free = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-2, 2)] * free).filter(any)
+    return free, draw(st.lists(vector, min_size=1, max_size=6, unique=True))
+
+
+@pytest.mark.parametrize("gale_regime", [True, False], ids=["e-1<=r", "e-1>r"])
+@settings(PROPERTY, max_examples=60)
+@given(distinct_parts())
+def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, system):
+    # Each side is called directly in both regimes, so the side that size
+    # does not pick is checked too.
+    free, parts = system
+    vs = sorted(parts)
+    hnf, transform = ts.hermite_normal_form(ts.IntMatrix.from_rows(vs))
+    rank = sum(1 for row in hnf.entries if any(row))
+    relations = transform.entries[rank:]
+    assume(relations and (len(relations) - 1 <= rank) == gale_regime)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries[:rank]]
+    expected = minimal_closed_sets(free, vs)
+    assert luna._gale_side_circuits(vs, relations) == expected
+    assert luna._subset_side_circuits(vs, [[v[j] for j in pivots] for v in vs]) == expected
