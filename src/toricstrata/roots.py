@@ -7,18 +7,27 @@ orbit of a face ``f2`` onto the orbit of a facet ``f1`` of ``f2`` exactly
 when ``e`` vanishes on the rays of ``f1``, pairs -1 with the single extra
 ray of ``f2``, and is nonnegative on all rays outside ``f2``.
 
-``connection_exists`` decides that condition exactly.  A "no" is certified
-combinatorially or by the integer equalities having no solution.  Once the
-equalities are solvable a root always exists: adding a large enough
-multiple of :func:`~toricstrata.cones.face_functional` of ``f2`` to any
-solution keeps the equalities and makes every outside pairing nonnegative.
-Only :func:`enumerate_roots`, which lists all roots in a coordinate box,
-depends on a search bound.
+:func:`connection_graph` decides that condition exactly for every candidate
+pair, one upper face ``f2`` at a time: the pairs below ``f2`` share the
+matrix of its rays and differ only in the right-hand side, so one Hermite
+form per face decides all of them.  A "no" is certified combinatorially or
+by the integer equalities having no solution.  Once the equalities are
+solvable a root always exists: adding a large enough multiple of
+:func:`~toricstrata.cones.face_functional` of ``f2`` to any solution keeps
+the equalities and makes every outside pairing nonnegative.  The witness
+is canonical: the solution is first reduced modulo the Hermite basis of
+the integer kernel, which picks one point of its coset whichever solution
+the factorization gave, and the least such multiple is added.  Each
+witness is re-validated before it is returned.  :func:`connection_exists`
+decides one pair the same way.  Only :func:`enumerate_roots`, which lists
+all roots in a coordinate box, depends on a search bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import Sequence
 
 from .cones import Cone, Face, face_functional, face_lattice
 from .errors import ConsistencyError, InputError
@@ -30,7 +39,6 @@ from .linalg import (
     _check_box_bound,
     _reduce_mod_rows,
     hermite_normal_form,
-    solve_integer_system,
 )
 
 __all__ = [
@@ -129,51 +137,83 @@ class ConnectionVerdict:
 def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict:
     """Can some root move the orbit of ``face2`` onto the orbit of ``face1``?
 
-    The witness is re-validated against the full condition set before it is
+    A pair whose ray sets do not differ by exactly one ray is a
+    combinatorial "no".  Any other pair goes through the routine that
+    :func:`connection_graph` runs once per upper face, so both return the
+    same verdict: one Hermite form of the rays of ``face2`` decides the
+    integer equalities, and a "yes" carries the witness made canonical by
+    Hermite reduction modulo the integer kernel, re-validated before it is
     returned.
     """
     faces = face_lattice(cone)
     if face1 not in faces or face2 not in faces:
         raise InputError("faces must belong to the cone's face lattice")
 
-    inner = set(face1.ray_indices)
-    outer = set(face2.ray_indices)
+    inner, outer = set(face1.ray_indices), set(face2.ray_indices)
     extra = outer - inner
     if not inner <= outer or len(extra) != 1:
         return ConnectionVerdict("no", certificate="combinatorial")
-    tau = extra.pop()
+    return _connections_down_from(cone, face2, ((extra.pop(), face1),))[0]
 
+
+def _connections_down_from(
+    cone: Cone, face2: Face, lower: Sequence[tuple[int, Face]]
+) -> tuple[ConnectionVerdict, ...]:
+    """Verdicts for the pairs ``(face1, face2)``, one per ``(tau, face1)``
+    in ``lower``, where ``face1`` is ``face2`` without its ray ``tau``.
+
+    A root for such a pair is a solution ``x`` of ``A x == -e_tau``, with
+    ``A`` the k rays of ``face2``, that pairs nonnegatively with every ray
+    outside ``face2``.  The Hermite form ``H`` of ``[A^T | I]`` is taken once
+    per face: its rows span the lattice of the pairs ``(A x, x)``, and the
+    rows whose first k entries vanish are the Hermite basis of the integer
+    kernel of ``A``.  Reducing ``(e_tau, 0)`` modulo ``H`` gives the unique
+    point of its coset with every pivot entry in ``[0, pivot)``.  Its first
+    k entries vanish exactly when the equalities are solvable, and its last
+    n entries are then the solution reduced modulo the kernel basis: the
+    same point whichever solution one starts from.  A "no" is the
+    certificate ``"integral-equalities"``; a "yes" shifts that solution by
+    the least multiple of the face functional of ``face2`` (also computed
+    once) that makes every outside pairing nonnegative.
+    """
     n = cone.ambient_rank
-    eqs = ((cone.rays[tau], -1), *((cone.rays[i], 0) for i in sorted(inner)))
-    solution = solve_integer_system(LinearSystem(n, eqs, ()))
-    if solution is None:
-        return ConnectionVerdict("no", certificate="integral-equalities")
-
-    # A particular solution reduced modulo the Hermite kernel basis, so the
-    # witness does not inherit the solver's large coordinates.
-    e0, kernel = solution.particular, solution.kernel_basis
-    if kernel:
-        hnf, _ = hermite_normal_form(IntMatrix(len(kernel), n, kernel))
-        e0 = _reduce_mod_rows(e0, hnf.entries)
+    k = len(face2.ray_indices)
+    columns = zip(*(cone.rays[i] for i in face2.ray_indices))
+    rows = tuple(col + unit for col, unit in zip(columns, IntMatrix.identity(n).entries))
+    hnf = hermite_normal_form(IntMatrix(n, k + n, rows))[0].entries
     # u vanishes on face2 (so the equalities still hold) and is positive on
-    # every outside ray; k is the least multiple making those pairings >= 0.
+    # every outside ray.
     u = face_functional(cone, face2)
-    k = 0
-    for j in range(cone.nrays):
-        if j not in outer:
-            p_e0 = sum(a * b for a, b in zip(cone.rays[j], e0))
-            p_u = sum(a * b for a, b in zip(cone.rays[j], u))
+    inside = set(face2.ray_indices)
+    outside = []
+    for j, ray in enumerate(cone.rays):
+        if j not in inside:
+            p_u = sum(map(mul, ray, u))
             if p_u <= 0:
                 raise ConsistencyError("face functional vanishes off the face")
-            k = max(k, -(p_e0 // p_u))
-    point = tuple(a + k * b for a, b in zip(e0, u))
-    try:
-        witness = demazure_root(cone, point, tau)
-    except InputError as exc:
-        raise ConsistencyError(f"face functional produced an invalid root: {exc}")
-    if face2.dim != face1.dim + 1:
-        raise ConsistencyError("connected faces must differ by one dimension")
-    return ConnectionVerdict("yes", witness=witness)
+            outside.append((ray, p_u))
+
+    verdicts = []
+    for tau, face1 in lower:
+        reduced = _reduce_mod_rows(
+            tuple(int(i == tau) for i in face2.ray_indices) + (0,) * n, hnf
+        )
+        if any(reduced[:k]):
+            verdicts.append(ConnectionVerdict("no", certificate="integral-equalities"))
+            continue
+        e0 = reduced[k:]
+        m = max([0] + [-(sum(map(mul, ray, e0)) // p_u) for ray, p_u in outside])
+        point = tuple(a + m * b for a, b in zip(e0, u))
+        try:
+            witness = demazure_root(cone, point, tau)
+        except InputError as exc:
+            raise ConsistencyError(f"face functional produced an invalid root: {exc}")
+        if any(sum(map(mul, cone.rays[i], point)) for i in face1.ray_indices):
+            raise ConsistencyError("root does not vanish on the lower face")
+        if face2.dim != face1.dim + 1:
+            raise ConsistencyError("connected faces must differ by one dimension")
+        verdicts.append(ConnectionVerdict("yes", witness=witness))
+    return tuple(verdicts)
 
 
 @dataclass(frozen=True)
@@ -191,18 +231,20 @@ class ConnectionGraph:
 
 
 def connection_graph(cone: Cone) -> ConnectionGraph:
-    """Evaluate every candidate pair of the face lattice."""
+    """Evaluate every candidate pair of the face lattice, grouped by upper
+    face so that each face is factored once."""
     faces = face_lattice(cone)
     index_of = {face.ray_indices: i for i, face in enumerate(faces)}
     verdicts = []
     for i2, face2 in enumerate(faces):
+        lower = []
         for tau in face2.ray_indices:
-            rest = tuple(i for i in face2.ray_indices if i != tau)
-            i1 = index_of.get(rest)
-            if i1 is None:
-                continue
-            verdict = connection_exists(cone, faces[i1], face2)
-            verdicts.append((i1, i2, verdict))
+            i1 = index_of.get(tuple(i for i in face2.ray_indices if i != tau))
+            if i1 is not None:
+                lower.append((tau, i1))
+        if lower:
+            found = _connections_down_from(cone, face2, [(tau, faces[i1]) for tau, i1 in lower])
+            verdicts.extend((i1, i2, v) for (_, i1), v in zip(lower, found))
     return ConnectionGraph(cone, faces, tuple(verdicts))
 
 

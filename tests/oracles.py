@@ -226,6 +226,43 @@ def brute_force_roots(cone, bound):
     return {i: sorted(v) for i, v in per_ray.items()}
 
 
+def connection_by_pair(lib, cone, face1, face2):
+    """One pair decided on its own, as ``(status, certificate, witness
+    vector, distinguished ray)``.
+
+    A fresh integer solve of ray_tau . x == -1 and ray_i . x == 0 (i in
+    ``face1``) for this pair alone; the particular solution is reduced
+    modulo the Hermite basis of the solver's kernel basis, so its pivot
+    entries lie in [0, pivot), and then shifted by the least multiple of
+    the face functional of ``face2`` that pairs nonnegatively with every
+    ray outside ``face2``.  ``lib`` is the toricstrata module.
+    """
+    inner, outer = set(face1.ray_indices), set(face2.ray_indices)
+    extra = outer - inner
+    if not inner <= outer or len(extra) != 1:
+        return "no", "combinatorial", None, None
+    (tau,) = extra
+    eqs = [(cone.rays[tau], -1)] + [(cone.rays[i], 0) for i in sorted(inner)]
+    solution = lib.solve_integer_system(lib.linear_system(cone.ambient_rank, eqs))
+    if solution is None:
+        return "no", "integral-equalities", None, None
+    point = list(solution.particular)
+    if solution.kernel_basis:
+        kernel = lib.IntMatrix.from_rows(solution.kernel_basis)
+        for row in lib.hermite_normal_form(kernel)[0].entries:
+            pivot = next(j for j, x in enumerate(row) if x)
+            q = point[pivot] // row[pivot]
+            point = [a - q * b for a, b in zip(point, row)]
+    u = lib.face_functional(cone, face2)
+    k = 0
+    for j, ray in enumerate(cone.rays):
+        if j not in outer:
+            p_point = sum(a * b for a, b in zip(ray, point))
+            p_u = sum(a * b for a, b in zip(ray, u))
+            k = max(k, -(p_point // p_u))
+    return "yes", None, tuple(a + k * b for a, b in zip(point, u)), tau
+
+
 # ---------------------------------------------------------------------------
 # matrices up to row/column permutation
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,20 @@ def test_quadrant_classgroup_is_trivial(capsys, fixture_path):
     assert code == 0
     assert "class group: 0" in out
     assert "singular" not in out
+
+
+# The JSON output of each fixture cone, byte for byte, witnesses and
+# certificates included.  Written by
+#   python -m toricstrata.cli <command> tests/fixtures/<name>.json --format json
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["connections", "stratify"])
+@pytest.mark.parametrize("name", ["cone_a1", "cone_quadrant2", "cone_rank3"])
+def test_json_output_matches_the_golden_bytes(capsys, fixture_path, name, command):
+    code, out, err = run_cli(capsys, command, fixture_path(f"{name}.json"), "--format", "json")
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,159 @@
+"""Route 3 decides every candidate pair below a face from one factorization
+of that face; each verdict must equal a fresh solve of its pair alone."""
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import toricstrata as ts
+from toricstrata import roots
+
+from oracles import connection_by_pair, sixteen_gon_rays
+
+FIXTURE_CONES = ("cone_a1.json", "cone_quadrant2.json", "cone_rank3.json")
+
+
+def verdict_key(verdict):
+    root = verdict.witness
+    return (
+        verdict.status,
+        verdict.certificate,
+        root.vector if root else None,
+        root.distinguished_ray if root else None,
+    )
+
+
+def assert_graph_matches_oracle(cone):
+    graph = ts.connection_graph(cone)
+    for i1, i2, verdict in graph.verdicts:
+        face1, face2 = graph.faces[i1], graph.faces[i2]
+        expected = connection_by_pair(ts, cone, face1, face2)
+        assert verdict_key(verdict) == expected, (cone.rays, face1, face2)
+    return graph
+
+
+def test_graph_matches_the_per_pair_solve_on_the_suite(suite_cones):
+    pairs = sum(len(assert_graph_matches_oracle(cone).verdicts) for cone in suite_cones)
+    assert pairs == 4865
+
+
+def cyclic_rays(rank, points):
+    return [tuple(t**i for i in range(rank)) for t in points]
+
+
+def pyramid_rays(base, apex):
+    """Rays of the rank-4 cone over a pyramid on a rank-3 polygon cone."""
+    return [ray + (0,) for ray in base] + [tuple(apex) + (1,)]
+
+
+def test_graph_matches_the_per_pair_solve_on_non_simplicial_faces():
+    # A face with more rays than its dimension is the upper face of a
+    # candidate pair only when it is a pyramid over the face below, as the
+    # cones over these pyramids on a lattice octagon and pentagon are.
+    for base, apex in ((sixteen_gon_rays()[::2], (1, -1, 2)), (sixteen_gon_rays()[:5], (0, 0, 0))):
+        graph = assert_graph_matches_oracle(ts.build_cone(4, pyramid_rays(base, apex)))
+        assert any(
+            len(graph.faces[i2].ray_indices) > graph.faces[i2].dim for _, i2, _ in graph.verdicts
+        )
+
+
+@st.composite
+def cone_inputs(draw):
+    """(ambient rank, rays) of a pointed cone with extremal rays: simplicial
+    cones, cyclic cones, cones over subsets of the vertices of a lattice
+    16-gon and over pyramids on them.  Up to two extra coordinates are
+    appended and the old ones scaled, so that ``split_degenerate`` splits
+    off a torus factor and often passes to a finer lattice; rays may then
+    need normalizing."""
+    kind = draw(st.sampled_from(["simplicial", "cyclic", "polygon", "pyramid"]))
+    if kind == "simplicial":
+        rank = draw(st.integers(1, 4))
+        rays = [
+            tuple(
+                0 if j < i else draw(st.integers(1, 3)) if j == i else draw(st.integers(-3, 3))
+                for j in range(rank)
+            )
+            for i in range(rank)
+        ]
+    elif kind == "cyclic":
+        rank = draw(st.integers(3, 4))
+        points = draw(st.lists(st.integers(-3, 4), min_size=rank + 1, max_size=7, unique=True))
+        rays = cyclic_rays(rank, sorted(points))
+    else:
+        vertices = sixteen_gon_rays()
+        chosen = draw(st.lists(st.integers(0, 15), min_size=3, max_size=8, unique=True))
+        rays = [vertices[i] for i in sorted(chosen)]
+        rank = 3
+        if kind == "pyramid":
+            rays = pyramid_rays(rays, draw(st.tuples(*[st.integers(-2, 2)] * 3)))
+            rank = 4
+    extra = draw(st.integers(0, 2))
+    if extra:
+        scale = [draw(st.integers(1, 2)) for _ in range(rank)]
+        mix = [[draw(st.integers(-2, 2)) for _ in range(extra)] for _ in range(rank)]
+        rays = [
+            tuple(s * x for s, x in zip(scale, ray))
+            + tuple(sum(x * row[c] for x, row in zip(ray, mix)) for c in range(extra))
+            for ray in rays
+        ]
+    return rank + extra, rays
+
+
+PROPERTY = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+@PROPERTY
+@given(cone_inputs())
+def test_graph_matches_the_per_pair_solve_on_random_cones(data):
+    rank, rays = data
+    cone = ts.split_degenerate(rank, rays, normalize=True).cone
+    graph = assert_graph_matches_oracle(cone)
+    for i1, i2, verdict in graph.verdicts:
+        assert ts.connection_exists(cone, graph.faces[i1], graph.faces[i2]) == verdict
+
+
+@pytest.mark.parametrize("name", FIXTURE_CONES)
+def test_connection_exists_agrees_with_the_graph_on_the_fixtures(fixture_path, name):
+    with open(fixture_path(name)) as f:
+        doc = json.load(f)
+    cone = ts.build_cone(doc["rank"], doc["rays"])
+    graph = ts.connection_graph(cone)
+    assert graph.verdicts
+    for i1, i2, verdict in graph.verdicts:
+        assert ts.connection_exists(cone, graph.faces[i1], graph.faces[i2]) == verdict
+
+
+def corrupt_hermite_rows(monkeypatch, delta, face_rays=None):
+    """Shift the solution part of the first row of each face's Hermite form
+    (of the faces with ``face_rays`` rays only, if given) by ``delta``, so
+    the shared factorization hands out a point that solves nothing."""
+    real = roots.hermite_normal_form
+
+    def corrupted(matrix):
+        h, u = real(matrix)
+        if face_rays is not None and matrix.cols - matrix.rows != face_rays:
+            return h, u
+        first = h.entries[0]
+        n = matrix.rows
+        shifted = first[:-n] + tuple(a + b for a, b in zip(first[-n:], delta))
+        return ts.IntMatrix(h.rows, h.cols, (shifted,) + h.entries[1:]), u
+
+    monkeypatch.setattr(roots, "hermite_normal_form", corrupted)
+
+
+def test_a_solution_missing_the_distinguished_ray_is_refused(monkeypatch):
+    # On the quadric cone the first face's solution becomes (-2, 0), which
+    # pairs -2 with its distinguished ray (1, 0).
+    corrupt_hermite_rows(monkeypatch, (1, 0))
+    with pytest.raises(ts.ConsistencyError, match="invalid root"):
+        ts.connection_graph(ts.build_cone(2, [(1, 0), (1, 2)]))
+
+
+def test_a_solution_missing_the_lower_face_is_refused(monkeypatch):
+    # On the quadrant, the solution for the pair ((1,), (0, 1)) becomes
+    # (-1, 1): a root of the cone, but not zero on the lower face, so
+    # only the check of the lower face's pairings catches it.
+    corrupt_hermite_rows(monkeypatch, (0, -1), face_rays=2)
+    with pytest.raises(ts.ConsistencyError, match="does not vanish on the lower face"):
+        ts.connection_graph(ts.build_cone(2, [(1, 0), (0, 1)]))

@@ -323,11 +323,26 @@ def test_gale_dual_round_trip_up_to_lattice_isomorphism():
 
 def test_gale_round_trip_on_random_strongly_stable_weights():
     # Random weights in Z^r (r = 1..3, some with torsion), kept when strongly
-    # stable: the Cox weights of the rebuilt cone must give the same strata.
+    # stable: the Cox weights of the rebuilt cone must be the same weights up
+    # to an isomorphism of the groups they generate, that is, have the same
+    # lattice of integer relations, and must give the same strata.
     def strata(ws):
         return sorted(
             (s.supports, s.structure.describe(), s.dim) for s in ts.luna_strata(ws)
         )
+
+    def relations(ws):
+        # a in Z^m with sum a_i w_i == 0: the a-part of the integer kernel of
+        # the weights next to the torsion orders, in Hermite form
+        m, r, torsion = ws.ncoordinates, ws.group.free_rank, ws.group.torsion
+        eqs = [
+            ([w.coords[row] for w in ws.weights]
+             + [-d if row == r + j else 0 for j, d in enumerate(torsion)], 0)
+            for row in range(r + len(torsion))
+        ]
+        kernel = ts.solve_integer_system(ts.linear_system(m + len(torsion), eqs)).kernel_basis
+        hnf, _ = ts.hermite_normal_form(ts.IntMatrix.from_rows([v[:m] for v in kernel], m))
+        return [row for row in hnf.entries if any(row)]
 
     rng = random.Random(5)
     kept = []
@@ -343,6 +358,7 @@ def test_gale_round_trip_on_random_strongly_stable_weights():
         if not ts.check_strongly_stable(ws).stable:
             continue
         rebuilt = ts.cox_weight_system(ts.build_toric(ts.gale_dual(ws).cone))
+        assert relations(rebuilt) == relations(ws), rows
         assert strata(rebuilt) == strata(ws), rows
         kept.append((free, torsion))
     assert {free for free, _ in kept} == {1, 2, 3}
