@@ -28,7 +28,6 @@ from .linalg import (
     _segment,
     first_lattice_point,
     hermite_normal_form,
-    integer_rank,
     linear_system,
     smith_normal_form,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "full_subgroup",
     "group_from_cokernel",
     "quotient_group",
-    "rank_over_rationals",
     "semigroup_member",
     "subgroup_canon",
     "subgroup_leq",
@@ -221,7 +219,7 @@ def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHa
             raise InputError("generator belongs to a different group")
         rows.append(g.coords)
     rows.extend(_relation_rows(group))
-    h, _ = hermite_normal_form(IntMatrix(len(rows), group.ncoords, tuple(rows)))
+    h = hermite_normal_form(IntMatrix(len(rows), group.ncoords, tuple(rows)))
     basis = tuple(row for row in h.entries if any(row))
     return SubgroupHandle(group, basis)
 
@@ -297,15 +295,6 @@ def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
     mat = IntMatrix(k, len(cols), tuple(tuple(col[i] for col in cols) for i in range(k)))
     structure, _ = group_from_cokernel(mat)
     return structure
-
-
-def rank_over_rationals(group: FgAbGroup, gens: Sequence[GroupElement]) -> int:
-    """Rank of the images of ``gens`` in ``group (x) Q`` (torsion dies)."""
-    for g in gens:
-        if g.group != group:
-            raise InputError("generator belongs to a different group")
-    rows = [g.free_part() for g in gens]
-    return integer_rank(IntMatrix(len(rows), group.free_rank, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------

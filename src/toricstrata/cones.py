@@ -30,13 +30,14 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
-    LinearSystem,
+    _equation_form,
+    _form_kernel,
     _maximal_minors,
+    _solve_in_form,
     hermite_normal_form,
     integer_rank,
     primitive_vector,
     smith_normal_form,
-    solve_integer_system,
 )
 
 __all__ = [
@@ -81,9 +82,10 @@ class Face:
 class SplitCone:
     """Degenerate-input factorization: X = (full-dimensional part) x torus.
 
-    ``sublattice_basis`` rows are a basis of the saturated sublattice spanned
-    by the input rays; the induced cone lives in that basis and embedding its
-    rays back through the basis reproduces the input rays exactly.
+    ``sublattice_basis`` rows are the Hermite basis of the saturated
+    sublattice spanned by the input rays, so equal spans give equal bases;
+    the induced cone lives in that basis and embedding its rays back
+    through the basis reproduces the input rays exactly.
     """
 
     sublattice_basis: IntMatrix
@@ -142,7 +144,7 @@ def build_cone(
     # Projecting onto the Hermite pivot columns is injective on the span of
     # the rays: the probe cone has the same faces, is full-dimensional in
     # rank d, and for a full-dimensional input is the cone itself.
-    hnf, _ = hermite_normal_form(IntMatrix(len(rays), ambient_rank, tuple(rays)))
+    hnf = hermite_normal_form(IntMatrix(len(rays), ambient_rank, tuple(rays)))
     pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries if any(row)]
     d = len(pivots)
     probe = Cone(d, tuple(primitive_vector([r[j] for j in pivots]) for r in rays))
@@ -232,8 +234,10 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
 
     Faces are exactly the intersections of facets with the cone; each is
     identified by the set of rays it contains (the apex has none, the cone
-    itself has all).  A cone that is not full-dimensional is refused by
-    :func:`facet_normals`.
+    itself has all).  The walk goes down from the cone: the facets of a
+    face are its maximal proper intersections with the cone's facets, and
+    the face poset is graded, so each has dimension one less.  A cone that
+    is not full-dimensional is refused by :func:`facet_normals`.
     """
     normals = facet_normals(cone)
     pairings = [
@@ -241,24 +245,19 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
         for ray in cone.rays
     ]
     everything = frozenset(range(cone.nrays))
-    sets = {everything}
+    dims = {everything: cone.ambient_rank}
     queue = [everything]
     while queue:
         current = queue.pop()
-        for k in range(len(normals)):
-            cut = frozenset(i for i in current if pairings[i][k] == 0)
-            if cut not in sets:
-                sets.add(cut)
+        cuts = {
+            frozenset(i for i in current if pairings[i][k] == 0) for k in range(len(normals))
+        }
+        cuts.discard(current)
+        for cut in cuts:
+            if cut not in dims and not any(cut < other for other in cuts):
+                dims[cut] = dims[current] - 1
                 queue.append(cut)
-    faces = []
-    for s in sets:
-        indices = tuple(sorted(s))
-        if indices:
-            rows = [cone.rays[i] for i in indices]
-            dim = integer_rank(IntMatrix(len(rows), cone.ambient_rank, tuple(rows)))
-        else:
-            dim = 0
-        faces.append(Face(indices, dim))
+    faces = [Face(tuple(sorted(s)), dim) for s, dim in dims.items()]
     faces.sort(key=lambda f: (f.dim, f.ray_indices))
     return tuple(faces)
 
@@ -307,11 +306,8 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
 
 
 def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
-    """Basis of the integer kernel {x : row . x == 0 for all rows}."""
-    sol = solve_integer_system(LinearSystem(dim, tuple((row, 0) for row in mat_rows), ()))
-    if sol is None:
-        raise ConsistencyError("homogeneous system reported unsolvable")
-    return sol.kernel_basis
+    """Hermite basis of the integer kernel {x : row . x == 0 for all rows}."""
+    return _form_kernel(_equation_form(mat_rows, dim), len(mat_rows))
 
 
 def split_degenerate(
@@ -320,9 +316,9 @@ def split_degenerate(
     """Factor a possibly degenerate input into cone part and torus part.
 
     The rays span a saturated sublattice of some rank ``d``; they are
-    re-expressed in a basis of it, producing a full-dimensional cone of rank
-    ``d`` plus ``torus_rank = ambient_rank - d`` free directions.  An empty
-    ray list is the pure torus case (zero-dimensional cone marker).
+    re-expressed in its Hermite basis, producing a full-dimensional cone of
+    rank ``d`` plus ``torus_rank = ambient_rank - d`` free directions.  An
+    empty ray list is the pure torus case (zero-dimensional cone marker).
     """
     if ambient_rank < 0:
         raise InputError("ambient rank must be nonnegative")
@@ -339,15 +335,13 @@ def split_degenerate(
     d = len(sat_basis)
     basis = IntMatrix(d, ambient_rank, sat_basis)
 
-    # A basis of a saturated sublattice has Smith form U @ B @ V == [I | 0],
-    # so V[:, :d] @ U is an integer right inverse of B and one factorization
-    # gives the coordinates of every ray.
-    u, s, v = smith_normal_form(basis)
-    if any(s.entries[i][i] != 1 for i in range(d)):
-        raise ConsistencyError("saturated sublattice basis has a non-unit invariant factor")
+    # The coordinates c of a ray r solve c @ B == r, a system whose matrix
+    # B^T is the same for every ray: one form of [B | I] solves them all.
+    form = _equation_form(tuple(zip(*sat_basis)), d)
+    solved = tuple(_solve_in_form(form, ray) for ray in rays)
     ray_matrix = IntMatrix(len(rays), ambient_rank, rays)
-    coords = ray_matrix @ IntMatrix(ambient_rank, d, tuple(r[:d] for r in v.entries)) @ u
-    if coords @ basis != ray_matrix:
+    coords = IntMatrix(len(rays), d, solved)
+    if None in solved or coords @ basis != ray_matrix:
         raise ConsistencyError("ray coordinates in the sublattice basis miss the rays")
     # Extremality, pointedness, primitivity and distinctness carry over to
     # the rays' coordinates in a basis of their saturated span, and the rays

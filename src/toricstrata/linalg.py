@@ -5,11 +5,17 @@ appears only as optional inequality input and in rational witnesses and
 bounds.  No floating point enters any decision.  Conventions relied on
 elsewhere:
 
-* Hermite normal form is row-style: ``U @ A == H`` with ``U`` unimodular,
-  positive pivots, entries above a pivot reduced into ``[0, pivot)``, zero
-  rows last.  Canonical subgroup bases depend on this normalization.
+* Hermite normal form is row-style: the canonical basis of the row
+  lattice, with positive pivots, entries above a pivot reduced into
+  ``[0, pivot)``, zero rows last.  Canonical subgroup bases depend on this
+  normalization.
+* Integer kernels and solutions of ``A x == b`` come from one Hermite form
+  of ``[A^T | I]``, built once per matrix and reduced against once per
+  right-hand side; kernel bases and particular solutions come out
+  canonical.
 * Smith normal form returns ``(U, S, V)`` with ``U @ A @ V == S``, ``S``
-  diagonal and nonnegative, each diagonal entry dividing the next.
+  diagonal and nonnegative, each diagonal entry dividing the next.  It is
+  used only where invariant factors are needed.
 * An inequality ``(coeffs, rhs, strict)`` means ``coeffs . x >= rhs``
   (``> rhs`` when strict); an equality ``(coeffs, rhs)`` means
   ``coeffs . x == rhs``.  A ``LinearSystem`` stores both as integer rows:
@@ -263,27 +269,19 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Return (H, U) with U @ a == H in row-style Hermite normal form.
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form of ``a``: the canonical basis of its
+    row lattice, padded with zero rows.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), pivot
-    columns strictly increase, and zero rows come last.
+    columns strictly increase, and zero rows come last.  A transform ``U``
+    with ``U @ a == H`` is the right block of the form of ``[a | I]``.
     """
     m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
-    u = _identity_lists(m)
-
-    def swap(i: int, j: int) -> None:
-        h[i], h[j] = h[j], h[i]
-        u[i], u[j] = u[j], u[i]
 
     def add_row(src: int, dst: int, k: int) -> None:
         h[dst] = [x + k * y for x, y in zip(h[dst], h[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def negate(i: int) -> None:
-        h[i] = [-x for x in h[i]]
-        u[i] = [-x for x in u[i]]
 
     r = 0
     for j in range(n):
@@ -301,22 +299,21 @@ def hermite_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if not nz:
             continue
         if nz[0] != r:
-            swap(r, nz[0])
+            h[r], h[nz[0]] = h[nz[0]], h[r]
         if h[r][j] < 0:
-            negate(r)
+            h[r] = [-x for x in h[r]]
         for i in range(r):
             q = h[i][j] // h[r][j]
             if q:
                 add_row(r, i, -q)
         r += 1
 
-    return IntMatrix(m, n, tuple(map(tuple, h))), IntMatrix(m, m, tuple(map(tuple, u)))
+    return IntMatrix(m, n, tuple(map(tuple, h)))
 
 
 def integer_rank(a: IntMatrix) -> int:
     """Rank of the matrix over the rationals."""
-    h, _ = hermite_normal_form(a)
-    return sum(1 for row in h.entries if any(row))
+    return sum(1 for row in hermite_normal_form(a).entries if any(row))
 
 
 def _maximal_minors(rows: Sequence[Sequence[int]]) -> IntVec:
@@ -445,39 +442,71 @@ class IntegerSolution:
     kernel_basis: tuple[IntVec, ...]
 
 
+def _equation_form(equations: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
+    """Hermite form of ``[A^T | I]`` for the ``k x dim`` matrix ``A`` with
+    rows ``equations``: built once, it solves ``A x == b`` for every ``b``
+    through :func:`_solve_in_form` (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4).
+
+    Its ``dim`` rows are a basis of the lattice of the pairs ``(A x, x)``.
+    The rows whose first ``k`` entries vanish come last, and their last
+    ``dim`` entries are the Hermite basis of the integer kernel of ``A``.
+    """
+    columns = zip(*equations) if equations else repeat((), dim)
+    rows = tuple(col + unit for col, unit in zip(columns, IntMatrix.identity(dim).entries))
+    return hermite_normal_form(IntMatrix(dim, len(equations) + dim, rows)).entries
+
+
+def _solve_in_form(form: Sequence[IntVec], rhs: Sequence[int]) -> IntVec | None:
+    """The integer solution of ``A x == rhs`` reduced modulo the Hermite
+    kernel basis, or ``None`` when there is none; ``form`` is
+    :func:`_equation_form` of ``A``.
+
+    Reducing ``(-rhs, 0)`` modulo the form gives the one point ``(A x -
+    rhs, x)`` of its coset with every pivot entry in ``[0, pivot)``.  Its
+    first part vanishes exactly when the equalities are solvable, and its
+    last part is then the same solution whichever one starts from.
+    """
+    k = len(rhs)
+    reduced = _reduce_mod_rows((*(-b for b in rhs), *repeat(0, len(form))), form)
+    return None if any(reduced[:k]) else reduced[k:]
+
+
+def _form_kernel(form: Sequence[IntVec], k: int) -> tuple[IntVec, ...]:
+    """The Hermite basis of the integer kernel of the ``k``-row matrix
+    whose :func:`_equation_form` is ``form``."""
+    return tuple(row[k:] for row in form if not any(row[:k]))
+
+
+def _reduce_mod_rows(vec: IntVec, rows) -> IntVec:
+    """Shift ``vec`` by row-lattice vectors so pivot entries land in [0, pivot)."""
+    out = list(vec)
+    for row in rows:
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        q = out[pivot] // row[pivot]
+        if q:
+            out = [a - q * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
 def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
     """Solve the equality part of ``system`` exactly over the integers.
 
     Returns ``None`` when no integer solution exists (a certificate: the
-    Smith-form reduction exhibits either a non-divisible pivot or an
-    inconsistent zero row).  Inequalities are not accepted here.
+    right-hand side leaves a nonzero remainder modulo the Hermite form of
+    :func:`_equation_form`).  Otherwise the kernel basis is the Hermite
+    basis of the integer kernel and the particular solution is reduced
+    modulo it, so both are canonical.  Inequalities are not accepted here.
     """
     if system.inequalities:
         raise InputError("solve_integer_system accepts equality-only systems")
-    n = system.dim
-    k = len(system.equalities)
-    a = IntMatrix(k, n, tuple(c for c, _ in system.equalities))
-    b = [rhs for _, rhs in system.equalities]
-    u, s, v = smith_normal_form(a)
-    c = u.apply(b)
-    y = [0] * n
-    limit = min(k, n)
-    for i in range(limit):
-        si = s.entries[i][i]
-        if si:
-            if c[i] % si:
-                return None
-            y[i] = c[i] // si
-        elif c[i]:
-            return None
-    for i in range(limit, k):
-        if c[i]:
-            return None
-    particular = v.apply(y)
-    kernel = tuple(
-        v.column(i) for i in range(n) if i >= limit or s.entries[i][i] == 0
-    )
-    return IntegerSolution(particular, kernel)
+    form = _equation_form(tuple(c for c, _ in system.equalities), system.dim)
+    particular = _solve_in_form(form, [rhs for _, rhs in system.equalities])
+    if particular is None:
+        return None
+    return IntegerSolution(particular, _form_kernel(form, len(system.equalities)))
 
 
 # ---------------------------------------------------------------------------
@@ -689,19 +718,6 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     return tuple(witness)
 
 
-def _reduce_mod_rows(vec: IntVec, rows) -> IntVec:
-    """Shift ``vec`` by row-lattice vectors so pivot entries land in [0, pivot)."""
-    out = list(vec)
-    for row in rows:
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        q = out[pivot] // row[pivot]
-        if q:
-            out = [a - q * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
 def _inequality_rows(inequalities: Iterable[_Row]) -> list[_Row]:
     """Integer rows as closed >= rows: for integer points a.x > r <=> a.x >= r + 1."""
     return [(vec, rhs + 1 if strict else rhs, False) for vec, rhs, strict in inequalities]
@@ -808,16 +824,11 @@ def _boxed_solutions(
     solution = solve_integer_system(LinearSystem(n, system.equalities, ()))
     if solution is None:
         return []
+    # The solver's triangular (Hermite) kernel basis and reduced particular
+    # point keep the search ranges close to the box.
     particular = solution.particular
     kernel = solution.kernel_basis
     k = len(kernel)
-    if k:
-        # Reparametrize: a triangular (Hermite) kernel basis and a particular
-        # point reduced into its fundamental domain keep the search ranges
-        # close to the box instead of inheriting huge solver coordinates.
-        hnf, _ = hermite_normal_form(IntMatrix(k, n, kernel))
-        kernel = tuple(hnf.row(i) for i in range(k))
-        particular = _reduce_mod_rows(particular, kernel)
 
     inequalities = _inequality_rows(system.inequalities)
     t_rows = []

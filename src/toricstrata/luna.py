@@ -52,6 +52,8 @@ from .linalg import (
     IntMatrix,
     IntVec,
     LinearSystem,
+    _equation_form,
+    _form_kernel,
     _maximal_minors,
     hermite_normal_form,
     primitive_vector,
@@ -121,32 +123,34 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     """The positive circuits of ``parts``: the minimal sets of parts with a
     relation whose coefficients all have one sign.
 
-    One Hermite form of the parts gives their rank ``r``, ``r`` coordinates
-    on which they stay independent, and a basis of their relations, whose
-    columns are the ``e = n - r`` Gale vectors.  Both sides below scan the
-    same C(n, r+1) = C(n, e-1) candidates, each one ``k x (k+1)`` minor
-    vector, so the side with ``k = min(r, e-1)`` is taken: many parts of low
-    rank would otherwise cost large minors (40 distinct weights in Z take
-    about 0.01 s on the subset side and 5.6 s on the Gale side).
+    One Hermite form of ``[V | I]``, ``V`` the parts as rows, gives their
+    rank ``r``, ``r`` coordinates on which they stay independent (the
+    pivots of its first ``r`` rows), and a basis of their relations (its
+    last rows), whose columns are the ``e = n - r`` Gale vectors.  Both
+    sides below scan the same C(n, r+1) = C(n, e-1) candidates, each one
+    ``k x (k+1)`` minor vector, so the side with ``k = min(r, e-1)`` is
+    taken: many parts of low rank would otherwise cost large minors (40
+    distinct weights in Z take about 0.01 s on the subset side and 5.6 s on
+    the Gale side).
     """
     vs = sorted(parts)
     if not vs:
         return set()
     n = len(vs)
-    hnf, transform = hermite_normal_form(IntMatrix(n, len(vs[0]), tuple(vs)))
-    rank = sum(1 for row in hnf.entries if any(row))
+    form = _equation_form(tuple(zip(*vs)), n)
+    relations = _form_kernel(form, len(vs[0]))
+    rank = n - len(relations)
     candidates = math.comb(n, rank + 1)
     if candidates > cones.MAX_FACET_CANDIDATES:
         raise InputError(
             f"{candidates} positive-circuit candidates ({rank + 1}-subsets of "
             f"{n} parts) exceed the limit of {cones.MAX_FACET_CANDIDATES}"
         )
-    relations = transform.entries[rank:]
     if not relations:
         return set()
     if len(relations) - 1 <= rank:
         return _gale_side_circuits(vs, relations)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries[:rank]]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in form[:rank]]
     return _subset_side_circuits(vs, [tuple(v[j] for j in pivots) for v in vs])
 
 
@@ -391,7 +395,7 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
         raise ConsistencyError(
             f"invariant-character lattice has rank {len(projected)}, expected {d}"
         )
-    hnf, _ = hermite_normal_form(IntMatrix(d, m, tuple(projected)))
+    hnf = hermite_normal_form(IntMatrix(d, m, tuple(projected)))
     basis = IntMatrix(d, m, hnf.entries[:d])
     rays = []
     for i in range(m):

@@ -10,17 +10,18 @@ ray of ``f2``, and is nonnegative on all rays outside ``f2``.
 :func:`connection_graph` decides that condition exactly for every candidate
 pair, one upper face ``f2`` at a time: the pairs below ``f2`` share the
 matrix of its rays and differ only in the right-hand side, so one Hermite
-form per face decides all of them.  A "no" is certified combinatorially or
-by the integer equalities having no solution.  Once the equalities are
-solvable a root always exists: adding a large enough multiple of
-:func:`~toricstrata.cones.face_functional` of ``f2`` to any solution keeps
-the equalities and makes every outside pairing nonnegative.  The witness
-is canonical: the solution is first reduced modulo the Hermite basis of
-the integer kernel, which picks one point of its coset whichever solution
-the factorization gave, and the least such multiple is added.  Each
-witness is re-validated before it is returned.  :func:`connection_exists`
-decides one pair the same way.  Only :func:`enumerate_roots`, which lists
-all roots in a coordinate box, depends on a search bound.
+form per face, the factor-once, solve-many pair that solves every integer
+system in :mod:`toricstrata.linalg`, decides all of them.  A "no" is
+certified combinatorially or by the integer equalities having no
+solution.  Once the equalities are solvable a root always exists: adding a
+large enough multiple of :func:`~toricstrata.cones.face_functional` of
+``f2`` to any solution keeps the equalities and makes every outside
+pairing nonnegative.  The witness is canonical: the solver returns the one
+solution reduced modulo the Hermite basis of the integer kernel, and the
+least such multiple is added.  Each witness is re-validated before it is
+returned.  :func:`connection_exists` decides one pair the same way.  Only
+:func:`enumerate_roots`, which lists all roots in a coordinate box,
+depends on a search bound.
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from typing import Sequence
 from .cones import Cone, Face, face_functional, face_lattice
 from .errors import ConsistencyError, InputError
 from .linalg import (
-    IntMatrix,
     IntVec,
     LinearSystem,
     _boxed_solutions,
     _check_box_bound,
-    _reduce_mod_rows,
-    hermite_normal_form,
+    _equation_form,
+    _solve_in_form,
 )
 
 __all__ = [
@@ -163,24 +163,17 @@ def _connections_down_from(
     in ``lower``, where ``face1`` is ``face2`` without its ray ``tau``.
 
     A root for such a pair is a solution ``x`` of ``A x == -e_tau``, with
-    ``A`` the k rays of ``face2``, that pairs nonnegatively with every ray
-    outside ``face2``.  The Hermite form ``H`` of ``[A^T | I]`` is taken once
-    per face: its rows span the lattice of the pairs ``(A x, x)``, and the
-    rows whose first k entries vanish are the Hermite basis of the integer
-    kernel of ``A``.  Reducing ``(e_tau, 0)`` modulo ``H`` gives the unique
-    point of its coset with every pivot entry in ``[0, pivot)``.  Its first
-    k entries vanish exactly when the equalities are solvable, and its last
-    n entries are then the solution reduced modulo the kernel basis: the
-    same point whichever solution one starts from.  A "no" is the
-    certificate ``"integral-equalities"``; a "yes" shifts that solution by
-    the least multiple of the face functional of ``face2`` (also computed
-    once) that makes every outside pairing nonnegative.
+    ``A`` the rays of ``face2``, that pairs nonnegatively with every ray
+    outside ``face2``.  The Hermite form of ``[A^T | I]``
+    (:func:`~toricstrata.linalg._equation_form`) is taken once per face,
+    and each pair is one reduction modulo it: no solution is the
+    certificate ``"integral-equalities"``, and otherwise the solution comes
+    back reduced modulo the Hermite basis of the integer kernel of ``A``,
+    the same point whichever solution one starts from.  A "yes" shifts
+    that solution by the least multiple of the face functional of ``face2``
+    (also computed once) that makes every outside pairing nonnegative.
     """
-    n = cone.ambient_rank
-    k = len(face2.ray_indices)
-    columns = zip(*(cone.rays[i] for i in face2.ray_indices))
-    rows = tuple(col + unit for col, unit in zip(columns, IntMatrix.identity(n).entries))
-    hnf = hermite_normal_form(IntMatrix(n, k + n, rows))[0].entries
+    form = _equation_form(tuple(cone.rays[i] for i in face2.ray_indices), cone.ambient_rank)
     # u vanishes on face2 (so the equalities still hold) and is positive on
     # every outside ray.
     u = face_functional(cone, face2)
@@ -195,13 +188,10 @@ def _connections_down_from(
 
     verdicts = []
     for tau, face1 in lower:
-        reduced = _reduce_mod_rows(
-            tuple(int(i == tau) for i in face2.ray_indices) + (0,) * n, hnf
-        )
-        if any(reduced[:k]):
+        e0 = _solve_in_form(form, [-int(i == tau) for i in face2.ray_indices])
+        if e0 is None:
             verdicts.append(ConnectionVerdict("no", certificate="integral-equalities"))
             continue
-        e0 = reduced[k:]
         m = max([0] + [-(sum(map(mul, ray, e0)) // p_u) for ray, p_u in outside])
         point = tuple(a + m * b for a, b in zip(e0, u))
         try:

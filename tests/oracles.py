@@ -112,6 +112,21 @@ def in_triangular_row_lattice(echelon_rows, vec) -> bool:
     return not any(v)
 
 
+def hermite_with_transform(lib, a):
+    """``(H, U)``: ``H`` is the Hermite form of ``a`` and ``U`` the right
+    block of the Hermite form of ``[a | I]``, whose left block must be
+    ``H``.  Row operations keep ``[a | I]`` of the shape ``[U a | U]``, so
+    ``U @ a == H`` and ``det U == +-1`` check the form.  ``lib`` is the
+    toricstrata module."""
+    ident = lib.IntMatrix.identity(a.rows).entries
+    full = lib.hermite_normal_form(
+        lib.IntMatrix.from_rows([r + e for r, e in zip(a.entries, ident)], a.cols + a.rows)
+    )
+    h = lib.hermite_normal_form(a)
+    assert [row[: a.cols] for row in full.entries] == list(h.entries)
+    return h, lib.IntMatrix.from_rows([row[a.cols :] for row in full.entries], a.rows)
+
+
 # ---------------------------------------------------------------------------
 # linear systems
 
@@ -126,6 +141,33 @@ def point_satisfies(system, point) -> bool:
         if val < rhs or (strict and val == rhs):
             return False
     return True
+
+
+def smith_solve(lib, system):
+    """Integer solutions of the equalities of ``system`` by a Smith form,
+    as ``(particular, kernel basis)``, or ``None`` when there are none.
+
+    With ``U @ A @ V == S``, ``A x == b`` becomes ``S y == U b`` for ``x ==
+    V y``: each nonzero diagonal entry must divide its entry of ``U b``,
+    every other entry of ``U b`` must vanish, and the columns of ``V``
+    beyond the nonzero diagonal span the kernel.  A solver independent of
+    the library's Hermite-form solve; ``lib`` is the toricstrata module.
+    """
+    n, k = system.dim, len(system.equalities)
+    a = lib.IntMatrix.from_rows([c for c, _ in system.equalities], n)
+    u, s, v = lib.smith_normal_form(a)
+    c = u.apply([rhs for _, rhs in system.equalities])
+    y = [0] * n
+    for i in range(k):
+        si = s.entries[i][i] if i < n else 0
+        if si:
+            if c[i] % si:
+                return None
+            y[i] = c[i] // si
+        elif c[i]:
+            return None
+    kernel = [v.column(i) for i in range(n) if i >= k or s.entries[i][i] == 0]
+    return v.apply(y), kernel
 
 
 def scan_lattice_points(system, bound) -> list[tuple[int, ...]]:
@@ -230,7 +272,7 @@ def connection_by_pair(lib, cone, face1, face2):
     """One pair decided on its own, as ``(status, certificate, witness
     vector, distinguished ray)``.
 
-    A fresh integer solve of ray_tau . x == -1 and ray_i . x == 0 (i in
+    A fresh Smith-form solve of ray_tau . x == -1 and ray_i . x == 0 (i in
     ``face1``) for this pair alone; the particular solution is reduced
     modulo the Hermite basis of the solver's kernel basis, so its pivot
     entries lie in [0, pivot), and then shifted by the least multiple of
@@ -243,13 +285,12 @@ def connection_by_pair(lib, cone, face1, face2):
         return "no", "combinatorial", None, None
     (tau,) = extra
     eqs = [(cone.rays[tau], -1)] + [(cone.rays[i], 0) for i in sorted(inner)]
-    solution = lib.solve_integer_system(lib.linear_system(cone.ambient_rank, eqs))
+    solution = smith_solve(lib, lib.linear_system(cone.ambient_rank, eqs))
     if solution is None:
         return "no", "integral-equalities", None, None
-    point = list(solution.particular)
-    if solution.kernel_basis:
-        kernel = lib.IntMatrix.from_rows(solution.kernel_basis)
-        for row in lib.hermite_normal_form(kernel)[0].entries:
+    point, kernel = solution
+    if kernel:
+        for row in lib.hermite_normal_form(lib.IntMatrix.from_rows(kernel)).entries:
             pivot = next(j for j, x in enumerate(row) if x)
             q = point[pivot] // row[pivot]
             point = [a - q * b for a, b in zip(point, row)]

@@ -159,26 +159,6 @@ def test_quotient_group_examples():
     assert ts.quotient_group(z4, ts.subgroup_canon(z4, [])).describe() == "Z/4"
 
 
-def test_rank_over_rationals_ignores_torsion():
-    g = grp(2, (2,))
-    gens = [g.element((2, 4, 1)), g.element((1, 2, 0)), g.element((0, 0, 1))]
-    assert ts.rank_over_rationals(g, gens) == 1
-    assert ts.rank_over_rationals(g, []) == 0
-    assert ts.rank_over_rationals(g, [g.element((0, 0, 1))]) == 0
-    rng = random.Random(13)
-    for _ in range(40):
-        free = rng.randint(1, 3)
-        g = grp(free, (2,))
-        gens = [
-            g.element(tuple(rng.randint(-3, 3) for _ in range(free + 1)))
-            for _ in range(rng.randint(1, 4))
-        ]
-        assert ts.rank_over_rationals(g, gens) == rational_rank(
-            [e.free_part() for e in gens]
-        )
-
-
-
 def test_subgroup_free_rank_is_the_rational_rank_of_its_generators():
     rng = random.Random(14)
     for _ in range(60):
@@ -189,7 +169,7 @@ def test_subgroup_free_rank_is_the_rational_rank_of_its_generators():
             for _ in range(rng.randint(0, 4))
         ]
         structure = ts.subgroup_structure(ts.subgroup_canon(g, gens))
-        assert structure.free_rank == ts.rank_over_rationals(g, gens)
+        assert structure.free_rank == rational_rank([e.free_part() for e in gens])
 
 # ---------------------------------------------------------------------------
 # semigroup membership

@@ -11,6 +11,7 @@ from toricstrata.linalg import IntMatrix
 from oracles import (
     closed_system_feasible,
     det_int,
+    rational_rank,
     sample_cones,
     forty_gon_rays,
     sixteen_gon_rays,
@@ -212,6 +213,19 @@ def test_face_lattice_counts_and_order():
     assert max(len(f.ray_indices) for f in faces if f.dim == 2) == 2
 
 
+def test_face_dimensions_are_the_ranks_of_their_rays(suite_cones):
+    # dimensions come from walking down facet incidence; the rank of each
+    # face's rays checks them independently
+    cyclic = [
+        ts.build_cone(d, [tuple(t**i for i in range(d)) for t in range(m)])
+        for d, m in ((4, 14), (5, 11), (6, 12))
+    ]
+    polygon = ts.build_cone(3, sixteen_gon_rays())
+    for cone in [*suite_cones, *cyclic, polygon, QUADRANT2, RANK3, OVER_SQUARE]:
+        for face in ts.face_lattice(cone):
+            assert face.dim == rational_rank([cone.rays[i] for i in face.ray_indices])
+
+
 def test_face_lattice_requires_full_dimension():
     degenerate = ts.build_cone(3, [(1, 0, 0), (1, 2, 0)])
     with pytest.raises(ts.InputError):
@@ -350,6 +364,18 @@ def test_split_degenerate_coordinates_embed_back_onto_the_rays():
         assert split.cone.is_full_dimensional()
         basis = split.sublattice_basis
         assert [basis.transpose().apply(c) for c in split.cone.rays] == rays
+
+
+def test_split_degenerate_basis_depends_only_on_the_saturated_span():
+    # the sublattice basis is the Hermite basis of the saturated span, so
+    # ray sets spanning the same saturated sublattice share it
+    plane = ts.split_degenerate(3, [(1, 1, 0), (1, -1, 0)])
+    assert plane.sublattice_basis.entries == ((1, 0, 0), (0, 1, 0))
+    for rays in ([(1, 0, 0), (0, 1, 0)], [(2, 1, 0), (1, 2, 0)], [(3, -1, 0), (-1, 3, 0)]):
+        assert ts.split_degenerate(3, rays).sublattice_basis == plane.sublattice_basis
+    skew = ts.split_degenerate(4, [(1, 1, 1, 0), (1, 3, 5, 0)]).sublattice_basis
+    assert ts.split_degenerate(4, [(1, 2, 3, 0), (2, 3, 4, 0)]).sublattice_basis == skew
+    assert ts.split_degenerate(4, [(1, 1, 1, 0), (1, 2, 3, 0)]).sublattice_basis == skew
 
 
 def test_split_degenerate_rejects_lines():

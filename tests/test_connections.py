@@ -125,21 +125,20 @@ def test_connection_exists_agrees_with_the_graph_on_the_fixtures(fixture_path, n
 
 
 def corrupt_hermite_rows(monkeypatch, delta, face_rays=None):
-    """Shift the solution part of the first row of each face's Hermite form
-    (of the faces with ``face_rays`` rays only, if given) by ``delta``, so
-    the shared factorization hands out a point that solves nothing."""
-    real = roots.hermite_normal_form
+    """Shift the solution part of the first row of each face's shared
+    Hermite form (of the faces with ``face_rays`` rays only, if given) by
+    ``delta``, so the factorization hands out a point that solves nothing."""
+    real = roots._equation_form
 
-    def corrupted(matrix):
-        h, u = real(matrix)
-        if face_rays is not None and matrix.cols - matrix.rows != face_rays:
-            return h, u
-        first = h.entries[0]
-        n = matrix.rows
-        shifted = first[:-n] + tuple(a + b for a, b in zip(first[-n:], delta))
-        return ts.IntMatrix(h.rows, h.cols, (shifted,) + h.entries[1:]), u
+    def corrupted(equations, dim):
+        form = real(equations, dim)
+        if face_rays is not None and len(equations) != face_rays:
+            return form
+        first = form[0]
+        shifted = first[:-dim] + tuple(a + b for a, b in zip(first[-dim:], delta))
+        return (shifted,) + form[1:]
 
-    monkeypatch.setattr(roots, "hermite_normal_form", corrupted)
+    monkeypatch.setattr(roots, "_equation_form", corrupted)
 
 
 def test_a_solution_missing_the_distinguished_ray_is_refused(monkeypatch):

@@ -1,4 +1,5 @@
-"""Property checks of the boxed lattice search against a box scan."""
+"""Property checks of the integer solver against a Smith-form solve and of
+the boxed lattice search against a box scan."""
 
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,8 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
+
+from oracles import in_triangular_row_lattice, smith_solve
 
 small = st.integers(-3, 3)
 fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -57,3 +60,40 @@ def test_lattice_search_matches_the_box_scan(data):
         assert first in expected
     else:
         assert first is None
+
+
+@st.composite
+def equality_systems(draw):
+    """Dimension 0-4 and 0-3 equalities; half the time the right-hand side
+    is the image of an integer point, so solvable systems are common."""
+    dim = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3))
+    if draw(st.booleans()):
+        point = draw(st.tuples(*[small] * dim))
+        rhs = [sum(c * x for c, x in zip(row, point)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(-6, 6), min_size=len(rows), max_size=len(rows)))
+    return ts.linear_system(dim, list(zip(rows, rhs)))
+
+
+@PROPERTY
+@given(equality_systems())
+def test_solver_agrees_with_the_smith_form_solve(system):
+    solution = ts.solve_integer_system(system)
+    expected = smith_solve(ts, system)
+    assert (solution is None) == (expected is None)
+    if solution is None:
+        return
+    particular, kernel = expected
+    # the same kernel lattice, in Hermite form
+    if kernel:
+        hermite = ts.hermite_normal_form(ts.IntMatrix.from_rows(kernel)).entries
+        assert solution.kernel_basis == tuple(row for row in hermite if any(row))
+    else:
+        assert solution.kernel_basis == ()
+    # the same coset, reduced: every kernel pivot entry in [0, pivot)
+    offset = [a - b for a, b in zip(solution.particular, particular)]
+    assert in_triangular_row_lattice(solution.kernel_basis, offset)
+    for row in solution.kernel_basis:
+        pivot = next(j for j, x in enumerate(row) if x)
+        assert 0 <= solution.particular[pivot] < row[pivot]

@@ -341,7 +341,7 @@ def test_gale_round_trip_on_random_strongly_stable_weights():
             for row in range(r + len(torsion))
         ]
         kernel = ts.solve_integer_system(ts.linear_system(m + len(torsion), eqs)).kernel_basis
-        hnf, _ = ts.hermite_normal_form(ts.IntMatrix.from_rows([v[:m] for v in kernel], m))
+        hnf = ts.hermite_normal_form(ts.IntMatrix.from_rows([v[:m] for v in kernel], m))
         return [row for row in hnf.entries if any(row)]
 
     rng = random.Random(5)

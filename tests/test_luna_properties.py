@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import toricstrata as ts
 from toricstrata import luna
 
-from oracles import minimal_closed_sets, spans_a_subspace
+from oracles import det_int, hermite_with_transform, minimal_closed_sets, spans_a_subspace
 
 
 @st.composite
@@ -60,22 +60,30 @@ def test_positive_circuits_are_the_minimal_closed_part_sets(system):
 
 
 @st.composite
-def distinct_parts(draw):
-    """1-6 distinct nonzero vectors in Z^1..Z^3 with entries in [-2, 2]."""
-    free = draw(st.integers(1, 3))
+def distinct_parts(draw, gale_regime):
+    """1-6 distinct nonzero vectors in Z^1..Z^3 with entries in [-2, 2].
+
+    Outside the Gale regime (``e - 1 > r`` for ``n`` parts of rank ``r``
+    and ``e = n - r``) there are at least ``2 * free + 2`` of them in Z^1
+    or Z^2, which puts them in that regime whatever their rank."""
+    free = draw(st.integers(1, 3 if gale_regime else 2))
     vector = st.tuples(*[st.integers(-2, 2)] * free).filter(any)
-    return free, draw(st.lists(vector, min_size=1, max_size=6, unique=True))
+    least = 1 if gale_regime else 2 * free + 2
+    return free, draw(st.lists(vector, min_size=least, max_size=6, unique=True))
 
 
 @pytest.mark.parametrize("gale_regime", [True, False], ids=["e-1<=r", "e-1>r"])
 @settings(PROPERTY, max_examples=60)
-@given(distinct_parts())
-def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, system):
+@given(st.data())
+def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, data):
     # Each side is called directly in both regimes, so the side that size
     # does not pick is checked too.
-    free, parts = system
+    free, parts = data.draw(distinct_parts(gale_regime))
     vs = sorted(parts)
-    hnf, transform = ts.hermite_normal_form(ts.IntMatrix.from_rows(vs))
+    a = ts.IntMatrix.from_rows(vs)
+    hnf, transform = hermite_with_transform(ts, a)
+    assert (transform @ a).entries == hnf.entries
+    assert abs(det_int(transform.entries)) == 1
     rank = sum(1 for row in hnf.entries if any(row))
     relations = transform.entries[rank:]
     assume(relations and (len(relations) - 1 <= rank) == gale_regime)
