@@ -10,13 +10,21 @@ Subgroups are canonicalized as the Hermite normal form basis of their
 preimage lattice in ``Z^(r+t)``, which always contains the relation lattice
 spanned by ``d_j * e_(r+j)``.  Two subgroups are equal exactly when their
 canonical bases are identical tuples, so handles can serve as dict keys.
+
+:func:`semigroup_member` decides exactly, with no search bound, whether an
+element is a nonnegative integer combination of others: ``"yes"`` with a
+re-checked witness or ``"no"``.  Its one search is the first-hit lattice
+search of :mod:`toricstrata.linalg` over a bounded polytope, which raises
+``InputError`` once the values it would try pass
+``linalg.MAX_LATTICE_POINTS``.  ``stratify`` does not call it: the
+semigroup it would test there is certified in closed form by
+``divisors.verify_semigroup_equals_group``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from operator import add, mod, neg, sub
 from typing import Iterable, Sequence
 
@@ -24,12 +32,13 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
+    LinearSystem,
     _fm_chain,
-    _segment,
-    first_lattice_point,
+    _lattice_dfs,
     hermite_normal_form,
-    linear_system,
+    rational_feasible,
     smith_normal_form,
+    solve_integer_system,
 )
 
 __all__ = [
@@ -303,167 +312,87 @@ def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Tri-state verdict for nonnegative-combination membership."""
+    """Verdict for nonnegative-combination membership: ``"yes"`` with
+    coefficients that reach the target, or ``"no"``."""
 
-    status: str  # "yes" | "no" | "inconclusive"
+    status: str  # "yes" | "no"
     coefficients: IntVec | None = None
 
     def is_yes(self) -> bool:
         return self.status == "yes"
 
 
-def _yes(coeffs: Sequence[int]) -> MembershipResult:
-    return MembershipResult("yes", tuple(coeffs))
+def _unbounded_relation(group: FgAbGroup, gens: Sequence[GroupElement]) -> IntVec:
+    """A relation ``sum R_i * g_i == 0`` with ``R >= 0``, positive exactly on
+    the coefficients that are unbounded on any nonempty ``{c >= 0 : sum c_i
+    * free(g_i) == b}``.
 
-
-_NO = MembershipResult("no")
-_INCONCLUSIVE = MembershipResult("inconclusive")
-
-
-@lru_cache(maxsize=4096)
-def _torsion_closure(
-    group: FgAbGroup, gens: tuple[IntVec, ...]
-) -> dict[IntVec, IntVec]:
-    """Reachable elements of a finite group with one coefficient vector each."""
-    zero = tuple(0 for _ in range(group.ncoords))
-    none = tuple(0 for _ in range(len(gens)))
-    seen: dict[IntVec, IntVec] = {zero: none}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for coords in frontier:
-            base = seen[coords]
-            for i, g in enumerate(gens):
-                new = group._reduced(tuple(a + b for a, b in zip(coords, g)))
-                if new not in seen:
-                    seen[new] = tuple(
-                        c + (1 if j == i else 0) for j, c in enumerate(base)
-                    )
-                    nxt.append(new)
-        frontier = nxt
-    return seen
-
-
-def _coefficient_suprema(
-    gens: Sequence[GroupElement], target: GroupElement
-) -> list[Fraction | None] | None:
-    """sup of each coefficient over the rational polytope
-    ``{c >= 0 : sum c_i * free(g_i) == free(target)}``.
-
-    Returns ``None`` when the polytope is empty (a certified miss); entries
-    are ``None`` when the coefficient is unbounded above.
+    Those are the coefficients positive somewhere on the relation cone
+    ``{c >= 0 : sum c_i * free(g_i) == 0}``, the polyhedron's recession
+    cone (Schrijver, *Theory of Linear and Integer Programming*, 8.2), so
+    a relative-interior point of the cone is positive on exactly them.
+    Scaled by its denominators and the torsion exponent, it is ``R``.
     """
-    m = len(gens)
-    r = gens[0].group.free_rank
-    tf = target.free_part()
-    sups: list[Fraction | None] = []
-    for i in range(m):
-        # Fourier-Motzkin chain with coefficient i placed first, so the
-        # deepest projection bounds exactly that coefficient.
-        order = [i] + [j for j in range(m) if j != i]
-        rows: list[tuple[IntVec, int, bool]] = []
-        for fc in range(r):
-            coeffs = tuple(gens[order[p]].coords[fc] for p in range(m))
-            rows.append((coeffs, tf[fc], False))
-            rows.append((tuple(-x for x in coeffs), -tf[fc], False))
-        for q in range(m):
-            rows.append((tuple(1 if p == q else 0 for p in range(m)), 0, False))
-        chain = _fm_chain(rows, m)
-        if chain is None:
-            return None
-        _, upper = _segment(chain[1], 0, [])
-        sups.append(upper[0] if upper is not None else None)
-    return sups
-
-
-def _mixed_search(
-    group: FgAbGroup,
-    gens: Sequence[GroupElement],
-    target: GroupElement,
-    cbounds: Sequence[int],
-) -> IntVec | None:
-    """First nonnegative integer combination within per-coefficient bounds.
-
-    Torsion congruences are encoded with one auxiliary integer per torsion
-    coordinate; the search box is widened so the auxiliaries are never
-    clipped.
-    """
-    m = len(gens)
     r = group.free_rank
-    t = len(group.torsion)
-    dim = m + t
-    eqs = []
-    for fc in range(r):
-        coeffs = tuple(g.coords[fc] for g in gens) + tuple(0 for _ in range(t))
-        eqs.append((coeffs, target.coords[fc]))
-    for j, d in enumerate(group.torsion):
-        coeffs = tuple(g.coords[r + j] for g in gens) + tuple(
-            -d if jj == j else 0 for jj in range(t)
-        )
-        eqs.append((coeffs, target.coords[r + j]))
-    ineqs = []
-    for i in range(m):
-        unit = tuple(1 if p == i else 0 for p in range(dim))
-        ineqs.append((unit, 0, False))
-        ineqs.append((tuple(-x for x in unit), -cbounds[i], False))
-    cmax = max(cbounds, default=0)
-    gmax = max(
-        (abs(g.coords[r + j]) for g in gens for j in range(t)), default=0
-    )
-    tmax = max((abs(target.coords[r + j]) for j in range(t)), default=0)
-    aux = (m * cmax * gmax + tmax) // 2 + 1 if t else 0
-    box = max(cmax, aux)
-    pt = first_lattice_point(linear_system(dim, eqs, ineqs), box)
-    return pt[:m] if pt is not None else None
+    units = IntMatrix.identity(len(gens)).entries
+    eqs = tuple((tuple(g.coords[fc] for g in gens), 0) for fc in range(r))
+    point = rational_feasible(LinearSystem(len(gens), eqs, tuple((u, 0, False) for u in units)))
+    if point is None:
+        raise ConsistencyError("the relation cone lost its apex")
+    scale = math.lcm(*(x.denominator for x in point)) * (group.torsion[-1] if group.torsion else 1)
+    return tuple(int(x * scale) for x in point)
 
 
 def semigroup_member(
-    group: FgAbGroup,
-    gens: Sequence[GroupElement],
-    target: GroupElement,
-    coeff_bound: int = 16,
+    group: FgAbGroup, gens: Sequence[GroupElement], target: GroupElement
 ) -> MembershipResult:
-    """Is ``target`` a nonnegative integer combination of ``gens``?
+    """Is ``target`` a nonnegative integer combination of ``gens``?  Decided
+    exactly.
 
-    Complete for finite groups (closure walk) and whenever the rational
-    coefficient polytope is bounded (exhaustive boxed search); otherwise a
-    bounded search up to ``coeff_bound`` that may honestly return
-    inconclusive.
+    With ``R`` from :func:`_unbounded_relation`, the coefficients where
+    ``R`` is positive may take any sign: adding a multiple of ``R`` makes
+    them nonnegative.  The integer solutions of the equalities, with one
+    multiple of each torsion order as an extra unknown, are a point plus a
+    Hermite kernel basis whose rows moving the other, tight, coefficients
+    come first.  Keeping the tight coefficients nonnegative bounds a
+    polytope in those rows' coordinates, in which the first-hit lattice
+    search finds an integer point or proves there is none; it raises
+    ``InputError`` past ``linalg.MAX_LATTICE_POINTS`` tried values.  The
+    witness is re-checked against the target.
     """
     for g in gens:
         if g.group != group:
             raise InputError("generator belongs to a different group")
     if target.group != group:
         raise InputError("target belongs to a different group")
-    if coeff_bound < 1:
-        raise InputError("coefficient bound must be positive")
-
-    if target.is_zero():
-        return _yes(tuple(0 for _ in gens))
-    if not gens:
-        return _NO
-
-    if group.free_rank == 0:
-        closure = _torsion_closure(group, tuple(g.coords for g in gens))
-        hit = closure.get(target.coords)
-        return _yes(hit) if hit is not None else _NO
-
-    found = _mixed_search(group, gens, target, [coeff_bound] * len(gens))
-    if found is not None:
-        return _yes(found)
-
-    sups = _coefficient_suprema(gens, target)
-    if sups is None:
-        return _NO
-    if any(s is None for s in sups):
-        return _INCONCLUSIVE
-    bounds = [int(s) for s in sups]  # floor of exact rational suprema
-    size = 1
-    for b in bounds:
-        size *= b + 1
-    if size > 2_000_000:
-        return _INCONCLUSIVE
-    if all(b <= coeff_bound for b in bounds):
-        return _NO  # the first search already exhausted the polytope
-    found = _mixed_search(group, gens, target, bounds)
-    return _yes(found) if found is not None else _NO
+    relation = _unbounded_relation(group, gens)
+    m = len(gens)
+    order = sorted(range(m), key=lambda i: relation[i] > 0)  # tight first
+    tight = relation.count(0)
+    torsion = _relation_rows(group)
+    eqs = tuple(
+        ((*(gens[i].coords[c] for i in order), *(-row[c] for row in torsion)), target.coords[c])
+        for c in range(group.ncoords)
+    )
+    solution = solve_integer_system(LinearSystem(m + len(torsion), eqs, ()))
+    if solution is None:
+        return MembershipResult("no")
+    moving = [row for row in solution.kernel_basis if any(row[:tight])]
+    point = solution.particular
+    rows = [(tuple(row[p] for row in moving), -point[p], False) for p in range(tight)]
+    chain = _fm_chain(rows, len(moving))
+    found = _lattice_dfs(chain, len(moving), True, 0) if chain is not None else []
+    if not found:
+        return MembershipResult("no")
+    for k, row in zip(found[0], moving):
+        point = tuple(x + k * y for x, y in zip(point, row))
+    lift = max([0] + [-(point[p] // relation[i]) for p, i in enumerate(order[tight:], tight)])
+    coeffs = [0] * m
+    for p, i in enumerate(order):
+        coeffs[i] = point[p] + lift * relation[i]
+    total = group.zero()
+    for c, g in zip(coeffs, gens):
+        total = total + c * g
+    if min(coeffs, default=0) < 0 or total != target:
+        raise ConsistencyError("semigroup membership witness does not reach the target")
+    return MembershipResult("yes", tuple(coeffs))

@@ -29,10 +29,15 @@ elsewhere:
   rebuilt.  Back-substitution picks every coordinate strictly inside its
   segment, so the witness lies in the relative interior of the solution
   set.  The intended operating envelope is small: at most ~10 variables and
-  a few dozen constraints.  Its callers are the boxed lattice search behind
-  ``roots.enumerate_roots`` and ``abelian.semigroup_member``.
+  a few dozen constraints.  In the package, ``abelian.semigroup_member``
+  calls it for a relative-interior point of a relation cone, and the
+  lattice searches below prune with the same projections.
 * The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
-  raises ``InputError`` before it would build more.
+  raises ``InputError`` before it would build more; ``roots.enumerate_roots``
+  lists roots with it.  Its first-hit path, behind
+  :func:`first_lattice_point` and ``abelian.semigroup_member``, orders the
+  candidate values of each level by size and raises ``InputError`` once the
+  values it has ordered pass ``MAX_LATTICE_POINTS``.
 * Outside integer data is checked once, where it enters: by
   :meth:`IntMatrix.from_rows` and :func:`linear_system`.  The ``IntMatrix``
   and ``LinearSystem`` constructors trust their caller.
@@ -119,15 +124,6 @@ class IntMatrix:
             raise InputError("matrix dimensions must be nonnegative")
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def row(self, i: int) -> IntVec:
-        return self.entries[i]
-
     def column(self, j: int) -> IntVec:
         return tuple(row[j] for row in self.entries)
 
@@ -150,9 +146,6 @@ class IntMatrix:
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries
         )
         return IntMatrix(self.rows, other.cols, data)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 def primitive_vector(vec: Sequence[int]) -> IntVec:
@@ -729,7 +722,7 @@ def _check_box_bound(box_bound) -> None:
 
 
 # Limit on the points one boxed search lists, checked before each batch of
-# points is built.
+# points is built, and on the values one first-hit search orders.
 MAX_LATTICE_POINTS = 2**20
 
 
@@ -747,7 +740,8 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
     level is listed as one batch, counted with the ``listed`` points of
     earlier searches against ``MAX_LATTICE_POINTS`` before it is built.
     With ``stop_at_first`` values are tried in the order 0, 1, -1, 2, -2,
-    ... and the search ends at the first point.
+    ... and the search ends at the first point; every range it orders
+    above the last level is counted against ``MAX_LATTICE_POINTS`` first.
     """
     if n == 0:
         return [()]
@@ -762,9 +756,11 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
         cols.append([[vec[i] for vec, _, _ in rows] for i in range(level)])
         start.append([-rhs for _, rhs, _ in rows])
     found: list[IntVec] = []
+    tried = 0
 
     def descend(level: int, prefix: IntVec, sums: list[list[int]]) -> bool:
         # sums[m] belongs to level ``level + m``
+        nonlocal tried
         quotients = list(map(floordiv, sums[0], own[level]))
         split = nlower[level]
         lo, hi = -min(quotients[:split]), min(quotients[split:])
@@ -784,6 +780,12 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
             return False
         candidates = range(lo, hi + 1)
         if stop_at_first:
+            tried += len(candidates)
+            if tried > MAX_LATTICE_POINTS:
+                raise InputError(
+                    f"a first-hit lattice search would try more than {MAX_LATTICE_POINTS} "
+                    "values, the limit MAX_LATTICE_POINTS"
+                )
             candidates = sorted(candidates, key=lambda v: (abs(v), v < 0))
         deeper = list(zip(sums[1:], [cols[m][level] for m in range(level + 1, n)]))
         for v in candidates:
@@ -886,6 +888,8 @@ def first_lattice_point(system: LinearSystem, box_bound: int) -> IntVec | None:
 
     Deterministic, and biased toward solutions with small search
     coordinates; use :func:`lattice_points_bounded` for full enumeration.
+    Raises ``InputError`` when it would try more than
+    ``MAX_LATTICE_POINTS`` values.
     """
     found = _boxed_solutions(system, box_bound, stop_at_first=True)
     return found[0] if found else None

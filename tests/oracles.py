@@ -252,6 +252,43 @@ def semigroup_closure(torsion, gens) -> set[tuple[int, ...]]:
     return finite_closure(torsion, gens)
 
 
+def combination(free, torsion, gens, coeffs) -> tuple[int, ...]:
+    """``sum coeffs[i] * gens[i]`` in ``Z^free x Z/torsion``, torsion reduced."""
+    total = [sum(c * g[k] for c, g in zip(coeffs, gens)) for k in range(free + len(torsion))]
+    return (*total[:free], *(x % d for x, d in zip(total[free:], torsion)))
+
+
+def first_box_hit(free, torsion, gens, target, bound):
+    """The first coefficient vector in ``[0, bound]^m``, in lexicographic
+    order, whose combination of ``gens`` is ``target``, or ``None``."""
+    goal = combination(free, torsion, [target], [1])
+    for coeffs in product(range(bound + 1), repeat=len(gens)):
+        if combination(free, torsion, gens, coeffs) == goal:
+            return coeffs
+    return None
+
+
+def numerical_semigroup(gens, limit) -> set[int]:
+    """The sums of positive integers ``gens`` up to ``limit``, one at a time."""
+    reach = {0}
+    for x in range(1, limit + 1):
+        if any(x - g in reach for g in gens):
+            reach.add(x)
+    return reach
+
+
+def unbounded_coefficients(rank, parts) -> set[int]:
+    """Indices of the coefficients unbounded on a nonempty ``{c >= 0 : sum
+    c_i * parts[i] == b}``: those in a subset of the parts with a relation
+    positive on all of it, that is, one that positively spans a subspace."""
+    found = set()
+    for k in range(1, len(parts) + 1):
+        for subset in combinations(range(len(parts)), k):
+            if not found.issuperset(subset) and spans_a_subspace(rank, [parts[i] for i in subset]):
+                found.update(subset)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # root scanning
 

@@ -213,8 +213,15 @@ def test_quadrant_classgroup_is_trivial(capsys, fixture_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("command", ["connections", "stratify"])
-@pytest.mark.parametrize("name", ["cone_a1", "cone_quadrant2", "cone_rank3"])
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        (name, command)
+        for name in ("cone_a1", "cone_quadrant2", "cone_rank3")
+        for command in ("connections", "stratify", "classgroup", "roots")
+    ]
+    + [("weights_k7", "luna"), ("weights_k7", "stable")],
+)
 def test_json_output_matches_the_golden_bytes(capsys, fixture_path, name, command):
     code, out, err = run_cli(capsys, command, fixture_path(f"{name}.json"), "--format", "json")
     assert code == 0 and err == ""

@@ -501,8 +501,26 @@ def test_boxed_search_limit_counts_points_exactly(monkeypatch):
     assert len(scan_lattice_points(system, 2)) == 10
     with pytest.raises(ts.InputError, match="more than 9 lattice points in the box"):
         ts.lattice_points_bounded(system, 2)
-    # the first-hit search lists one point, so the limit does not apply
+    # the first-hit search counts the values it orders, 3 + 3 here
     assert ts.first_lattice_point(ts.linear_system(3), 1) == (0, 0, 0)
+
+
+def test_first_hit_search_limit_counts_the_values_it_tries(monkeypatch):
+    from toricstrata import linalg
+
+    # the ranges of every level but the last are ordered and counted: 3 + 3
+    # values pass a limit of 6, 5 + 5 do not
+    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 6)
+    assert ts.first_lattice_point(ts.linear_system(3), 1) == (0, 0, 0)
+    with pytest.raises(ts.InputError, match="more than 6 values, the limit MAX_LATTICE_POINTS"):
+        ts.first_lattice_point(ts.linear_system(3), 2)
+
+
+def test_first_hit_search_refuses_a_range_past_the_limit_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match="more than 1048576 values"):
+        ts.first_lattice_point(ts.linear_system(2), 2**19)  # 2^20 + 1 values on level 0
+    assert time.perf_counter() - start < 1
 
 
 def test_boxed_search_refuses_more_points_than_the_limit_quickly():

@@ -1,12 +1,20 @@
 """Property checks of the Luna closed supports against the subset scan."""
 
+from itertools import product
+
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
 from toricstrata import luna
 
-from oracles import det_int, hermite_with_transform, minimal_closed_sets, spans_a_subspace
+from oracles import (
+    det_int,
+    hermite_with_transform,
+    minimal_closed_sets,
+    rational_rank,
+    spans_a_subspace,
+)
 
 
 @st.composite
@@ -59,17 +67,46 @@ def test_positive_circuits_are_the_minimal_closed_part_sets(system):
     assert luna._positive_circuits(frozenset(parts)) == minimal_closed_sets(free, parts)
 
 
+NONZERO = {d: [v for v in product(range(-2, 3), repeat=d) if any(v)] for d in (1, 2, 3)}
+
+
 @st.composite
 def distinct_parts(draw, gale_regime):
-    """1-6 distinct nonzero vectors in Z^1..Z^3 with entries in [-2, 2].
+    """Distinct nonzero vectors with entries in [-2, 2], drawn in the
+    regime asked for: ``n`` parts of rank ``r`` have ``e = n - r``
+    relations, and the Gale regime is ``1 <= e <= r + 1``.
 
-    Outside the Gale regime (``e - 1 > r`` for ``n`` parts of rank ``r``
-    and ``e = n - r``) there are at least ``2 * free + 2`` of them in Z^1
-    or Z^2, which puts them in that regime whatever their rank."""
-    free = draw(st.integers(1, 3 if gale_regime else 2))
-    vector = st.tuples(*[st.integers(-2, 2)] * free).filter(any)
-    least = 1 if gale_regime else 2 * free + 2
-    return free, draw(st.lists(vector, min_size=least, max_size=6, unique=True))
+    In the Gale regime ``r`` independent parts of Z^r are drawn first and
+    ``e`` more after them; coordinates that are 0 or plus or minus an
+    existing one then map the parts into Z^free, ``free >= r``, keeping
+    their rank.  Outside it there are at least ``2 * free + 2`` parts in
+    Z^1 or Z^2, which puts them in that regime whatever their rank."""
+    if gale_regime:
+        rank = draw(st.integers(1, 3))
+        count = draw(st.integers(rank + 1, 2 * rank + 1))
+    else:
+        rank = draw(st.integers(1, 2))
+        count = draw(st.integers(2 * rank + 2, min(6, len(NONZERO[rank]))))
+    parts = []
+    for i in range(count):
+        independent = gale_regime and i < rank
+        pool = [
+            v
+            for v in NONZERO[rank]
+            if v not in parts and (not independent or rational_rank([*parts, v]) == i + 1)
+        ]
+        parts.append(draw(st.sampled_from(pool)))
+    if not gale_regime:
+        return rank, parts
+    free = draw(st.integers(rank, 3))
+    images = [None] + [(sign, k) for k in range(rank) for sign in (1, -1)]
+    extra = [draw(st.sampled_from(images)) for _ in range(free - rank)]
+    order = draw(st.permutations(range(free)))
+    embedded = []
+    for v in parts:
+        coords = [*v, *(0 if e is None else e[0] * v[e[1]] for e in extra)]
+        embedded.append(tuple(coords[j] for j in order))
+    return free, embedded
 
 
 @pytest.mark.parametrize("gale_regime", [True, False], ids=["e-1<=r", "e-1>r"])
@@ -86,7 +123,7 @@ def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, data):
     assert abs(det_int(transform.entries)) == 1
     rank = sum(1 for row in hnf.entries if any(row))
     relations = transform.entries[rank:]
-    assume(relations and (len(relations) - 1 <= rank) == gale_regime)
+    assert relations and (len(relations) - 1 <= rank) == gale_regime
     pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries[:rank]]
     expected = minimal_closed_sets(free, vs)
     assert luna._gale_side_circuits(vs, relations) == expected
