@@ -14,9 +14,11 @@ canonical bases are identical tuples, so handles can serve as dict keys.
 :func:`semigroup_member` decides exactly, with no search bound, whether an
 element is a nonnegative integer combination of others: ``"yes"`` with a
 re-checked witness or ``"no"``.  Its one search is the first-hit lattice
-search of :mod:`toricstrata.linalg` over a bounded polytope, which raises
-``InputError`` once the values it would try pass
-``linalg.MAX_LATTICE_POINTS``.  ``stratify`` does not call it: the
+search of :mod:`toricstrata.linalg` over a bounded polytope, which tries
+values lazily by size and raises ``InputError`` once it has tried
+``linalg.MAX_LATTICE_POINTS``: an early hit is cheap however large the
+target, and a polytope whose every value fails is refused only after that
+many tries.  ``stratify`` does not call it: the
 semigroup it would test there is certified in closed form by
 ``divisors.verify_semigroup_equals_group``.
 """
@@ -85,12 +87,7 @@ class FgAbGroup:
 
     def order(self) -> int | None:
         """Group order, or ``None`` when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else math.prod(self.torsion)
 
     def reduce(self, coords: Sequence[int]) -> IntVec:
         """Check outside coordinates and reduce the torsion ones."""

@@ -15,7 +15,8 @@ must reproduce the strata exactly: every connection verdict is decided, so
 no comparison is left open.  The semigroup-equals-group identity is
 certified for every face as well.  Any disagreement raises
 :class:`~toricstrata.errors.ConsistencyError` because it can only mean a
-bug, never a property of the input.
+bug, never a property of the input.  The closure order of the strata is
+read off face meets: route one's subgroups satisfy H(σ ∩ τ) = H(σ) + H(τ).
 """
 
 from __future__ import annotations
@@ -90,24 +91,25 @@ def closure_edges(strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
     """Covering pairs ``(lower, upper)`` of the stratum closure order.
 
     A stratum lies in the closure of another exactly when its subgroup is
-    contained in the other's.
+    contained in the other's.  The rays off σ ∩ τ are those off σ or τ, so
+    H(σ ∩ τ) = H(σ) + H(τ): for strata of one cone, S lies below T exactly
+    when the meet of their first faces is a face of T.  Each covering pair
+    is re-checked by one containment.
     """
-    n = len(strata)
-    below = [
-        [
-            i != j and subgroup_leq(strata[i].subgroup, strata[j].subgroup)
-            for j in range(n)
-        ]
-        for i in range(n)
+    stratum_of = {
+        sum(1 << i for i in face.ray_indices): t for t, s in enumerate(strata) for face in s.faces
+    }
+    heads = [sum(1 << i for i in s.faces[0].ray_indices) for s in strata]
+    up = [
+        {t for t, head_t in enumerate(heads) if t != s and stratum_of.get(head_s & head_t) == t}
+        for s, head_s in enumerate(heads)
     ]
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if not below[i][j]:
-                continue
-            if any(below[i][k] and below[k][j] for k in range(n)):
-                continue
-            edges.append((i, j))
+    for s, above in enumerate(up):
+        for t in sorted(above.difference(*(up[k] for k in above))):
+            if not subgroup_leq(strata[s].subgroup, strata[t].subgroup):
+                raise ConsistencyError(f"face meets put stratum {s} below {t}, subgroups do not")
+            edges.append((s, t))
     return tuple(edges)
 
 
@@ -128,11 +130,8 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
     # Route one: group faces by the subgroup attached to their orbit.
     orbit_data = {face: face_orbit_data(toric, face) for face in toric.faces}
     by_subgroup: dict[tuple, list[Face]] = {}
-    handle_for: dict[tuple, SubgroupHandle] = {}
     for face in toric.faces:
-        data = orbit_data[face]
-        by_subgroup.setdefault(data.subgroup.basis, []).append(face)
-        handle_for[data.subgroup.basis] = data.subgroup
+        by_subgroup.setdefault(orbit_data[face].subgroup.basis, []).append(face)
 
     # Route two: Luna strata of the characteristic quasitorus action.  Their
     # supports are the closed ones, so matching them with the face
@@ -160,7 +159,6 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
                 f"stratum of subgroup basis {basis}: Luna dimension "
                 f"{luna_by_basis[basis].dim} does not match orbit dimensions {dims}"
             )
-        local = orbit_data[faces[0]].local_class_group
         smooth_flags = {orbit_data[f].smooth for f in faces}
         trivial_flags = {orbit_data[f].local_class_group.is_trivial() for f in faces}
         if smooth_flags != trivial_flags or len(smooth_flags) != 1:
@@ -171,9 +169,9 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
         strata.append(
             Stratum(
                 index=len(strata),
-                subgroup=handle_for[basis],
+                subgroup=orbit_data[faces[0]].subgroup,
                 structure=luna_by_basis[basis].structure,
-                local_class_group=local,
+                local_class_group=orbit_data[faces[0]].local_class_group,
                 faces=faces,
                 orbit_dims=dims,
                 dim=stratum_dim,
@@ -183,10 +181,7 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
 
     # Route three: explicit one-parameter connections.
     graph = connection_graph(cone)
-    stratum_of_face = {}
-    for stratum in strata:
-        for face in stratum.faces:
-            stratum_of_face[face] = stratum.index
+    stratum_of_face = {face: stratum.index for stratum in strata for face in stratum.faces}
     face_index_stratum = [stratum_of_face[face] for face in graph.faces]
     component_partition = sorted(graph_components(graph))
     stratum_partition = sorted(

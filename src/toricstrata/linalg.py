@@ -35,9 +35,10 @@ elsewhere:
 * The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
   raises ``InputError`` before it would build more; ``roots.enumerate_roots``
   lists roots with it.  Its first-hit path, behind
-  :func:`first_lattice_point` and ``abelian.semigroup_member``, orders the
-  candidate values of each level by size and raises ``InputError`` once the
-  values it has ordered pass ``MAX_LATTICE_POINTS``.
+  :func:`first_lattice_point` and ``abelian.semigroup_member``, tries each
+  level's values lazily by size and raises ``InputError`` once it has tried
+  ``MAX_LATTICE_POINTS``: an early hit is cheap however wide the box, and a
+  search whose every value fails is refused only after that many tries.
 * Outside integer data is checked once, where it enters: by
   :meth:`IntMatrix.from_rows` and :func:`linear_system`.  The ``IntMatrix``
   and ``LinearSystem`` constructors trust their caller.
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, floordiv, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, InputError
 
@@ -150,9 +151,7 @@ class IntMatrix:
 
 def primitive_vector(vec: Sequence[int]) -> IntVec:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for x in vec:
-        g = math.gcd(g, x)
+    g = math.gcd(*vec)
     if g == 0:
         raise InputError("zero vector has no primitive representative")
     return tuple(x // g for x in vec)
@@ -726,6 +725,15 @@ def _check_box_bound(box_bound) -> None:
 MAX_LATTICE_POINTS = 2**20
 
 
+def _by_size(lo: int, hi: int) -> Iterator[int]:
+    """The integers of [lo, hi] in the order 0, 1, -1, 2, -2, ..., made lazily."""
+    for size in range(max(0, lo, -hi), max(hi, -lo) + 1):
+        if size <= hi:
+            yield size
+        if 0 < size <= -lo:
+            yield -size
+
+
 def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: int) -> list[IntVec]:
     """Integer points of the projection chain, in search coordinates.
 
@@ -740,8 +748,8 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
     level is listed as one batch, counted with the ``listed`` points of
     earlier searches against ``MAX_LATTICE_POINTS`` before it is built.
     With ``stop_at_first`` values are tried in the order 0, 1, -1, 2, -2,
-    ... and the search ends at the first point; every range it orders
-    above the last level is counted against ``MAX_LATTICE_POINTS`` first.
+    ... and the search ends at the first point; each value it tries above
+    the last level is counted against ``MAX_LATTICE_POINTS`` when tried.
     """
     if n == 0:
         return [()]
@@ -768,7 +776,7 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
             return False
         if level == n - 1:
             if stop_at_first:
-                found.append((*prefix, 0 if lo <= 0 <= hi else lo if lo > 0 else hi))
+                found.append((*prefix, next(_by_size(lo, hi))))
                 return True
             count = hi - lo + 1
             if listed + len(found) + count > MAX_LATTICE_POINTS:
@@ -778,17 +786,15 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
                 )
             found.extend(zip(*(repeat(x, count) for x in prefix), range(lo, hi + 1)))
             return False
-        candidates = range(lo, hi + 1)
-        if stop_at_first:
-            tried += len(candidates)
-            if tried > MAX_LATTICE_POINTS:
-                raise InputError(
-                    f"a first-hit lattice search would try more than {MAX_LATTICE_POINTS} "
-                    "values, the limit MAX_LATTICE_POINTS"
-                )
-            candidates = sorted(candidates, key=lambda v: (abs(v), v < 0))
         deeper = list(zip(sums[1:], [cols[m][level] for m in range(level + 1, n)]))
-        for v in candidates:
+        for v in _by_size(lo, hi) if stop_at_first else range(lo, hi + 1):
+            if stop_at_first:
+                tried += 1
+                if tried > MAX_LATTICE_POINTS:
+                    raise InputError(
+                        f"a first-hit lattice search would try more than {MAX_LATTICE_POINTS} "
+                        "values, the limit MAX_LATTICE_POINTS"
+                    )
             shifted = [[x + a * v for x, a in zip(row_sums, col)] for row_sums, col in deeper]
             if descend(level + 1, (*prefix, v), shifted):
                 return True

@@ -342,6 +342,27 @@ def connection_by_pair(lib, cone, face1, face2):
 
 
 # ---------------------------------------------------------------------------
+# stratum closure order
+
+
+def closure_by_containment(lib, strata):
+    """Covering pairs ``(lower, upper)`` of the stratum closure order from its
+    definition: every pair's subgroup containment, then every pair with no
+    stratum between them."""
+    n = len(strata)
+    below = [
+        [i != j and lib.subgroup_leq(strata[i].subgroup, strata[j].subgroup) for j in range(n)]
+        for i in range(n)
+    ]
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
+    )
+
+
+# ---------------------------------------------------------------------------
 # matrices up to row/column permutation
 
 

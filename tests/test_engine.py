@@ -9,10 +9,16 @@ import pytest
 import toricstrata as ts
 from toricstrata import stratify
 
-from oracles import sample_cones, sixteen_gon_rays
+from oracles import closure_by_containment, sample_cones, sixteen_gon_rays
 
 
 RANK3_RAYS = [(1, 0, 0), (1, 2, 0), (0, 1, 2)]
+
+
+def cyclic_rays(rank, count):
+    """Rays (1, t, ..., t^(rank-1)) for t = 0..count-1: a cyclic polytope's
+    cone, with many strata."""
+    return [tuple(t**k for k in range(rank)) for t in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +258,57 @@ def test_closure_edges_are_covering_relations():
     report = stratify(3, RANK3_RAYS)
     # transitive edge (2, 0) must not appear: it factors through Z/2
     assert (2, 0) not in report.closure
+
+
+def test_closure_matches_subgroup_containment_between_every_pair(suite_reports):
+    reports = list(suite_reports[0])
+    for rank, rays in [
+        (2, [(1, 0)]),
+        (3, []),
+        (3, [(1, 0, 0), (1, 2, 0)]),
+        (4, [(1, 0, 2, 0), (0, 1, 0, 0), (1, 1, 2, 2)]),
+    ]:
+        reports.append(stratify(rank, rays))
+    for rank, counts in [(4, range(6, 13)), (5, range(7, 11))]:
+        reports.extend(stratify(rank, cyclic_rays(rank, m)) for m in counts)
+    assert max(len(report.closure) for report in reports) == 325
+    for report in reports:
+        assert report.closure == closure_by_containment(ts, report.strata)
+        every_other = report.strata[::2]
+        assert ts.closure_edges(every_other) == closure_by_containment(ts, every_other)
+
+
+@pytest.mark.parametrize("name", ["cone_a1", "cone_quadrant2", "cone_rank3", "cyclic_4x8"])
+def test_subgroup_of_a_face_meet_is_the_sum(fixture_path, name):
+    with open(fixture_path(f"{name}.json")) as handle:
+        data = json.load(handle)
+    toric = ts.build_toric(ts.build_cone(data["rank"], data["rays"]))
+    group = toric.class_group
+    face_with_rays = {frozenset(face.ray_indices): face for face in toric.faces}
+    orbit = {face: ts.face_orbit_data(toric, face) for face in toric.faces}
+    for sigma in toric.faces:
+        for tau in toric.faces:
+            meet = face_with_rays[frozenset(sigma.ray_indices) & frozenset(tau.ray_indices)]
+            rows = orbit[sigma].subgroup.basis + orbit[tau].subgroup.basis
+            total = ts.subgroup_canon(group, [group.element(row) for row in rows])
+            assert orbit[meet].subgroup == total
+
+
+def test_closure_recheck_catches_a_pair_outside_subgroup_containment(monkeypatch):
+    monkeypatch.setattr(ts.engine, "subgroup_leq", lambda a, b: False)
+    with pytest.raises(ts.ConsistencyError, match="stratum 1 below 0, subgroups do not"):
+        stratify(3, RANK3_RAYS)
+
+
+def test_stratify_checks_containment_once_per_covering_pair(monkeypatch):
+    calls = []
+    real = ts.engine.subgroup_leq
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ts.engine, "subgroup_leq", counting)
+    report = stratify(5, cyclic_rays(5, 12))
+    assert len(report.strata) == 209 and len(report.closure) == 509
+    assert len(calls) <= len(report.closure)

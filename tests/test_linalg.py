@@ -508,19 +508,31 @@ def test_boxed_search_limit_counts_points_exactly(monkeypatch):
 def test_first_hit_search_limit_counts_the_values_it_tries(monkeypatch):
     from toricstrata import linalg
 
-    # the ranges of every level but the last are ordered and counted: 3 + 3
-    # values pass a limit of 6, 5 + 5 do not
+    # 1/2 <= y <= 1/2 has no integer point, so every value of x is tried and
+    # fails: 5 values pass a limit of 6, the 7th does not
+    no_integer_y = ts.linear_system(2, (), [((0, 2), 1, False), ((0, -2), -1, False)])
     monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 6)
-    assert ts.first_lattice_point(ts.linear_system(3), 1) == (0, 0, 0)
+    assert ts.first_lattice_point(no_integer_y, 2) is None
     with pytest.raises(ts.InputError, match="more than 6 values, the limit MAX_LATTICE_POINTS"):
-        ts.first_lattice_point(ts.linear_system(3), 2)
+        ts.first_lattice_point(no_integer_y, 3)
 
 
-def test_first_hit_search_refuses_a_range_past_the_limit_at_once():
+def test_first_hit_search_tries_only_the_values_it_needs():
+    # 2^20 + 1 values on level 0, but the first one tried hits
+    far_right = ts.linear_system(2, (), [((1, 0), 2**19, False)])
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="more than 1048576 values"):
-        ts.first_lattice_point(ts.linear_system(2), 2**19)  # 2^20 + 1 values on level 0
+    assert ts.first_lattice_point(ts.linear_system(2), 2**19) == (0, 0)
+    assert ts.first_lattice_point(far_right, 2**19) == (2**19, 0)
     assert time.perf_counter() - start < 1
+
+
+def test_first_hit_order_is_by_size_then_positive_first():
+    from toricstrata import linalg
+
+    for lo in range(-5, 6):
+        for hi in range(lo, 6):
+            expected = sorted(range(lo, hi + 1), key=lambda v: (abs(v), v < 0))
+            assert list(linalg._by_size(lo, hi)) == expected
 
 
 def test_boxed_search_refuses_more_points_than_the_limit_quickly():

@@ -71,12 +71,21 @@ def test_semigroup_member_takes_no_search_bound():
     assert list(inspect.signature(ts.semigroup_member).parameters) == ["group", "gens", "target"]
 
 
-def test_semigroup_member_refuses_a_huge_polytope_at_once():
-    # 10**9 + 7 = 7a + 11b + 13c has about 10**15 nonnegative solutions,
-    # spread over ranges far beyond the first-hit search's limit
+def test_semigroup_member_is_limited_by_the_values_it_tries(monkeypatch):
+    # 10**9 + 7 = 7a + 11b + 13c has about 10**15 nonnegative solutions, over
+    # ranges far beyond the search limit; the search stops at the first it
+    # tries
     g = ts.FgAbGroup(1, ())
     gens = [g.element((7,)), g.element((11,)), g.element((13,))]
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="MAX_LATTICE_POINTS"):
-        ts.semigroup_member(g, gens, g.element((10**9 + 7,)))
+    for target in (10**9 + 7, 10**12 + 1):
+        result = ts.semigroup_member(g, gens, g.element((target,)))
+        assert result.is_yes() and min(result.coefficients) >= 0
+        assert combination(1, (), [(7,), (11,), (13,)], result.coefficients) == (target,)
     assert time.perf_counter() - start < 1
+    # 30, the largest integer outside the semigroup, is refused after 5 tries
+    monkeypatch.setattr(ts.linalg, "MAX_LATTICE_POINTS", 4)
+    with pytest.raises(ts.InputError, match="MAX_LATTICE_POINTS"):
+        ts.semigroup_member(g, gens, g.element((30,)))
+    monkeypatch.setattr(ts.linalg, "MAX_LATTICE_POINTS", 5)
+    assert ts.semigroup_member(g, gens, g.element((30,))).status == "no"
