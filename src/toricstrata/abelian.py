@@ -230,15 +230,23 @@ def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHa
     return SubgroupHandle(group, basis)
 
 
-def _lattice_coordinates(basis: tuple[IntVec, ...], vec: IntVec) -> IntVec | None:
-    """Coordinates of an integer vector in a Hermite basis, by one
-    back-substitution; ``None`` when it is not in the row lattice."""
+def _pivot_index(basis: tuple[IntVec, ...]) -> dict[int, int]:
+    """Map each pivot column of a Hermite basis to its row."""
     pivot_of = {}
     for idx, row in enumerate(basis):
         for col, x in enumerate(row):
             if x:
                 pivot_of[col] = idx
                 break
+    return pivot_of
+
+
+def _lattice_coordinates(
+    basis: tuple[IntVec, ...], pivot_of: dict[int, int], vec: IntVec
+) -> IntVec | None:
+    """Coordinates of an integer vector in a Hermite basis with pivot index
+    ``pivot_of``, by one back-substitution; ``None`` when it is not in the
+    row lattice."""
     coords = [0] * len(basis)
     v = list(vec)
     for col in range(len(vec)):
@@ -251,7 +259,9 @@ def _lattice_coordinates(basis: tuple[IntVec, ...], vec: IntVec) -> IntVec | Non
         if v[col] % p:
             return None
         coords[idx] = q = v[col] // p
-        v = [x - q * y for x, y in zip(v, basis[idx])]
+        row = basis[idx]
+        for c in range(col, len(v)):
+            v[c] -= q * row[c]
     return None if any(v) else tuple(coords)
 
 
@@ -265,7 +275,8 @@ def subgroup_leq(a: SubgroupHandle, b: SubgroupHandle) -> bool:
     """Whether subgroup ``a`` is contained in subgroup ``b``."""
     if a.parent != b.parent:
         raise InputError("subgroups live in different parent groups")
-    return all(_lattice_coordinates(b.basis, row) is not None for row in a.basis)
+    pivot_of = _pivot_index(b.basis)
+    return all(_lattice_coordinates(b.basis, pivot_of, row) is not None for row in a.basis)
 
 
 def full_subgroup(group: FgAbGroup) -> SubgroupHandle:
@@ -292,9 +303,10 @@ def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
     k = len(sub.basis)
     # Express each relation vector in basis coordinates; the subgroup is the
     # cokernel-free presentation L / R in those coordinates.
+    pivot_of = _pivot_index(sub.basis)
     cols = []
     for rel in _relation_rows(sub.parent):
-        coords = _lattice_coordinates(sub.basis, rel)
+        coords = _lattice_coordinates(sub.basis, pivot_of, rel)
         if coords is None:
             raise ConsistencyError("relation vector not contained in subgroup lattice")
         cols.append(coords)

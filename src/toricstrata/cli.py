@@ -442,7 +442,7 @@ def _cmd_stable(args):
 def _cmd_classgroup(args):
     cone = _load_pointed_cone(args)
     toric = build_toric(cone)
-    entries = [face_orbit_data(toric, face) for face in toric.faces]
+    entries = face_orbit_data(toric).values()
     payload = {
         "schema": 1,
         "cone": {"rank": cone.ambient_rank, "rays": [list(r) for r in cone.rays]},

@@ -229,6 +229,23 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _facet_incidence(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[int, ...]]:
+    """The ray x facet pairing table of a full-dimensional cone and the
+    zero sets of its columns.
+
+    Row ``i`` of the table holds the pairings of ray ``i`` with the normals
+    of :func:`facet_normals`, in their order; entry ``k`` of the second
+    tuple is the bitset of the rays on facet ``k``.
+    """
+    normals = facet_normals(cone)
+    table = tuple(tuple(sum(map(mul, ray, u)) for u in normals) for ray in cone.rays)
+    zeros = tuple(
+        sum(1 << i for i, row in enumerate(table) if not row[k]) for k in range(len(normals))
+    )
+    return table, zeros
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def face_lattice(cone: Cone) -> tuple[Face, ...]:
     """All faces of a full-dimensional pointed cone, sorted by (dim, rays).
 
@@ -239,27 +256,39 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
     the face poset is graded, so each has dimension one less.  A cone that
     is not full-dimensional is refused by :func:`facet_normals`.
     """
-    normals = facet_normals(cone)
-    pairings = [
-        tuple(sum(a * b for a, b in zip(ray, u)) for u in normals)
-        for ray in cone.rays
-    ]
-    everything = frozenset(range(cone.nrays))
+    _, zeros = _facet_incidence(cone)
+    everything = (1 << cone.nrays) - 1
     dims = {everything: cone.ambient_rank}
     queue = [everything]
     while queue:
         current = queue.pop()
-        cuts = {
-            frozenset(i for i in current if pairings[i][k] == 0) for k in range(len(normals))
-        }
+        cuts = {current & z for z in zeros}
         cuts.discard(current)
         for cut in cuts:
-            if cut not in dims and not any(cut < other for other in cuts):
+            if cut not in dims and not any(cut != other and cut & other == cut for other in cuts):
                 dims[cut] = dims[current] - 1
                 queue.append(cut)
-    faces = [Face(tuple(sorted(s)), dim) for s, dim in dims.items()]
+    faces = [
+        Face(tuple(i for i in range(cone.nrays) if rays >> i & 1), dim)
+        for rays, dim in dims.items()
+    ]
     faces.sort(key=lambda f: (f.dim, f.ray_indices))
     return tuple(faces)
+
+
+def _functional_with_pairings(cone: Cone, face: Face) -> tuple[IntVec, IntVec]:
+    """:func:`face_functional` and its pairings with every ray.
+
+    Both are sums over the facets containing the face, read off the zero
+    sets of :func:`_facet_incidence`: the normals for the functional, the
+    table's columns for the pairings, with no dot product.
+    """
+    normals = facet_normals(cone)
+    table, zeros = _facet_incidence(cone)
+    rays = sum(1 << i for i in face.ray_indices)
+    through = [k for k, z in enumerate(zeros) if not rays & ~z]
+    u = tuple(sum(normals[k][c] for k in through) for c in range(cone.ambient_rank))
+    return u, tuple(sum(row[k] for k in through) for row in table)
 
 
 def face_functional(cone: Cone, face: Face) -> IntVec:
@@ -269,12 +298,7 @@ def face_functional(cone: Cone, face: Face) -> IntVec:
     is the intersection of those facets, so every ray outside it misses at
     least one of them and pairs positively with that facet's normal.
     """
-    face_rays = [cone.rays[i] for i in face.ray_indices]
-    u = [0] * cone.ambient_rank
-    for normal in facet_normals(cone):
-        if all(sum(map(mul, ray, normal)) == 0 for ray in face_rays):
-            u = [a + b for a, b in zip(u, normal)]
-    return tuple(u)
+    return _functional_with_pairings(cone, face)[0]
 
 
 def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:

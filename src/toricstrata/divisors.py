@@ -7,7 +7,10 @@ standard basis vectors gives the divisor classes in ray order.
 
 Each face carries the subgroup of the class group generated by the divisors
 *not* containing the corresponding orbit (the complement ray set, ``dset``),
-and the local class group is the quotient by that subgroup.  The subgroup
+and the local class group is the quotient by that subgroup.
+:func:`face_orbit_data` computes both for every face in one pass over the
+face lattice: one canonical subgroup per face, and one quotient per
+distinct subgroup, which the faces of a stratum share.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
 character ``u`` per face: u >= 1 off the face, principal class zero.  It
@@ -16,7 +19,9 @@ is a hard invariant (a failed certificate aborts the run).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import mul
 
 from .abelian import (
     FgAbGroup,
@@ -43,7 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToricData:
-    """Cone with its class group, divisor classes (ray order) and faces."""
+    """Cone with its class group, divisor classes (ray order) and faces
+    (in :func:`~toricstrata.cones.face_lattice` order: by dimension, then
+    rays)."""
 
     cone: Cone
     class_group: FgAbGroup
@@ -98,22 +105,33 @@ def build_toric(cone: Cone) -> ToricData:
     return ToricData(cone, group, classes, face_lattice(cone))
 
 
-def face_orbit_data(toric: ToricData, face: Face) -> FaceOrbitData:
-    """Divisor subgroup, local class group and smoothness for one face."""
-    if face not in toric.faces:
-        raise InputError("face does not belong to the cone's face lattice")
-    inside = set(face.ray_indices)
-    dset = tuple(i for i in range(toric.cone.nrays) if i not in inside)
-    subgroup = subgroup_canon(toric.class_group, [toric.divisor_classes[i] for i in dset])
-    local = quotient_group(toric.class_group, subgroup)
-    return FaceOrbitData(
-        face=face,
-        dset=dset,
-        subgroup=subgroup,
-        local_class_group=local,
-        orbit_dim=toric.cone.ambient_rank - face.dim,
-        smooth=is_smooth_face(toric.cone, face),
-    )
+def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
+    """Divisor subgroup, local class group and smoothness of every face, in
+    the order of ``toric.faces``.
+
+    One pass over the face lattice takes one canonical subgroup per face.
+    Faces with the same subgroup have the same local class group, so one
+    quotient is taken per distinct subgroup.
+    """
+    cone = toric.cone
+    local_of: dict[tuple[IntVec, ...], FgAbGroup] = {}
+    data = {}
+    for face in toric.faces:
+        inside = set(face.ray_indices)
+        dset = tuple(i for i in range(cone.nrays) if i not in inside)
+        subgroup = subgroup_canon(toric.class_group, [toric.divisor_classes[i] for i in dset])
+        local = local_of.get(subgroup.basis)
+        if local is None:
+            local = local_of[subgroup.basis] = quotient_group(toric.class_group, subgroup)
+        data[face] = FaceOrbitData(
+            face=face,
+            dset=dset,
+            subgroup=subgroup,
+            local_class_group=local,
+            orbit_dim=cone.ambient_rank - face.dim,
+            smooth=is_smooth_face(cone, face),
+        )
+    return data
 
 
 def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupCheck:
@@ -125,28 +143,34 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
     ``u`` of :func:`~toricstrata.cones.face_functional`: u >= 1 on every
     ray off the face, and the principal class ``sum_j <p_j, u> [D_j]`` is
     zero.  Then ``-[D_i] = sum_j (<p_j, u> - delta_ij) [D_j]`` over the
-    dset with nonnegative coefficients.  Both facts are checked exactly; a
-    failure contradicts the theory and aborts the run.
+    dset with nonnegative coefficients.  Both facts are checked exactly:
+    the pairings from ``u`` itself, the class summed in integer coordinates
+    and reduced once.  A failure contradicts the theory and aborts the run.
     """
-    if face not in toric.faces:
+    # toric.faces is sorted by (dim, rays), so one bisection finds the face.
+    key = (face.dim, face.ray_indices)
+    at = bisect_left(toric.faces, key, key=lambda f: (f.dim, f.ray_indices))
+    if toric.faces[at : at + 1] != (face,):
         raise InputError("face does not belong to the cone's face lattice")
     cone = toric.cone
+    group = toric.class_group
     u = face_functional(cone, face)
     inside = set(face.ray_indices)
-    principal = toric.class_group.zero()
+    principal = [0] * group.ncoords
     for j in range(cone.nrays):
         if j in inside:
             continue
-        p = sum(a * b for a, b in zip(cone.rays[j], u))
+        p = sum(map(mul, cone.rays[j], u))
         if p < 1:
             raise ConsistencyError(
                 f"face functional {list(u)} pairs to {p} with ray #{j} outside "
                 f"face {list(face.ray_indices)}"
             )
-        principal = principal + p * toric.divisor_classes[j]
-    if not principal.is_zero():
+        principal = [a + p * b for a, b in zip(principal, toric.divisor_classes[j].coords)]
+    reduced = group._reduced(principal)
+    if any(reduced):
         raise ConsistencyError(
-            f"face functional {list(u)} has divisor class {principal.coords} at "
+            f"face functional {list(u)} has divisor class {reduced} at "
             f"face {list(face.ray_indices)}, not zero"
         )
     return SemigroupCheck(verified=True, functional=u)

@@ -5,30 +5,37 @@ compared before a report is returned:
 
 * route one groups faces of the cone by the subgroup of the divisor class
   group generated by the classes of rays outside the face;
-* route two runs the Luna stratification of the characteristic quasitorus
-  action on the total coordinate space and carries it over face by face;
+* route two finds the closed supports of the characteristic quasitorus
+  action on the total coordinate space from its positive circuits, groups
+  them into Luna strata and compares them with the face complements;
 * route three connects orbits by explicit one-parameter automorphism
   subgroups, each backed by a re-validated root.
 
-Routes one and two must agree exactly, and the components of route three
-must reproduce the strata exactly: every connection verdict is decided, so
-no comparison is left open.  The semigroup-equals-group identity is
-certified for every face as well.  Any disagreement raises
-:class:`~toricstrata.errors.ConsistencyError` because it can only mean a
-bug, never a property of the input.  The closure order of the strata is
-read off face meets: route one's subgroups satisfy H(σ ∩ τ) = H(σ) + H(τ).
+The quasitorus weights are the divisor classes, so the subgroup of a
+closed support is route one's subgroup of the face it complements: route
+two groups its supports by those subgroups rather than computing them
+again, and its independent parts are the supports themselves and each
+stratum's Luna dimension.  Routes one and two must agree exactly, and the
+components of route three must reproduce the strata exactly: every
+connection verdict is decided, so no comparison is left open.  The
+semigroup-equals-group identity is certified for every face as well.  Any
+disagreement raises :class:`~toricstrata.errors.ConsistencyError` because
+it can only mean a bug, never a property of the input.  The closure order
+of the strata is read off face meets: route one's subgroups satisfy
+H(σ ∩ τ) = H(σ) + H(τ).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq
+from . import luna
+from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subgroup_structure
 from .cones import Cone, Face, split_degenerate
 from .divisors import build_toric, face_orbit_data, verify_semigroup_equals_group
 from .errors import ConsistencyError
 from .linalg import IntVec
-from .luna import cox_weight_system, luna_strata
+from .luna import cox_weight_system
 from .roots import ConnectionGraph, connection_graph, graph_components
 
 __all__ = [
@@ -128,36 +135,43 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
     toric = build_toric(cone)
 
     # Route one: group faces by the subgroup attached to their orbit.
-    orbit_data = {face: face_orbit_data(toric, face) for face in toric.faces}
+    orbit_data = face_orbit_data(toric)
     by_subgroup: dict[tuple, list[Face]] = {}
-    for face in toric.faces:
-        by_subgroup.setdefault(orbit_data[face].subgroup.basis, []).append(face)
+    for face, data in orbit_data.items():
+        by_subgroup.setdefault(data.subgroup.basis, []).append(face)
 
-    # Route two: Luna strata of the characteristic quasitorus action.  Their
-    # supports are the closed ones, so matching them with the face
-    # complements also checks that every complement is closed.
-    luna = luna_strata(cox_weight_system(toric))
-    luna_by_basis = {stratum.subgroup.basis: stratum for stratum in luna}
-    if set(luna_by_basis) != set(by_subgroup):
-        raise ConsistencyError("face subgroups and Luna stabilizers disagree")
+    # Route two: the closed supports of the characteristic quasitorus
+    # action, found from its circuits.  Its weights are the divisor
+    # classes, so a closed support's subgroup is route one's subgroup of the
+    # face it complements; matching the supports with the face complements
+    # also checks that every complement is closed.
+    subgroup_of = {data.dset: data.subgroup for data in orbit_data.values()}
+    luna_supports: dict[tuple, list[tuple[int, ...]]] = {}
+    for support in luna._closed_supports(cox_weight_system(toric)):
+        if support not in subgroup_of:
+            raise ConsistencyError(f"closed support {support} complements no face")
+        luna_supports.setdefault(subgroup_of[support].basis, []).append(support)
+    luna_dim, structure = {}, {}
     for basis, faces in by_subgroup.items():
         expected = sorted(orbit_data[face].dset for face in faces)
-        got = sorted(luna_by_basis[basis].supports)
+        got = sorted(luna_supports.get(basis, []))
         if expected != got:
             raise ConsistencyError(
                 f"Luna stratum of subgroup basis {basis} covers supports {got}, "
                 f"faces predict {expected}"
             )
+        structure[basis] = subgroup_structure(orbit_data[faces[0]].subgroup)
+        luna_dim[basis] = max(len(s) for s in got) - structure[basis].free_rank
 
     strata: list[Stratum] = []
-    for basis in sorted(by_subgroup, key=lambda b: (-luna_by_basis[b].dim, b)):
+    for basis in sorted(by_subgroup, key=lambda b: (-luna_dim[b], b)):
         faces = tuple(sorted(by_subgroup[basis], key=lambda f: (f.dim, f.ray_indices)))
         dims = tuple(orbit_data[f].orbit_dim + split.torus_rank for f in faces)
         stratum_dim = max(dims)
-        if luna_by_basis[basis].dim + split.torus_rank != stratum_dim:
+        if luna_dim[basis] + split.torus_rank != stratum_dim:
             raise ConsistencyError(
                 f"stratum of subgroup basis {basis}: Luna dimension "
-                f"{luna_by_basis[basis].dim} does not match orbit dimensions {dims}"
+                f"{luna_dim[basis]} does not match orbit dimensions {dims}"
             )
         smooth_flags = {orbit_data[f].smooth for f in faces}
         trivial_flags = {orbit_data[f].local_class_group.is_trivial() for f in faces}
@@ -170,7 +184,7 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
             Stratum(
                 index=len(strata),
                 subgroup=orbit_data[faces[0]].subgroup,
-                structure=luna_by_basis[basis].structure,
+                structure=structure[basis],
                 local_class_group=orbit_data[faces[0]].local_class_group,
                 faces=faces,
                 orbit_dims=dims,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, Face, face_functional, face_lattice
+from .cones import Cone, Face, _functional_with_pairings, face_lattice
 from .errors import ConsistencyError, InputError
 from .linalg import (
     IntVec,
@@ -171,20 +171,20 @@ def _connections_down_from(
     back reduced modulo the Hermite basis of the integer kernel of ``A``,
     the same point whichever solution one starts from.  A "yes" shifts
     that solution by the least multiple of the face functional of ``face2``
-    (also computed once) that makes every outside pairing nonnegative.
+    (also computed once, with its pairings, off the cone's ray x facet
+    table) that makes every outside pairing nonnegative.
     """
     form = _equation_form(tuple(cone.rays[i] for i in face2.ray_indices), cone.ambient_rank)
     # u vanishes on face2 (so the equalities still hold) and is positive on
     # every outside ray.
-    u = face_functional(cone, face2)
+    u, pairings = _functional_with_pairings(cone, face2)
     inside = set(face2.ray_indices)
     outside = []
     for j, ray in enumerate(cone.rays):
         if j not in inside:
-            p_u = sum(map(mul, ray, u))
-            if p_u <= 0:
+            if pairings[j] <= 0:
                 raise ConsistencyError("face functional vanishes off the face")
-            outside.append((ray, p_u))
+            outside.append((ray, pairings[j]))
 
     verdicts = []
     for tau, face1 in lower:

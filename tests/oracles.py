@@ -508,9 +508,10 @@ def _centrally_symmetric(half):
     return list(half) + [(-dx, -dy) for dx, dy in half]
 
 
-# The sixteen primitive edge vectors of slope in {0, +-1/2, +-1, +-2, oo},
-# and twenty-four with slope in {0, +-1/3, +-1/2, +-1, +-2, +-3, oo}, in
-# angular order.
+# Twelve primitive edge vectors of slope in {0, 1/2, +-1, -2, oo}, the
+# sixteen of slope in {0, +-1/2, +-1, +-2, oo}, and twenty-four with slope
+# in {0, +-1/3, +-1/2, +-1, +-2, +-3, oo}, in angular order.
+EDGES12 = _centrally_symmetric([(1, 0), (2, 1), (1, 1), (0, 1), (-1, 2), (-1, 1)])
 EDGES16 = _centrally_symmetric(
     [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1)]
 )
@@ -533,6 +534,10 @@ EDGES40 = _centrally_symmetric(
         key=lambda v: atan2(v[1], v[0]),
     )
 )
+
+
+def twelve_gon_rays():
+    return polygon_rays((0, 0), EDGES12)
 
 
 def sixteen_gon_rays():

@@ -272,12 +272,13 @@ def test_face_functional_vanishes_exactly_on_the_face():
 
 
 def test_face_caches_stay_bounded():
+    caches = (ts.facet_normals, ts.cones._facet_incidence, ts.face_lattice)
     limit = ts.face_lattice.cache_info().maxsize
-    assert limit is not None and ts.facet_normals.cache_info().maxsize == limit
+    assert limit is not None
+    assert all(cache.cache_info().maxsize == limit for cache in caches)
     for k in range(limit + 8):
         ts.stratify(2, [(1, 0), (k, 1)])
-    assert ts.face_lattice.cache_info().currsize <= limit
-    assert ts.facet_normals.cache_info().currsize <= limit
+    assert all(cache.cache_info().currsize <= limit for cache in caches)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ QUADRANT2 = ts.build_toric(ts.build_cone(2, [(1, 0), (0, 1)]))
 
 def orbit(toric, ray_indices):
     face = ts.face_from_ray_indices(toric.cone, ray_indices)
-    return ts.face_orbit_data(toric, face)
+    return ts.face_orbit_data(toric)[face]
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +110,20 @@ def test_face_orbit_data_reference_values():
     assert full.local_class_group.describe() == "Z/4"
 
 
-def test_face_orbit_data_rejects_foreign_faces():
-    square = ts.build_toric(
-        ts.build_cone(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    )
-    full = ts.face_from_ray_indices(square.cone, [0, 1, 2, 3])
-    with pytest.raises(ts.InputError):
-        ts.face_orbit_data(RANK3, full)
+def test_face_orbit_data_covers_every_face_in_lattice_order():
+    for toric in (A1, RANK3, QUADRANT2):
+        data = ts.face_orbit_data(toric)
+        assert tuple(data) == toric.faces
+        assert all(d.face == face for face, d in data.items())
 
 
 def test_local_class_group_order_follows_lagrange():
     for cone in sample_cones(ts, 23, 20):
         toric = ts.build_toric(cone)
         total = toric.class_group.order()
-        for face in toric.faces:
-            data = ts.face_orbit_data(toric, face)
+        for face, data in ts.face_orbit_data(toric).items():
+            # one quotient serves every face of a subgroup
+            assert data.local_class_group == ts.quotient_group(toric.class_group, data.subgroup)
             sub_order = ts.subgroup_structure(data.subgroup).order()
             local_order = data.local_class_group.order()
             if total is not None:
@@ -150,6 +149,15 @@ def test_semigroup_generation_verified_across_random_cones():
         for face in toric.faces:
             check = ts.verify_semigroup_equals_group(toric, face)
             assert check.verified, (cone.rays, face.ray_indices)
+
+
+def test_semigroup_certificate_rejects_foreign_faces():
+    square = ts.build_toric(
+        ts.build_cone(3, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+    )
+    full = ts.face_from_ray_indices(square.cone, [0, 1, 2, 3])
+    with pytest.raises(ts.InputError):
+        ts.verify_semigroup_equals_group(RANK3, full)
 
 
 def test_semigroup_certificate_is_the_face_functional():

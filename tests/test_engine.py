@@ -9,7 +9,7 @@ import pytest
 import toricstrata as ts
 from toricstrata import stratify
 
-from oracles import closure_by_containment, sample_cones, sixteen_gon_rays
+from oracles import closure_by_containment, sample_cones, sixteen_gon_rays, twelve_gon_rays
 
 
 RANK3_RAYS = [(1, 0, 0), (1, 2, 0), (0, 1, 2)]
@@ -190,6 +190,51 @@ def test_stratify_solves_no_linear_program(monkeypatch, suite_cones, fixture_pat
     assert len(ts.luna_strata(ts.weight_system(group, k7["weights"]))) == 3
 
 
+def test_standalone_luna_strata_agree_with_stratify(suite_reports):
+    # stratify groups route two's closed supports by route one's subgroups;
+    # the luna command still computes its own, and must find the same strata
+    reports = list(suite_reports[0]) + [stratify(3, twelve_gon_rays())]
+    assert len(reports[-1].cone.rays) == 12
+    for report in reports:
+        luna = ts.luna_strata(ts.cox_weight_system(ts.build_toric(report.cone)))
+        everything = set(range(report.cone.nrays))
+        assert [
+            (s.subgroup.basis, s.supports, s.structure, s.dim + report.torus_rank)
+            for s in luna
+        ] == [
+            (
+                s.subgroup.basis,
+                tuple(sorted(tuple(sorted(everything - set(f.ray_indices))) for f in s.faces)),
+                s.structure,
+                s.dim,
+            )
+            for s in report.strata
+        ], report.cone.rays
+
+
+def test_stratify_takes_one_subgroup_per_face_and_one_quotient_per_stratum(monkeypatch):
+    counts = {"subgroup_canon": 0, "quotient_group": 0}
+    for name in counts:
+        real = getattr(ts.abelian, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "toricstrata" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    rays = sixteen_gon_rays()
+    faces = ts.face_lattice(ts.build_cone(3, rays))
+    ts.build_toric(ts.build_cone(3, rays))
+    built = counts["subgroup_canon"]
+    counts.update(subgroup_canon=0, quotient_group=0)
+    report = stratify(3, rays)
+    assert len(faces) == 34 and len(report.strata) == 2
+    assert counts["quotient_group"] == len(report.strata)
+    assert counts["subgroup_canon"] == len(faces) + built
+
+
 def test_stratify_rejects_lines_and_bad_rays():
     with pytest.raises(ts.InputError):
         stratify(2, [(1, 0), (-1, 0)])
@@ -285,7 +330,7 @@ def test_subgroup_of_a_face_meet_is_the_sum(fixture_path, name):
     toric = ts.build_toric(ts.build_cone(data["rank"], data["rays"]))
     group = toric.class_group
     face_with_rays = {frozenset(face.ray_indices): face for face in toric.faces}
-    orbit = {face: ts.face_orbit_data(toric, face) for face in toric.faces}
+    orbit = ts.face_orbit_data(toric)
     for sigma in toric.faces:
         for tau in toric.faces:
             meet = face_with_rays[frozenset(sigma.ray_indices) & frozenset(tau.ray_indices)]
