@@ -217,17 +217,31 @@ def _relation_rows(group: FgAbGroup) -> list[IntVec]:
 def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHandle:
     """Canonicalize the subgroup generated by ``gens``.
 
-    Empty ``gens`` yields the zero subgroup (the relation lattice alone).
+    Empty ``gens`` yields the zero subgroup (the relation lattice alone,
+    whose rows ``d_j * e_(r+j)`` are already its Hermite basis).
     """
+    return _subgroup_join(SubgroupHandle(group, tuple(_relation_rows(group))), gens)
+
+
+def _subgroup_join(sub: SubgroupHandle, gens: Iterable[GroupElement]) -> SubgroupHandle:
+    """Canonical handle of ``sub + <gens>``.
+
+    The generators' coordinates are inserted into the Hermite basis of
+    ``sub``, which already holds the relation lattice (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4): the basis is echelon, so
+    each column takes at most one extended-gcd step per generator.  A
+    lattice has one Hermite basis, so the handle does not depend on how the
+    subgroup was built up.
+    """
+    group = sub.parent
     rows = []
     for g in gens:
         if g.group != group:
             raise InputError("generator belongs to a different group")
         rows.append(g.coords)
-    rows.extend(_relation_rows(group))
+    rows.extend(sub.basis)
     h = hermite_normal_form(IntMatrix(len(rows), group.ncoords, tuple(rows)))
-    basis = tuple(row for row in h.entries if any(row))
-    return SubgroupHandle(group, basis)
+    return SubgroupHandle(group, tuple(row for row in h.entries if any(row)))
 
 
 def _pivot_index(basis: tuple[IntVec, ...]) -> dict[int, int]:
@@ -284,7 +298,9 @@ def full_subgroup(group: FgAbGroup) -> SubgroupHandle:
 
 
 def is_full(handle: SubgroupHandle) -> bool:
-    return subgroups_equal(handle, full_subgroup(handle.parent))
+    """Whether the subgroup is the whole group: the Hermite basis of the
+    whole preimage lattice is the identity."""
+    return handle.basis == IntMatrix.identity(handle.parent.ncoords).entries
 
 
 def quotient_group(group: FgAbGroup, sub: SubgroupHandle) -> FgAbGroup:

@@ -15,6 +15,12 @@ maximal minors (fraction-free elimination, no Smith form), which is zero
 when the subset spans no hyperplane and is its normal otherwise.  The same
 scan, on vectors that may repeat, vanish or span a cone with a line, gives
 ``luna`` its positive circuits on the Gale side.
+
+One bounded per-cone table holds what the face walk learns: every face,
+the face one dimension up it was reached from, and its face functional
+with the functional's pairings with the rays.  The face lattice, route
+three's roots, the semigroup certificate and the walk down the faces in
+``divisors.face_orbit_data`` all read it.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .linalg import (
     hermite_normal_form,
     integer_rank,
     primitive_vector,
-    smith_normal_form,
+    smith_normal_form,  # not called here; perfbench's tracer test looks the name up
 )
 
 __all__ = [
@@ -196,11 +202,21 @@ def _supporting_hyperplanes(
         if not any(minors):
             continue
         u = primitive_vector(minors)
-        pairings = tuple(sum(map(mul, v, u)) for v in vectors)
-        if min(pairings) >= 0:
-            found[u] = pairings
-        elif max(pairings) <= 0:
-            found[tuple(-x for x in u)] = tuple(-p for p in pairings)
+        # The sign of the first nonzero pairing; a pairing of the other sign
+        # rules the hyperplane out, and the rest are not read.
+        pairings, sign = [], 0
+        for v in vectors:
+            p = sum(map(mul, v, u))
+            if p:
+                if sign * p < 0:
+                    break
+                sign = 1 if p > 0 else -1
+            pairings.append(p)
+        else:
+            if sign >= 0:
+                found[u] = tuple(pairings)
+            else:
+                found[tuple(-x for x in u)] = tuple(-p for p in pairings)
     return found
 
 
@@ -209,13 +225,13 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     """Primitive inner normals of the facets of a full-dimensional cone.
 
     Brute force: every (rank-1)-subset of rays spanning a hyperplane
-    proposes a normal, which is kept when it supports the whole cone.
+    proposes a normal, which is kept when it supports the whole cone.  The
+    scan also tells a cone that is not full-dimensional, with no rank of
+    its own: rays in a hyperplane give a normal pairing to zero with every
+    ray, and rays of lower rank give none.  Only in the second case is the
+    rank taken, since a cone that fills the whole space has no facets
+    either.
     """
-    if not cone.is_full_dimensional():
-        raise InputError(
-            "cone is not full-dimensional; run split_degenerate and work with "
-            "the induced cone"
-        )
     n = cone.ambient_rank
     if n == 0:
         return ()
@@ -225,7 +241,13 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
             f"{candidates} facet candidates ({n - 1}-subsets of {cone.nrays} rays) "
             f"exceed the limit of {MAX_FACET_CANDIDATES}"
         )
-    return tuple(sorted(_supporting_hyperplanes(cone.rays, n)))
+    found = _supporting_hyperplanes(cone.rays, n)
+    if not all(map(any, found.values())) or not (found or cone.is_full_dimensional()):
+        raise InputError(
+            "cone is not full-dimensional; run split_degenerate and work with "
+            "the induced cone"
+        )
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -246,49 +268,62 @@ def _facet_incidence(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def face_lattice(cone: Cone) -> tuple[Face, ...]:
-    """All faces of a full-dimensional pointed cone, sorted by (dim, rays).
+def _face_table(cone: Cone) -> dict[Face, tuple[Face | None, IntVec, IntVec]]:
+    """Every face of a full-dimensional pointed cone, the cone first and
+    each face after the face it was reached from, mapped to that face one
+    dimension up (``None`` for the cone), its :func:`face_functional` and
+    the functional's pairings with the rays.  Read-only.
 
     Faces are exactly the intersections of facets with the cone; each is
     identified by the set of rays it contains (the apex has none, the cone
     itself has all).  The walk goes down from the cone: the facets of a
     face are its maximal proper intersections with the cone's facets, and
-    the face poset is graded, so each has dimension one less.  A cone that
-    is not full-dimensional is refused by :func:`facet_normals`.
+    the face poset is graded, so each has dimension one less.  The
+    functional and its pairings are sums over the facets containing the
+    face, read off the zero sets of :func:`_facet_incidence`: the normals
+    for the functional, the table's columns for the pairings, with no dot
+    product.  A cone that is not full-dimensional is refused by
+    :func:`facet_normals`.
     """
-    _, zeros = _facet_incidence(cone)
+    normals = facet_normals(cone)
+    table, zeros = _facet_incidence(cone)
     everything = (1 << cone.nrays) - 1
-    dims = {everything: cone.ambient_rank}
+    walk = {everything: (cone.ambient_rank, None)}
     queue = [everything]
     while queue:
         current = queue.pop()
         cuts = {current & z for z in zeros}
         cuts.discard(current)
         for cut in cuts:
-            if cut not in dims and not any(cut != other and cut & other == cut for other in cuts):
-                dims[cut] = dims[current] - 1
+            if cut not in walk and not any(cut != other and cut & other == cut for other in cuts):
+                walk[cut] = (walk[current][0] - 1, current)
                 queue.append(cut)
-    faces = [
-        Face(tuple(i for i in range(cone.nrays) if rays >> i & 1), dim)
-        for rays, dim in dims.items()
-    ]
-    faces.sort(key=lambda f: (f.dim, f.ray_indices))
-    return tuple(faces)
+    face_of: dict[int | None, Face | None] = {None: None}
+    out = {}
+    for rays, (dim, parent) in walk.items():
+        face = face_of[rays] = Face(tuple(i for i in range(cone.nrays) if rays >> i & 1), dim)
+        through = [k for k, z in enumerate(zeros) if not rays & ~z]
+        u = tuple(sum(normals[k][c] for k in through) for c in range(cone.ambient_rank))
+        out[face] = (face_of[parent], u, tuple(sum(row[k] for k in through) for row in table))
+    return out
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def face_lattice(cone: Cone) -> tuple[Face, ...]:
+    """All faces of a full-dimensional pointed cone, sorted by (dim, rays).
+
+    The faces come from the walk down the facets of :func:`_face_table`.
+    """
+    return tuple(sorted(_face_table(cone), key=lambda f: (f.dim, f.ray_indices)))
 
 
 def _functional_with_pairings(cone: Cone, face: Face) -> tuple[IntVec, IntVec]:
-    """:func:`face_functional` and its pairings with every ray.
-
-    Both are sums over the facets containing the face, read off the zero
-    sets of :func:`_facet_incidence`: the normals for the functional, the
-    table's columns for the pairings, with no dot product.
-    """
-    normals = facet_normals(cone)
-    table, zeros = _facet_incidence(cone)
-    rays = sum(1 << i for i in face.ray_indices)
-    through = [k for k, z in enumerate(zeros) if not rays & ~z]
-    u = tuple(sum(normals[k][c] for k in through) for c in range(cone.ambient_rank))
-    return u, tuple(sum(row[k] for k in through) for row in table)
+    """:func:`face_functional` and its pairings with every ray, from the
+    cone's :func:`_face_table`."""
+    entry = _face_table(cone).get(face)
+    if entry is None:
+        raise InputError("face does not belong to the cone's face lattice")
+    return entry[1:]
 
 
 def face_functional(cone: Cone, face: Face) -> IntVec:
@@ -313,20 +348,22 @@ def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:
 def is_smooth_face(cone: Cone, face: Face) -> bool:
     """Whether the rays of the face extend to a lattice basis.
 
-    Needs as many rays as dimensions (simplicial) and, by the Smith form
-    of the ray submatrix, every invariant factor equal to 1.
+    A face with at most one ray is smooth, since every ray of a cone is
+    primitive.  Any other face needs as many rays as dimensions
+    (simplicial).  Its k independent rays then extend to a basis exactly
+    when their pairings map Z^n onto Z^k, that is, when the row lattice of
+    the n x k transposed ray matrix is all of Z^k: its Hermite form has
+    every pivot equal to 1.  This is the same answer as every invariant
+    factor of the ray matrix being 1.
     """
-    if not face.ray_indices:
+    k = len(face.ray_indices)
+    if k <= 1:
         return True
-    if len(face.ray_indices) != face.dim:
+    if k != face.dim:
         return False
-    rows = [cone.rays[i] for i in face.ray_indices]
-    _, s, _ = smith_normal_form(IntMatrix(len(rows), cone.ambient_rank, tuple(rows)))
-    for i in range(min(s.rows, s.cols)):
-        d = s.entries[i][i]
-        if d > 1:
-            return False
-    return True
+    columns = tuple(zip(*(cone.rays[i] for i in face.ray_indices)))
+    h = hermite_normal_form(IntMatrix(cone.ambient_rank, k, columns)).entries
+    return all(h[i][i] == 1 for i in range(k))
 
 
 def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
@@ -349,12 +386,17 @@ def split_degenerate(
     if not raw_rays:
         return SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
     # Validate in the input's coordinates, so errors name the user's rays.
-    rays = build_cone(ambient_rank, raw_rays, normalize).rays
+    cone = build_cone(ambient_rank, raw_rays, normalize)
+    rays = cone.rays
 
     # Saturation = kernel of the kernel: integer kernels are saturated, and
     # the orthogonal complement of the complement of the ray span is exactly
-    # the rational ray span intersected with the lattice.
+    # the rational ray span intersected with the lattice.  With no
+    # complement the rays span the lattice: the Hermite basis is the
+    # identity and the rays are their own coordinates.
     complement = _kernel_rows(rays, ambient_rank)
+    if not complement:
+        return SplitCone(IntMatrix.identity(ambient_rank), cone, 0)
     sat_basis = _kernel_rows(complement, ambient_rank)
     d = len(sat_basis)
     basis = IntMatrix(d, ambient_rank, sat_basis)

@@ -8,9 +8,13 @@ standard basis vectors gives the divisor classes in ray order.
 Each face carries the subgroup of the class group generated by the divisors
 *not* containing the corresponding orbit (the complement ray set, ``dset``),
 and the local class group is the quotient by that subgroup.
-:func:`face_orbit_data` computes both for every face in one pass over the
-face lattice: one canonical subgroup per face, and one quotient per
-distinct subgroup, which the faces of a stratum share.  The subgroup
+:func:`face_orbit_data` computes both for every face in one pass down the
+face lattice.  A face's subgroup is its parent's (a face one dimension up)
+with the classes of the parent's rays off the face inserted into the
+parent's Hermite basis; the subgroup only grows on the way down, so a face
+below one whose subgroup is the whole group takes that handle with no
+normal form, and a face of a smooth face is smooth.  One quotient is taken
+per distinct subgroup, which the faces of a stratum share.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
 character ``u`` per face: u >= 1 off the face, principal class zero.  It
@@ -27,12 +31,13 @@ from .abelian import (
     FgAbGroup,
     GroupElement,
     SubgroupHandle,
+    _subgroup_join,
     group_from_cokernel,
     is_full,
     quotient_group,
     subgroup_canon,
 )
-from .cones import Cone, Face, face_functional, face_lattice, is_smooth_face
+from .cones import Cone, Face, _face_table, face_functional, face_lattice, is_smooth_face
 from .errors import ConsistencyError, InputError
 from .linalg import IntMatrix, IntVec
 
@@ -89,49 +94,68 @@ class SemigroupCheck:
 
 
 def build_toric(cone: Cone) -> ToricData:
-    """Compute class-group data for a full-dimensional pointed cone."""
-    n = cone.ambient_rank
-    if not cone.is_full_dimensional():
-        raise InputError(
-            "toric divisor data needs a full-dimensional cone; run "
-            "split_degenerate first"
-        )
-    pairing = IntMatrix(cone.nrays, n, cone.rays)
+    """Compute class-group data for a full-dimensional pointed cone.
+
+    The face lattice comes first: its facet scan refuses a cone that is
+    not full-dimensional, so the class group's free rank checks the Smith
+    form against the scan, with no rank of its own.
+    """
+    faces = face_lattice(cone)
+    pairing = IntMatrix(cone.nrays, cone.ambient_rank, cone.rays)
     group, classes = group_from_cokernel(pairing)
-    if group.free_rank != cone.nrays - n:
+    if group.free_rank != cone.nrays - cone.ambient_rank:
         raise ConsistencyError("class group free rank differs from rays - rank")
     if not is_full(subgroup_canon(group, classes)):
         raise ConsistencyError("divisor classes fail to generate the class group")
-    return ToricData(cone, group, classes, face_lattice(cone))
+    return ToricData(cone, group, classes, faces)
 
 
 def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     """Divisor subgroup, local class group and smoothness of every face, in
     the order of ``toric.faces``.
 
-    One pass over the face lattice takes one canonical subgroup per face.
+    One pass walks the face lattice down from the cone, each face after a
+    face F one dimension up (see ``cones._face_table``).  The rays off a
+    face G are those off F and those of F missing from G, so H(G) = H(F) +
+    <[D_i] : i in F ∖ G>: the classes of the few rays of F missing from G
+    are inserted into the Hermite basis of H(F).  H grows as faces shrink,
+    so a face below a face whose subgroup is the whole group has the whole
+    group too, and shares that handle with no normal form.  Smoothness is
+    inherited the same way: a face of a smooth face is smooth, and only
+    the other faces go through :func:`~toricstrata.cones.is_smooth_face`.
     Faces with the same subgroup have the same local class group, so one
     quotient is taken per distinct subgroup.
     """
     cone = toric.cone
+    group = toric.class_group
+    classes = toric.divisor_classes
     local_of: dict[tuple[IntVec, ...], FgAbGroup] = {}
     data = {}
-    for face in toric.faces:
+    for face, (parent, _, _) in _face_table(cone).items():
         inside = set(face.ray_indices)
         dset = tuple(i for i in range(cone.nrays) if i not in inside)
-        subgroup = subgroup_canon(toric.class_group, [toric.divisor_classes[i] for i in dset])
+        if parent is None:
+            subgroup = subgroup_canon(group, [classes[i] for i in dset])
+            smooth = is_smooth_face(cone, face)
+        else:
+            up = data[parent]
+            subgroup = up.subgroup
+            if not is_full(subgroup):
+                missing = [classes[i] for i in parent.ray_indices if i not in inside]
+                subgroup = _subgroup_join(subgroup, missing)
+            smooth = up.smooth or is_smooth_face(cone, face)
         local = local_of.get(subgroup.basis)
         if local is None:
-            local = local_of[subgroup.basis] = quotient_group(toric.class_group, subgroup)
+            local = local_of[subgroup.basis] = quotient_group(group, subgroup)
         data[face] = FaceOrbitData(
             face=face,
             dset=dset,
             subgroup=subgroup,
             local_class_group=local,
             orbit_dim=cone.ambient_rank - face.dim,
-            smooth=is_smooth_face(cone, face),
+            smooth=smooth,
         )
-    return data
+    return {face: data[face] for face in toric.faces}
 
 
 def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupCheck:

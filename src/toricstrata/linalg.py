@@ -8,7 +8,9 @@ elsewhere:
 * Hermite normal form is row-style: the canonical basis of the row
   lattice, with positive pivots, entries above a pivot reduced into
   ``[0, pivot)``, zero rows last.  Canonical subgroup bases depend on this
-  normalization.
+  normalization.  It is computed column by column: each row below the
+  pivot is cleared by one extended-gcd combination with the pivot row, and
+  every row operation touches only the columns from the pivot on.
 * Integer kernels and solutions of ``A x == b`` come from one Hermite form
   of ``[A^T | I]``, built once per matrix and reduced against once per
   right-hand side; kernel bases and particular solutions come out
@@ -268,36 +270,48 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     Pivots are positive, entries above each pivot lie in [0, pivot), pivot
     columns strictly increase, and zero rows come last.  A transform ``U``
     with ``U @ a == H`` is the right block of the form of ``[a | I]``.
+
+    Column by column, the first row with a nonzero entry becomes the pivot
+    row, and each later row with a nonzero entry is cleared by one
+    extended-gcd combination with it, a unimodular 2 x 2 step that leaves
+    the gcd in the pivot.  The rows from the pivot down are zero left of
+    the pivot column, so every step touches only the columns from the
+    pivot on.
     """
     m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
-
-    def add_row(src: int, dst: int, k: int) -> None:
-        h[dst] = [x + k * y for x, y in zip(h[dst], h[src])]
-
     r = 0
     for j in range(n):
         if r == m:
             break
-        while True:
-            nz = [i for i in range(r, m) if h[i][j] != 0]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
-            for i in nz:
-                if i != i0:
-                    add_row(i0, i, -(h[i][j] // h[i0][j]))
-        nz = [i for i in range(r, m) if h[i][j] != 0]
-        if not nz:
+        p = next((i for i in range(r, m) if h[i][j]), None)
+        if p is None:
             continue
-        if nz[0] != r:
-            h[r], h[nz[0]] = h[nz[0]], h[r]
-        if h[r][j] < 0:
-            h[r] = [-x for x in h[r]]
+        h[r], h[p] = h[p], h[r]
+        top = h[r][j:]
+        # Rows r + 1 .. p are zero in column j.
+        for i in range(p + 1, m):
+            b = h[i][j]
+            if not b:
+                continue
+            low = h[i][j:]
+            c = top[0]
+            if b % c == 0:
+                q = b // c
+                h[i][j:] = [x - q * y for x, y in zip(low, top)]
+            else:
+                g, x, y = _xgcd(c, b)
+                s, t = b // g, c // g
+                h[i][j:] = [t * v - s * w for w, v in zip(top, low)]
+                top = [x * w + y * v for w, v in zip(top, low)]
+        if top[0] < 0:
+            top = [-x for x in top]
+        h[r][j:] = top
+        c = top[0]
         for i in range(r):
-            q = h[i][j] // h[r][j]
+            q = h[i][j] // c
             if q:
-                add_row(r, i, -q)
+                h[i][j:] = [x - q * y for x, y in zip(h[i][j:], top)]
         r += 1
 
     return IntMatrix(m, n, tuple(map(tuple, h)))
@@ -750,6 +764,8 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
     With ``stop_at_first`` values are tried in the order 0, 1, -1, 2, -2,
     ... and the search ends at the first point; each value it tries above
     the last level is counted against ``MAX_LATTICE_POINTS`` when tried.
+    A level whose rows have no prefix coefficients has the same range under
+    every prefix, so an empty one ends the search before the descent.
     """
     if n == 0:
         return [()]
@@ -763,6 +779,10 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
         own.append([abs(vec[level]) for vec, _, _ in rows])
         cols.append([[vec[i] for vec, _, _ in rows] for i in range(level)])
         start.append([-rhs for _, rhs, _ in rows])
+        if not any(map(any, cols[level])):
+            quotients = list(map(floordiv, start[level], own[level]))
+            if -min(quotients[: nlower[level]]) > min(quotients[nlower[level] :]):
+                return []
     found: list[IntVec] = []
     tried = 0
 

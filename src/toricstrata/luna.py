@@ -271,11 +271,11 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
         if count > MAX_SUPPORTS:
             raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
         closed_sets.append(closed)
+    nonempty = {p: _subsets(indices)[1:] for p, indices in by_part.items()}
+    free = _subsets(invariant)
     supports = []
     for closed in closed_sets:
-        pools = [_subsets(by_part[p])[1:] for p in closed]
-        pools.append(_subsets(invariant))
-        for pieces in product(*pools):
+        for pieces in product(*(nonempty[p] for p in closed), free):
             supports.append(tuple(sorted(i for piece in pieces for i in piece)))
     return supports
 

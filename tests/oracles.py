@@ -112,6 +112,58 @@ def in_triangular_row_lattice(echelon_rows, vec) -> bool:
     return not any(v)
 
 
+def hermite_by_sweeps(rows, ncols):
+    """Row-style Hermite form of the integer matrix ``rows`` by repeated
+    min-pivot sweeps: per column, every nonzero entry below is reduced by
+    the smallest one until a single one is left.  The library's former
+    kernel, kept as the reference for the extended-gcd elimination."""
+    m = len(rows)
+    h = [list(row) for row in rows]
+
+    def add_row(src, dst, k):
+        h[dst] = [x + k * y for x, y in zip(h[dst], h[src])]
+
+    r = 0
+    for j in range(ncols):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if h[i][j] != 0]
+            if len(nz) <= 1:
+                break
+            i0 = min(nz, key=lambda i: (abs(h[i][j]), i))
+            for i in nz:
+                if i != i0:
+                    add_row(i0, i, -(h[i][j] // h[i0][j]))
+        nz = [i for i in range(r, m) if h[i][j] != 0]
+        if not nz:
+            continue
+        if nz[0] != r:
+            h[r], h[nz[0]] = h[nz[0]], h[r]
+        if h[r][j] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][j] // h[r][j]
+            if q:
+                add_row(r, i, -q)
+        r += 1
+    return tuple(map(tuple, h))
+
+
+def smooth_by_smith(lib, cone, face):
+    """Whether the rays of ``face`` extend to a lattice basis, by the Smith
+    form of the ray submatrix: as many rays as dimensions, and every
+    invariant factor 1.  The library's former test; ``lib`` is the
+    toricstrata module."""
+    if not face.ray_indices:
+        return True
+    if len(face.ray_indices) != face.dim:
+        return False
+    rows = [cone.rays[i] for i in face.ray_indices]
+    _, s, _ = lib.smith_normal_form(lib.IntMatrix.from_rows(rows, cone.ambient_rank))
+    return all(s.entries[i][i] <= 1 for i in range(min(s.rows, s.cols)))
+
+
 def hermite_with_transform(lib, a):
     """``(H, U)``: ``H`` is the Hermite form of ``a`` and ``U`` the right
     block of the Hermite form of ``[a | I]``, whose left block must be

@@ -133,6 +133,21 @@ def test_subgroup_order_and_membership_against_exhaustive_closure():
         assert quotient.order() == group.order() // len(elements)
 
 
+def test_is_full_agrees_with_equality_to_the_full_subgroup():
+    # is_full reads the identity basis off the handle; the definition it
+    # replaced compared with full_subgroup's Hermite form
+    rng = random.Random(31)
+    for _ in range(200):
+        group = grp(rng.randint(0, 2), rng.choice([(), (2,), (3,), (2, 4), (2, 6), (3, 3)]))
+        gens = [
+            group.element(tuple(rng.randint(-3, 3) for _ in range(group.ncoords)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        handle = ts.subgroup_canon(group, gens)
+        assert ts.is_full(handle) == ts.subgroups_equal(handle, ts.full_subgroup(group))
+    assert ts.is_full(ts.full_subgroup(grp(0)))
+
+
 def test_subgroup_leq_and_equality():
     g = grp(0, (8,))
     two = ts.subgroup_canon(g, [g.element((2,))])

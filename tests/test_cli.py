@@ -220,7 +220,8 @@ GOLDEN = Path(__file__).parent / "golden"
         for name in ("cone_a1", "cone_quadrant2", "cone_rank3")
         for command in ("connections", "stratify", "classgroup", "roots")
     ]
-    + [("weights_k7", "luna"), ("weights_k7", "stable"), ("cyclic_4x8", "stratify")]
+    + [("weights_k7", "luna"), ("weights_k7", "stable")]
+    + [("cyclic_4x8", "stratify"), ("cyclic_4x8", "classgroup")]
     + [("polygon_16", "stratify"), ("polygon_16", "classgroup")],
 )
 def test_json_output_matches_the_golden_bytes(capsys, fixture_path, name, command):

@@ -272,7 +272,7 @@ def test_face_functional_vanishes_exactly_on_the_face():
 
 
 def test_face_caches_stay_bounded():
-    caches = (ts.facet_normals, ts.cones._facet_incidence, ts.face_lattice)
+    caches = (ts.facet_normals, ts.cones._facet_incidence, ts.cones._face_table, ts.face_lattice)
     limit = ts.face_lattice.cache_info().maxsize
     assert limit is not None
     assert all(cache.cache_info().maxsize == limit for cache in caches)

@@ -1,12 +1,14 @@
 """Class groups, per-face orbit data and the semigroup-generation check."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 import toricstrata as ts
 
-from oracles import det_int, sample_cones
+from oracles import det_int, sample_cones, smooth_by_smith
 
 
 A1 = ts.build_toric(ts.build_cone(2, [(1, 0), (1, 2)]))
@@ -115,6 +117,26 @@ def test_face_orbit_data_covers_every_face_in_lattice_order():
         data = ts.face_orbit_data(toric)
         assert tuple(data) == toric.faces
         assert all(d.face == face for face, d in data.items())
+
+
+def _fixture_cone(name):
+    with open(Path(__file__).parent / "fixtures" / f"{name}.json") as handle:
+        data = json.load(handle)
+    return ts.build_cone(data["rank"], data["rays"])
+
+
+def test_inserted_subgroups_and_inherited_smoothness_match_the_per_face_oracles(suite_cones):
+    # route one inserts classes into the subgroup of a face one dimension up
+    # and inherits the whole group and smoothness downwards; each face must
+    # still get the subgroup of its own dset classes and the Smith answer
+    cones = [*suite_cones, _fixture_cone("cyclic_4x8"), _fixture_cone("polygon_16")]
+    for cone in cones:
+        toric = ts.build_toric(cone)
+        for face, data in ts.face_orbit_data(toric).items():
+            classes = [toric.divisor_classes[i] for i in data.dset]
+            assert data.subgroup == ts.subgroup_canon(toric.class_group, classes)
+            assert data.smooth == smooth_by_smith(ts, cone, face), (cone.rays, face)
+            assert ts.is_smooth_face(cone, face) == smooth_by_smith(ts, cone, face)
 
 
 def test_local_class_group_order_follows_lagrange():

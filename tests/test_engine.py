@@ -212,27 +212,61 @@ def test_standalone_luna_strata_agree_with_stratify(suite_reports):
         ], report.cone.rays
 
 
-def test_stratify_takes_one_subgroup_per_face_and_one_quotient_per_stratum(monkeypatch):
-    counts = {"subgroup_canon": 0, "quotient_group": 0}
-    for name in counts:
-        real = getattr(ts.abelian, name)
+def test_stratify_inserts_route_one_subgroups_down_the_face_lattice(monkeypatch):
+    # Normal forms of one stratify on the 16-gon cone (34 faces, 2 strata),
+    # with the face caches warm.  Route one takes 17 Hermite forms: the
+    # cone's subgroup, and one insertion for each of its 16 facets; the rays
+    # and the apex lie below a facet whose subgroup is the whole group and
+    # take none.  Smoothness takes 16: the 2-ray facets, while the rays and
+    # the apex are smooth without one and the 16-ray cone is not simplicial.
+    # There is one quotient per stratum.
+    counts = {}
 
-        def counting(*args, _real=real, _name=name):
-            counts[_name] += 1
-            return _real(*args)
+    def count(module, name):
+        real = getattr(module, name)
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
+        counts[key] = 0
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] == "toricstrata" and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting)
+        def counting(*args):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(ts.abelian, "hermite_normal_form")
+    count(ts.cones, "hermite_normal_form")
+    count(ts.divisors, "quotient_group")
     rays = sixteen_gon_rays()
-    faces = ts.face_lattice(ts.build_cone(3, rays))
-    ts.build_toric(ts.build_cone(3, rays))
-    built = counts["subgroup_canon"]
-    counts.update(subgroup_canon=0, quotient_group=0)
+    cone = ts.build_cone(3, rays)
+    faces = ts.face_lattice(cone)
+    ts.build_toric(cone)
+    counts.update(dict.fromkeys(counts, 0))
     report = stratify(3, rays)
     assert len(faces) == 34 and len(report.strata) == 2
-    assert counts["quotient_group"] == len(report.strata)
-    assert counts["subgroup_canon"] == len(faces) + built
+    assert [len(s.faces) for s in report.strata] == [33, 1]
+    # one more form each: the class group's generators in build_toric, the
+    # probe's pivot columns in build_cone
+    assert counts == {
+        "abelian.hermite_normal_form": 1 + 17,
+        "cones.hermite_normal_form": 1 + 16,
+        "divisors.quotient_group": 2,
+    }
+
+
+def test_stratify_catches_a_wrong_inserted_subgroup(monkeypatch):
+    # skipping one insertion gives a facet of the 16-gon cone the cone's
+    # subgroup; route three's components or route two's dimensions differ
+    real = ts.divisors._subgroup_join
+    calls = []
+
+    def skipping(sub, gens):
+        calls.append(sub)
+        return sub if len(calls) == 5 else real(sub, gens)
+
+    monkeypatch.setattr(ts.divisors, "_subgroup_join", skipping)
+    with pytest.raises(ts.ConsistencyError, match="connection components|Luna dimension"):
+        stratify(3, sixteen_gon_rays())
+    assert len(calls) >= 5
 
 
 def test_stratify_rejects_lines_and_bad_rays():

@@ -1,5 +1,6 @@
-"""Property checks of the integer solver against a Smith-form solve and of
-the boxed lattice search against a box scan."""
+"""Property checks of the Hermite form against the former min-pivot kernel,
+of the integer solver against a Smith-form solve and of the boxed lattice
+search against a box scan."""
 
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
 
-from oracles import in_triangular_row_lattice, smith_solve
+from oracles import hermite_by_sweeps, in_triangular_row_lattice, smith_solve
 
 small = st.integers(-3, 3)
 fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -97,3 +98,29 @@ def test_solver_agrees_with_the_smith_form_solve(system):
     for row in solution.kernel_basis:
         pivot = next(j for j, x in enumerate(row) if x)
         assert 0 <= solution.particular[pivot] < row[pivot]
+
+
+@st.composite
+def hermite_inputs(draw):
+    """0-6 rows and 0-6 columns with entries up to 10^6 in size, some rows
+    and columns zero, some rows sums of others (rank deficient)."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**6), 10**6))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for j in draw(st.lists(st.integers(0, max(ncols - 1, 0)), max_size=2)) if ncols else []:
+        for row in rows:
+            row[j] = 0
+    if nrows >= 3 and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    return rows, ncols
+
+
+@PROPERTY
+@given(hermite_inputs())
+def test_hermite_normal_form_equals_the_min_pivot_kernel(data):
+    rows, ncols = data
+    h = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows, ncols))
+    assert h.entries == hermite_by_sweeps(rows, ncols)

@@ -508,13 +508,24 @@ def test_boxed_search_limit_counts_points_exactly(monkeypatch):
 def test_first_hit_search_limit_counts_the_values_it_tries(monkeypatch):
     from toricstrata import linalg
 
-    # 1/2 <= y <= 1/2 has no integer point, so every value of x is tried and
-    # fails: 5 values pass a limit of 6, the 7th does not
-    no_integer_y = ts.linear_system(2, (), [((0, 2), 1, False), ((0, -2), -1, False)])
+    # 1/2 <= y - x <= 1/2 has no integer point, and the range of y moves
+    # with x, so every value of x is tried and fails: the 6 values of x in
+    # [-3, 2] at box bound 3 pass a limit of 6, the 7th at bound 4 does not
+    no_integer_y = ts.linear_system(2, (), [((-2, 2), 1, False), ((2, -2), -1, False)])
     monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 6)
-    assert ts.first_lattice_point(no_integer_y, 2) is None
+    assert ts.first_lattice_point(no_integer_y, 3) is None
     with pytest.raises(ts.InputError, match="more than 6 values, the limit MAX_LATTICE_POINTS"):
-        ts.first_lattice_point(no_integer_y, 3)
+        ts.first_lattice_point(no_integer_y, 4)
+
+
+def test_first_hit_search_decides_a_prefix_free_empty_level_once():
+    # 1/2 <= y <= 1/2 involves no earlier variable, so its empty range is
+    # found before the search, not once for each of the 2^20 + 1 values of x
+    no_integer_y = ts.linear_system(2, (), [((0, 2), 1, False), ((0, -2), -1, False)])
+    start = time.perf_counter()
+    assert ts.first_lattice_point(no_integer_y, 2**19) is None
+    assert ts.lattice_points_bounded(no_integer_y, 2**19) == []
+    assert time.perf_counter() - start < 0.1
 
 
 def test_first_hit_search_tries_only_the_values_it_needs():
