@@ -192,9 +192,11 @@ def _supporting_hyperplanes(
     the cone they generate, each as its primitive inner normal mapped to its
     pairings with the vectors.
 
-    The vectors must span Q^dim.  They may include zero or repeated vectors,
-    and their cone need not be pointed.  A subset spans a hyperplane exactly
-    when its maximal minors are not all zero, and they are then its normal.
+    The vectors may include zero or repeated vectors, and their cone need
+    not be pointed.  A subset spans a hyperplane exactly when its maximal
+    minors are not all zero, and they are then its normal.  Vectors that do
+    not span Q^dim give no normal when their rank is below ``dim - 1``, and
+    otherwise only normals pairing to zero with all of them.
     """
     found: dict[IntVec, tuple[int, ...]] = {}
     for subset in combinations(vectors, dim - 1):
@@ -228,26 +230,28 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     proposes a normal, which is kept when it supports the whole cone.  The
     scan also tells a cone that is not full-dimensional, with no rank of
     its own: rays in a hyperplane give a normal pairing to zero with every
-    ray, and rays of lower rank give none.  Only in the second case is the
-    rank taken, since a cone that fills the whole space has no facets
-    either.
+    ray, and rays of lower rank give none.  The rank is taken only when no
+    normal is found, since a cone that fills the whole space has no facets
+    either, and when there are too many candidates to scan, so that a cone
+    that is not full-dimensional is told so rather than refused by size.
     """
     n = cone.ambient_rank
     if n == 0:
         return ()
     candidates = math.comb(cone.nrays, n - 1)
-    if candidates > MAX_FACET_CANDIDATES:
+    if candidates <= MAX_FACET_CANDIDATES:
+        found = _supporting_hyperplanes(cone.rays, n)
+        if all(map(any, found.values())) and (found or cone.is_full_dimensional()):
+            return tuple(sorted(found))
+    elif cone.is_full_dimensional():
         raise InputError(
             f"{candidates} facet candidates ({n - 1}-subsets of {cone.nrays} rays) "
             f"exceed the limit of {MAX_FACET_CANDIDATES}"
         )
-    found = _supporting_hyperplanes(cone.rays, n)
-    if not all(map(any, found.values())) or not (found or cone.is_full_dimensional()):
-        raise InputError(
-            "cone is not full-dimensional; run split_degenerate and work with "
-            "the induced cone"
-        )
-    return tuple(sorted(found))
+    raise InputError(
+        "cone is not full-dimensional; run split_degenerate and work with "
+        "the induced cone"
+    )
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -271,7 +271,9 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
         if count > MAX_SUPPORTS:
             raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
         closed_sets.append(closed)
-    nonempty = {p: _subsets(indices)[1:] for p, indices in by_part.items()}
+    # Only parts in some closed set are expanded: a part in none has no
+    # bound on its index subsets.
+    nonempty = {p: _subsets(by_part[p])[1:] for p in frozenset().union(*closed_sets)}
     free = _subsets(invariant)
     supports = []
     for closed in closed_sets:

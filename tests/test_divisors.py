@@ -77,10 +77,18 @@ def test_simplicial_class_group_order_is_the_ray_determinant():
         assert toric.class_group.order() == abs(det_int(cone.rays))
 
 
-def test_build_toric_requires_full_dimensional_cone():
+def test_build_toric_requires_full_dimensional_cone(monkeypatch):
     with pytest.raises(ts.InputError) as err:
         ts.build_toric(ts.build_cone(3, [(1, 0, 0), (1, 2, 0)]))
     assert "split_degenerate" in str(err.value)
+    # Past the facet candidate limit the cone is still told it is not
+    # full-dimensional: a square cone in a hyperplane of Z^4 has C(4, 3) = 4
+    # candidates.
+    flat = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)])
+    monkeypatch.setattr(ts.cones, "MAX_FACET_CANDIDATES", 3)
+    ts.cones.facet_normals.cache_clear()
+    with pytest.raises(ts.InputError, match="not full-dimensional"):
+        ts.build_toric(flat)
 
 
 # ---------------------------------------------------------------------------

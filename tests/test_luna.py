@@ -162,6 +162,12 @@ def test_luna_strata_respects_the_weight_cap():
             ts.luna_strata(ws)
         assert time.perf_counter() - start < 0.1
     assert len(ts.luna_strata(weight_system(1, (), [(0,)]))) == 1
+    # 40 copies of one weight have no positive circuit, so the empty support
+    # is the only closed one; the 2^40 subsets of its part are never built.
+    start = time.perf_counter()
+    (only,) = ts.luna_strata(weight_system(1, (), [(1,)] * 40))
+    assert only.supports == ((),)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_many_weights_of_low_rank_stay_within_the_envelope():
