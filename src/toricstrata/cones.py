@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 from typing import Sequence
 
 from .errors import ConsistencyError, InputError
@@ -160,17 +160,15 @@ def build_cone(
 
     # In a pointed cone the facets through a ray meet in the smallest face
     # containing it, so the ray is extremal iff no other ray lies on all of
-    # them.
-    zeros = [
-        {k for k, u in enumerate(normals) if not sum(a * b for a, b in zip(r, u))}
-        for r in probe.rays
-    ]
-    for i, incident in enumerate(zeros):
-        face = [j for j, z in enumerate(zeros) if j != i and incident <= z]
-        if face:
+    # them: the AND of the zero sets of those facets is the ray alone.
+    _, zeros = _facet_incidence(probe)
+    for i in range(len(rays)):
+        face = reduce(and_, (z for z in zeros if z >> i & 1), (1 << len(rays)) - 1)
+        others = [j for j in range(len(rays)) if j != i and face >> j & 1]
+        if others:
             raise InputError(
                 f"ray #{i} {list(rays[i])} is not extremal: it lies inside the "
-                f"face spanned by rays {', '.join(f'#{j}' for j in face)}"
+                f"face spanned by rays {', '.join(f'#{j}' for j in others)}"
             )
     return Cone(ambient_rank, tuple(rays))
 

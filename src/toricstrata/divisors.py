@@ -23,7 +23,6 @@ is a hard invariant (a failed certificate aborts the run).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
 
@@ -38,7 +37,7 @@ from .abelian import (
     subgroup_canon,
 )
 from .cones import Cone, Face, _face_table, face_functional, face_lattice, is_smooth_face
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError
 from .linalg import IntMatrix, IntVec
 
 __all__ = [
@@ -171,14 +170,9 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
     the pairings from ``u`` itself, the class summed in integer coordinates
     and reduced once.  A failure contradicts the theory and aborts the run.
     """
-    # toric.faces is sorted by (dim, rays), so one bisection finds the face.
-    key = (face.dim, face.ray_indices)
-    at = bisect_left(toric.faces, key, key=lambda f: (f.dim, f.ray_indices))
-    if toric.faces[at : at + 1] != (face,):
-        raise InputError("face does not belong to the cone's face lattice")
     cone = toric.cone
     group = toric.class_group
-    u = face_functional(cone, face)
+    u = face_functional(cone, face)  # refuses a face of another lattice
     inside = set(face.ray_indices)
     principal = [0] * group.ncoords
     for j in range(cone.nrays):

@@ -6,23 +6,23 @@ compared before a report is returned:
 * route one groups faces of the cone by the subgroup of the divisor class
   group generated by the classes of rays outside the face;
 * route two finds the closed supports of the characteristic quasitorus
-  action on the total coordinate space from its positive circuits, groups
-  them into Luna strata and compares them with the face complements;
+  action on the total coordinate space from its positive circuits and
+  checks that they are exactly the face complements;
 * route three connects orbits by explicit one-parameter automorphism
   subgroups, each backed by a re-validated root.
 
 The quasitorus weights are the divisor classes, so the subgroup of a
 closed support is route one's subgroup of the face it complements: route
-two groups its supports by those subgroups rather than computing them
-again, and its independent parts are the supports themselves and each
-stratum's Luna dimension.  Routes one and two must agree exactly, and the
-components of route three must reproduce the strata exactly: every
-connection verdict is decided, so no comparison is left open.  The
-semigroup-equals-group identity is certified for every face as well.  Any
-disagreement raises :class:`~toricstrata.errors.ConsistencyError` because
-it can only mean a bug, never a property of the input.  The closure order
-of the strata is read off face meets: route one's subgroups satisfy
-H(σ ∩ τ) = H(σ) + H(τ).
+two's independent evidence is the supports themselves and each stratum's
+Luna dimension (its largest support less the free rank of its subgroup),
+which must equal its orbit dimension.  Routes one and two must agree
+exactly, and the components of route three must reproduce the strata
+exactly: every connection verdict is decided, so no comparison is left
+open.  The semigroup-equals-group identity is certified for every face as
+well.  Any disagreement raises :class:`~toricstrata.errors.ConsistencyError`
+because it can only mean a bug, never a property of the input.  The
+closure order of the strata is read off face meets: route one's subgroups
+satisfy H(σ ∩ τ) = H(σ) + H(τ).
 """
 
 from __future__ import annotations
@@ -141,41 +141,34 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
         by_subgroup.setdefault(data.subgroup.basis, []).append(face)
 
     # Route two: the closed supports of the characteristic quasitorus
-    # action, found from its circuits.  Its weights are the divisor
-    # classes, so a closed support's subgroup is route one's subgroup of the
-    # face it complements; matching the supports with the face complements
-    # also checks that every complement is closed.
-    subgroup_of = {data.dset: data.subgroup for data in orbit_data.values()}
-    luna_supports: dict[tuple, list[tuple[int, ...]]] = {}
-    for support in luna._closed_supports(cox_weight_system(toric)):
-        if support not in subgroup_of:
-            raise ConsistencyError(f"closed support {support} complements no face")
-        luna_supports.setdefault(subgroup_of[support].basis, []).append(support)
-    luna_dim, structure = {}, {}
-    for basis, faces in by_subgroup.items():
-        expected = sorted(orbit_data[face].dset for face in faces)
-        got = sorted(luna_supports.get(basis, []))
-        if expected != got:
-            raise ConsistencyError(
-                f"Luna stratum of subgroup basis {basis} covers supports {got}, "
-                f"faces predict {expected}"
-            )
-        structure[basis] = subgroup_structure(orbit_data[faces[0]].subgroup)
-        luna_dim[basis] = max(len(s) for s in got) - structure[basis].free_rank
+    # action, found from its circuits, must be exactly the face
+    # complements.  Its weights are the divisor classes, so a support's
+    # subgroup is route one's subgroup of the face it complements, and each
+    # stratum's Luna dimension is checked against its orbit dimensions.
+    supports = sorted(luna._closed_supports(cox_weight_system(toric)))
+    complements = sorted(data.dset for data in orbit_data.values())
+    if supports != complements:
+        raise ConsistencyError(
+            f"the {len(supports)} closed supports of the Cox weights are not "
+            f"the {len(complements)} face complements"
+        )
 
+    # The faces come in (dim, rays) order, so a group's first face has the
+    # largest orbit: ordering by it lists the strata by descending dimension.
     strata: list[Stratum] = []
-    for basis in sorted(by_subgroup, key=lambda b: (-luna_dim[b], b)):
-        faces = tuple(sorted(by_subgroup[basis], key=lambda f: (f.dim, f.ray_indices)))
+    for basis, faces in sorted(by_subgroup.items(), key=lambda item: (item[1][0].dim, item[0])):
+        first = orbit_data[faces[0]]
+        structure = subgroup_structure(first.subgroup)
+        luna_dim = max(len(orbit_data[f].dset) for f in faces) - structure.free_rank
         dims = tuple(orbit_data[f].orbit_dim + split.torus_rank for f in faces)
-        stratum_dim = max(dims)
-        if luna_dim[basis] + split.torus_rank != stratum_dim:
+        if luna_dim + split.torus_rank != max(dims):
             raise ConsistencyError(
                 f"stratum of subgroup basis {basis}: Luna dimension "
-                f"{luna_dim[basis]} does not match orbit dimensions {dims}"
+                f"{luna_dim} does not match orbit dimensions {dims}"
             )
-        smooth_flags = {orbit_data[f].smooth for f in faces}
-        trivial_flags = {orbit_data[f].local_class_group.is_trivial() for f in faces}
-        if smooth_flags != trivial_flags or len(smooth_flags) != 1:
+        # One quotient per subgroup: the faces share one local class group.
+        smooth = first.local_class_group.is_trivial()
+        if any(orbit_data[f].smooth != smooth for f in faces):
             raise ConsistencyError(
                 f"stratum of subgroup basis {basis}: smoothness and local class "
                 f"group triviality disagree across faces {[f.ray_indices for f in faces]}"
@@ -183,25 +176,21 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
         strata.append(
             Stratum(
                 index=len(strata),
-                subgroup=orbit_data[faces[0]].subgroup,
-                structure=structure[basis],
-                local_class_group=orbit_data[faces[0]].local_class_group,
-                faces=faces,
+                subgroup=first.subgroup,
+                structure=structure,
+                local_class_group=first.local_class_group,
+                faces=tuple(faces),
                 orbit_dims=dims,
-                dim=stratum_dim,
-                smooth=smooth_flags.pop(),
+                dim=max(dims),
+                smooth=smooth,
             )
         )
 
     # Route three: explicit one-parameter connections.
     graph = connection_graph(cone)
-    stratum_of_face = {face: stratum.index for stratum in strata for face in stratum.faces}
-    face_index_stratum = [stratum_of_face[face] for face in graph.faces]
+    position = {face: i for i, face in enumerate(graph.faces)}
     component_partition = sorted(graph_components(graph))
-    stratum_partition = sorted(
-        tuple(sorted(i for i, s in enumerate(face_index_stratum) if s == stratum.index))
-        for stratum in strata
-    )
+    stratum_partition = sorted(tuple(sorted(position[f] for f in s.faces)) for s in strata)
     # Equal partitions also mean no "yes" edge joins two strata: a component
     # holding faces of two strata would match no stratum.
     if component_partition != stratum_partition:

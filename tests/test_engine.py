@@ -122,15 +122,24 @@ def test_lower_dimensional_errors_name_the_input_ray():
     assert "ray #2 [1, 1, 2] is not extremal" in str(err.value)
 
 
-def test_luna_comparison_catches_a_face_complement_that_is_not_closed(monkeypatch):
+SQUARE_RAYS = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "rays, corrupt",
+    [
+        (RANK3_RAYS, lambda supports: [s for s in supports if s != (0, 1, 2)]),
+        # {0, 3} is the square's diagonal, not a face
+        (SQUARE_RAYS, lambda supports: supports + [(1, 2)]),
+        (RANK3_RAYS, lambda supports: supports + supports[:1]),
+    ],
+    ids=["dropped", "complements_no_face", "repeated"],
+)
+def test_luna_comparison_catches_a_face_complement_that_is_not_closed(monkeypatch, rays, corrupt):
     real = ts.luna._closed_supports
-
-    def dropping(ws):
-        return [support for support in real(ws) if support != (0, 1, 2)]
-
-    monkeypatch.setattr(ts.luna, "_closed_supports", dropping)
-    with pytest.raises(ts.ConsistencyError, match="covers supports"):
-        stratify(3, RANK3_RAYS)
+    monkeypatch.setattr(ts.luna, "_closed_supports", lambda ws: corrupt(real(ws)))
+    with pytest.raises(ts.ConsistencyError, match="closed supports of the Cox weights are not"):
+        stratify(3, rays)
 
 
 def test_partition_check_catches_a_connection_across_strata(monkeypatch):
@@ -191,8 +200,9 @@ def test_stratify_solves_no_linear_program(monkeypatch, suite_cones, fixture_pat
 
 
 def test_standalone_luna_strata_agree_with_stratify(suite_reports):
-    # stratify groups route two's closed supports by route one's subgroups;
-    # the luna command still computes its own, and must find the same strata
+    # stratify only matches route two's closed supports with the face
+    # complements; the luna command groups them by subgroups it computes
+    # itself, and must find the same strata
     reports = list(suite_reports[0]) + [stratify(3, twelve_gon_rays())]
     assert len(reports[-1].cone.rays) == 12
     for report in reports:
