@@ -36,7 +36,9 @@ from .linalg import (
     IntVec,
     LinearSystem,
     _fm_chain,
+    _lattice_coordinates,
     _lattice_dfs,
+    _pivot_index,
     hermite_normal_form,
     rational_feasible,
     smith_normal_form,
@@ -242,41 +244,6 @@ def _subgroup_join(sub: SubgroupHandle, gens: Iterable[GroupElement]) -> Subgrou
     rows.extend(sub.basis)
     h = hermite_normal_form(IntMatrix(len(rows), group.ncoords, tuple(rows)))
     return SubgroupHandle(group, tuple(row for row in h.entries if any(row)))
-
-
-def _pivot_index(basis: tuple[IntVec, ...]) -> dict[int, int]:
-    """Map each pivot column of a Hermite basis to its row."""
-    pivot_of = {}
-    for idx, row in enumerate(basis):
-        for col, x in enumerate(row):
-            if x:
-                pivot_of[col] = idx
-                break
-    return pivot_of
-
-
-def _lattice_coordinates(
-    basis: tuple[IntVec, ...], pivot_of: dict[int, int], vec: IntVec
-) -> IntVec | None:
-    """Coordinates of an integer vector in a Hermite basis with pivot index
-    ``pivot_of``, by one back-substitution; ``None`` when it is not in the
-    row lattice."""
-    coords = [0] * len(basis)
-    v = list(vec)
-    for col in range(len(vec)):
-        if v[col] == 0:
-            continue
-        idx = pivot_of.get(col)
-        if idx is None:
-            return None
-        p = basis[idx][col]
-        if v[col] % p:
-            return None
-        coords[idx] = q = v[col] // p
-        row = basis[idx]
-        for c in range(col, len(v)):
-            v[c] -= q * row[c]
-    return None if any(v) else tuple(coords)
 
 
 def subgroups_equal(a: SubgroupHandle, b: SubgroupHandle) -> bool:

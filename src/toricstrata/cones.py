@@ -3,11 +3,12 @@
 A cone is stored by its extremal ray generators (primitive integer vectors,
 input order preserved).  Validation rejects zero, non-primitive (unless
 normalization is requested), duplicate and non-extremal rays, and cones that
-contain a line; the last two are read off integer facet incidence
-(Cox-Little-Schenck, *Toric Varieties*, 1.2).  Face machinery requires a
-full-dimensional cone; inputs spanning a proper subspace go through
-:func:`split_degenerate` first, which factors off the torus directions
-exactly.
+contain a line, that is, with a ray on every facet.  The last two are read
+off the integer facet incidence (Cox-Little-Schenck, *Toric Varieties*, 1.2)
+of the induced cone: the rays' coordinates in the Hermite basis of their
+saturated span, full-dimensional with the same faces.  Face machinery needs
+a full-dimensional cone, so inputs spanning a proper subspace go through
+:func:`split_degenerate` first, which returns that basis and induced cone.
 
 Facets are enumerated by brute force over the (rank-1)-subsets of rays, at
 most ``MAX_FACET_CANDIDATES`` of them.  Each subset costs one vector of
@@ -38,8 +39,9 @@ from .linalg import (
     IntVec,
     _equation_form,
     _form_kernel,
+    _lattice_coordinates,
     _maximal_minors,
-    _solve_in_form,
+    _pivot_index,
     hermite_normal_form,
     integer_rank,
     primitive_vector,
@@ -99,12 +101,28 @@ class SplitCone:
     torus_rank: int
 
 
+def _ray_list(ambient_rank: int, raw_rays, least: int) -> list:
+    """Check that the ambient rank is an integer of at least ``least`` (0 or
+    1), then read the rays once."""
+    if not isinstance(ambient_rank, int) or isinstance(ambient_rank, bool):
+        raise InputError("ambient rank must be an integer")
+    if ambient_rank < least:
+        raise InputError(f"ambient rank must be {'at least 1' if least else 'nonnegative'}")
+    try:
+        return list(raw_rays)
+    except TypeError:
+        raise InputError("rays must be given as an iterable of rays") from None
+
+
 def _validated_rays(
     ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
 ) -> list[IntVec]:
     rays: list[IntVec] = []
     for idx, raw in enumerate(raw_rays):
-        vec = tuple(raw)
+        try:
+            vec = tuple(raw)
+        except TypeError:
+            raise InputError(f"ray #{idx} is not a sequence of coordinates") from None
         if len(vec) != ambient_rank:
             raise InputError(
                 f"ray #{idx} has {len(vec)} coordinates, expected {ambient_rank}"
@@ -131,6 +149,50 @@ def _validated_rays(
     return rays
 
 
+def _split(
+    ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
+) -> tuple[tuple[IntVec, ...], SplitCone]:
+    """Validate the rays of a pointed cone; return them and their split: the
+    Hermite basis of their saturated span and the induced cone of their
+    coordinates in it.  Errors name the input's rays."""
+    raw_rays = _ray_list(ambient_rank, raw_rays, 1)
+    if not raw_rays:
+        raise InputError("at least one ray is required")
+    rays = tuple(_validated_rays(ambient_rank, raw_rays, normalize))
+
+    # Saturation = kernel of the kernel: integer kernels are saturated, and
+    # the orthogonal complement of the complement of the ray span is exactly
+    # the rational ray span intersected with the lattice.  With no
+    # complement the rays span the lattice: the Hermite basis is the
+    # identity and the rays are their own coordinates.
+    sat_basis = _kernel_rows(_kernel_rows(rays, ambient_rank), ambient_rank)
+    basis = IntMatrix(len(sat_basis), ambient_rank, sat_basis)
+    pivot_of = _pivot_index(sat_basis)
+    solved = tuple(_lattice_coordinates(sat_basis, pivot_of, ray) for ray in rays)
+    if None in solved:
+        raise ConsistencyError("ray coordinates in the sublattice basis miss the rays")
+    induced = Cone(basis.rows, solved)
+
+    # The induced cone has the input's faces.  A line's lineality space is
+    # the smallest face, spanned by the rays in it, so some ray lies on every
+    # facet (no facets: the whole space).  In a pointed cone the facets
+    # through a ray meet in the smallest face containing it, so the ray is
+    # extremal iff no other ray lies on all of them.
+    _, zeros = _facet_incidence(induced)
+    everything = (1 << len(rays)) - 1
+    if reduce(and_, zeros, everything):
+        raise InputError("cone is not pointed (it contains a line)")
+    for i in range(len(rays)):
+        face = reduce(and_, (z for z in zeros if z >> i & 1), everything)
+        others = [j for j in range(len(rays)) if j != i and face >> j & 1]
+        if others:
+            raise InputError(
+                f"ray #{i} {list(rays[i])} is not extremal: it lies inside the "
+                f"face spanned by rays {', '.join(f'#{j}' for j in others)}"
+            )
+    return rays, SplitCone(basis, induced, ambient_rank - basis.rows)
+
+
 def build_cone(
     ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool = False
 ) -> Cone:
@@ -141,36 +203,7 @@ def build_cone(
     origin.  Ray order is preserved.  A non-extremal ray is reported with
     the other rays of the smallest face containing it.
     """
-    if ambient_rank < 1:
-        raise InputError("ambient rank must be at least 1")
-    if not raw_rays:
-        raise InputError("at least one ray is required")
-    rays = _validated_rays(ambient_rank, raw_rays, normalize)
-
-    # Projecting onto the Hermite pivot columns is injective on the span of
-    # the rays: the probe cone has the same faces, is full-dimensional in
-    # rank d, and for a full-dimensional input is the cone itself.
-    hnf = hermite_normal_form(IntMatrix(len(rays), ambient_rank, tuple(rays)))
-    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries if any(row)]
-    d = len(pivots)
-    probe = Cone(d, tuple(primitive_vector([r[j] for j in pivots]) for r in rays))
-    normals = facet_normals(probe)
-    if integer_rank(IntMatrix(len(normals), d, normals)) < d:
-        raise InputError("cone is not pointed (it contains a line)")
-
-    # In a pointed cone the facets through a ray meet in the smallest face
-    # containing it, so the ray is extremal iff no other ray lies on all of
-    # them: the AND of the zero sets of those facets is the ray alone.
-    _, zeros = _facet_incidence(probe)
-    for i in range(len(rays)):
-        face = reduce(and_, (z for z in zeros if z >> i & 1), (1 << len(rays)) - 1)
-        others = [j for j in range(len(rays)) if j != i and face >> j & 1]
-        if others:
-            raise InputError(
-                f"ray #{i} {list(rays[i])} is not extremal: it lies inside the "
-                f"face spanned by rays {', '.join(f'#{j}' for j in others)}"
-            )
-    return Cone(ambient_rank, tuple(rays))
+    return Cone(ambient_rank, _split(ambient_rank, raw_rays, normalize)[0])
 
 
 # Limit on the candidate subsets of one hyperplane scan, checked before the
@@ -370,6 +403,8 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
 
 def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     """Hermite basis of the integer kernel {x : row . x == 0 for all rows}."""
+    if not mat_rows:
+        return IntMatrix.identity(dim).entries
     return _form_kernel(_equation_form(mat_rows, dim), len(mat_rows))
 
 
@@ -383,35 +418,7 @@ def split_degenerate(
     rank ``d`` plus ``torus_rank = ambient_rank - d`` free directions.  An
     empty ray list is the pure torus case (zero-dimensional cone marker).
     """
-    if ambient_rank < 0:
-        raise InputError("ambient rank must be nonnegative")
-    if not raw_rays:
+    rays = _ray_list(ambient_rank, raw_rays, 0)
+    if not rays:
         return SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
-    # Validate in the input's coordinates, so errors name the user's rays.
-    cone = build_cone(ambient_rank, raw_rays, normalize)
-    rays = cone.rays
-
-    # Saturation = kernel of the kernel: integer kernels are saturated, and
-    # the orthogonal complement of the complement of the ray span is exactly
-    # the rational ray span intersected with the lattice.  With no
-    # complement the rays span the lattice: the Hermite basis is the
-    # identity and the rays are their own coordinates.
-    complement = _kernel_rows(rays, ambient_rank)
-    if not complement:
-        return SplitCone(IntMatrix.identity(ambient_rank), cone, 0)
-    sat_basis = _kernel_rows(complement, ambient_rank)
-    d = len(sat_basis)
-    basis = IntMatrix(d, ambient_rank, sat_basis)
-
-    # The coordinates c of a ray r solve c @ B == r, a system whose matrix
-    # B^T is the same for every ray: one form of [B | I] solves them all.
-    form = _equation_form(tuple(zip(*sat_basis)), d)
-    solved = tuple(_solve_in_form(form, ray) for ray in rays)
-    ray_matrix = IntMatrix(len(rays), ambient_rank, rays)
-    coords = IntMatrix(len(rays), d, solved)
-    if None in solved or coords @ basis != ray_matrix:
-        raise ConsistencyError("ray coordinates in the sublattice basis miss the rays")
-    # Extremality, pointedness, primitivity and distinctness carry over to
-    # the rays' coordinates in a basis of their saturated span, and the rays
-    # span it, so the induced cone is full-dimensional.
-    return SplitCone(basis, Cone(d, coords.entries), ambient_rank - d)
+    return _split(ambient_rank, rays, normalize)[1]

@@ -497,6 +497,41 @@ def _reduce_mod_rows(vec: IntVec, rows) -> IntVec:
     return tuple(out)
 
 
+def _pivot_index(basis: tuple[IntVec, ...]) -> dict[int, int]:
+    """Map each pivot column of a Hermite basis to its row."""
+    pivot_of = {}
+    for idx, row in enumerate(basis):
+        for col, x in enumerate(row):
+            if x:
+                pivot_of[col] = idx
+                break
+    return pivot_of
+
+
+def _lattice_coordinates(
+    basis: tuple[IntVec, ...], pivot_of: dict[int, int], vec: IntVec
+) -> IntVec | None:
+    """Coordinates of an integer vector in a Hermite basis with pivot index
+    ``pivot_of``, by one back-substitution; ``None`` when it is not in the
+    row lattice."""
+    coords = [0] * len(basis)
+    v = list(vec)
+    for col in range(len(vec)):
+        if v[col] == 0:
+            continue
+        idx = pivot_of.get(col)
+        if idx is None:
+            return None
+        p = basis[idx][col]
+        if v[col] % p:
+            return None
+        coords[idx] = q = v[col] // p
+        row = basis[idx]
+        for c in range(col, len(v)):
+            v[c] -= q * row[c]
+    return None if any(v) else tuple(coords)
+
+
 def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
     """Solve the equality part of ``system`` exactly over the integers.
 

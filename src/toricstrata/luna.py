@@ -99,6 +99,8 @@ def weight_system(group: FgAbGroup, rows) -> WeightSystem:
     for idx, row in enumerate(rows):
         try:
             weights.append(group.element(tuple(row)))
+        except TypeError:
+            raise InputError(f"weight {idx} is not a sequence of coordinates") from None
         except InputError as exc:
             raise InputError(f"weight {idx}: {exc}")
     return WeightSystem(group, tuple(weights))

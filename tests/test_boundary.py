@@ -14,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
@@ -72,6 +73,47 @@ def test_checking_factories_refuse_malformed_integer_data(data):
     }
     for name, build in factories.items():
         assert raises_input_error(build), (name, rows)
+
+
+@pytest.mark.parametrize(
+    "rank, rays, message",
+    [
+        (2, [5], "ray #0 is not a sequence"),
+        (2, [(1, 0), None], "ray #1 is not a sequence"),
+        (2.0, [(1, 0), (0, 1)], "ambient rank must be an integer"),
+        ("2", [(1, 0), (0, 1)], "ambient rank must be an integer"),
+        (True, [(1,), (-1,)], "ambient rank must be an integer"),
+        (2, 5, "rays must be given as an iterable"),
+        (2, iter([]), "at least one ray is required"),
+        (0, 5, "ambient rank must be at least 1"),
+    ],
+)
+def test_build_cone_refuses_malformed_boundary_input(rank, rays, message):
+    with pytest.raises(ts.InputError, match=message):
+        ts.build_cone(rank, rays)
+
+
+@pytest.mark.parametrize(
+    "rank, rays, message",
+    [
+        (2.0, [(1, 0)], "ambient rank must be an integer"),
+        (False, [], "ambient rank must be an integer"),
+        (2, 5, "rays must be given as an iterable"),
+        (2, [(1, 0), 5], "ray #1 is not a sequence"),
+        (-1, 5, "ambient rank must be nonnegative"),
+        (0, [(1,)], "ambient rank must be at least 1"),
+    ],
+)
+@pytest.mark.parametrize("factory", [ts.split_degenerate, ts.stratify])
+def test_split_and_stratify_refuse_malformed_boundary_input(factory, rank, rays, message):
+    with pytest.raises(ts.InputError, match=message):
+        factory(rank, rays)
+
+
+@pytest.mark.parametrize("rows, index", [([5], 0), ([(1,), None], 1)])
+def test_weight_system_refuses_a_row_that_is_not_a_sequence(rows, index):
+    with pytest.raises(ts.InputError, match=f"weight {index} is not a sequence"):
+        ts.weight_system(ts.FgAbGroup(1, ()), rows)
 
 
 garbage = st.recursive(

@@ -217,7 +217,7 @@ GOLDEN_CASES = sorted(tuple(path.name.split(".")[:2]) for path in GOLDEN.glob("*
 
 def test_the_golden_cases_are_found():
     # an empty glob would leave the golden test below with no case to run
-    assert len(GOLDEN_CASES) >= 18
+    assert len(GOLDEN_CASES) >= 19
 
 
 @pytest.mark.parametrize("name, command", GOLDEN_CASES)

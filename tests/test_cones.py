@@ -51,6 +51,15 @@ def test_build_cone_rejects_unpointed_cones():
         ts.build_cone(2, [(1, 0), (-1, 0)])
     with pytest.raises(ts.InputError):
         ts.build_cone(2, [(1, 0), (-1, 1), (0, -1)])
+    # lines in a proper subspace: pointedness is read off the induced cone
+    for rays in (
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0)],
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)],
+        [(1, 1, 1), (-1, -1, -1)],
+    ):
+        for build in (ts.build_cone, ts.split_degenerate, ts.stratify):
+            with pytest.raises(ts.InputError, match="not pointed"):
+                build(3, rays)
 
 
 def test_build_cone_rejects_non_extremal_generators():

@@ -94,6 +94,25 @@ def test_stratify_splits_off_torus_factors():
     assert stratum.orbit_dims == (2, 1)
 
 
+def test_stratify_reads_its_rays_once():
+    report = stratify(2, (ray for ray in [(1, 0), (1, 2)]))
+    assert report.input_rays == ((1, 0), (1, 2))
+    assert report.cone.rays == ((1, 0), (1, 2))
+
+
+@pytest.mark.parametrize("name", ["skew_rank3.json", "cone_rank3.json"])
+def test_stratify_scans_the_facets_once(fixture_path, name):
+    # A degenerate input is validated on its induced cone, so the facet scan
+    # of the validation is the one the face walk reuses.
+    with open(fixture_path(name)) as fh:
+        data = json.load(fh)
+    caches = (ts.facet_normals, ts.cones._facet_incidence, ts.cones._face_table, ts.face_lattice)
+    for cache in caches:
+        cache.cache_clear()
+    stratify(data["rank"], data["rays"])
+    assert ts.facet_normals.cache_info().misses == 1
+
+
 def test_stratify_of_a_pure_torus():
     for k in range(4):
         report = stratify(k, [])
@@ -254,11 +273,11 @@ def test_stratify_inserts_route_one_subgroups_down_the_face_lattice(monkeypatch)
     report = stratify(3, rays)
     assert len(faces) == 34 and len(report.strata) == 2
     assert [len(s.faces) for s in report.strata] == [33, 1]
-    # one more form each: the class group's generators in build_toric, the
-    # probe's pivot columns in build_cone
+    # one more form in abelian: the class group's generators in build_toric;
+    # build_cone takes no Hermite form of its own
     assert counts == {
         "abelian.hermite_normal_form": 1 + 17,
-        "cones.hermite_normal_form": 1 + 16,
+        "cones.hermite_normal_form": 16,
         "divisors.quotient_group": 2,
     }
 
