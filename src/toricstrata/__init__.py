@@ -8,168 +8,29 @@ one-parameter orbit connections, and the Luna stratification of the
 characteristic quasitorus action.  Three independent computation routes
 are cross-checked on every run.
 
-Entry points: :func:`stratify` for the full pipeline, the module-level
-helpers below for individual pieces, and the ``toricstrata`` command for
-file-based use.
+Entry points: :func:`stratify` for the full pipeline, the public names of
+each module (its ``__all__``, all re-exported here) for individual pieces,
+and the ``toricstrata`` command for file-based use.
 """
 
-from .abelian import (
-    FgAbGroup,
-    GroupElement,
-    MembershipResult,
-    SubgroupHandle,
-    full_subgroup,
-    group_from_cokernel,
-    is_full,
-    quotient_group,
-    semigroup_member,
-    subgroup_canon,
-    subgroup_leq,
-    subgroup_structure,
-    subgroups_equal,
-)
-from .cones import (
-    Cone,
-    Face,
-    SplitCone,
-    build_cone,
-    face_from_ray_indices,
-    face_functional,
-    face_lattice,
-    facet_normals,
-    is_smooth_face,
-    split_degenerate,
-)
-from .divisors import (
-    FaceOrbitData,
-    SemigroupCheck,
-    ToricData,
-    build_toric,
-    face_orbit_data,
-    verify_semigroup_equals_group,
-)
-from .engine import (
-    CrossChecks,
-    StratificationReport,
-    Stratum,
-    closure_edges,
-    stratify,
-)
-from .errors import ConsistencyError, InputError
-from .linalg import (
-    IntMatrix,
-    IntegerSolution,
-    LinearSystem,
-    first_lattice_point,
-    hermite_normal_form,
-    integer_rank,
-    lattice_points_bounded,
-    linear_system,
-    primitive_vector,
-    rational_feasible,
-    smith_normal_form,
-    solve_integer_system,
-)
-from .luna import (
-    GaleDual,
-    LunaStratum,
-    StabilityReport,
-    WeightSystem,
-    check_strongly_stable,
-    cox_weight_system,
-    face_support_bridge,
-    gale_dual,
-    is_closed_support,
-    luna_strata,
-    weight_subgroup,
-    weight_system,
-)
-from .roots import (
-    ConnectionGraph,
-    ConnectionVerdict,
-    DemazureRoot,
-    IsolatedFace,
-    connection_exists,
-    connection_graph,
-    default_box_bound,
-    demazure_root,
-    enumerate_roots,
-    graph_components,
-    isolated_faces,
-)
+from .abelian import *
+from .cones import *
+from .divisors import *
+from .engine import *
+from .errors import *
+from .linalg import *
+from .luna import *
+from .roots import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConnectionGraph",
-    "ConnectionVerdict",
-    "Cone",
-    "ConsistencyError",
-    "CrossChecks",
-    "DemazureRoot",
-    "Face",
-    "FaceOrbitData",
-    "FgAbGroup",
-    "GaleDual",
-    "GroupElement",
-    "InputError",
-    "IntMatrix",
-    "IntegerSolution",
-    "IsolatedFace",
-    "LinearSystem",
-    "LunaStratum",
-    "MembershipResult",
-    "SemigroupCheck",
-    "SplitCone",
-    "StabilityReport",
-    "StratificationReport",
-    "Stratum",
-    "SubgroupHandle",
-    "ToricData",
-    "WeightSystem",
-    "build_cone",
-    "build_toric",
-    "check_strongly_stable",
-    "closure_edges",
-    "connection_exists",
-    "connection_graph",
-    "cox_weight_system",
-    "default_box_bound",
-    "demazure_root",
-    "enumerate_roots",
-    "face_from_ray_indices",
-    "face_functional",
-    "face_lattice",
-    "face_orbit_data",
-    "face_support_bridge",
-    "facet_normals",
-    "first_lattice_point",
-    "full_subgroup",
-    "gale_dual",
-    "graph_components",
-    "group_from_cokernel",
-    "hermite_normal_form",
-    "integer_rank",
-    "is_closed_support",
-    "is_full",
-    "is_smooth_face",
-    "isolated_faces",
-    "lattice_points_bounded",
-    "linear_system",
-    "luna_strata",
-    "primitive_vector",
-    "quotient_group",
-    "rational_feasible",
-    "semigroup_member",
-    "smith_normal_form",
-    "solve_integer_system",
-    "split_degenerate",
-    "stratify",
-    "subgroup_canon",
-    "subgroup_leq",
-    "subgroup_structure",
-    "subgroups_equal",
-    "verify_semigroup_equals_group",
-    "weight_subgroup",
-    "weight_system",
-]
+__all__ = (
+    abelian.__all__
+    + cones.__all__
+    + divisors.__all__
+    + engine.__all__
+    + errors.__all__
+    + linalg.__all__
+    + luna.__all__
+    + roots.__all__
+)

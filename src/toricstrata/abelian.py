@@ -52,6 +52,7 @@ __all__ = [
     "SubgroupHandle",
     "full_subgroup",
     "group_from_cokernel",
+    "is_full",
     "quotient_group",
     "semigroup_member",
     "subgroup_canon",
@@ -266,8 +267,10 @@ def full_subgroup(group: FgAbGroup) -> SubgroupHandle:
 
 def is_full(handle: SubgroupHandle) -> bool:
     """Whether the subgroup is the whole group: the Hermite basis of the
-    whole preimage lattice is the identity."""
-    return handle.basis == IntMatrix.identity(handle.parent.ncoords).entries
+    whole preimage lattice is the identity.  A basis of full rank with
+    every pivot 1 is that: the entries above a pivot lie in [0, 1)."""
+    basis = handle.basis
+    return len(basis) == handle.parent.ncoords and all(row[i] == 1 for i, row in enumerate(basis))
 
 
 def quotient_group(group: FgAbGroup, sub: SubgroupHandle) -> FgAbGroup:

@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 
 from .abelian import FgAbGroup
-from .cones import Cone, build_cone
+from .cones import Cone, split_degenerate
 from .divisors import build_toric, face_orbit_data
 from .engine import StratificationReport, stratify
 from .errors import InputError
@@ -131,13 +131,13 @@ def _load_pointed_cone(args) -> Cone:
             f"use the stratify command, which handles torus factors"
         )
     with _naming(args.file):
-        cone = build_cone(rank, rays, normalize=args.normalize)
-    if not cone.is_full_dimensional():
+        split = split_degenerate(rank, rays, normalize=args.normalize)
+    if split.torus_rank:
         raise InputError(
             f"{args.file}: rays span a proper subspace (torus factor present); "
             f"use the stratify command, which splits the factor off"
         )
-    return cone
+    return split.cone
 
 
 def _load_weight_system(path: str) -> WeightSystem:

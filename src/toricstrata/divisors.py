@@ -17,8 +17,9 @@ normal form, and a face of a smooth face is smooth.  One quotient is taken
 per distinct subgroup, which the faces of a stratum share.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
-character ``u`` per face: u >= 1 off the face, principal class zero.  It
-is a hard invariant (a failed certificate aborts the run).
+character ``u`` per face: u >= 1 off the face, principal class zero, the
+latter checked once per cone by :func:`build_toric`.  It is a hard
+invariant (a failed certificate aborts the run).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .abelian import (
     quotient_group,
     subgroup_canon,
 )
-from .cones import Cone, Face, _face_table, face_functional, face_lattice, is_smooth_face
+from .cones import Cone, Face, _face_table, _functional_with_pairings, face_lattice, is_smooth_face
 from .errors import ConsistencyError
 from .linalg import IntMatrix, IntVec
 
@@ -97,7 +98,10 @@ def build_toric(cone: Cone) -> ToricData:
 
     The face lattice comes first: its facet scan refuses a cone that is
     not full-dimensional, so the class group's free rank checks the Smith
-    form against the scan, with no rank of its own.
+    form against the scan, with no rank of its own.  The principal class
+    ``sum_j <p_j, e_c> [D_j]`` of each coordinate character is checked to
+    be zero, one sum per column of the ray matrix; the class map is linear,
+    so that of every character ``u`` is ``sum_c u_c`` times these.
     """
     faces = face_lattice(cone)
     pairing = IntMatrix(cone.nrays, cone.ambient_rank, cone.rays)
@@ -106,6 +110,13 @@ def build_toric(cone: Cone) -> ToricData:
         raise ConsistencyError("class group free rank differs from rays - rank")
     if not is_full(subgroup_canon(group, classes)):
         raise ConsistencyError("divisor classes fail to generate the class group")
+    class_columns = tuple(zip(*(g.coords for g in classes)))
+    for c, column in enumerate(zip(*cone.rays)):
+        reduced = group._reduced([sum(map(mul, column, k)) for k in class_columns])
+        if any(reduced):
+            raise ConsistencyError(
+                f"coordinate character e_{c} has divisor class {reduced}, not zero"
+            )
     return ToricData(cone, group, classes, faces)
 
 
@@ -166,29 +177,17 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
     ``u`` of :func:`~toricstrata.cones.face_functional`: u >= 1 on every
     ray off the face, and the principal class ``sum_j <p_j, u> [D_j]`` is
     zero.  Then ``-[D_i] = sum_j (<p_j, u> - delta_ij) [D_j]`` over the
-    dset with nonnegative coefficients.  Both facts are checked exactly:
-    the pairings from ``u`` itself, the class summed in integer coordinates
-    and reduced once.  A failure contradicts the theory and aborts the run.
+    dset with nonnegative coefficients.  The pairings, read off the cone's
+    face table, are checked here; the principal class rests on
+    :func:`build_toric`, as the :class:`ToricData` constructor trusts its
+    caller.  A failure contradicts the theory and aborts the run.
     """
-    cone = toric.cone
-    group = toric.class_group
-    u = face_functional(cone, face)  # refuses a face of another lattice
+    u, pairings = _functional_with_pairings(toric.cone, face)  # refuses a foreign face
     inside = set(face.ray_indices)
-    principal = [0] * group.ncoords
-    for j in range(cone.nrays):
-        if j in inside:
-            continue
-        p = sum(map(mul, cone.rays[j], u))
-        if p < 1:
+    for j, p in enumerate(pairings):
+        if p < 1 and j not in inside:
             raise ConsistencyError(
                 f"face functional {list(u)} pairs to {p} with ray #{j} outside "
                 f"face {list(face.ray_indices)}"
             )
-        principal = [a + p * b for a, b in zip(principal, toric.divisor_classes[j].coords)]
-    reduced = group._reduced(principal)
-    if any(reduced):
-        raise ConsistencyError(
-            f"face functional {list(u)} has divisor class {reduced} at "
-            f"face {list(face.ray_indices)}, not zero"
-        )
     return SemigroupCheck(verified=True, functional=u)

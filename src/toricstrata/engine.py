@@ -129,9 +129,18 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
     :func:`~toricstrata.cones.build_cone`.  See the module docstring for
     the three routes and the checks between them.
     """
-    rays = _ray_list(ambient_rank, rays, 0)
+    # Validation reads each ray once, in its loop, so a bad ray is reported
+    # before later rays are read; ``read`` keeps the tuples it reads, the
+    # input rays as given, before normalization.
+    given: list[IntVec] = []
+
+    def read(ray):
+        given.append(vec := tuple(ray))
+        yield from vec
+
+    rays = [read(ray) for ray in _ray_list(ambient_rank, rays, 0)]
     split = split_degenerate(ambient_rank, rays, normalize=normalize)
-    input_rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+    input_rays = tuple(tuple(int(x) for x in ray) for ray in given)
     cone = split.cone
     toric = build_toric(cone)
 

@@ -8,6 +8,8 @@ the library: reaching it means a bug, and silent continuation would produce
 wrong mathematics.
 """
 
+__all__ = ["ConsistencyError", "InputError"]
+
 
 class InputError(ValueError):
     """Invalid user input (validation failure, malformed file, bad options)."""

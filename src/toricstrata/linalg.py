@@ -459,7 +459,7 @@ def _equation_form(equations: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     ``dim`` entries are the Hermite basis of the integer kernel of ``A``.
     """
     columns = zip(*equations) if equations else repeat((), dim)
-    rows = tuple(col + unit for col, unit in zip(columns, IntMatrix.identity(dim).entries))
+    rows = tuple(col + (0,) * i + (1,) + (0,) * (dim - 1 - i) for i, col in enumerate(columns))
     return hermite_normal_form(IntMatrix(dim, len(equations) + dim, rows)).entries
 
 

@@ -9,6 +9,7 @@ constructors and never re-enters those factories.
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 import tempfile
@@ -108,6 +109,28 @@ def test_build_cone_refuses_malformed_boundary_input(rank, rays, message):
 def test_split_and_stratify_refuse_malformed_boundary_input(factory, rank, rays, message):
     with pytest.raises(ts.InputError, match=message):
         factory(rank, rays)
+
+
+def test_one_shot_rays_are_read_once():
+    # each ray is an iterator that can be read only once
+    def rays():
+        return (iter(ray) for ray in [(1, 0), (1, 2)])
+
+    report = ts.stratify(2, rays())
+    assert report.input_rays == ((1, 0), (1, 2))
+    assert report.cone.rays == ((1, 0), (1, 2))
+    scaled = ts.stratify(2, (iter(ray) for ray in [(2, 0), (1, 2)]), normalize=True)
+    assert scaled.input_rays == ((2, 0), (1, 2))
+    assert scaled.cone.rays == ((1, 0), (1, 2))
+    assert ts.build_cone(2, rays()).rays == ((1, 0), (1, 2))
+    assert ts.split_degenerate(2, rays()).cone.rays == ((1, 0), (1, 2))
+
+
+def test_a_bad_ray_is_reported_before_later_rays_are_read():
+    # the second ray never ends; the first is refused before it is read
+    for factory in (ts.build_cone, ts.split_degenerate, ts.stratify):
+        with pytest.raises(ts.InputError, match="ray #0 is the zero vector"):
+            factory(2, [(0, 0), itertools.count()])
 
 
 @pytest.mark.parametrize("rows, index", [([5], 0), ([(1,), None], 1)])

@@ -1,6 +1,5 @@
 """Class groups, per-face orbit data and the semigroup-generation check."""
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -211,21 +210,26 @@ def test_semigroup_certificate_is_the_face_functional():
 
 def test_semigroup_certificate_refuses_a_functional_vanishing_off_the_face(monkeypatch):
     # (1, 0) pairs to 0 with the ray (0, 1), which lies off the apex face
-    monkeypatch.setattr(ts.divisors, "face_functional", lambda cone, face: (1, 0))
+    monkeypatch.setattr(
+        ts.divisors, "_functional_with_pairings", lambda cone, face: ((1, 0), (1, 0))
+    )
     apex = ts.face_from_ray_indices(QUADRANT2.cone, ())
     with pytest.raises(ts.ConsistencyError, match="pairs to 0 with ray #1"):
         ts.verify_semigroup_equals_group(QUADRANT2, apex)
 
 
-def test_semigroup_certificate_refuses_a_nonzero_principal_class():
+def test_semigroup_certificate_refuses_a_nonzero_principal_class(monkeypatch):
     # the conifold has class group Z; shifting one divisor class breaks the
-    # relation sum_j <p_j, u> [D_j] = 0 at every face that misses the ray
-    toric = ts.build_toric(ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]))
-    assert toric.class_group.describe() == "Z"
-    classes = list(toric.divisor_classes)
-    classes[0] = classes[0] + toric.class_group.element((1,))
-    broken = dataclasses.replace(toric, divisor_classes=tuple(classes))
-    apex = ts.face_from_ray_indices(toric.cone, ())
-    assert ts.verify_semigroup_equals_group(toric, apex).verified
-    with pytest.raises(ts.ConsistencyError, match="has divisor class"):
-        ts.verify_semigroup_equals_group(broken, apex)
+    # relation sum_j <p_j, e_c> [D_j] = 0 for the coordinates where that
+    # ray is nonzero, so the certificate of every face would be void
+    conifold = ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    assert ts.build_toric(conifold).class_group.describe() == "Z"
+    cokernel = ts.divisors.group_from_cokernel
+
+    def shifted(pairing):
+        group, classes = cokernel(pairing)
+        return group, (classes[0] + group.element((1,)), *classes[1:])
+
+    monkeypatch.setattr(ts.divisors, "group_from_cokernel", shifted)
+    with pytest.raises(ts.ConsistencyError, match="coordinate character e_0 has divisor class"):
+        ts.build_toric(conifold)
