@@ -36,6 +36,7 @@ from .linalg import (
     IntVec,
     LinearSystem,
     _fm_chain,
+    _is_int,
     _lattice_coordinates,
     _lattice_dfs,
     _pivot_index,
@@ -94,10 +95,14 @@ class FgAbGroup:
 
     def reduce(self, coords: Sequence[int]) -> IntVec:
         """Check outside coordinates and reduce the torsion ones."""
+        try:
+            coords = tuple(coords)
+        except TypeError:
+            raise InputError("element coordinates must be a sequence") from None
         if len(coords) != self.ncoords:
             raise InputError("element coordinate length does not match the group")
         for j, x in enumerate(coords):
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not _is_int(x):
                 raise InputError(f"coordinate {j} must be an integer")
         return self._reduced(coords)
 

@@ -403,8 +403,6 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
 
 def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     """Hermite basis of the integer kernel {x : row . x == 0 for all rows}."""
-    if not mat_rows:
-        return IntMatrix.identity(dim).entries
     return _form_kernel(_equation_form(mat_rows, dim), len(mat_rows))
 
 

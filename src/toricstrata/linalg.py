@@ -14,7 +14,8 @@ elsewhere:
 * Integer kernels and solutions of ``A x == b`` come from one Hermite form
   of ``[A^T | I]``, built once per matrix and reduced against once per
   right-hand side; kernel bases and particular solutions come out
-  canonical.
+  canonical.  One routine reduces a vector modulo a Hermite basis, for
+  these solutions and for lattice coordinates alike.
 * Smith normal form returns ``(U, S, V)`` with ``U @ A @ V == S``, ``S``
   diagonal and nonnegative, each diagonal entry dividing the next.  It is
   used only where invariant factors are needed.
@@ -25,15 +26,15 @@ elsewhere:
   once by the lcm of its denominators, so no consumer does ``Fraction``
   arithmetic on the rows or re-scales them.
 * Rational feasibility is decided by Fourier-Motzkin elimination after
-  fraction-free Gauss-Jordan elimination of the equalities: rows stay
-  primitive integer vectors, pivot variables are substituted into the
-  inequalities in integers, and a pivot divides only when the witness is
-  rebuilt.  Back-substitution picks every coordinate strictly inside its
-  segment, so the witness lies in the relative interior of the solution
-  set.  The intended operating envelope is small: at most ~10 variables and
-  a few dozen constraints.  In the package, ``abelian.semigroup_member``
-  calls it for a relative-interior point of a relation cone, and the
-  lattice searches below prune with the same projections.
+  the equalities are eliminated along the Hermite form of ``[A | b]``:
+  pivot variables are substituted into the inequalities in integers, and a
+  pivot divides only when the witness is rebuilt.  Back-substitution picks
+  every coordinate strictly inside its segment, so the witness lies in the
+  relative interior of the solution set.  The intended operating envelope
+  is small: at most ~10 variables and a few dozen constraints.  In the
+  package, ``abelian.semigroup_member`` calls it for a relative-interior
+  point of a relation cone, and the lattice searches below prune with the
+  same projections.
 * The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
   raises ``InputError`` before it would build more; ``roots.enumerate_roots``
   lists roots with it.  Its first-hit path, behind
@@ -76,6 +77,10 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y == g."""
     old_r, r = a, b
@@ -106,19 +111,23 @@ class IntMatrix:
     @staticmethod
     def from_rows(data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         """Check rows of integers from outside the package and freeze them."""
-        rows = tuple(tuple(row) for row in data)
+        try:
+            rows = tuple(tuple(row) for row in data)
+        except TypeError:
+            raise InputError("matrix rows must be given as an iterable of sequences") from None
         if cols is None:
             if not rows:
                 raise InputError("column count required for an empty matrix")
             cols = len(rows[0])
+        if not _is_int(cols):
+            raise InputError("column count must be an integer")
         if cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
         for row in rows:
             if len(row) != cols:
                 raise InputError("ragged matrix rows")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError("matrix entries must be integers")
+            if not all(map(_is_int, row)):
+                raise InputError("matrix entries must be integers")
         return IntMatrix(len(rows), cols, rows)
 
     @staticmethod
@@ -385,7 +394,7 @@ def _scale_inequality(
 
 
 def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    return _is_int(x) or isinstance(x, Fraction)
 
 
 @dataclass(frozen=True)
@@ -414,22 +423,26 @@ def linear_system(
     Each inequality is scaled once, by the positive lcm of its
     denominators, into an integer row with the same solution set.
     """
+    if not _is_int(dim):
+        raise InputError("system dimension must be an integer")
     if dim < 0:
         raise InputError("system dimension must be nonnegative")
+    try:
+        eq_rows = [(tuple(coeffs), rhs) for coeffs, rhs in equalities]
+        ineq_rows = [(tuple(coeffs), rhs, strict) for coeffs, rhs, strict in inequalities]
+    except (TypeError, ValueError):
+        raise InputError("constraints must be iterables of (coeffs, rhs[, strict])") from None
     eqs = []
-    for coeffs, rhs in equalities:
-        vec = tuple(coeffs)
-        if len(vec) != dim:
+    for coeffs, rhs in eq_rows:
+        if len(coeffs) != dim:
             raise InputError("equality coefficient vector has wrong length")
-        for x in vec:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError("equality coefficients must be integers")
-        if not isinstance(rhs, int) or isinstance(rhs, bool):
+        if not all(map(_is_int, coeffs)):
+            raise InputError("equality coefficients must be integers")
+        if not _is_int(rhs):
             raise InputError("equality right-hand side must be an integer")
-        eqs.append((vec, rhs))
+        eqs.append((coeffs, rhs))
     ineqs = []
-    for coeffs, rhs, strict in inequalities:
-        vec = tuple(coeffs)
+    for vec, rhs, strict in ineq_rows:
         if len(vec) != dim:
             raise InputError("inequality coefficient vector has wrong length")
         if not all(_is_rational(x) for x in vec):
@@ -463,10 +476,13 @@ def _equation_form(equations: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     return hermite_normal_form(IntMatrix(dim, len(equations) + dim, rows)).entries
 
 
-def _solve_in_form(form: Sequence[IntVec], rhs: Sequence[int]) -> IntVec | None:
+def _solve_in_form(
+    form: Sequence[IntVec], pivot_of: dict[int, int], rhs: Sequence[int]
+) -> IntVec | None:
     """The integer solution of ``A x == rhs`` reduced modulo the Hermite
     kernel basis, or ``None`` when there is none; ``form`` is
-    :func:`_equation_form` of ``A``.
+    :func:`_equation_form` of ``A`` and ``pivot_of`` its
+    :func:`_pivot_index`.
 
     Reducing ``(-rhs, 0)`` modulo the form gives the one point ``(A x -
     rhs, x)`` of its coset with every pivot entry in ``[0, pivot)``.  Its
@@ -474,8 +490,8 @@ def _solve_in_form(form: Sequence[IntVec], rhs: Sequence[int]) -> IntVec | None:
     last part is then the same solution whichever one starts from.
     """
     k = len(rhs)
-    reduced = _reduce_mod_rows((*(-b for b in rhs), *repeat(0, len(form))), form)
-    return None if any(reduced[:k]) else reduced[k:]
+    _, rest = _reduce(form, pivot_of, (*(-b for b in rhs), *repeat(0, len(form))))
+    return None if any(rest[:k]) else tuple(rest[k:])
 
 
 def _form_kernel(form: Sequence[IntVec], k: int) -> tuple[IntVec, ...]:
@@ -484,21 +500,8 @@ def _form_kernel(form: Sequence[IntVec], k: int) -> tuple[IntVec, ...]:
     return tuple(row[k:] for row in form if not any(row[:k]))
 
 
-def _reduce_mod_rows(vec: IntVec, rows) -> IntVec:
-    """Shift ``vec`` by row-lattice vectors so pivot entries land in [0, pivot)."""
-    out = list(vec)
-    for row in rows:
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        q = out[pivot] // row[pivot]
-        if q:
-            out = [a - q * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
-def _pivot_index(basis: tuple[IntVec, ...]) -> dict[int, int]:
-    """Map each pivot column of a Hermite basis to its row."""
+def _pivot_index(basis: Sequence[IntVec]) -> dict[int, int]:
+    """Map each pivot column of a Hermite basis to its row, in row order."""
     pivot_of = {}
     for idx, row in enumerate(basis):
         for col, x in enumerate(row):
@@ -508,28 +511,31 @@ def _pivot_index(basis: tuple[IntVec, ...]) -> dict[int, int]:
     return pivot_of
 
 
+def _reduce(basis: Sequence[IntVec], pivot_of: dict[int, int], vec) -> tuple[list, list]:
+    """Reduce ``vec`` modulo a Hermite basis with pivot index ``pivot_of``:
+    the coefficients ``c`` and the remainder ``vec - c . basis``, the one
+    vector of the coset whose pivot entries all lie in ``[0, pivot)``.
+    Each row is zero left of its pivot, so taking the rows in pivot order
+    leaves the pivot entries already reduced alone."""
+    coeffs = [0] * len(basis)
+    rest = list(vec)
+    for col, idx in pivot_of.items():
+        row = basis[idx]
+        q = rest[col] // row[col]
+        if q:
+            coeffs[idx] = q
+            rest[col:] = [a - q * b for a, b in zip(rest[col:], row[col:])]
+    return coeffs, rest
+
+
 def _lattice_coordinates(
-    basis: tuple[IntVec, ...], pivot_of: dict[int, int], vec: IntVec
+    basis: Sequence[IntVec], pivot_of: dict[int, int], vec: IntVec
 ) -> IntVec | None:
     """Coordinates of an integer vector in a Hermite basis with pivot index
-    ``pivot_of``, by one back-substitution; ``None`` when it is not in the
-    row lattice."""
-    coords = [0] * len(basis)
-    v = list(vec)
-    for col in range(len(vec)):
-        if v[col] == 0:
-            continue
-        idx = pivot_of.get(col)
-        if idx is None:
-            return None
-        p = basis[idx][col]
-        if v[col] % p:
-            return None
-        coords[idx] = q = v[col] // p
-        row = basis[idx]
-        for c in range(col, len(v)):
-            v[c] -= q * row[c]
-    return None if any(v) else tuple(coords)
+    ``pivot_of``, read off its :func:`_reduce`; ``None`` when it is not in
+    the row lattice (the remainder is not zero)."""
+    coeffs, rest = _reduce(basis, pivot_of, vec)
+    return None if any(rest) else tuple(coeffs)
 
 
 def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
@@ -544,7 +550,7 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
     if system.inequalities:
         raise InputError("solve_integer_system accepts equality-only systems")
     form = _equation_form(tuple(c for c, _ in system.equalities), system.dim)
-    particular = _solve_in_form(form, [rhs for _, rhs in system.equalities])
+    particular = _solve_in_form(form, _pivot_index(form), [rhs for _, rhs in system.equalities])
     if particular is None:
         return None
     return IntegerSolution(particular, _form_kernel(form, len(system.equalities)))
@@ -643,69 +649,37 @@ def _segment(
     return lower, upper
 
 
-def _divide_content(row: list[int]) -> list[int]:
-    """Divide an integer row by the gcd of its entries (zero rows stay)."""
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    return [x // g for x in row] if g > 1 else row
-
-
 def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     """Decide rational feasibility; return an exact witness or ``None``.
 
-    Equalities are removed first by exact Gaussian substitution, the
-    remaining inequalities go through Fourier-Motzkin elimination, and a
-    witness is rebuilt by back-substitution.  Strict inequalities are
-    honored throughout.
+    Equalities are removed first by substitution along the Hermite form of
+    ``[A | b]``, the remaining inequalities go through Fourier-Motzkin
+    elimination, and a witness is rebuilt by back-substitution.  Strict
+    inequalities are honored throughout.
     """
     n = system.dim
 
-    # Fraction-free Gauss-Jordan elimination on the equalities: every row
-    # stays a primitive integer vector with a positive pivot, and a pivot
-    # divides only once, when its variable's witness value is recovered.
-    int_rows = [_divide_content([*coeffs, rhs]) for coeffs, rhs in system.equalities]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        sel = None
-        for i in range(rank, len(int_rows)):
-            if int_rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        int_rows[rank], int_rows[sel] = int_rows[sel], int_rows[rank]
-        if int_rows[rank][col] < 0:
-            int_rows[rank] = [-x for x in int_rows[rank]]
-        prow = int_rows[rank]
-        piv = prow[col]
-        for i in range(len(int_rows)):
-            f = int_rows[i][col]
-            if i != rank and f:
-                int_rows[i] = _divide_content(
-                    [piv * x - f * y for x, y in zip(int_rows[i], prow)]
-                )
-        pivot_cols.append(col)
-        rank += 1
-    for i in range(rank, len(int_rows)):
-        if int_rows[i][n]:
-            return None  # 0 == nonzero
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    # The Hermite form of [A | b] has the rational pivot columns of A; a
+    # pivot in the last column is a row (0, ..., 0 | g), so 0 == g.
+    form = hermite_normal_form(
+        IntMatrix(len(system.equalities), n + 1, tuple((*c, b) for c, b in system.equalities))
+    ).entries
+    pivot_of = _pivot_index(form)
+    if n in pivot_of:
+        return None
+    free_cols = [c for c in range(n) if c not in pivot_of]
 
-    # Substitute the pivot variables into the inequalities: adding a
-    # multiple of an equality to a positive multiple of an inequality keeps
-    # every row integral.
+    # Substitute the pivot variables into the inequalities in pivot order: a
+    # pivot row involves only later variables, so adding a multiple of it to
+    # a positive multiple of an inequality keeps every row integral.
     reduced: list[_Row] = []
     try:
         for vec, rhs, strict in system.inequalities:
-            row = list(vec) + [rhs]
-            for ri, col in enumerate(pivot_cols):
-                f = row[col]
-                if f:
-                    prow = int_rows[ri]
-                    p = prow[col]
-                    row = [p * x - f * y for x, y in zip(row, prow)]
+            row = [*vec, rhs]
+            for col, idx in pivot_of.items():
+                if f := row[col]:
+                    p = form[idx][col]
+                    row = [p * x - f * y for x, y in zip(row, form[idx])]
             norm = _normalize_row((tuple(row[c] for c in free_cols), row[n], strict))
             if norm is not None:
                 reduced.append(norm)
@@ -738,11 +712,11 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     witness = [Fraction(0)] * n
     for c, val in zip(free_cols, free_vals):
         witness[c] = val
-    for ri, col in enumerate(pivot_cols):
-        prow = int_rows[ri]
-        witness[col] = Fraction(
-            prow[n] - sum(prow[c] * witness[c] for c in free_cols), prow[col]
-        )
+    # Rebuild the pivot variables last to first: a row involves only later ones.
+    for col, idx in reversed(pivot_of.items()):
+        row = form[idx]
+        later = sum(map(mul, row[col + 1 : n], witness[col + 1 :]))
+        witness[col] = Fraction(row[n] - later, row[col])
 
     # Re-check the witness in integers, scaled by its common denominator.
     den = 1
@@ -765,7 +739,7 @@ def _inequality_rows(inequalities: Iterable[_Row]) -> list[_Row]:
 
 
 def _check_box_bound(box_bound) -> None:
-    if not isinstance(box_bound, int) or isinstance(box_bound, bool) or box_bound < 0:
+    if not _is_int(box_bound) or box_bound < 0:
         raise InputError("box bound must be a nonnegative integer")
 
 

@@ -51,13 +51,12 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
-    LinearSystem,
     _equation_form,
     _form_kernel,
     _maximal_minors,
+    _pivot_index,
     hermite_normal_form,
     primitive_vector,
-    solve_integer_system,
 )
 
 __all__ = [
@@ -96,6 +95,10 @@ class WeightSystem:
 def weight_system(group: FgAbGroup, rows) -> WeightSystem:
     """Build a weight system from raw coordinate rows (free coords first)."""
     weights = []
+    try:
+        rows = iter(rows)
+    except TypeError:
+        raise InputError("weights must be given as an iterable of rows") from None
     for idx, row in enumerate(rows):
         try:
             weights.append(group.element(tuple(row)))
@@ -152,7 +155,7 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
         return set()
     if len(relations) - 1 <= rank:
         return _gale_side_circuits(vs, relations)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in form[:rank]]
+    pivots = list(_pivot_index(form[:rank]))
     return _subset_side_circuits(vs, [tuple(v[j] for j in pivots) for v in vs])
 
 
@@ -383,17 +386,13 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
     # Kernel of (a, k) |-> sum a_i * w_i - sum k_j * d_j * e_j over the
     # free-plus-torsion coordinate presentation; its projection to the a
     # coordinates is the invariant-character lattice.
-    eqs = []
-    for row in range(r + t):
-        coeffs = [ws.weights[i].coords[row] for i in range(m)]
-        coeffs.extend(
-            -torsion[j] if row == r + j else 0 for j in range(t)
-        )
-        eqs.append((tuple(coeffs), 0))
-    solution = solve_integer_system(LinearSystem(m + t, tuple(eqs), ()))
-    if solution is None:
-        raise ConsistencyError("homogeneous system lost its zero solution")
-    projected = [vec[:m] for vec in solution.kernel_basis]
+    eqs = [
+        tuple(w.coords[row] for w in ws.weights)
+        + tuple(-d if row == r + j else 0 for j, d in enumerate(torsion))
+        for row in range(r + t)
+    ]
+    kernel = _form_kernel(_equation_form(eqs, m + t), r + t)
+    projected = [vec[:m] for vec in kernel]
     d = m - r
     if len(projected) != d:
         raise ConsistencyError(

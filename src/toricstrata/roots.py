@@ -38,6 +38,8 @@ from .linalg import (
     _boxed_solutions,
     _check_box_bound,
     _equation_form,
+    _is_int,
+    _pivot_index,
     _solve_in_form,
 )
 
@@ -71,10 +73,18 @@ class DemazureRoot:
 
 def demazure_root(cone: Cone, vector: IntVec, distinguished_ray: int) -> DemazureRoot:
     """Validate the defining pairings and freeze the root."""
+    if not _is_int(distinguished_ray):
+        raise InputError("distinguished ray index must be an integer")
     if not 0 <= distinguished_ray < cone.nrays:
         raise InputError("distinguished ray index out of range")
+    try:
+        vector = tuple(vector)
+    except TypeError:
+        raise InputError("root vector must be a sequence") from None
     if len(vector) != cone.ambient_rank:
         raise InputError("root vector length does not match the ambient rank")
+    if not all(map(_is_int, vector)):
+        raise InputError("root vector entries must be integers")
     for i, ray in enumerate(cone.rays):
         p = sum(a * b for a, b in zip(ray, vector))
         if i == distinguished_ray:
@@ -82,7 +92,7 @@ def demazure_root(cone: Cone, vector: IntVec, distinguished_ray: int) -> Demazur
                 raise InputError("root must pair to -1 with its distinguished ray")
         elif p < 0:
             raise InputError("root must pair nonnegatively with all other rays")
-    return DemazureRoot(tuple(vector), distinguished_ray)
+    return DemazureRoot(vector, distinguished_ray)
 
 
 def default_box_bound(cone: Cone) -> int:
@@ -175,6 +185,7 @@ def _connections_down_from(
     table) that makes every outside pairing nonnegative.
     """
     form = _equation_form(tuple(cone.rays[i] for i in face2.ray_indices), cone.ambient_rank)
+    pivot_of = _pivot_index(form)
     # u vanishes on face2 (so the equalities still hold) and is positive on
     # every outside ray.
     u, pairings = _functional_with_pairings(cone, face2)
@@ -188,7 +199,7 @@ def _connections_down_from(
 
     verdicts = []
     for tau, face1 in lower:
-        e0 = _solve_in_form(form, [-int(i == tau) for i in face2.ray_indices])
+        e0 = _solve_in_form(form, pivot_of, [-int(i == tau) for i in face2.ray_indices])
         if e0 is None:
             verdicts.append(ConnectionVerdict("no", certificate="integral-equalities"))
             continue
@@ -272,17 +283,14 @@ class IsolatedFace:
 
 
 def isolated_faces(graph: ConnectionGraph) -> tuple[IsolatedFace, ...]:
-    incident: dict[int, list[ConnectionVerdict]] = {
-        i: [] for i in range(len(graph.faces))
-    }
-    for i1, i2, verdict in graph.verdicts:
-        incident[i1].append(verdict)
-        incident[i2].append(verdict)
-    out = []
-    for i, face in enumerate(graph.faces):
-        verdicts = incident[i]
-        if any(v.is_yes() for v in verdicts):
-            continue
-        certified = all(v.status == "no" for v in verdicts)
-        out.append(IsolatedFace(face, certified))
-    return tuple(out)
+    """The faces with no incident yes-edge, in face order.
+
+    Every verdict is a "yes" or a certified "no", so these are the
+    singleton components of :func:`graph_components` and each is fully
+    certified.
+    """
+    return tuple(
+        IsolatedFace(graph.faces[c[0]], fully_certified=True)
+        for c in graph_components(graph)
+        if len(c) == 1
+    )

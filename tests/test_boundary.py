@@ -139,6 +139,47 @@ def test_weight_system_refuses_a_row_that_is_not_a_sequence(rows, index):
         ts.weight_system(ts.FgAbGroup(1, ()), rows)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ts.linear_system("2"), "system dimension must be an integer"),
+        (lambda: ts.linear_system(2.0), "system dimension must be an integer"),
+        (lambda: ts.linear_system(True, [((1,), 0)]), "system dimension must be an integer"),
+        (lambda: ts.linear_system(2, 5), "constraints must be iterables"),
+        (lambda: ts.linear_system(2, [(5, 0)]), "constraints must be iterables"),
+        (lambda: ts.linear_system(2, [((1, 0),)]), "constraints must be iterables"),
+        (lambda: ts.linear_system(2, (), [((1, 0), 0)]), "constraints must be iterables"),
+        (lambda: IntMatrix.from_rows(5), "matrix rows must be given as an iterable of sequences"),
+        (lambda: IntMatrix.from_rows([(1,), 5]), "matrix rows must be given as an iterable of sequences"),
+        (lambda: IntMatrix.from_rows([], cols="2"), "column count must be an integer"),
+        (lambda: IntMatrix.from_rows([], cols=True), "column count must be an integer"),
+        (lambda: ts.FgAbGroup(1, ()).element(5), "element coordinates must be a sequence"),
+        (lambda: ts.weight_system(ts.FgAbGroup(1, ()), 5), "weights must be given as an iterable"),
+    ],
+)
+def test_checking_factories_refuse_malformed_shapes(build, message):
+    with pytest.raises(ts.InputError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "vector, ray, message",
+    [
+        ((-1.0, 0.5), 0, "root vector entries must be integers"),
+        ((-1, True), 0, "root vector entries must be integers"),
+        ((-1, 1), "0", "distinguished ray index must be an integer"),
+        ((-1, 1), True, "distinguished ray index must be an integer"),
+        ((-1, 1), 0.0, "distinguished ray index must be an integer"),
+        (5, 0, "root vector must be a sequence"),
+    ],
+)
+def test_demazure_root_refuses_data_that_is_not_integral(vector, ray, message):
+    cone = ts.build_cone(2, [(1, 0), (1, 2)])
+    assert ts.demazure_root(cone, (-1, 1), 0).vector == (-1, 1)
+    with pytest.raises(ts.InputError, match=message):
+        ts.demazure_root(cone, vector, ray)
+
+
 garbage = st.recursive(
     st.one_of(
         st.none(),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import toricstrata as ts
+from toricstrata import linalg
 from toricstrata.linalg import IntMatrix
 
 from oracles import (
@@ -214,6 +215,31 @@ def test_solve_integer_system_round_trip():
             assert sum(c * x for c, x in zip(row, combo)) == b
 
 
+def test_reduction_modulo_random_hermite_bases():
+    # a lattice vector plus a reduced remainder r (pivot entries in
+    # [0, pivot)) reduces to its own coefficients and r; the coordinates
+    # are returned exactly when r is zero
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(150):
+        h = ts.hermite_normal_form(mat(random_matrix(rng, max_dim=4, entry=6)))
+        basis = tuple(row for row in h.entries if any(row))
+        pivot_of = linalg._pivot_index(basis)
+        coeffs = [rng.randint(-5, 5) for _ in basis]
+        vec = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(h.cols)]
+        rest = [rng.randint(-5, 5) * rng.randint(0, 1) for _ in range(h.cols)]
+        for col, idx in pivot_of.items():
+            rest[col] %= basis[idx][col]
+        shifted = tuple(a + b for a, b in zip(vec, rest))
+        assert linalg._reduce(basis, pivot_of, shifted) == (coeffs, rest)
+        assert linalg._reduce(basis, pivot_of, rest) == ([0] * len(basis), rest)
+        coords = linalg._lattice_coordinates(basis, pivot_of, shifted)
+        assert coords == (tuple(coeffs) if not any(rest) else None)
+        assert linalg._lattice_coordinates(basis, pivot_of, tuple(vec)) == tuple(coeffs)
+        outcomes.add(coords is None)
+    assert outcomes == {True, False}
+
+
 def test_solve_integer_system_detects_unsolvable():
     # rationally inconsistent
     system = ts.linear_system(2, [((1, 0), 0), ((1, 0), 1)])
@@ -386,6 +412,48 @@ def test_rational_feasible_witness_has_the_largest_support_on_a_cone():
     assert outcomes == {True, False}
 
 
+def test_rational_feasible_eliminates_dependent_scaled_and_inconsistent_equalities():
+    # the verdict matches vertex enumeration with each equality written as
+    # two inequalities; later equalities repeat an earlier one scaled, or
+    # scaled and shifted so that the pair is inconsistent
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(200):
+        dim = rng.randint(1, 3)
+        eqs = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["fresh", "scaled", "shifted"]) if eqs else "fresh"
+            if kind == "fresh":
+                eqs.append((tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3)))
+            else:
+                coeffs, rhs = rng.choice(eqs)
+                k = rng.choice([-3, -2, -1, 2, 3])
+                eqs.append((tuple(k * c for c in coeffs), k * rhs + (kind == "shifted")))
+        ineqs = [
+            (tuple(rng.randint(-3, 3) for _ in range(dim)), rng.randint(-3, 3), False)
+            for _ in range(rng.randint(0, 3))
+        ]
+        system = ts.linear_system(dim, eqs, ineqs)
+        witness = ts.rational_feasible(system)
+        closed = [(c, r) for c, r, _ in ineqs]
+        closed += [(c, r) for c, r in eqs] + [(tuple(-x for x in c), -r) for c, r in eqs]
+        assert (witness is not None) == closed_system_feasible(dim, closed), (eqs, ineqs)
+        if witness is not None:
+            assert point_satisfies(system, witness)
+        verdicts.add(witness is not None)
+    assert verdicts == {True, False}
+
+
+def test_rational_feasible_solves_equalities_without_integer_solutions():
+    # 2x = 1 beside x + y = 0 has the one rational solution (1/2, -1/2)
+    system = ts.linear_system(2, [((2, 0), 1), ((1, 1), 0)])
+    assert ts.rational_feasible(system) == (Fraction(1, 2), Fraction(-1, 2))
+    # 0 == 0 is dropped, 0 == 1 and 2x = 1 beside 4x = 1 are refused
+    assert ts.rational_feasible(ts.linear_system(1, [((0,), 0)])) == (Fraction(0),)
+    assert ts.rational_feasible(ts.linear_system(1, [((0,), 1)])) is None
+    assert ts.rational_feasible(ts.linear_system(1, [((2,), 1), ((4,), 1)])) is None
+
+
 # ---------------------------------------------------------------------------
 # bounded lattice point search
 
@@ -456,8 +524,6 @@ def test_box_bound_must_be_a_nonnegative_integer():
 def test_boxed_search_recheck_catches_a_bad_point(monkeypatch):
     # the search re-checks each point against the stored integer rows, so a
     # point outside the system is caught even when the projection lets it in
-    from toricstrata import linalg
-
     real = linalg._lattice_dfs
 
     def leaky(*args):
@@ -474,8 +540,6 @@ def test_boxed_search_recheck_catches_an_off_lattice_particular(monkeypatch):
     # the re-check covers the equalities too: a particular solution shifted
     # off the equality lattice passes the box and the inequalities, which the
     # search derives from it, but not the equality
-    from toricstrata import linalg
-
     real = linalg.solve_integer_system
 
     def shifted(system):
@@ -491,8 +555,6 @@ def test_boxed_search_recheck_catches_an_off_lattice_particular(monkeypatch):
 
 
 def test_boxed_search_limit_counts_points_exactly(monkeypatch):
-    from toricstrata import linalg
-
     # the running count covers every batch: 9 points in three batches pass,
     # 10 points in four batches (1 + 2 + 3 + 4) are one too many
     monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 9)
@@ -506,8 +568,6 @@ def test_boxed_search_limit_counts_points_exactly(monkeypatch):
 
 
 def test_first_hit_search_limit_counts_the_values_it_tries(monkeypatch):
-    from toricstrata import linalg
-
     # 1/2 <= y - x <= 1/2 has no integer point, and the range of y moves
     # with x, so every value of x is tried and fails: the 6 values of x in
     # [-3, 2] at box bound 3 pass a limit of 6, the 7th at bound 4 does not
@@ -538,8 +598,6 @@ def test_first_hit_search_tries_only_the_values_it_needs():
 
 
 def test_first_hit_order_is_by_size_then_positive_first():
-    from toricstrata import linalg
-
     for lo in range(-5, 6):
         for hi in range(lo, 6):
             expected = sorted(range(lo, hi + 1), key=lambda v: (abs(v), v < 0))
@@ -547,8 +605,6 @@ def test_first_hit_order_is_by_size_then_positive_first():
 
 
 def test_boxed_search_refuses_more_points_than_the_limit_quickly():
-    from toricstrata import linalg
-
     assert linalg.MAX_LATTICE_POINTS == 2**20
     start = time.perf_counter()
     with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
@@ -558,8 +614,6 @@ def test_boxed_search_refuses_more_points_than_the_limit_quickly():
 
 
 def test_boxed_search_recheck_catches_a_point_outside_the_box(monkeypatch):
-    from toricstrata import linalg
-
     real = linalg._lattice_dfs
 
     def leaky(*args):

@@ -1,7 +1,9 @@
 """The package root re-exports each module's ``__all__``, and nothing else
 declares a public name."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import toricstrata as ts
 
@@ -45,3 +47,32 @@ def test_every_earlier_root_name_is_still_exported():
     namespace = {}
     exec("from toricstrata import *", namespace)
     assert all(name in namespace for name in ROOT_NAMES)
+
+
+# ``perfbench/test_perfbench.py`` looks this name up in ``cones``.
+UNUSED_IMPORTS_ALLOWED = {("cones", "smith_normal_form")}
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports (``__future__`` and star imports aside) and
+    never uses."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    return imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    found = set()
+    for path in Path(ts.__file__).parent.glob("*.py"):
+        found |= {(path.stem, name) for name in unused_imports(path.read_text())}
+    assert found == UNUSED_IMPORTS_ALLOWED
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    source = "import math\nfrom os import path, sep\nx = math.pi + len(sep)\n"
+    assert unused_imports(source) == {"path"}
