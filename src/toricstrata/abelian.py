@@ -74,8 +74,13 @@ class FgAbGroup:
         r = self.free_rank
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise InputError("free rank must be a nonnegative integer")
+        try:
+            torsion = tuple(self.torsion)
+        except TypeError:
+            raise InputError("torsion orders must be given as an iterable of integers") from None
+        object.__setattr__(self, "torsion", torsion)  # hashable whatever iterable came in
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if not isinstance(d, int) or d < 2:
                 raise InputError("torsion orders must be integers >= 2")
             if prev is not None and d % prev:
@@ -222,12 +227,30 @@ def _relation_rows(group: FgAbGroup) -> list[IntVec]:
     ]
 
 
+def _checked_elements(group: FgAbGroup, gens: Iterable[GroupElement]) -> list[GroupElement]:
+    """The generators as a list; refuses a group that is not an
+    :class:`FgAbGroup` and generators that are not its elements."""
+    if not isinstance(group, FgAbGroup):
+        raise InputError("group must be an FgAbGroup")
+    try:
+        gens = list(gens)
+    except TypeError:
+        raise InputError("generators must be given as an iterable of group elements") from None
+    for g in gens:
+        if not isinstance(g, GroupElement):
+            raise InputError("generators must be group elements")
+        if g.group != group:
+            raise InputError("generator belongs to a different group")
+    return gens
+
+
 def subgroup_canon(group: FgAbGroup, gens: Iterable[GroupElement]) -> SubgroupHandle:
     """Canonicalize the subgroup generated by ``gens``.
 
     Empty ``gens`` yields the zero subgroup (the relation lattice alone,
     whose rows ``d_j * e_(r+j)`` are already its Hermite basis).
     """
+    gens = _checked_elements(group, gens)
     return _subgroup_join(SubgroupHandle(group, tuple(_relation_rows(group))), gens)
 
 
@@ -242,11 +265,7 @@ def _subgroup_join(sub: SubgroupHandle, gens: Iterable[GroupElement]) -> Subgrou
     subgroup was built up.
     """
     group = sub.parent
-    rows = []
-    for g in gens:
-        if g.group != group:
-            raise InputError("generator belongs to a different group")
-        rows.append(g.coords)
+    rows = [g.coords for g in gens]
     rows.extend(sub.basis)
     h = hermite_normal_form(IntMatrix(len(rows), group.ncoords, tuple(rows)))
     return SubgroupHandle(group, tuple(row for row in h.entries if any(row)))
@@ -360,9 +379,9 @@ def semigroup_member(
     ``InputError`` past ``linalg.MAX_LATTICE_POINTS`` tried values.  The
     witness is re-checked against the target.
     """
-    for g in gens:
-        if g.group != group:
-            raise InputError("generator belongs to a different group")
+    gens = _checked_elements(group, gens)
+    if not isinstance(target, GroupElement):
+        raise InputError("target must be a group element")
     if target.group != group:
         raise InputError("target belongs to a different group")
     relation = _unbounded_relation(group, gens)

@@ -17,18 +17,20 @@ when the subset spans no hyperplane and is its normal otherwise.  The same
 scan, on vectors that may repeat, vanish or span a cone with a line, gives
 ``luna`` its positive circuits on the Gale side.
 
-One bounded per-cone table holds what the face walk learns: every face,
-the face one dimension up it was reached from, and its face functional
-with the functional's pairings with the rays.  The face lattice, route
-three's roots, the semigroup certificate and the walk down the faces in
-``divisors.face_orbit_data`` all read it.
+The facts of a cone live on the :class:`Cone` object, computed on first
+use and dropped with it: the facet scan (sorted normals, the ray x facet
+pairing table and its column zero sets) and the face walk (every face, the
+face one dimension up it was reached from, and its face functional with
+the functional's pairings with the rays).  The face lattice, route three's
+roots, the semigroup certificate and the walk down the faces in
+``divisors.face_orbit_data`` all read them; no process-wide cache does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import and_, mul
 from typing import Sequence
@@ -76,6 +78,11 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         mat = IntMatrix(self.nrays, self.ambient_rank, self.rays)
         return integer_rank(mat) == self.ambient_rank
+
+    # Computed on first use into the instance ``__dict__``, so they go with
+    # the cone; equality and hashing read only the two fields.
+    _facets = cached_property(lambda self: _facet_scan(self))
+    _faces = cached_property(lambda self: _face_walk(self))
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ def _split(
     # facet (no facets: the whole space).  In a pointed cone the facets
     # through a ray meet in the smallest face containing it, so the ray is
     # extremal iff no other ray lies on all of them.
-    _, zeros = _facet_incidence(induced)
+    _, _, zeros = induced._facets
     everything = (1 << len(rays)) - 1
     if reduce(and_, zeros, everything):
         raise InputError("cone is not pointed (it contains a line)")
@@ -203,17 +210,15 @@ def build_cone(
     origin.  Ray order is preserved.  A non-extremal ray is reported with
     the other rays of the smallest face containing it.
     """
-    return Cone(ambient_rank, _split(ambient_rank, raw_rays, normalize)[0])
+    rays, split = _split(ambient_rank, raw_rays, normalize)
+    # No torus factor: the basis is the identity and the scanned induced cone has these rays.
+    return split.cone if split.torus_rank == 0 else Cone(ambient_rank, rays)
 
 
 # Limit on the candidate subsets of one hyperplane scan, checked before the
 # first: the (rank-1)-subsets of rays for facets, and the circuit candidates
 # of ``luna._positive_circuits``.
 MAX_FACET_CANDIDATES = 10_000
-
-# Entries kept by the per-cone caches below: enough for every face query of
-# the cones in use, without growing with each distinct cone a process sees.
-_CACHE_SIZE = 128
 
 
 def _supporting_hyperplanes(
@@ -253,27 +258,31 @@ def _supporting_hyperplanes(
     return found
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
-    """Primitive inner normals of the facets of a full-dimensional cone.
+def _facet_scan(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[int, ...]]:
+    """The facets of a full-dimensional cone: the sorted primitive inner
+    normals, the ray x facet pairing table (row ``i`` holds the pairings of
+    ray ``i`` with the normals, in their order) and the zero sets of its
+    columns (entry ``k`` is the bitset of the rays on facet ``k``).
 
     Brute force: every (rank-1)-subset of rays spanning a hyperplane
-    proposes a normal, which is kept when it supports the whole cone.  The
-    scan also tells a cone that is not full-dimensional, with no rank of
-    its own: rays in a hyperplane give a normal pairing to zero with every
-    ray, and rays of lower rank give none.  The rank is taken only when no
-    normal is found, since a cone that fills the whole space has no facets
-    either, and when there are too many candidates to scan, so that a cone
-    that is not full-dimensional is told so rather than refused by size.
+    proposes a normal, which is kept, with its pairings, when it supports
+    the whole cone.  The scan also tells a cone that is not
+    full-dimensional, with no rank of its own: rays in a hyperplane give a
+    normal pairing to zero with every ray, and rays of lower rank give none.
+    The rank is taken only when no normal is found, since a cone that fills
+    the whole space has no facets either, and when there are too many
+    candidates to scan, so that a cone that is not full-dimensional is told
+    so rather than refused by size.
     """
     n = cone.ambient_rank
-    if n == 0:
-        return ()
-    candidates = math.comb(cone.nrays, n - 1)
+    candidates = math.comb(cone.nrays, n - 1) if n else 0
     if candidates <= MAX_FACET_CANDIDATES:
-        found = _supporting_hyperplanes(cone.rays, n)
+        found = _supporting_hyperplanes(cone.rays, n) if n else {}
         if all(map(any, found.values())) and (found or cone.is_full_dimensional()):
-            return tuple(sorted(found))
+            normals = tuple(sorted(found))
+            table = tuple(tuple(found[u][i] for u in normals) for i in range(cone.nrays))
+            zeros = tuple(sum(1 << i for i, p in enumerate(found[u]) if not p) for u in normals)
+            return normals, table, zeros
     elif cone.is_full_dimensional():
         raise InputError(
             f"{candidates} facet candidates ({n - 1}-subsets of {cone.nrays} rays) "
@@ -285,25 +294,13 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     )
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _facet_incidence(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[int, ...]]:
-    """The ray x facet pairing table of a full-dimensional cone and the
-    zero sets of its columns.
-
-    Row ``i`` of the table holds the pairings of ray ``i`` with the normals
-    of :func:`facet_normals`, in their order; entry ``k`` of the second
-    tuple is the bitset of the rays on facet ``k``.
-    """
-    normals = facet_normals(cone)
-    table = tuple(tuple(sum(map(mul, ray, u)) for u in normals) for ray in cone.rays)
-    zeros = tuple(
-        sum(1 << i for i, row in enumerate(table) if not row[k]) for k in range(len(normals))
-    )
-    return table, zeros
+def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
+    """Primitive inner normals of the facets of a full-dimensional cone,
+    sorted (see :func:`_facet_scan`)."""
+    return cone._facets[0]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _face_table(cone: Cone) -> dict[Face, tuple[Face | None, IntVec, IntVec]]:
+def _face_walk(cone: Cone) -> dict[Face, tuple[Face | None, IntVec, IntVec]]:
     """Every face of a full-dimensional pointed cone, the cone first and
     each face after the face it was reached from, mapped to that face one
     dimension up (``None`` for the cone), its :func:`face_functional` and
@@ -315,13 +312,11 @@ def _face_table(cone: Cone) -> dict[Face, tuple[Face | None, IntVec, IntVec]]:
     face are its maximal proper intersections with the cone's facets, and
     the face poset is graded, so each has dimension one less.  The
     functional and its pairings are sums over the facets containing the
-    face, read off the zero sets of :func:`_facet_incidence`: the normals
-    for the functional, the table's columns for the pairings, with no dot
-    product.  A cone that is not full-dimensional is refused by
-    :func:`facet_normals`.
+    face, read off the zero sets of :func:`_facet_scan`: the normals for
+    the functional, the table's columns for the pairings, with no dot
+    product.  A cone that is not full-dimensional is refused by the scan.
     """
-    normals = facet_normals(cone)
-    table, zeros = _facet_incidence(cone)
+    normals, table, zeros = cone._facets
     everything = (1 << cone.nrays) - 1
     walk = {everything: (cone.ambient_rank, None)}
     queue = [everything]
@@ -343,19 +338,21 @@ def _face_table(cone: Cone) -> dict[Face, tuple[Face | None, IntVec, IntVec]]:
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# The faces live on the cone, so this caches nothing; the zero-size cache
+# stays only for its ``cache_info``, which perfbench/layertrace.py reads.
+@lru_cache(maxsize=0)
 def face_lattice(cone: Cone) -> tuple[Face, ...]:
     """All faces of a full-dimensional pointed cone, sorted by (dim, rays).
 
-    The faces come from the walk down the facets of :func:`_face_table`.
+    The faces come from the walk down the facets of :func:`_face_walk`.
     """
-    return tuple(sorted(_face_table(cone), key=lambda f: (f.dim, f.ray_indices)))
+    return tuple(sorted(cone._faces, key=lambda f: (f.dim, f.ray_indices)))
 
 
 def _functional_with_pairings(cone: Cone, face: Face) -> tuple[IntVec, IntVec]:
     """:func:`face_functional` and its pairings with every ray, from the
-    cone's :func:`_face_table`."""
-    entry = _face_table(cone).get(face)
+    cone's face walk."""
+    entry = cone._faces.get(face)
     if entry is None:
         raise InputError("face does not belong to the cone's face lattice")
     return entry[1:]
@@ -374,7 +371,7 @@ def face_functional(cone: Cone, face: Face) -> IntVec:
 def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:
     """Locate the face with exactly these rays; reject non-faces."""
     key = tuple(sorted(ray_indices))
-    for face in face_lattice(cone):
+    for face in cone._faces:
         if face.ray_indices == key:
             return face
     raise InputError(f"ray index set {list(key)} is not a face of the cone")

@@ -37,7 +37,7 @@ from .abelian import (
     quotient_group,
     subgroup_canon,
 )
-from .cones import Cone, Face, _face_table, _functional_with_pairings, face_lattice, is_smooth_face
+from .cones import Cone, Face, _functional_with_pairings, face_lattice, is_smooth_face
 from .errors import ConsistencyError
 from .linalg import IntMatrix, IntVec
 
@@ -125,7 +125,7 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     the order of ``toric.faces``.
 
     One pass walks the face lattice down from the cone, each face after a
-    face F one dimension up (see ``cones._face_table``).  The rays off a
+    face F one dimension up (see ``cones._face_walk``).  The rays off a
     face G are those off F and those of F missing from G, so H(G) = H(F) +
     <[D_i] : i in F ∖ G>: the classes of the few rays of F missing from G
     are inserted into the Hermite basis of H(F).  H grows as faces shrink,
@@ -141,7 +141,7 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     classes = toric.divisor_classes
     local_of: dict[tuple[IntVec, ...], FgAbGroup] = {}
     data = {}
-    for face, (parent, _, _) in _face_table(cone).items():
+    for face, (parent, _, _) in cone._faces.items():
         inside = set(face.ray_indices)
         dset = tuple(i for i in range(cone.nrays) if i not in inside)
         if parent is None:

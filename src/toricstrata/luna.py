@@ -94,6 +94,8 @@ class WeightSystem:
 
 def weight_system(group: FgAbGroup, rows) -> WeightSystem:
     """Build a weight system from raw coordinate rows (free coords first)."""
+    if not isinstance(group, FgAbGroup):
+        raise InputError("group must be an FgAbGroup")
     weights = []
     try:
         rows = iter(rows)

@@ -155,8 +155,7 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     Hermite reduction modulo the integer kernel, re-validated before it is
     returned.
     """
-    faces = face_lattice(cone)
-    if face1 not in faces or face2 not in faces:
+    if face1 not in cone._faces or face2 not in cone._faces:
         raise InputError("faces must belong to the cone's face lattice")
 
     inner, outer = set(face1.ray_indices), set(face2.ray_indices)

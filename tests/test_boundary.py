@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
-from toricstrata import cones
 from toricstrata.cli import main
 from toricstrata.linalg import IntMatrix
 
@@ -155,11 +154,41 @@ def test_weight_system_refuses_a_row_that_is_not_a_sequence(rows, index):
         (lambda: IntMatrix.from_rows([], cols=True), "column count must be an integer"),
         (lambda: ts.FgAbGroup(1, ()).element(5), "element coordinates must be a sequence"),
         (lambda: ts.weight_system(ts.FgAbGroup(1, ()), 5), "weights must be given as an iterable"),
+        (lambda: ts.FgAbGroup(0, 5), "torsion orders must be given as an iterable"),
     ],
 )
 def test_checking_factories_refuse_malformed_shapes(build, message):
     with pytest.raises(ts.InputError, match=message):
         build()
+
+
+def test_torsion_orders_are_kept_as_a_tuple():
+    group = ts.FgAbGroup(1, [2])
+    assert group == ts.FgAbGroup(1, (2,)) == ts.FgAbGroup(1, iter([2]))
+    assert group.torsion == (2,)
+    assert hash(group) == hash(ts.FgAbGroup(1, (2,)))
+
+
+Z = ts.FgAbGroup(1, ())
+ONE = Z.element((1,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ts.weight_system(5, [(1,)]), "group must be an FgAbGroup"),
+        (lambda: ts.subgroup_canon(5, [ONE]), "group must be an FgAbGroup"),
+        (lambda: ts.semigroup_member(5, [ONE], ONE), "group must be an FgAbGroup"),
+        (lambda: ts.subgroup_canon(Z, 5), "generators must be given as an iterable"),
+        (lambda: ts.semigroup_member(Z, 5, ONE), "generators must be given as an iterable"),
+        (lambda: ts.subgroup_canon(Z, [(1,)]), "generators must be group elements"),
+        (lambda: ts.semigroup_member(Z, [(1,)], ONE), "generators must be group elements"),
+        (lambda: ts.semigroup_member(Z, [ONE], (1,)), "target must be a group element"),
+    ],
+)
+def test_group_functions_refuse_wrong_types(call, message):
+    with pytest.raises(ts.InputError, match=message):
+        call()
 
 
 @pytest.mark.parametrize(
@@ -262,10 +291,8 @@ def test_internal_data_skips_the_checking_factories(monkeypatch):
     inputs = sample_cones(ts, 77, 20)
 
     def results():
-        cones.facet_normals.cache_clear()
-        cones.face_lattice.cache_clear()
         out = []
-        for cone in inputs:
+        for cone in (ts.Cone(c.ambient_rank, c.rays) for c in inputs):
             weights = ts.cox_weight_system(ts.build_toric(cone))
             out.append(
                 (

@@ -1,7 +1,11 @@
 """Cone construction, face lattices, smoothness and torus-factor splitting."""
 
+import gc
+import importlib
+import pkgutil
 import random
 import time
+import weakref
 
 import pytest
 
@@ -280,14 +284,33 @@ def test_face_functional_vanishes_exactly_on_the_face():
                     assert pairing > 0, (cone.rays, face.ray_indices)
 
 
-def test_face_caches_stay_bounded():
-    caches = (ts.facet_normals, ts.cones._facet_incidence, ts.cones._face_table, ts.face_lattice)
-    limit = ts.face_lattice.cache_info().maxsize
-    assert limit is not None
-    assert all(cache.cache_info().maxsize == limit for cache in caches)
-    for k in range(limit + 8):
-        ts.stratify(2, [(1, 0), (k, 1)])
-    assert all(cache.cache_info().currsize <= limit for cache in caches)
+def test_per_cone_facts_are_dropped_with_the_cone():
+    # Facets and faces live on the cone, so nothing holds a cone once its
+    # report, or the cone itself, is dropped.  The rays appear in no other
+    # test, so no equal cone was seen first.
+    report = ts.stratify(3, [(1, 0, 0), (1, 5, 0), (0, 1, 7)])
+    cone = ts.build_cone(3, [(0, 0, 1), (2, 0, 1), (0, 3, 1), (2, 3, 1)])
+    ts.connection_graph(ts.build_toric(cone).cone)
+    refs = [weakref.ref(report.cone), weakref.ref(cone)]
+    del report, cone
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_no_function_of_the_package_keeps_a_cache():
+    # ``face_lattice`` keeps a zero-size cache for the ``cache_info`` that
+    # perfbench/layertrace.py reads; no other function has one.
+    cached = {}
+    for info in pkgutil.iter_modules(ts.__path__):
+        values = list(vars(importlib.import_module(f"toricstrata.{info.name}")).values())
+        values += [v for cls in values if isinstance(cls, type) for v in vars(cls).values()]
+        for value in values:
+            while value is not None and not hasattr(value, "cache_info"):
+                value = getattr(value, "__wrapped__", None)
+            if value is not None:
+                cached[id(value)] = value
+    assert list(cached.values()) == [ts.cones.face_lattice]
+    assert ts.cones.face_lattice.cache_info().maxsize == 0
 
 
 # ---------------------------------------------------------------------------

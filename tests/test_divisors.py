@@ -85,7 +85,6 @@ def test_build_toric_requires_full_dimensional_cone(monkeypatch):
     # candidates.
     flat = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)])
     monkeypatch.setattr(ts.cones, "MAX_FACET_CANDIDATES", 3)
-    ts.cones.facet_normals.cache_clear()
     with pytest.raises(ts.InputError, match="not full-dimensional"):
         ts.build_toric(flat)
 

@@ -100,17 +100,33 @@ def test_stratify_reads_its_rays_once():
     assert report.cone.rays == ((1, 0), (1, 2))
 
 
+def facet_scans(monkeypatch):
+    """The cones the private facet scan runs on, from now on."""
+    scanned = []
+    scan = ts.cones._facet_scan
+    monkeypatch.setattr(ts.cones, "_facet_scan", lambda cone: scanned.append(cone) or scan(cone))
+    return scanned
+
+
 @pytest.mark.parametrize("name", ["skew_rank3.json", "cone_rank3.json"])
-def test_stratify_scans_the_facets_once(fixture_path, name):
+def test_stratify_scans_the_facets_once(fixture_path, name, monkeypatch):
     # A degenerate input is validated on its induced cone, so the facet scan
     # of the validation is the one the face walk reuses.
     with open(fixture_path(name)) as fh:
         data = json.load(fh)
-    caches = (ts.facet_normals, ts.cones._facet_incidence, ts.cones._face_table, ts.face_lattice)
-    for cache in caches:
-        cache.cache_clear()
-    stratify(data["rank"], data["rays"])
-    assert ts.facet_normals.cache_info().misses == 1
+    scanned = facet_scans(monkeypatch)
+    report = stratify(data["rank"], data["rays"])
+    assert len(scanned) == 1 and scanned[0] is report.cone
+
+
+def test_a_built_cone_is_scanned_once_across_the_layers(fixture_path, monkeypatch):
+    # build_cone returns the cone its validation scanned.
+    with open(fixture_path("cone_rank3.json")) as fh:
+        data = json.load(fh)
+    scanned = facet_scans(monkeypatch)
+    cone = ts.build_cone(data["rank"], data["rays"])
+    ts.connection_graph(ts.build_toric(cone).cone)
+    assert len(scanned) == 1 and scanned[0] is cone
 
 
 def test_stratify_of_a_pure_torus():

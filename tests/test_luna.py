@@ -186,7 +186,6 @@ def test_one_candidate_limit_bounds_facets_and_circuits(monkeypatch):
     # C(4, 2) = 6 facet candidates, three weights in Z C(3, 2) = 3 circuit
     # candidates.
     monkeypatch.setattr(ts.cones, "MAX_FACET_CANDIDATES", 2)
-    ts.cones.facet_normals.cache_clear()
     with pytest.raises(ts.InputError, match="6 facet candidates"):
         ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
     with pytest.raises(ts.InputError, match="3 positive-circuit candidates"):
