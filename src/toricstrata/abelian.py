@@ -400,7 +400,7 @@ def semigroup_member(
     point = solution.particular
     rows = [(tuple(row[p] for row in moving), -point[p], False) for p in range(tight)]
     chain = _fm_chain(rows, len(moving))
-    found = _lattice_dfs(chain, len(moving), True, 0) if chain is not None else []
+    found = _lattice_dfs(chain, len(moving), True) if chain is not None else []
     if not found:
         return MembershipResult("no")
     for k, row in zip(found[0], moving):

@@ -19,6 +19,7 @@ canonical: two-space indentation, sorted keys, trailing newline.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -145,9 +146,7 @@ def _load_weight_system(path: str) -> WeightSystem:
     free_rank = _as_int(data["free_rank"], f"{path}: free_rank")
     if not isinstance(data["torsion"], list):
         raise InputError(f"{path}: torsion must be a list of integers")
-    torsion = tuple(
-        _as_int(x, f"{path}: torsion[{i}]") for i, x in enumerate(data["torsion"])
-    )
+    torsion = tuple(_as_int(x, f"{path}: torsion[{i}]") for i, x in enumerate(data["torsion"]))
     rows = _as_int_rows(data["weights"], f"{path}: weights")
     if not rows:
         raise InputError(f"{path}: at least one weight is required")
@@ -167,12 +166,30 @@ def _idx_set(indices) -> str:
     return "{" + ",".join(str(i) for i in indices) + "}"
 
 
+def _cone_payload(cone: Cone) -> dict:
+    return {"rank": cone.ambient_rank, "rays": [list(r) for r in cone.rays]}
+
+
 def _group_payload(group: FgAbGroup) -> dict:
+    return {"free_rank": group.free_rank, "torsion": list(group.torsion), "name": group.describe()}
+
+
+def _class_payload(group: FgAbGroup, classes) -> dict:
+    """The class group and the divisor class of each ray, as JSON entries."""
     return {
-        "free_rank": group.free_rank,
-        "torsion": list(group.torsion),
-        "name": group.describe(),
+        "class_group": _group_payload(group),
+        "divisor_classes": [list(e.coords) for e in classes],
     }
+
+
+def _class_text(group: FgAbGroup, classes) -> list[str]:
+    pairs = "; ".join(f"ray {i} -> {_vec(e.coords)}" for i, e in enumerate(classes))
+    return [f"class group: {group.describe()}", f"divisor classes: {pairs}"]
+
+
+def _weights_payload(ws: WeightSystem) -> dict:
+    """The character group and the weights of a weight system, as JSON entries."""
+    return {"group": _group_payload(ws.group), "weights": [list(w.coords) for w in ws.weights]}
 
 
 def _verdict_payload(graph, i1: int, i2: int, verdict) -> dict:
@@ -209,12 +226,8 @@ def _report_payload(report: StratificationReport) -> dict:
         "ambient_rank": report.ambient_rank,
         "torus_rank": report.torus_rank,
         "input_rays": [list(r) for r in report.input_rays],
-        "cone": {
-            "rank": report.cone.ambient_rank,
-            "rays": [list(r) for r in report.cone.rays],
-        },
-        "class_group": _group_payload(report.class_group),
-        "divisor_classes": [list(e.coords) for e in report.divisor_classes],
+        "cone": _cone_payload(report.cone),
+        **_class_payload(report.class_group, report.divisor_classes),
         "strata": [
             {
                 "index": s.index,
@@ -230,41 +243,22 @@ def _report_payload(report: StratificationReport) -> dict:
         ],
         "closure": [[a, b] for a, b in report.closure],
         "connections": {
-            "verdicts": [
-                _verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts
-            ],
+            "verdicts": [_verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts],
         },
-        "checks": {
-            "subgroup_vs_luna": report.cross_checks.subgroup_vs_luna,
-            "connections_refine": report.cross_checks.connections_refine,
-            "connections_equal": report.cross_checks.connections_equal,
-            "semigroup_verified": report.cross_checks.semigroup_verified,
-            "smooth_iff_trivial_local_class": (
-                report.cross_checks.smooth_iff_trivial_local_class
-            ),
-        },
+        "checks": dataclasses.asdict(report.cross_checks),
         # Part of schema 1; every check is a hard guarantee, so it stays empty.
         "warnings": [],
     }
 
 
 def _report_text(report: StratificationReport) -> list[str]:
-    lines = [
-        f"ambient rank {report.ambient_rank}, torus factor {report.torus_rank}",
-    ]
+    lines = [f"ambient rank {report.ambient_rank}, torus factor {report.torus_rank}"]
     if report.cone.nrays:
-        lines.append(
-            f"pointed cone of rank {report.cone.ambient_rank} "
-            f"with {report.cone.nrays} rays:"
-        )
-        for i, ray in enumerate(report.cone.rays):
+        cone = report.cone
+        lines.append(f"pointed cone of rank {cone.ambient_rank} with {cone.nrays} rays:")
+        for i, ray in enumerate(cone.rays):
             lines.append(f"  ray {i}: {_vec(ray)}")
-        lines.append(f"class group: {report.class_group.describe()}")
-        classes = "; ".join(
-            f"ray {i} -> {_vec(e.coords)}"
-            for i, e in enumerate(report.divisor_classes)
-        )
-        lines.append(f"divisor classes: {classes}")
+        lines.extend(_class_text(report.class_group, report.divisor_classes))
     else:
         lines.append("the variety is a torus (no rays)")
     lines.append(f"strata ({len(report.strata)}), by descending dimension:")
@@ -274,12 +268,8 @@ def _report_text(report: StratificationReport) -> list[str]:
             f"  stratum {s.index}: dim {s.dim}, subgroup {s.structure.describe()}, "
             f"local class group {s.local_class_group.describe()}, {word}"
         )
-        lines.append(
-            "    faces: " + " ".join(_idx_set(f.ray_indices) for f in s.faces)
-        )
-        lines.append(
-            "    orbit dims: " + ", ".join(str(d) for d in s.orbit_dims)
-        )
+        lines.append("    faces: " + " ".join(_idx_set(f.ray_indices) for f in s.faces))
+        lines.append("    orbit dims: " + ", ".join(str(d) for d in s.orbit_dims))
     if report.closure:
         order = ", ".join(f"{a} < {b}" for a, b in report.closure)
         lines.append(f"closure order on strata (lower < upper): {order}")
@@ -341,17 +331,10 @@ def _cmd_connections(args):
     payload = {
         "schema": 1,
         "faces": [list(f.ray_indices) for f in graph.faces],
-        "verdicts": [
-            _verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts
-        ],
-        "components": [
-            [list(graph.faces[i].ray_indices) for i in comp] for comp in components
-        ],
+        "verdicts": [_verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts],
+        "components": [[list(graph.faces[i].ray_indices) for i in comp] for comp in components],
         "isolated": [
-            {
-                "face": list(entry.face.ray_indices),
-                "fully_certified": entry.fully_certified,
-            }
+            {"face": list(entry.face.ray_indices), "fully_certified": entry.fully_certified}
             for entry in isolated
         ],
     }
@@ -359,9 +342,7 @@ def _cmd_connections(args):
     lines.extend(_verdict_text(graph, i1, i2, v) for i1, i2, v in graph.verdicts)
     lines.append(f"components over yes-edges ({len(components)}):")
     for comp in components:
-        lines.append(
-            "  " + " ".join(_idx_set(graph.faces[i].ray_indices) for i in comp)
-        )
+        lines.append("  " + " ".join(_idx_set(graph.faces[i].ray_indices) for i in comp))
     if isolated:
         lines.append(
             "faces with no connection: "
@@ -375,8 +356,7 @@ def _cmd_luna(args):
     strata = luna_strata(ws)
     payload = {
         "schema": 1,
-        "group": _group_payload(ws.group),
-        "weights": [list(w.coords) for w in ws.weights],
+        **_weights_payload(ws),
         "strata": [
             {
                 "dim": s.dim,
@@ -396,9 +376,7 @@ def _cmd_luna(args):
             f"  stratum {i}: dim {s.dim}, stabilizer characters generate "
             f"{s.structure.describe()}"
         )
-        lines.append(
-            "    supports: " + " ".join(_idx_set(sup) for sup in s.supports)
-        )
+        lines.append("    supports: " + " ".join(_idx_set(sup) for sup in s.supports))
     return payload, lines
 
 
@@ -407,13 +385,9 @@ def _cmd_stable(args):
     report = check_strongly_stable(ws)
     payload = {
         "schema": 1,
-        "group": _group_payload(ws.group),
-        "weights": [list(w.coords) for w in ws.weights],
+        **_weights_payload(ws),
         "stable": report.stable,
-        "failures": [
-            {"support": list(f.support), "reason": f.reason}
-            for f in report.failures
-        ],
+        "failures": [{"support": list(f.support), "reason": f.reason} for f in report.failures],
     }
     lines = []
     if report.stable:
@@ -424,10 +398,7 @@ def _cmd_stable(args):
             payload["dual_cone"] = None
             lines.append(f"dual cone: not available ({exc})")
         else:
-            payload["dual_cone"] = {
-                "rank": dual.cone.ambient_rank,
-                "rays": [list(r) for r in dual.cone.rays],
-            }
+            payload["dual_cone"] = _cone_payload(dual.cone)
             lines.append(
                 f"dual cone: rank {dual.cone.ambient_rank}, rays "
                 + " ".join(_vec(r) for r in dual.cone.rays)
@@ -445,9 +416,8 @@ def _cmd_classgroup(args):
     entries = face_orbit_data(toric).values()
     payload = {
         "schema": 1,
-        "cone": {"rank": cone.ambient_rank, "rays": [list(r) for r in cone.rays]},
-        "class_group": _group_payload(toric.class_group),
-        "divisor_classes": [list(e.coords) for e in toric.divisor_classes],
+        "cone": _cone_payload(cone),
+        **_class_payload(toric.class_group, toric.divisor_classes),
         "faces": [
             {
                 "rays": list(d.face.ray_indices),
@@ -458,14 +428,7 @@ def _cmd_classgroup(args):
             for d in entries
         ],
     }
-    lines = [
-        f"class group: {toric.class_group.describe()}",
-        "divisor classes: "
-        + "; ".join(
-            f"ray {i} -> {_vec(e.coords)}" for i, e in enumerate(toric.divisor_classes)
-        ),
-        "local class groups by face:",
-    ]
+    lines = [*_class_text(toric.class_group, toric.divisor_classes), "local class groups by face:"]
     for d in entries:
         word = "smooth" if d.smooth else "singular"
         lines.append(
@@ -479,17 +442,19 @@ def _cmd_classgroup(args):
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, *, cone_input: bool):
-    parser.add_argument("file", help="input JSON file")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    if cone_input:
-        parser.add_argument(
-            "--normalize",
-            action="store_true",
-            help="accept non-primitive ray generators by scaling them down",
-        )
+# Each command: its name, its handler, whether its input is a cone file (which
+# takes --normalize), and its help line.
+_COMMANDS = (
+    ("stratify", _cmd_stratify, True,
+     "full orbit decomposition of the variety of a cone, cross-validated"),
+    ("roots", _cmd_roots, True, "enumerate roots of a cone within a box"),
+    ("connections", _cmd_connections, True,
+     "decide which orbit pairs a one-parameter subgroup connects"),
+    ("luna", _cmd_luna, False, "Luna strata of a diagonal quasitorus action (weight file)"),
+    ("stable", _cmd_stable, False,
+     "check strong stability of a weight system and rebuild its cone"),
+    ("classgroup", _cmd_classgroup, True, "divisor class group and local class groups of a cone"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,53 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser(
-        "stratify",
-        help="full orbit decomposition of the variety of a cone, cross-validated",
-    )
-    _add_common(p, cone_input=True)
-    p.set_defaults(handler=_cmd_stratify)
-
-    p = sub.add_parser("roots", help="enumerate roots of a cone within a box")
-    _add_common(p, cone_input=True)
-    p.add_argument(
+    for name, handler, cone_input, help_line in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("file", help="input JSON file")
+        p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        if cone_input:
+            p.add_argument(
+                "--normalize",
+                action="store_true",
+                help="accept non-primitive ray generators by scaling them down",
+            )
+        p.set_defaults(handler=handler)
+    sub.choices["roots"].add_argument(
         "--bound",
         type=int,
         default=None,
         metavar="N",
-        help="coordinate box to enumerate (default: 10 times the largest ray "
-        "coordinate)",
+        help="coordinate box to enumerate (default: 10 times the largest ray coordinate)",
     )
-    p.set_defaults(handler=_cmd_roots)
-
-    p = sub.add_parser(
-        "connections",
-        help="decide which orbit pairs a one-parameter subgroup connects",
-    )
-    _add_common(p, cone_input=True)
-    p.set_defaults(handler=_cmd_connections)
-
-    p = sub.add_parser(
-        "luna", help="Luna strata of a diagonal quasitorus action (weight file)"
-    )
-    _add_common(p, cone_input=False)
-    p.set_defaults(handler=_cmd_luna)
-
-    p = sub.add_parser(
-        "stable",
-        help="check strong stability of a weight system and rebuild its cone",
-    )
-    _add_common(p, cone_input=False)
-    p.set_defaults(handler=_cmd_stable)
-
-    p = sub.add_parser(
-        "classgroup",
-        help="divisor class group and local class groups of a cone",
-    )
-    _add_common(p, cone_input=True)
-    p.set_defaults(handler=_cmd_classgroup)
-
     return parser
 
 

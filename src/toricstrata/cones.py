@@ -123,13 +123,17 @@ def _ray_list(ambient_rank: int, raw_rays, least: int) -> list:
 
 def _validated_rays(
     ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
-) -> list[IntVec]:
+) -> tuple[list[IntVec], list[IntVec]]:
+    """Read each ray once, in order, and check it before the next is read;
+    return the tuples read, as given, and the validated rays."""
+    given: list[IntVec] = []
     rays: list[IntVec] = []
     for idx, raw in enumerate(raw_rays):
         try:
             vec = tuple(raw)
         except TypeError:
             raise InputError(f"ray #{idx} is not a sequence of coordinates") from None
+        given.append(vec)
         if len(vec) != ambient_rank:
             raise InputError(
                 f"ray #{idx} has {len(vec)} coordinates, expected {ambient_rank}"
@@ -153,19 +157,20 @@ def _validated_rays(
         if vec in seen:
             raise InputError(f"ray #{idx} duplicates ray #{seen[vec]} ({list(vec)})")
         seen[vec] = idx
-    return rays
+    return given, rays
 
 
 def _split(
     ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
-) -> tuple[tuple[IntVec, ...], SplitCone]:
-    """Validate the rays of a pointed cone; return them and their split: the
-    Hermite basis of their saturated span and the induced cone of their
-    coordinates in it.  Errors name the input's rays."""
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], SplitCone]:
+    """Validate the rays of a pointed cone; return them as given, before
+    normalization, the validated rays, and their split: the Hermite basis
+    of their saturated span and the induced cone of their coordinates in
+    it.  Errors name the input's rays."""
     raw_rays = _ray_list(ambient_rank, raw_rays, 1)
     if not raw_rays:
         raise InputError("at least one ray is required")
-    rays = tuple(_validated_rays(ambient_rank, raw_rays, normalize))
+    given, rays = map(tuple, _validated_rays(ambient_rank, raw_rays, normalize))
 
     # Saturation = kernel of the kernel: integer kernels are saturated, and
     # the orthogonal complement of the complement of the ray span is exactly
@@ -197,7 +202,7 @@ def _split(
                 f"ray #{i} {list(rays[i])} is not extremal: it lies inside the "
                 f"face spanned by rays {', '.join(f'#{j}' for j in others)}"
             )
-    return rays, SplitCone(basis, induced, ambient_rank - basis.rows)
+    return given, rays, SplitCone(basis, induced, ambient_rank - basis.rows)
 
 
 def build_cone(
@@ -210,7 +215,7 @@ def build_cone(
     origin.  Ray order is preserved.  A non-extremal ray is reported with
     the other rays of the smallest face containing it.
     """
-    rays, split = _split(ambient_rank, raw_rays, normalize)
+    _, rays, split = _split(ambient_rank, raw_rays, normalize)
     # No torus factor: the basis is the identity and the scanned induced cone has these rays.
     return split.cone if split.torus_rank == 0 else Cone(ambient_rank, rays)
 
@@ -413,7 +418,16 @@ def split_degenerate(
     rank ``d`` plus ``torus_rank = ambient_rank - d`` free directions.  An
     empty ray list is the pure torus case (zero-dimensional cone marker).
     """
+    return _split_degenerate(ambient_rank, raw_rays, normalize)[1]
+
+
+def _split_degenerate(
+    ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
+) -> tuple[tuple[IntVec, ...], SplitCone]:
+    """The input rays as given, before normalization, and
+    :func:`split_degenerate` of them."""
     rays = _ray_list(ambient_rank, raw_rays, 0)
     if not rays:
-        return SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
-    return _split(ambient_rank, rays, normalize)[1]
+        return (), SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
+    given, _, split = _split(ambient_rank, rays, normalize)
+    return given, split

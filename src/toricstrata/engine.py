@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import luna
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subgroup_structure
-from .cones import Cone, Face, _ray_list, split_degenerate
+from .cones import Cone, Face, _split_degenerate
 from .divisors import build_toric, face_orbit_data, verify_semigroup_equals_group
 from .errors import ConsistencyError
 from .linalg import IntVec
@@ -129,18 +129,7 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
     :func:`~toricstrata.cones.build_cone`.  See the module docstring for
     the three routes and the checks between them.
     """
-    # Validation reads each ray once, in its loop, so a bad ray is reported
-    # before later rays are read; ``read`` keeps the tuples it reads, the
-    # input rays as given, before normalization.
-    given: list[IntVec] = []
-
-    def read(ray):
-        given.append(vec := tuple(ray))
-        yield from vec
-
-    rays = [read(ray) for ray in _ray_list(ambient_rank, rays, 0)]
-    split = split_degenerate(ambient_rank, rays, normalize=normalize)
-    input_rays = tuple(tuple(int(x) for x in ray) for ray in given)
+    input_rays, split = _split_degenerate(ambient_rank, rays, normalize)
     cone = split.cone
     toric = build_toric(cone)
 

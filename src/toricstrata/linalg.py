@@ -37,7 +37,8 @@ elsewhere:
   same projections.
 * The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
   raises ``InputError`` before it would build more; ``roots.enumerate_roots``
-  lists roots with it.  Its first-hit path, behind
+  lists roots with it, after counting the points of all its searches
+  without building any when they may pass that limit together.  Its first-hit path, behind
   :func:`first_lattice_point` and ``abelian.semigroup_member``, tries each
   level's values lazily by size and raises ``InputError`` once it has tried
   ``MAX_LATTICE_POINTS``: an early hit is cheap however wide the box, and a
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -757,27 +758,27 @@ def _by_size(lo: int, hi: int) -> Iterator[int]:
             yield -size
 
 
-def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: int) -> list[IntVec]:
-    """Integer points of the projection chain, in search coordinates.
+def _lattice_runs(
+    chain: list[list[_Row]], n: int, stop_at_first: bool
+) -> Iterator[tuple[IntVec, int, int]]:
+    """Integer points of the projection chain, in search coordinates, n >= 1.
 
-    Variable ``level`` is bounded by the rows of ``chain[level + 1]`` that
-    involve it.  Each such row ``a . x >= rhs`` is split once into its
-    prefix coefficients and ``|a[level]|``, lower-bounding rows first.  A
-    node carries, for its own and every deeper level, the sums ``s = a .
-    prefix - rhs`` of that level's rows over the variables fixed so far, so
-    fixing a variable costs one multiply-add per deeper row.  A row then
-    bounds its variable by one floor division: ``x >= -(s // |a[level]|)``
-    for a lower row, ``x <= s // |a[level]|`` for an upper one.  The last
-    level is listed as one batch, counted with the ``listed`` points of
-    earlier searches against ``MAX_LATTICE_POINTS`` before it is built.
-    With ``stop_at_first`` values are tried in the order 0, 1, -1, 2, -2,
-    ... and the search ends at the first point; each value it tries above
-    the last level is counted against ``MAX_LATTICE_POINTS`` when tried.
-    A level whose rows have no prefix coefficients has the same range under
+    Yields one run ``(prefix, lo, hi)`` per prefix of the first ``n - 1``
+    variables whose last-level range is not empty: the points ``(*prefix,
+    v)`` for ``lo <= v <= hi``.  Variable ``level`` is bounded by the rows
+    of ``chain[level + 1]`` that involve it.  Each such row ``a . x >=
+    rhs`` is split once into its prefix coefficients and ``|a[level]|``,
+    lower-bounding rows first.  A node carries, for its own and every
+    deeper level, the sums ``s = a . prefix - rhs`` of that level's rows
+    over the variables fixed so far, so fixing a variable costs one
+    multiply-add per deeper row.  A row then bounds its variable by one
+    floor division: ``x >= -(s // |a[level]|)`` for a lower row, ``x <= s
+    // |a[level]|`` for an upper one.  Prefixes come in lexicographic
+    order, or with ``stop_at_first`` with values in the order 0, 1, -1, 2,
+    -2, ..., each counted against ``MAX_LATTICE_POINTS`` when tried.  A
+    level whose rows have no prefix coefficients has the same range under
     every prefix, so an empty one ends the search before the descent.
     """
-    if n == 0:
-        return [()]
     own, nlower, cols, start = [], [], [], []
     for level in range(n):
         rows = [row for row in chain[level + 1] if row[0][level] > 0]
@@ -791,30 +792,20 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
         if not any(map(any, cols[level])):
             quotients = list(map(floordiv, start[level], own[level]))
             if -min(quotients[: nlower[level]]) > min(quotients[nlower[level] :]):
-                return []
-    found: list[IntVec] = []
+                return
     tried = 0
 
-    def descend(level: int, prefix: IntVec, sums: list[list[int]]) -> bool:
+    def descend(level: int, prefix: IntVec, sums: list[list[int]]):
         # sums[m] belongs to level ``level + m``
         nonlocal tried
         quotients = list(map(floordiv, sums[0], own[level]))
         split = nlower[level]
         lo, hi = -min(quotients[:split]), min(quotients[split:])
         if lo > hi:
-            return False
+            return
         if level == n - 1:
-            if stop_at_first:
-                found.append((*prefix, next(_by_size(lo, hi))))
-                return True
-            count = hi - lo + 1
-            if listed + len(found) + count > MAX_LATTICE_POINTS:
-                raise InputError(
-                    f"more than {MAX_LATTICE_POINTS} lattice points in the box, the "
-                    "limit of the boxed search; use a smaller box bound"
-                )
-            found.extend(zip(*(repeat(x, count) for x in prefix), range(lo, hi + 1)))
-            return False
+            yield prefix, lo, hi
+            return
         deeper = list(zip(sums[1:], [cols[m][level] for m in range(level + 1, n)]))
         for v in _by_size(lo, hi) if stop_at_first else range(lo, hi + 1):
             if stop_at_first:
@@ -825,11 +816,34 @@ def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool, listed: i
                         "values, the limit MAX_LATTICE_POINTS"
                     )
             shifted = [[x + a * v for x, a in zip(row_sums, col)] for row_sums, col in deeper]
-            if descend(level + 1, (*prefix, v), shifted):
-                return True
-        return False
+            yield from descend(level + 1, (*prefix, v), shifted)
 
-    descend(0, (), start)
+    yield from descend(0, (), start)
+
+
+def _too_many_points() -> InputError:
+    return InputError(
+        f"more than {MAX_LATTICE_POINTS} lattice points in the box, the "
+        "limit of the boxed search; use a smaller box bound"
+    )
+
+
+def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
+    """The points of :func:`_lattice_runs`, or with ``stop_at_first`` the first.
+
+    Each run is counted against ``MAX_LATTICE_POINTS`` before it is built.
+    """
+    if n == 0:
+        return [()]
+    runs = _lattice_runs(chain, n, stop_at_first)
+    if stop_at_first:
+        return [(*prefix, next(_by_size(lo, hi))) for prefix, lo, hi in islice(runs, 1)]
+    found: list[IntVec] = []
+    for prefix, lo, hi in runs:
+        count = hi - lo + 1
+        if len(found) + count > MAX_LATTICE_POINTS:
+            raise _too_many_points()
+        found.extend(zip(*(repeat(x, count) for x in prefix), range(lo, hi + 1)))
     return found
 
 
@@ -844,23 +858,21 @@ def _affine_column(
     return list(out)
 
 
-def _boxed_solutions(
-    system: LinearSystem, box_bound: int, stop_at_first: bool, listed: int = 0
-) -> list[IntVec]:
-    """Integer solutions with coordinates in the box.
+def _box_search(
+    system: LinearSystem, box_bound: int
+) -> tuple[IntVec, tuple[IntVec, ...], list[_Row], list[list[_Row]]] | None:
+    """The boxed search of ``system``: particular point, kernel basis, integer
+    inequality rows and projection chain, or ``None`` if the box has no point.
 
     Equalities are eliminated first by passing to coordinates on their
     integer solution lattice, which keeps the search dimension at the
     lattice rank; the box constrains the original coordinates either way.
-    Every point found is rebuilt in the original coordinates and re-checked
-    against the box, the equalities and the inequalities, one coordinate or
-    row at a time over all points.
     """
     _check_box_bound(box_bound)
     n = system.dim
     solution = solve_integer_system(LinearSystem(n, system.equalities, ()))
     if solution is None:
-        return []
+        return None
     # The solver's triangular (Hermite) kernel basis and reduced particular
     # point keep the search ranges close to the box.
     particular = solution.particular
@@ -878,11 +890,46 @@ def _boxed_solutions(
             t_rows.append((column, -box_bound - particular[j], False))
             t_rows.append((tuple(-x for x in column), particular[j] - box_bound, False))
         elif abs(particular[j]) > box_bound:
-            return []
+            return None
     chain = _fm_chain(t_rows, k)
     if chain is None:
+        return None
+    return particular, kernel, inequalities, chain
+
+
+def _check_point_total(systems: Iterable[LinearSystem], box_bound: int) -> None:
+    """Raise the boxed search's ``InputError`` if the systems together have
+    more than ``MAX_LATTICE_POINTS`` integer solutions in the box.
+
+    Solutions are counted run by run, none is built, and the count stops
+    once it passes the limit.
+    """
+    total = 0
+    for system in systems:
+        search = _box_search(system, box_bound)
+        if search is None:
+            continue
+        _, kernel, _, chain = search
+        runs = _lattice_runs(chain, len(kernel), False) if kernel else [((), 0, 0)]
+        for _, lo, hi in runs:
+            total += hi - lo + 1
+            if total > MAX_LATTICE_POINTS:
+                raise _too_many_points()
+
+
+def _boxed_solutions(system: LinearSystem, box_bound: int, stop_at_first: bool) -> list[IntVec]:
+    """Integer solutions with coordinates in the box, searched by :func:`_box_search`.
+
+    Every point found is rebuilt in the original coordinates and re-checked
+    against the box, the equalities and the inequalities, one coordinate or
+    row at a time over all points.
+    """
+    search = _box_search(system, box_bound)
+    if search is None:
         return []
-    found = _lattice_dfs(chain, k, stop_at_first, listed)
+    particular, kernel, inequalities, chain = search
+    n, k = system.dim, len(kernel)
+    found = _lattice_dfs(chain, k, stop_at_first)
     count = len(found)
     if not count:
         return []

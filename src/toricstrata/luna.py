@@ -55,7 +55,6 @@ from .linalg import (
     _form_kernel,
     _maximal_minors,
     _pivot_index,
-    hermite_normal_form,
     primitive_vector,
 )
 
@@ -387,21 +386,23 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
 
     # Kernel of (a, k) |-> sum a_i * w_i - sum k_j * d_j * e_j over the
     # free-plus-torsion coordinate presentation; its projection to the a
-    # coordinates is the invariant-character lattice.
+    # coordinates is the invariant-character lattice.  A kernel vector with
+    # a = 0 has k = 0, so the projection is injective: every pivot of the
+    # kernel's Hermite basis lies among the a coordinates, and the projected
+    # rows are the Hermite basis of the invariant-character lattice.
     eqs = [
         tuple(w.coords[row] for w in ws.weights)
         + tuple(-d if row == r + j else 0 for j, d in enumerate(torsion))
         for row in range(r + t)
     ]
     kernel = _form_kernel(_equation_form(eqs, m + t), r + t)
-    projected = [vec[:m] for vec in kernel]
+    projected = tuple(vec[:m] for vec in kernel)
     d = m - r
     if len(projected) != d:
         raise ConsistencyError(
             f"invariant-character lattice has rank {len(projected)}, expected {d}"
         )
-    hnf = hermite_normal_form(IntMatrix(d, m, tuple(projected)))
-    basis = IntMatrix(d, m, hnf.entries[:d])
+    basis = IntMatrix(d, m, projected)
     rays = []
     for i in range(m):
         column = basis.column(i)

@@ -31,12 +31,14 @@ from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Face, _functional_with_pairings, face_lattice
+from . import linalg
 from .errors import ConsistencyError, InputError
 from .linalg import (
     IntVec,
     LinearSystem,
     _boxed_solutions,
     _check_box_bound,
+    _check_point_total,
     _equation_form,
     _is_int,
     _pivot_index,
@@ -113,23 +115,29 @@ def enumerate_roots(
     re-checks every point against exactly those conditions, so each is
     wrapped without a second validation.  The roots of all rays count
     against ``MAX_LATTICE_POINTS``: a box holding more raises
-    :class:`InputError` before the batch that would pass the limit is built.
+    :class:`InputError` before any root is built.
     """
     if box_bound is None:
         box_bound = default_box_bound(cone)
     _check_box_bound(box_bound)
     n = cone.ambient_rank
-    groups = []
-    listed = 0
-    for tau in range(cone.nrays):
-        eqs = ((cone.rays[tau], -1),)
-        ineqs = tuple(
-            (cone.rays[j], 0, False) for j in range(cone.nrays) if j != tau
+    systems = [
+        LinearSystem(
+            n,
+            ((cone.rays[tau], -1),),
+            tuple((cone.rays[j], 0, False) for j in range(cone.nrays) if j != tau),
         )
-        points = sorted(_boxed_solutions(LinearSystem(n, eqs, ineqs), box_bound, False, listed))
-        listed += len(points)
-        groups.append(tuple(DemazureRoot(p, tau) for p in points))
-    return tuple(groups)
+        for tau in range(cone.nrays)
+    ]
+    # A ray's roots differ on the n - 1 pivot coordinates of the Hermite
+    # kernel basis of its equation, all in the box, so only a box that may
+    # hold more than the limit needs the count before the listing.
+    if len(systems) * (2 * box_bound + 1) ** (n - 1) > linalg.MAX_LATTICE_POINTS:
+        _check_point_total(systems, box_bound)
+    return tuple(
+        tuple(DemazureRoot(p, tau) for p in sorted(_boxed_solutions(system, box_bound, False)))
+        for tau, system in enumerate(systems)
+    )
 
 
 @dataclass(frozen=True)

@@ -207,17 +207,21 @@ def test_quadrant_classgroup_is_trivial(capsys, fixture_path):
     assert "singular" not in out
 
 
-# The JSON output of each fixture cone, byte for byte, witnesses and
-# certificates included.  Each file tests/golden/<name>.<command>.json is
-# one case, written by
+# The output of each fixture, byte for byte, witnesses and certificates
+# included.  Each file tests/golden/<name>.<command>.json is one case,
+# written by
 #   python -m toricstrata.cli <command> tests/fixtures/<name>.json --format json
+# and its text output is in tests/golden/<name>.<command>.txt, written by
+#   python -m toricstrata.cli <command> tests/fixtures/<name>.json
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(tuple(path.name.split(".")[:2]) for path in GOLDEN.glob("*.*.json"))
+TEXT_GOLDEN_CASES = sorted(tuple(path.name.split(".")[:2]) for path in GOLDEN.glob("*.*.txt"))
 
 
 def test_the_golden_cases_are_found():
-    # an empty glob would leave the golden test below with no case to run
+    # an empty glob would leave the golden tests below with no case to run
     assert len(GOLDEN_CASES) >= 19
+    assert TEXT_GOLDEN_CASES == GOLDEN_CASES
 
 
 @pytest.mark.parametrize("name, command", GOLDEN_CASES)
@@ -225,6 +229,13 @@ def test_json_output_matches_the_golden_bytes(capsys, fixture_path, name, comman
     code, out, err = run_cli(capsys, command, fixture_path(f"{name}.json"), "--format", "json")
     assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, command", TEXT_GOLDEN_CASES)
+def test_text_output_matches_the_golden_bytes(capsys, fixture_path, name, command):
+    code, out, err = run_cli(capsys, command, fixture_path(f"{name}.json"))
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / f"{name}.{command}.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------

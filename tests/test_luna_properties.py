@@ -1,6 +1,7 @@
 """Property checks of the Luna closed supports against the subset scan."""
 
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,3 +129,35 @@ def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, data):
     expected = minimal_closed_sets(free, vs)
     assert luna._gale_side_circuits(vs, relations) == expected
     assert luna._subset_side_circuits(vs, [[v[j] for j in pivots] for v in vs]) == expected
+
+
+@st.composite
+def cox_weight_systems(draw):
+    """Cox weights of a pointed full-dimensional cone of rank 1-3: the
+    image of points on the moment curve (1, t, t^2), each extremal, under
+    L D U with L and U unitriangular and D diagonal and nonzero, then
+    primitivized.  A D with entries beyond 1 often gives a class group
+    with torsion."""
+    rank = draw(st.integers(1, 3))
+    size = {1: 1, 2: 2, 3: draw(st.integers(3, 6))}[rank]
+    params = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size, unique=True))
+    off = st.integers(-2, 2)
+    lower = [[1 if i == j else draw(off) if j < i else 0 for j in range(rank)] for i in range(rank)]
+    upper = [[1 if i == j else draw(off) if j > i else 0 for j in range(rank)] for i in range(rank)]
+    diagonal = [draw(st.sampled_from([1, 1, -1, 2, 3])) for _ in range(rank)]
+
+    def image(point):
+        scaled = [d * sum(map(mul, row, point)) for d, row in zip(diagonal, upper)]
+        return ts.primitive_vector([sum(map(mul, row, scaled)) for row in lower])
+
+    rays = [image((1, t, t * t)[:rank]) for t in params]
+    return ts.cox_weight_system(ts.build_toric(ts.build_cone(rank, rays)))
+
+
+@PROPERTY
+@given(cox_weight_systems())
+def test_the_gale_dual_basis_is_its_own_hermite_form(ws):
+    basis = ts.gale_dual(ws).lattice_basis
+    hermite = ts.hermite_normal_form(basis).entries
+    assert hermite[: basis.rows] == basis.entries
+    assert not any(map(any, hermite[basis.rows :]))

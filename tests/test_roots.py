@@ -108,6 +108,37 @@ def test_enumerate_roots_limit_counts_the_roots_of_all_rays(monkeypatch):
     assert len(ts.lattice_points_bounded(ts.linear_system(1), 3)) == 7
 
 
+def test_enumerate_roots_refuses_an_oversized_box_before_building_a_root(monkeypatch):
+    # rays 0 and 1 have 1,024,690 roots each at the default bound 100: each
+    # alone is under the limit, both together are over it, and the count
+    # that refuses them builds no point
+    from toricstrata import linalg
+
+    cone = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 10)])
+    built = []
+    real = linalg._affine_column
+    monkeypatch.setattr(linalg, "_affine_column", lambda *args: built.append(1) or real(*args))
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
+        ts.enumerate_roots(cone)
+    assert time.perf_counter() - start < 2
+    assert built == []
+
+
+def test_enumerate_roots_counts_only_a_box_that_may_pass_the_limit(monkeypatch):
+    # nrays * (2B + 1)^(n - 1) bounds the roots: 3 * 9^2 = 243 at bound 4
+    from toricstrata import linalg, roots
+
+    counted = []
+    real = roots._check_point_total
+    monkeypatch.setattr(roots, "_check_point_total", lambda *args: counted.append(1) or real(*args))
+    assert [len(g) for g in ts.enumerate_roots(quadrant(3), 4)] == [25, 25, 25]
+    assert counted == []
+    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 242)
+    assert [len(g) for g in ts.enumerate_roots(quadrant(3), 4)] == [25, 25, 25]
+    assert counted == [1]
+
+
 def test_enumerate_roots_a1_reference_values():
     per_ray = ts.enumerate_roots(A1, 2)
     assert [r.vector for r in per_ray[0]] == [(-1, 1), (-1, 2)]
