@@ -391,8 +391,11 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
     when their pairings map Z^n onto Z^k, that is, when the row lattice of
     the n x k transposed ray matrix is all of Z^k: its Hermite form has
     every pivot equal to 1.  This is the same answer as every invariant
-    factor of the ray matrix being 1.
+    factor of the ray matrix being 1.  A face outside the cone's face
+    lattice is refused.
     """
+    if face not in cone._faces:
+        raise InputError("face does not belong to the cone's face lattice")
     k = len(face.ray_indices)
     if k <= 1:
         return True

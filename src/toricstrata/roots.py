@@ -8,20 +8,33 @@ when ``e`` vanishes on the rays of ``f1``, pairs -1 with the single extra
 ray of ``f2``, and is nonnegative on all rays outside ``f2``.
 
 :func:`connection_graph` decides that condition exactly for every candidate
-pair, one upper face ``f2`` at a time: the pairs below ``f2`` share the
-matrix of its rays and differ only in the right-hand side, so one Hermite
-form per face, the factor-once, solve-many pair that solves every integer
-system in :mod:`toricstrata.linalg`, decides all of them.  A "no" is
-certified combinatorially or by the integer equalities having no
-solution.  Once the equalities are solvable a root always exists: adding a
-large enough multiple of :func:`~toricstrata.cones.face_functional` of
-``f2`` to any solution keeps the equalities and makes every outside
-pairing nonnegative.  The witness is canonical: the solver returns the one
-solution reduced modulo the Hermite basis of the integer kernel, and the
-least such multiple is added.  Each witness is re-validated before it is
-returned.  :func:`connection_exists` decides one pair the same way.  Only
-:func:`enumerate_roots`, which lists all roots in a coordinate box,
-depends on a search bound.
+pair, walking the face lattice upward.  For each face ``F`` it keeps the
+Hermite basis ``K_F`` of the orthogonal lattice ``M_F = {x in Z^n : <p_i,
+x> = 0 for every ray p_i of F}`` (the identity at the apex).  A root for
+the pair ``(f1, f2)``, ``f2 = f1 + tau``, is a point ``x`` of ``M_f1``
+with ``<p_tau, x> = -1`` that pairs nonnegatively with the rays outside
+``f2``.  The values of ``<p_tau, .>`` on ``M_f1`` are the integer
+combinations of its values on the rows of ``K_f1``, so such an ``x``
+exists exactly when those values generate Z, that is, when their gcd is
+1; one extended-gcd pass decides the pair and gives ``x``, and a gcd
+``g != 1`` is the certificate ``"integral-equalities"``.  The rows of
+``[K_f1 . p_tau | K_f1]`` span the vectors ``(<p_tau, x>, x)``, ``x`` in
+``M_f1``, and those with first entry zero are ``0 x M_f2``, ``M_f2 = M_f1
+∩ p_tau^⊥``.  In its Hermite form only the first row has a nonzero first
+entry (``p_tau`` is not in the span of ``f1``, so the column is not
+zero), and a combination of the rows has first entry zero exactly when it
+leaves that row out.  So the other rows, without the first entry, are a
+basis of ``M_f2`` in Hermite form, which is unique: ``K_f2``, one row
+shorter than ``K_f1``.  A face that no pair reaches from below takes
+``K`` from one Hermite kernel of its rays.  Once the equalities are
+solvable a root always exists: adding a large enough multiple of
+:func:`~toricstrata.cones.face_functional` of ``f2`` to any solution keeps
+the equalities and makes every outside pairing nonnegative.  The witness
+is canonical: ``x`` reduced modulo ``K_f2`` is the same point whichever
+solution one starts from, and the least such multiple is added.  Each
+witness is re-validated before it is returned.  :func:`connection_exists`
+decides one pair with the same step.  Only :func:`enumerate_roots`, which
+lists all roots in a coordinate box, depends on a search bound.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, Face, _functional_with_pairings, face_lattice
+from .cones import Cone, Face, _functional_with_pairings, _kernel_rows, face_lattice
 from . import linalg
 from .errors import ConsistencyError, InputError
 from .linalg import (
@@ -39,10 +52,10 @@ from .linalg import (
     _boxed_solutions,
     _check_box_bound,
     _check_point_total,
-    _equation_form,
     _is_int,
     _pivot_index,
-    _solve_in_form,
+    _reduce,
+    _xgcd,
 )
 
 __all__ = [
@@ -64,9 +77,10 @@ __all__ = [
 class DemazureRoot:
     """A validated root.
 
-    Built by :func:`demazure_root`, or by :func:`enumerate_roots` from
+    Built by :func:`demazure_root`, by :func:`enumerate_roots` from
     lattice points that the boxed search re-checked against the same
-    conditions.
+    conditions, or by the connection route once its re-validation of the
+    witness passed.
     """
 
     vector: IntVec
@@ -87,14 +101,21 @@ def demazure_root(cone: Cone, vector: IntVec, distinguished_ray: int) -> Demazur
         raise InputError("root vector length does not match the ambient rank")
     if not all(map(_is_int, vector)):
         raise InputError("root vector entries must be integers")
-    for i, ray in enumerate(cone.rays):
-        p = sum(a * b for a, b in zip(ray, vector))
+    _root_pairings(cone, vector, distinguished_ray)
+    return DemazureRoot(vector, distinguished_ray)
+
+
+def _root_pairings(cone: Cone, vector: IntVec, distinguished_ray: int) -> list[int]:
+    """The pairings of ``vector`` with the rays, checked in ray order: -1
+    on the distinguished ray and >= 0 on the others."""
+    pairings = [sum(map(mul, ray, vector)) for ray in cone.rays]
+    for i, p in enumerate(pairings):
         if i == distinguished_ray:
             if p != -1:
                 raise InputError("root must pair to -1 with its distinguished ray")
         elif p < 0:
             raise InputError("root must pair nonnegatively with all other rays")
-    return DemazureRoot(vector, distinguished_ray)
+    return pairings
 
 
 def default_box_bound(cone: Cone) -> int:
@@ -156,12 +177,10 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     """Can some root move the orbit of ``face2`` onto the orbit of ``face1``?
 
     A pair whose ray sets do not differ by exactly one ray is a
-    combinatorial "no".  Any other pair goes through the routine that
-    :func:`connection_graph` runs once per upper face, so both return the
-    same verdict: one Hermite form of the rays of ``face2`` decides the
-    integer equalities, and a "yes" carries the witness made canonical by
-    Hermite reduction modulo the integer kernel, re-validated before it is
-    returned.
+    combinatorial "no".  Any other pair goes through the step that
+    :func:`connection_graph` runs once per upper face, with the orthogonal
+    lattice of ``face1`` taken from one Hermite kernel, so both return the
+    same verdict and the same re-validated witness.
     """
     if face1 not in cone._faces or face2 not in cone._faces:
         raise InputError("faces must belong to the cone's face lattice")
@@ -170,58 +189,124 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     extra = outer - inner
     if not inner <= outer or len(extra) != 1:
         return ConnectionVerdict("no", certificate="combinatorial")
-    return _connections_down_from(cone, face2, ((extra.pop(), face1),))[0]
+    lattice1 = _kernel_rows(tuple(cone.rays[i] for i in face1.ray_indices), cone.ambient_rank)
+    return _connections_down_from(cone, face2, ((extra.pop(), face1, lattice1),))[1][0]
+
+
+def _orthogonal_part(lattice: Sequence[IntVec], ray: IntVec) -> tuple[IntVec, ...]:
+    """The Hermite basis of the vectors of ``lattice``, a Hermite basis,
+    that pair to zero with ``ray``.
+
+    These are the rows with first entry zero of the Hermite form of
+    ``[lattice . ray | lattice]``, without that entry, built in one pass up
+    the rows that keeps them in echelon form.  An accumulator ``a`` with
+    pairing ``g`` absorbs each row ``b`` with nonzero pairing ``v`` by the
+    unimodular step ``(b, a) -> ((g/h) b - (v/h) a, x b + y a)``, where
+    ``h = gcd(v, g) = x v + y g``:
+    the first new row pairs to zero and keeps the pivot column of ``b``,
+    since ``a`` is a combination of the rows below ``b``.  Rows pairing to
+    zero stay.  So all rows but the final accumulator are an echelon basis
+    of the vectors pairing to zero, and making each pivot positive and
+    reducing the entries above it gives their Hermite basis, which is
+    unique.
+    """
+    a, g = None, 0
+    rows = []
+    for b in reversed(lattice):
+        v = sum(map(mul, b, ray))
+        if not v:
+            rows.append(b)
+        elif a is None:
+            a, g = b, v
+        else:
+            h, x, y = _xgcd(v, g)
+            s, t = g // h, v // h
+            rows.append(tuple(s * c - t * d for c, d in zip(b, a)))
+            a, g = tuple(x * c + y * d for c, d in zip(b, a)), h
+    basis: list[IntVec] = []
+    for row in reversed(rows):
+        col = next(j for j, c in enumerate(row) if c)
+        if row[col] < 0:
+            row = tuple(-c for c in row)
+        for i, upper in enumerate(basis):
+            q = upper[col] // row[col]
+            if q:
+                basis[i] = tuple(c - q * d for c, d in zip(upper, row))
+        basis.append(row)
+    return tuple(basis)
+
+
+def _solve_pair(lattice: Sequence[IntVec], ray: IntVec) -> list[int] | None:
+    """A vector of ``lattice`` pairing to -1 with ``ray``, from one
+    extended-gcd pass over the pairings of ``ray`` with its rows, or
+    ``None`` when their gcd is not 1."""
+    g, x = 0, [0] * len(ray)
+    for b in lattice:
+        # Negated pairings, so that x pairs to -g with the ray.
+        v = -sum(map(mul, b, ray))
+        if v:
+            g, s, t = _xgcd(g, v)
+            x = [s * c + t * d for c, d in zip(x, b)]
+            if g == 1:
+                return x
+    return None
+
+
+def _checked_root(cone: Cone, point: IntVec, tau: int, face1: Face) -> DemazureRoot:
+    """Re-validate a witness of the pair ``(face1, face1 + tau)`` in one
+    pass over the rays: -1 on ``tau``, 0 on ``face1``, >= 0 elsewhere.
+    The route built these integers itself, so the input checks of
+    :func:`demazure_root` are skipped."""
+    try:
+        pairings = _root_pairings(cone, point, tau)
+    except InputError as exc:
+        raise ConsistencyError(f"face functional produced an invalid root: {exc}")
+    if any(pairings[i] for i in face1.ray_indices):
+        raise ConsistencyError("root does not vanish on the lower face")
+    return DemazureRoot(point, tau)
 
 
 def _connections_down_from(
-    cone: Cone, face2: Face, lower: Sequence[tuple[int, Face]]
-) -> tuple[ConnectionVerdict, ...]:
-    """Verdicts for the pairs ``(face1, face2)``, one per ``(tau, face1)``
-    in ``lower``, where ``face1`` is ``face2`` without its ray ``tau``.
+    cone: Cone, face2: Face, lower: Sequence[tuple[int, Face, tuple[IntVec, ...]]]
+) -> tuple[tuple[IntVec, ...], tuple[ConnectionVerdict, ...]]:
+    """The Hermite basis of the orthogonal lattice of ``face2``, and the
+    verdicts for the pairs ``(face1, face2)``, one per ``(tau, face1,
+    lattice1)`` in ``lower``, where ``face1`` is ``face2`` without its ray
+    ``tau`` and ``lattice1`` the Hermite basis of its orthogonal lattice.
 
-    A root for such a pair is a solution ``x`` of ``A x == -e_tau``, with
-    ``A`` the rays of ``face2``, that pairs nonnegatively with every ray
-    outside ``face2``.  The Hermite form of ``[A^T | I]``
-    (:func:`~toricstrata.linalg._equation_form`) is taken once per face,
-    and each pair is one reduction modulo it: no solution is the
-    certificate ``"integral-equalities"``, and otherwise the solution comes
-    back reduced modulo the Hermite basis of the integer kernel of ``A``,
-    the same point whichever solution one starts from.  A "yes" shifts
-    that solution by the least multiple of the face functional of ``face2``
-    (also computed once, with its pairings, off the cone's ray x facet
-    table) that makes every outside pairing nonnegative.
+    The orthogonal lattice of ``face2`` is read off the first pair (see
+    :func:`_orthogonal_part`), and must have rank one less than that of
+    each ``face1``.  A pair with no point of ``lattice1`` pairing to -1
+    with ray ``tau`` is the certificate ``"integral-equalities"``;
+    otherwise that point, reduced modulo the basis of ``face2``, is the
+    same whichever one :func:`_solve_pair` finds.  A "yes" shifts it by
+    the least multiple of the face functional of ``face2`` (computed once,
+    with its pairings, off the cone's ray x facet table) that makes every
+    outside pairing nonnegative.
     """
-    form = _equation_form(tuple(cone.rays[i] for i in face2.ray_indices), cone.ambient_rank)
-    pivot_of = _pivot_index(form)
+    lattice2 = _orthogonal_part(lower[0][2], cone.rays[lower[0][0]])
+    pivot_of = _pivot_index(lattice2)
     # u vanishes on face2 (so the equalities still hold) and is positive on
     # every outside ray.
     u, pairings = _functional_with_pairings(cone, face2)
     inside = set(face2.ray_indices)
-    outside = []
-    for j, ray in enumerate(cone.rays):
-        if j not in inside:
-            if pairings[j] <= 0:
-                raise ConsistencyError("face functional vanishes off the face")
-            outside.append((ray, pairings[j]))
+    outside = [(ray, p) for j, (ray, p) in enumerate(zip(cone.rays, pairings)) if j not in inside]
+    if any(p <= 0 for _, p in outside):
+        raise ConsistencyError("face functional vanishes off the face")
 
     verdicts = []
-    for tau, face1 in lower:
-        e0 = _solve_in_form(form, pivot_of, [-int(i == tau) for i in face2.ray_indices])
-        if e0 is None:
+    for tau, face1, lattice1 in lower:
+        if len(lattice1) != len(lattice2) + 1:
+            raise ConsistencyError("orthogonal lattices of connected faces must differ by one rank")
+        x = _solve_pair(lattice1, cone.rays[tau])
+        if x is None:
             verdicts.append(ConnectionVerdict("no", certificate="integral-equalities"))
             continue
+        e0 = _reduce(lattice2, pivot_of, x)[1]
         m = max([0] + [-(sum(map(mul, ray, e0)) // p_u) for ray, p_u in outside])
         point = tuple(a + m * b for a, b in zip(e0, u))
-        try:
-            witness = demazure_root(cone, point, tau)
-        except InputError as exc:
-            raise ConsistencyError(f"face functional produced an invalid root: {exc}")
-        if any(sum(map(mul, cone.rays[i], point)) for i in face1.ray_indices):
-            raise ConsistencyError("root does not vanish on the lower face")
-        if face2.dim != face1.dim + 1:
-            raise ConsistencyError("connected faces must differ by one dimension")
-        verdicts.append(ConnectionVerdict("yes", witness=witness))
-    return tuple(verdicts)
+        verdicts.append(ConnectionVerdict("yes", witness=_checked_root(cone, point, tau, face1)))
+    return lattice2, tuple(verdicts)
 
 
 @dataclass(frozen=True)
@@ -240,19 +325,32 @@ class ConnectionGraph:
 
 def connection_graph(cone: Cone) -> ConnectionGraph:
     """Evaluate every candidate pair of the face lattice, grouped by upper
-    face so that each face is factored once."""
+    face, walking the faces upward so that each face's orthogonal lattice
+    comes from one below it (a face that no pair reaches from below takes
+    one Hermite kernel of its rays, when some pair needs it)."""
     faces = face_lattice(cone)
-    index_of = {face.ray_indices: i for i, face in enumerate(faces)}
+    index_of = {sum(1 << i for i in face.ray_indices): i for i, face in enumerate(faces)}
+    n = cone.ambient_rank
+    # faces[0] is the apex, orthogonal to everything.
+    lattices = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
     verdicts = []
-    for i2, face2 in enumerate(faces):
-        lower = []
-        for tau in face2.ray_indices:
-            i1 = index_of.get(tuple(i for i in face2.ray_indices if i != tau))
-            if i1 is not None:
-                lower.append((tau, i1))
-        if lower:
-            found = _connections_down_from(cone, face2, [(tau, faces[i1]) for tau, i1 in lower])
-            verdicts.extend((i1, i2, v) for (_, i1), v in zip(lower, found))
+    for bits, i2 in index_of.items():
+        face2 = faces[i2]
+        lower = [
+            (tau, index_of[bits ^ (1 << tau)])
+            for tau in face2.ray_indices
+            if bits ^ (1 << tau) in index_of
+        ]
+        if not lower:
+            continue
+        for _, i1 in lower:
+            if i1 not in lattices:
+                rays = tuple(cone.rays[i] for i in faces[i1].ray_indices)
+                lattices[i1] = _kernel_rows(rays, n)
+        lattices[i2], found = _connections_down_from(
+            cone, face2, [(tau, faces[i1], lattices[i1]) for tau, i1 in lower]
+        )
+        verdicts.extend((i1, i2, v) for (_, i1), v in zip(lower, found))
     return ConnectionGraph(cone, faces, tuple(verdicts))
 
 

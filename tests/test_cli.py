@@ -220,7 +220,7 @@ TEXT_GOLDEN_CASES = sorted(tuple(path.name.split(".")[:2]) for path in GOLDEN.gl
 
 def test_the_golden_cases_are_found():
     # an empty glob would leave the golden tests below with no case to run
-    assert len(GOLDEN_CASES) >= 19
+    assert len(GOLDEN_CASES) >= 21
     assert TEXT_GOLDEN_CASES == GOLDEN_CASES
 
 

@@ -331,6 +331,14 @@ def test_is_smooth_face_reference_values():
         assert ts.is_smooth_face(OVER_SQUARE, face) == expected
 
 
+def test_is_smooth_face_refuses_what_is_not_a_face():
+    cone = ts.build_cone(2, [(1, 0), (1, 2)])
+    # a ray index out of range, unsorted indices, and a wrong dimension
+    for face in (ts.Face((0, 5), 2), ts.Face((1, 0), 2), ts.Face((0,), 2), ts.Face((0, 1), 1)):
+        with pytest.raises(ts.InputError, match="face does not belong to the cone's face lattice"):
+            ts.is_smooth_face(cone, face)
+
+
 def test_smooth_simplicial_face_means_unit_determinant():
     for cone in sample_cones(ts, 18, 15):
         for face in ts.face_lattice(cone):

@@ -113,6 +113,28 @@ def test_graph_matches_the_per_pair_solve_on_random_cones(data):
         assert ts.connection_exists(cone, graph.faces[i1], graph.faces[i2]) == verdict
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cone_inputs())
+def test_each_step_up_gives_the_hermite_kernel_of_the_upper_face(data):
+    # K_f2 from K_f1 and the extra ray is the Hermite basis of the integer
+    # kernel of the rays of f2, and the rows with zero first entry of the
+    # Hermite form of [K_f1 . ray | K_f1].
+    rank, rays = data
+    cone = ts.split_degenerate(rank, rays, normalize=True).cone
+    n = cone.ambient_rank
+    graph = ts.connection_graph(cone)
+    for i1, i2, _ in graph.verdicts:
+        face1, face2 = graph.faces[i1], graph.faces[i2]
+        (tau,) = set(face2.ray_indices) - set(face1.ray_indices)
+        ray = cone.rays[tau]
+        lower = ts.cones._kernel_rows([cone.rays[i] for i in face1.ray_indices], n)
+        upper = roots._orthogonal_part(lower, ray)
+        assert upper == ts.cones._kernel_rows([cone.rays[i] for i in face2.ray_indices], n)
+        rows = [(sum(a * b for a, b in zip(row, ray)),) + row for row in lower]
+        form = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows)).entries
+        assert upper == tuple(row[1:] for row in form if not row[0])
+
+
 @pytest.mark.parametrize("name", FIXTURE_CONES)
 def test_connection_exists_agrees_with_the_graph_on_the_fixtures(fixture_path, name):
     with open(fixture_path(name)) as f:
@@ -124,27 +146,25 @@ def test_connection_exists_agrees_with_the_graph_on_the_fixtures(fixture_path, n
         assert ts.connection_exists(cone, graph.faces[i1], graph.faces[i2]) == verdict
 
 
-def corrupt_hermite_rows(monkeypatch, delta, face_rays=None):
-    """Shift the solution part of the first row of each face's shared
-    Hermite form (of the faces with ``face_rays`` rays only, if given) by
-    ``delta``, so the factorization hands out a point that solves nothing."""
-    real = roots._equation_form
+def corrupt_pair_solutions(monkeypatch, delta, lower_rank=None):
+    """Shift by ``delta`` each point that the per-pair step hands out (only
+    where the lower face's orthogonal lattice has rank ``lower_rank``, if
+    given), so that it solves nothing."""
+    real = roots._solve_pair
 
-    def corrupted(equations, dim):
-        form = real(equations, dim)
-        if face_rays is not None and len(equations) != face_rays:
-            return form
-        first = form[0]
-        shifted = first[:-dim] + tuple(a + b for a, b in zip(first[-dim:], delta))
-        return (shifted,) + form[1:]
+    def corrupted(lattice, ray):
+        x = real(lattice, ray)
+        if x is None or lower_rank is not None and len(lattice) != lower_rank:
+            return x
+        return tuple(a + b for a, b in zip(x, delta))
 
-    monkeypatch.setattr(roots, "_equation_form", corrupted)
+    monkeypatch.setattr(roots, "_solve_pair", corrupted)
 
 
 def test_a_solution_missing_the_distinguished_ray_is_refused(monkeypatch):
     # On the quadric cone the first face's solution becomes (-2, 0), which
     # pairs -2 with its distinguished ray (1, 0).
-    corrupt_hermite_rows(monkeypatch, (1, 0))
+    corrupt_pair_solutions(monkeypatch, (-1, 0))
     with pytest.raises(ts.ConsistencyError, match="invalid root"):
         ts.connection_graph(ts.build_cone(2, [(1, 0), (1, 2)]))
 
@@ -153,6 +173,22 @@ def test_a_solution_missing_the_lower_face_is_refused(monkeypatch):
     # On the quadrant, the solution for the pair ((1,), (0, 1)) becomes
     # (-1, 1): a root of the cone, but not zero on the lower face, so
     # only the check of the lower face's pairings catches it.
-    corrupt_hermite_rows(monkeypatch, (0, -1), face_rays=2)
+    corrupt_pair_solutions(monkeypatch, (0, 1), lower_rank=1)
     with pytest.raises(ts.ConsistencyError, match="does not vanish on the lower face"):
         ts.connection_graph(ts.build_cone(2, [(1, 0), (0, 1)]))
+
+
+def test_an_orthogonal_lattice_of_the_wrong_rank_is_refused(monkeypatch):
+    # Each upper face's orthogonal lattice must have one row fewer than its
+    # lower face's; one that keeps an extra row cannot be the lattice of a
+    # face one dimension up.
+    real = roots._orthogonal_part
+    monkeypatch.setattr(
+        roots, "_orthogonal_part", lambda lattice, ray: real(lattice, ray) + lattice[:1]
+    )
+    for cone in (ts.build_cone(2, [(1, 0), (1, 2)]), ts.build_cone(3, sixteen_gon_rays())):
+        with pytest.raises(ts.ConsistencyError, match="differ by one rank"):
+            ts.connection_graph(cone)
+        face1, face2 = ts.face_lattice(cone)[:2]
+        with pytest.raises(ts.ConsistencyError, match="differ by one rank"):
+            ts.connection_exists(cone, face1, face2)
