@@ -19,21 +19,21 @@ scan, on vectors that may repeat, vanish or span a cone with a line, gives
 
 The facts of a cone live on the :class:`Cone` object, computed on first
 use and dropped with it: the facet scan (sorted normals, the ray x facet
-pairing table and its column zero sets) and the face walk (every face, the
-face one dimension up it was reached from, and its face functional with
-the functional's pairings with the rays).  The face lattice, route three's
-roots, the semigroup certificate and the walk down the faces in
-``divisors.face_orbit_data`` all read them; no process-wide cache does.
+pairing table and its column zero sets) and the face table, which lists
+every face with all its facets, its orthogonal lattice and its face
+functional, and certifies its own completeness.  Every face query reads
+the table; no process-wide cache holds it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from operator import and_, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, InputError
 from .linalg import (
@@ -44,6 +44,7 @@ from .linalg import (
     _lattice_coordinates,
     _maximal_minors,
     _pivot_index,
+    _xgcd,
     hermite_normal_form,
     integer_rank,
     primitive_vector,
@@ -82,7 +83,7 @@ class Cone:
     # Computed on first use into the instance ``__dict__``, so they go with
     # the cone; equality and hashing read only the two fields.
     _facets = cached_property(lambda self: _facet_scan(self))
-    _faces = cached_property(lambda self: _face_walk(self))
+    _faces = cached_property(lambda self: _face_table(self))
 
 
 @dataclass(frozen=True)
@@ -305,62 +306,140 @@ def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     return cone._facets[0]
 
 
-def _face_walk(cone: Cone) -> dict[Face, tuple[Face | None, IntVec, IntVec]]:
-    """Every face of a full-dimensional pointed cone, the cone first and
-    each face after the face it was reached from, mapped to that face one
-    dimension up (``None`` for the cone), its :func:`face_functional` and
-    the functional's pairings with the rays.  Read-only.
+class _FaceEntry(NamedTuple):
+    """One face of a cone's face table (see :func:`_face_table`)."""
 
-    Faces are exactly the intersections of facets with the cone; each is
-    identified by the set of rays it contains (the apex has none, the cone
-    itself has all).  The walk goes down from the cone: the facets of a
-    face are its maximal proper intersections with the cone's facets, and
-    the face poset is graded, so each has dimension one less.  The
-    functional and its pairings are sums over the facets containing the
-    face, read off the zero sets of :func:`_facet_scan`: the normals for
-    the functional, the table's columns for the pairings, with no dot
-    product.  A cone that is not full-dimensional is refused by the scan.
+    face: Face
+    index: int  # position in face_lattice order
+    children: tuple[int, ...]  # ray bitsets of the facets of the face
+    lattice: tuple[IntVec, ...]  # Hermite basis of the face's orthogonal lattice
+    functional: IntVec  # face_functional
+    pairings: IntVec  # the functional's pairings with the rays
+
+
+def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
+    """Every face of a full-dimensional pointed cone, keyed by the bitset of
+    its rays (none for the apex, all for the cone), in :func:`face_lattice`
+    order.  Read-only.
+
+    Faces are the intersections of facets with the cone.  The walk down
+    keeps as children all maximal proper cuts of each face by the facets.
+    Going back up by ray count, each face F takes the Hermite basis K_F of
+    {x in Z^n : <p_i, x> = 0 for i in F}: the identity at the apex, else a
+    child's basis with :func:`_orthogonal_part` folded over the rays of F
+    that the child lacks; F has dimension n - len(K_F).  The functional
+    and its pairings are sums of the normals and table columns of the
+    facets through the face.
     """
     normals, table, zeros = cone._facets
-    everything = (1 << cone.nrays) - 1
-    walk = {everything: (cone.ambient_rank, None)}
-    queue = [everything]
+    n = cone.ambient_rank
+    children: dict[int, list[int]] = {}
+    queue = [(1 << cone.nrays) - 1]
     while queue:
         current = queue.pop()
-        cuts = {current & z for z in zeros}
-        cuts.discard(current)
-        for cut in cuts:
-            if cut not in walk and not any(cut != other and cut & other == cut for other in cuts):
-                walk[cut] = (walk[current][0] - 1, current)
-                queue.append(cut)
-    face_of: dict[int | None, Face | None] = {None: None}
+        if current in children:
+            continue
+        # A cut is maximal when no larger one contains it.
+        kids = children[current] = []
+        for cut in sorted({current & z for z in zeros} - {current}, key=int.bit_count, reverse=True):
+            if not any(cut & kid == cut for kid in kids):
+                kids.append(cut)
+        if current and not kids:
+            raise _uncertified(current, "it has rays but no facet")
+        queue.extend(kids)
+
+    lattice = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+    for bits in sorted(children, key=int.bit_count)[1:]:
+        child = max(children[bits], key=int.bit_count)
+        missing = (cone.rays[i] for i in _ray_list_of(bits & ~child))
+        lattice[bits] = reduce(_orthogonal_part, missing, lattice[child])
+    dim = {bits: n - len(basis) for bits, basis in lattice.items()}
+    _certify_faces(children, dim)
+
     out = {}
-    for rays, (dim, parent) in walk.items():
-        face = face_of[rays] = Face(tuple(i for i in range(cone.nrays) if rays >> i & 1), dim)
-        through = [k for k, z in enumerate(zeros) if not rays & ~z]
-        u = tuple(sum(normals[k][c] for k in through) for c in range(cone.ambient_rank))
-        out[face] = (face_of[parent], u, tuple(sum(row[k] for k in through) for row in table))
+    for index, bits in enumerate(sorted(children, key=lambda b: (dim[b], _ray_list_of(b)))):
+        through = [k for k, z in enumerate(zeros) if not bits & ~z]
+        u = tuple(sum(normals[k][c] for k in through) for c in range(n))
+        pairings = tuple(sum(row[k] for k in through) for row in table)
+        face = Face(tuple(_ray_list_of(bits)), dim[bits])
+        out[bits] = _FaceEntry(face, index, tuple(children[bits]), lattice[bits], u, pairings)
     return out
+
+
+def _certify_faces(children: dict[int, list[int]], dim: dict[int, int]) -> None:
+    """Certify that the face walk listed every face, or raise
+    :class:`ConsistencyError`.
+
+    Three rules: every face with a ray has a child (checked by the walk; a
+    face without rays has dimension 0, and one with a ray at least 1),
+    every child has dimension exactly one less than its face, and every
+    face G two levels below a face F lies in exactly two children of F,
+    the diamond property (Ziegler, *Lectures on Polytopes*, Thm 2.7).
+
+    Why they certify completeness.  A listed face is an intersection of
+    true facets, so a true face, and the dimension rule makes each child of
+    F a true facet of F.  Induct on dimension: assume that every listed
+    face of dimension below k has all its facets listed, and let F be a
+    listed face of dimension k.  For k = 1 the only facet of F is the apex,
+    and F has a child.  For k >= 2, suppose a facet of F is missing.  The
+    facet-ridge graph of F is connected, since it is the graph of the polar
+    polytope, and F has a listed child, so some ridge G joins a listed
+    child C to a missing facet.  G is a facet of C, so it is listed below C
+    by the induction hypothesis, and it lies in exactly two facets of F, of
+    which only C is listed: the diamond count at (F, G) is 1 and the check
+    fails.  Hence every listed face has all its facets listed; the cone
+    itself is listed, and every face is reached from it down a chain of
+    facets.
+    """
+    for bits, kids in children.items():
+        for kid in kids:
+            if dim[kid] != dim[bits] - 1:
+                raise _uncertified(
+                    bits, f"its facet {_ray_list_of(kid)} has dimension {dim[kid]}, "
+                    f"not {dim[bits] - 1}"
+                )
+        for low, count in Counter(low for kid in kids for low in children[kid]).items():
+            if count != 2:
+                raise _uncertified(
+                    bits, f"{count} of its facets, not 2, contain the face "
+                    f"{_ray_list_of(low)} two levels below it"
+                )
+
+
+def _ray_list_of(bits: int) -> list[int]:
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def _uncertified(bits: int, why: str) -> ConsistencyError:
+    return ConsistencyError(f"face lattice certificate fails at face {_ray_list_of(bits)}: {why}")
 
 
 # The faces live on the cone, so this caches nothing; the zero-size cache
 # stays only for its ``cache_info``, which perfbench/layertrace.py reads.
 @lru_cache(maxsize=0)
 def face_lattice(cone: Cone) -> tuple[Face, ...]:
-    """All faces of a full-dimensional pointed cone, sorted by (dim, rays).
+    """All faces of a full-dimensional pointed cone, sorted by (dim, rays),
+    from its certified face table (see :func:`_face_table`)."""
+    return tuple(entry.face for entry in cone._faces.values())
 
-    The faces come from the walk down the facets of :func:`_face_walk`.
-    """
-    return tuple(sorted(cone._faces, key=lambda f: (f.dim, f.ray_indices)))
+
+def _face_entry(cone: Cone, ray_indices: tuple) -> _FaceEntry | None:
+    """The table entry of the face with exactly these rays, in increasing
+    order, or ``None``: one lookup by the rays' bitset."""
+    if all(isinstance(i, int) and 0 <= i < cone.nrays for i in ray_indices):
+        entry = cone._faces.get(sum(1 << i for i in ray_indices))
+        if entry is not None and entry.face.ray_indices == ray_indices:
+            return entry
+    return None
 
 
 def _functional_with_pairings(cone: Cone, face: Face) -> tuple[IntVec, IntVec]:
     """:func:`face_functional` and its pairings with every ray, from the
-    cone's face walk."""
-    entry = cone._faces.get(face)
-    if entry is None:
+    cone's face table; a face of another cone is refused."""
+    entry = _face_entry(cone, face.ray_indices)
+    if entry is None or entry.face != face:
         raise InputError("face does not belong to the cone's face lattice")
-    return entry[1:]
+    return entry.functional, entry.pairings
 
 
 def face_functional(cone: Cone, face: Face) -> IntVec:
@@ -376,10 +455,10 @@ def face_functional(cone: Cone, face: Face) -> IntVec:
 def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:
     """Locate the face with exactly these rays; reject non-faces."""
     key = tuple(sorted(ray_indices))
-    for face in cone._faces:
-        if face.ray_indices == key:
-            return face
-    raise InputError(f"ray index set {list(key)} is not a face of the cone")
+    entry = _face_entry(cone, key)
+    if entry is None:
+        raise InputError(f"ray index set {list(key)} is not a face of the cone")
+    return entry.face
 
 
 def is_smooth_face(cone: Cone, face: Face) -> bool:
@@ -394,8 +473,7 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
     factor of the ray matrix being 1.  A face outside the cone's face
     lattice is refused.
     """
-    if face not in cone._faces:
-        raise InputError("face does not belong to the cone's face lattice")
+    _functional_with_pairings(cone, face)  # refuses a foreign face
     k = len(face.ray_indices)
     if k <= 1:
         return True
@@ -409,6 +487,47 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
 def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
     """Hermite basis of the integer kernel {x : row . x == 0 for all rows}."""
     return _form_kernel(_equation_form(mat_rows, dim), len(mat_rows))
+
+
+def _orthogonal_part(lattice: Sequence[IntVec], ray: IntVec) -> tuple[IntVec, ...]:
+    """The Hermite basis of the vectors of ``lattice``, a Hermite basis,
+    that pair to zero with ``ray``.
+
+    These are the rows with first entry zero of the Hermite form of
+    ``[lattice . ray | lattice]``, without that entry, built in one pass up
+    the rows.  An accumulator ``a`` with pairing ``g`` absorbs each row
+    ``b`` with nonzero pairing ``v`` by the unimodular step ``(b, a) ->
+    ((g/h) b - (v/h) a, x b + y a)``, ``h = gcd(v, g) = x v + y g``: the
+    first new row pairs to zero and keeps the pivot column of ``b``, as
+    ``a`` combines rows below ``b``.  Rows pairing to zero stay, so all
+    rows but the final accumulator are an echelon basis of the vectors
+    pairing to zero; positive pivots and reduced entries above them make
+    it the unique Hermite basis.
+    """
+    a, g = None, 0
+    rows = []
+    for b in reversed(lattice):
+        v = sum(map(mul, b, ray))
+        if not v:
+            rows.append(b)
+        elif a is None:
+            a, g = b, v
+        else:
+            h, x, y = _xgcd(v, g)
+            s, t = g // h, v // h
+            rows.append(tuple(s * c - t * d for c, d in zip(b, a)))
+            a, g = tuple(x * c + y * d for c, d in zip(b, a)), h
+    basis: list[IntVec] = []
+    for row in reversed(rows):
+        col = next(j for j, c in enumerate(row) if c)
+        if row[col] < 0:
+            row = tuple(-c for c in row)
+        for i, upper in enumerate(basis):
+            q = upper[col] // row[col]
+            if q:
+                basis[i] = tuple(c - q * d for c, d in zip(upper, row))
+        basis.append(row)
+    return tuple(basis)
 
 
 def split_degenerate(

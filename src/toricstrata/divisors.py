@@ -9,12 +9,7 @@ Each face carries the subgroup of the class group generated by the divisors
 *not* containing the corresponding orbit (the complement ray set, ``dset``),
 and the local class group is the quotient by that subgroup.
 :func:`face_orbit_data` computes both for every face in one pass down the
-face lattice.  A face's subgroup is its parent's (a face one dimension up)
-with the classes of the parent's rays off the face inserted into the
-parent's Hermite basis; the subgroup only grows on the way down, so a face
-below one whose subgroup is the whole group takes that handle with no
-normal form, and a face of a smooth face is smooth.  One quotient is taken
-per distinct subgroup, which the faces of a stratum share.  The subgroup
+cone's face table, one quotient per distinct subgroup.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
 character ``u`` per face: u >= 1 off the face, principal class zero, the
@@ -124,34 +119,36 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     """Divisor subgroup, local class group and smoothness of every face, in
     the order of ``toric.faces``.
 
-    One pass walks the face lattice down from the cone, each face after a
-    face F one dimension up (see ``cones._face_walk``).  The rays off a
-    face G are those off F and those of F missing from G, so H(G) = H(F) +
-    <[D_i] : i in F ∖ G>: the classes of the few rays of F missing from G
-    are inserted into the Hermite basis of H(F).  H grows as faces shrink,
-    so a face below a face whose subgroup is the whole group has the whole
-    group too, and shares that handle with no normal form.  Smoothness is
-    inherited the same way: a face of a smooth face is smooth, and only
-    the other faces go through :func:`~toricstrata.cones.is_smooth_face`.
-    Faces with the same subgroup have the same local class group, so one
-    quotient is taken per distinct subgroup.
+    One pass walks the cone's face table backwards, from the cone, so each
+    face G comes after every face F one dimension up, and takes its data
+    from the first F that lists it as a child.  The rays off G are those
+    off F and those of F missing from G, so H(G) = H(F) + <[D_i] : i in F ∖
+    G>: the classes of the few rays of F missing from G are inserted into
+    the Hermite basis of H(F).  H grows as faces shrink, so a face below a face
+    whose subgroup is the whole group has the whole group too, and shares
+    that handle with no normal form.  Smoothness is inherited the same way:
+    a face of a smooth face is smooth, and only the other faces go through
+    :func:`~toricstrata.cones.is_smooth_face`.  Faces with the same
+    subgroup have the same local class group, so one quotient is taken per
+    distinct subgroup.
     """
     cone = toric.cone
     group = toric.class_group
     classes = toric.divisor_classes
     local_of: dict[tuple[IntVec, ...], FgAbGroup] = {}
     data = {}
-    for face, (parent, _, _) in cone._faces.items():
+    above: dict[int, FaceOrbitData] = {}
+    for bits, entry in reversed(cone._faces.items()):
+        face, up = entry.face, above.get(bits)
         inside = set(face.ray_indices)
         dset = tuple(i for i in range(cone.nrays) if i not in inside)
-        if parent is None:
+        if up is None:
             subgroup = subgroup_canon(group, [classes[i] for i in dset])
             smooth = is_smooth_face(cone, face)
         else:
-            up = data[parent]
             subgroup = up.subgroup
             if not is_full(subgroup):
-                missing = [classes[i] for i in parent.ray_indices if i not in inside]
+                missing = [classes[i] for i in up.face.ray_indices if i not in inside]
                 subgroup = _subgroup_join(subgroup, missing)
             smooth = up.smooth or is_smooth_face(cone, face)
         local = local_of.get(subgroup.basis)
@@ -165,6 +162,8 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
             orbit_dim=cone.ambient_rank - face.dim,
             smooth=smooth,
         )
+        for child in entry.children:
+            above.setdefault(child, data[face])
     return {face: data[face] for face in toric.faces}
 
 

@@ -8,33 +8,25 @@ when ``e`` vanishes on the rays of ``f1``, pairs -1 with the single extra
 ray of ``f2``, and is nonnegative on all rays outside ``f2``.
 
 :func:`connection_graph` decides that condition exactly for every candidate
-pair, walking the face lattice upward.  For each face ``F`` it keeps the
-Hermite basis ``K_F`` of the orthogonal lattice ``M_F = {x in Z^n : <p_i,
-x> = 0 for every ray p_i of F}`` (the identity at the apex).  A root for
-the pair ``(f1, f2)``, ``f2 = f1 + tau``, is a point ``x`` of ``M_f1``
-with ``<p_tau, x> = -1`` that pairs nonnegatively with the rays outside
-``f2``.  The values of ``<p_tau, .>`` on ``M_f1`` are the integer
+pair: a face and a child with one ray fewer in the cone's face table (see
+``cones._face_table``), which keeps the Hermite basis ``K_F`` of each
+face's orthogonal lattice ``M_F = {x in Z^n : <p_i, x> = 0 for i in F}``.
+A root for the pair ``(f1, f2)``, ``f2 = f1 + tau``, is a point ``x`` of
+``M_f1`` with ``<p_tau, x> = -1`` that pairs nonnegatively with the rays
+outside ``f2``.  The values of ``<p_tau, .>`` on ``M_f1`` are the integer
 combinations of its values on the rows of ``K_f1``, so such an ``x``
-exists exactly when those values generate Z, that is, when their gcd is
-1; one extended-gcd pass decides the pair and gives ``x``, and a gcd
-``g != 1`` is the certificate ``"integral-equalities"``.  The rows of
-``[K_f1 . p_tau | K_f1]`` span the vectors ``(<p_tau, x>, x)``, ``x`` in
-``M_f1``, and those with first entry zero are ``0 x M_f2``, ``M_f2 = M_f1
-∩ p_tau^⊥``.  In its Hermite form only the first row has a nonzero first
-entry (``p_tau`` is not in the span of ``f1``, so the column is not
-zero), and a combination of the rows has first entry zero exactly when it
-leaves that row out.  So the other rows, without the first entry, are a
-basis of ``M_f2`` in Hermite form, which is unique: ``K_f2``, one row
-shorter than ``K_f1``.  A face that no pair reaches from below takes
-``K`` from one Hermite kernel of its rays.  Once the equalities are
-solvable a root always exists: adding a large enough multiple of
+exists exactly when their gcd is 1; one extended-gcd pass decides the
+pair and gives ``x``, and a gcd ``g != 1`` is the certificate
+``"integral-equalities"``.  Once the equalities are solvable a root
+always exists: adding a large enough multiple of
 :func:`~toricstrata.cones.face_functional` of ``f2`` to any solution keeps
 the equalities and makes every outside pairing nonnegative.  The witness
 is canonical: ``x`` reduced modulo ``K_f2`` is the same point whichever
 solution one starts from, and the least such multiple is added.  Each
-witness is re-validated before it is returned.  :func:`connection_exists`
-decides one pair with the same step.  Only :func:`enumerate_roots`, which
-lists all roots in a coordinate box, depends on a search bound.
+witness is re-validated before it is returned, and
+:func:`connection_exists` decides one pair with the same step.  Only
+:func:`enumerate_roots`, which lists all roots in a coordinate box,
+depends on a search bound.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, Face, _functional_with_pairings, _kernel_rows, face_lattice
+from .cones import Cone, Face, _face_entry, _FaceEntry, face_lattice
 from . import linalg
 from .errors import ConsistencyError, InputError
 from .linalg import (
@@ -178,62 +170,19 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
 
     A pair whose ray sets do not differ by exactly one ray is a
     combinatorial "no".  Any other pair goes through the step that
-    :func:`connection_graph` runs once per upper face, with the orthogonal
-    lattice of ``face1`` taken from one Hermite kernel, so both return the
-    same verdict and the same re-validated witness.
+    :func:`connection_graph` runs once per upper face, on the same entries
+    of the cone's face table, so both return the same verdict and the same
+    re-validated witness.
     """
-    if face1 not in cone._faces or face2 not in cone._faces:
+    entry1, entry2 = _face_entry(cone, face1.ray_indices), _face_entry(cone, face2.ray_indices)
+    if None in (entry1, entry2) or (entry1.face, entry2.face) != (face1, face2):
         raise InputError("faces must belong to the cone's face lattice")
 
     inner, outer = set(face1.ray_indices), set(face2.ray_indices)
     extra = outer - inner
     if not inner <= outer or len(extra) != 1:
         return ConnectionVerdict("no", certificate="combinatorial")
-    lattice1 = _kernel_rows(tuple(cone.rays[i] for i in face1.ray_indices), cone.ambient_rank)
-    return _connections_down_from(cone, face2, ((extra.pop(), face1, lattice1),))[1][0]
-
-
-def _orthogonal_part(lattice: Sequence[IntVec], ray: IntVec) -> tuple[IntVec, ...]:
-    """The Hermite basis of the vectors of ``lattice``, a Hermite basis,
-    that pair to zero with ``ray``.
-
-    These are the rows with first entry zero of the Hermite form of
-    ``[lattice . ray | lattice]``, without that entry, built in one pass up
-    the rows that keeps them in echelon form.  An accumulator ``a`` with
-    pairing ``g`` absorbs each row ``b`` with nonzero pairing ``v`` by the
-    unimodular step ``(b, a) -> ((g/h) b - (v/h) a, x b + y a)``, where
-    ``h = gcd(v, g) = x v + y g``:
-    the first new row pairs to zero and keeps the pivot column of ``b``,
-    since ``a`` is a combination of the rows below ``b``.  Rows pairing to
-    zero stay.  So all rows but the final accumulator are an echelon basis
-    of the vectors pairing to zero, and making each pivot positive and
-    reducing the entries above it gives their Hermite basis, which is
-    unique.
-    """
-    a, g = None, 0
-    rows = []
-    for b in reversed(lattice):
-        v = sum(map(mul, b, ray))
-        if not v:
-            rows.append(b)
-        elif a is None:
-            a, g = b, v
-        else:
-            h, x, y = _xgcd(v, g)
-            s, t = g // h, v // h
-            rows.append(tuple(s * c - t * d for c, d in zip(b, a)))
-            a, g = tuple(x * c + y * d for c, d in zip(b, a)), h
-    basis: list[IntVec] = []
-    for row in reversed(rows):
-        col = next(j for j, c in enumerate(row) if c)
-        if row[col] < 0:
-            row = tuple(-c for c in row)
-        for i, upper in enumerate(basis):
-            q = upper[col] // row[col]
-            if q:
-                basis[i] = tuple(c - q * d for c, d in zip(upper, row))
-        basis.append(row)
-    return tuple(basis)
+    return _connections_down_from(cone, entry2, ((extra.pop(), entry1),))[0]
 
 
 def _solve_pair(lattice: Sequence[IntVec], ray: IntVec) -> list[int] | None:
@@ -267,46 +216,39 @@ def _checked_root(cone: Cone, point: IntVec, tau: int, face1: Face) -> DemazureR
 
 
 def _connections_down_from(
-    cone: Cone, face2: Face, lower: Sequence[tuple[int, Face, tuple[IntVec, ...]]]
-) -> tuple[tuple[IntVec, ...], tuple[ConnectionVerdict, ...]]:
-    """The Hermite basis of the orthogonal lattice of ``face2``, and the
-    verdicts for the pairs ``(face1, face2)``, one per ``(tau, face1,
-    lattice1)`` in ``lower``, where ``face1`` is ``face2`` without its ray
-    ``tau`` and ``lattice1`` the Hermite basis of its orthogonal lattice.
+    cone: Cone, upper: _FaceEntry, lower: Sequence[tuple[int, _FaceEntry]]
+) -> tuple[ConnectionVerdict, ...]:
+    """The verdicts for the pairs ``(face1, face2)``, one per ``(tau,
+    entry1)`` in ``lower``: ``upper`` and ``entry1`` are the face table
+    entries of ``face2`` and of ``face1``, ``face2`` without its ray ``tau``.
 
-    The orthogonal lattice of ``face2`` is read off the first pair (see
-    :func:`_orthogonal_part`), and must have rank one less than that of
-    each ``face1``.  A pair with no point of ``lattice1`` pairing to -1
-    with ray ``tau`` is the certificate ``"integral-equalities"``;
+    A pair with no point of the orthogonal lattice of ``face1`` pairing to
+    -1 with ray ``tau`` is the certificate ``"integral-equalities"``;
     otherwise that point, reduced modulo the basis of ``face2``, is the
     same whichever one :func:`_solve_pair` finds.  A "yes" shifts it by
-    the least multiple of the face functional of ``face2`` (computed once,
-    with its pairings, off the cone's ray x facet table) that makes every
-    outside pairing nonnegative.
+    the least multiple of the face functional of ``face2`` that makes
+    every outside pairing nonnegative.
     """
-    lattice2 = _orthogonal_part(lower[0][2], cone.rays[lower[0][0]])
-    pivot_of = _pivot_index(lattice2)
-    # u vanishes on face2 (so the equalities still hold) and is positive on
-    # every outside ray.
-    u, pairings = _functional_with_pairings(cone, face2)
-    inside = set(face2.ray_indices)
-    outside = [(ray, p) for j, (ray, p) in enumerate(zip(cone.rays, pairings)) if j not in inside]
+    pivot_of = _pivot_index(upper.lattice)
+    # The functional vanishes on face2 (so the equalities still hold) and
+    # is positive on every outside ray.
+    inside = set(upper.face.ray_indices)
+    outside = [(cone.rays[j], p) for j, p in enumerate(upper.pairings) if j not in inside]
     if any(p <= 0 for _, p in outside):
         raise ConsistencyError("face functional vanishes off the face")
 
     verdicts = []
-    for tau, face1, lattice1 in lower:
-        if len(lattice1) != len(lattice2) + 1:
-            raise ConsistencyError("orthogonal lattices of connected faces must differ by one rank")
-        x = _solve_pair(lattice1, cone.rays[tau])
+    for tau, entry1 in lower:
+        x = _solve_pair(entry1.lattice, cone.rays[tau])
         if x is None:
             verdicts.append(ConnectionVerdict("no", certificate="integral-equalities"))
             continue
-        e0 = _reduce(lattice2, pivot_of, x)[1]
+        e0 = _reduce(upper.lattice, pivot_of, x)[1]
         m = max([0] + [-(sum(map(mul, ray, e0)) // p_u) for ray, p_u in outside])
-        point = tuple(a + m * b for a, b in zip(e0, u))
-        verdicts.append(ConnectionVerdict("yes", witness=_checked_root(cone, point, tau, face1)))
-    return lattice2, tuple(verdicts)
+        point = tuple(a + m * b for a, b in zip(e0, upper.functional))
+        root = _checked_root(cone, point, tau, entry1.face)
+        verdicts.append(ConnectionVerdict("yes", witness=root))
+    return tuple(verdicts)
 
 
 @dataclass(frozen=True)
@@ -325,32 +267,19 @@ class ConnectionGraph:
 
 def connection_graph(cone: Cone) -> ConnectionGraph:
     """Evaluate every candidate pair of the face lattice, grouped by upper
-    face, walking the faces upward so that each face's orthogonal lattice
-    comes from one below it (a face that no pair reaches from below takes
-    one Hermite kernel of its rays, when some pair needs it)."""
+    face in face order.  The pairs below a face are its children in the
+    cone's face table with one ray fewer, taken by that ray."""
     faces = face_lattice(cone)
-    index_of = {sum(1 << i for i in face.ray_indices): i for i, face in enumerate(faces)}
-    n = cone.ambient_rank
-    # faces[0] is the apex, orthogonal to everything.
-    lattices = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+    table = cone._faces
     verdicts = []
-    for bits, i2 in index_of.items():
-        face2 = faces[i2]
-        lower = [
-            (tau, index_of[bits ^ (1 << tau)])
-            for tau in face2.ray_indices
-            if bits ^ (1 << tau) in index_of
-        ]
-        if not lower:
-            continue
-        for _, i1 in lower:
-            if i1 not in lattices:
-                rays = tuple(cone.rays[i] for i in faces[i1].ray_indices)
-                lattices[i1] = _kernel_rows(rays, n)
-        lattices[i2], found = _connections_down_from(
-            cone, face2, [(tau, faces[i1], lattices[i1]) for tau, i1 in lower]
+    for bits, upper in table.items():
+        lower = sorted(
+            ((bits ^ child).bit_length() - 1, table[child])
+            for child in upper.children
+            if (bits ^ child).bit_count() == 1
         )
-        verdicts.extend((i1, i2, v) for (_, i1), v in zip(lower, found))
+        found = _connections_down_from(cone, upper, lower) if lower else ()
+        verdicts.extend((entry1.index, upper.index, v) for (_, entry1), v in zip(lower, found))
     return ConnectionGraph(cone, faces, tuple(verdicts))
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import json
 import pkgutil
 import random
 import time
@@ -227,8 +228,8 @@ def test_face_lattice_counts_and_order():
 
 
 def test_face_dimensions_are_the_ranks_of_their_rays(suite_cones):
-    # dimensions come from walking down facet incidence; the rank of each
-    # face's rays checks them independently
+    # dimensions come from the rank of each face's orthogonal lattice in the
+    # face table; the rank of each face's rays checks them independently
     cyclic = [
         ts.build_cone(d, [tuple(t**i for i in range(d)) for t in range(m)])
         for d, m in ((4, 14), (5, 11), (6, 12))
@@ -243,6 +244,55 @@ def test_face_lattice_requires_full_dimension():
     degenerate = ts.build_cone(3, [(1, 0, 0), (1, 2, 0)])
     with pytest.raises(ts.InputError):
         ts.face_lattice(degenerate)
+
+
+def drop_facet(monkeypatch, k):
+    """Make every facet scan lose its ``k``-th normal, with that normal's
+    column of the pairing table and its zero set."""
+    real = ts.cones._facet_scan
+
+    def dropped(cone):
+        normals, table, zeros = real(cone)
+        return (
+            normals[:k] + normals[k + 1 :],
+            tuple(row[:k] + row[k + 1 :] for row in table),
+            zeros[:k] + zeros[k + 1 :],
+        )
+
+    monkeypatch.setattr(ts.cones, "_facet_scan", dropped)
+
+
+def test_the_face_table_certificate_catches_every_dropped_facet(fixture_path):
+    # Route two's closed supports are patched to equal the face
+    # complements, so only the face table's own certificate is left to
+    # notice the missing facet.
+    with open(fixture_path("polygon_16.json")) as f:
+        polygon = json.load(f)
+    cyclic = (5, cyclic_rays(5, 12))
+    for rank, rays in (cyclic, (polygon["rank"], polygon["rays"])):
+        rays = tuple(map(tuple, rays))
+        for k in range(len(ts.facet_normals(ts.build_cone(rank, rays)))):
+            with pytest.MonkeyPatch.context() as patch:
+                drop_facet(patch, k)
+                patch.setattr(
+                    ts.luna,
+                    "_closed_supports",
+                    lambda ws: sorted(
+                        tuple(i for i in range(len(rays)) if i not in face.ray_indices)
+                        for face in ts.face_lattice(ts.Cone(rank, rays))
+                    ),
+                )
+                # Cone() validates nothing, so its faces come from the scan.
+                with pytest.raises(ts.ConsistencyError, match="face lattice certificate fails"):
+                    ts.face_lattice(ts.Cone(rank, rays))
+                if rank == 5:
+                    with pytest.raises(ts.ConsistencyError, match="face lattice certificate"):
+                        ts.stratify(rank, rays)
+                else:
+                    # Each edge of a polygon holds the only other facet of
+                    # its two rays, so validation already refuses them.
+                    with pytest.raises(ts.InputError, match="is not extremal"):
+                        ts.stratify(rank, rays)
 
 
 def test_face_from_ray_indices_validates():

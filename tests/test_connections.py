@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import toricstrata as ts
 from toricstrata import roots
 
-from oracles import connection_by_pair, sixteen_gon_rays
+from oracles import connection_by_pair, rational_rank, sixteen_gon_rays, supporting_hyperplanes
 
 FIXTURE_CONES = ("cone_a1.json", "cone_quadrant2.json", "cone_rank3.json")
 
@@ -128,11 +128,47 @@ def test_each_step_up_gives_the_hermite_kernel_of_the_upper_face(data):
         (tau,) = set(face2.ray_indices) - set(face1.ray_indices)
         ray = cone.rays[tau]
         lower = ts.cones._kernel_rows([cone.rays[i] for i in face1.ray_indices], n)
-        upper = roots._orthogonal_part(lower, ray)
+        upper = ts.cones._orthogonal_part(lower, ray)
         assert upper == ts.cones._kernel_rows([cone.rays[i] for i in face2.ray_indices], n)
         rows = [(sum(a * b for a, b in zip(row, ray)),) + row for row in lower]
         form = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows)).entries
         assert upper == tuple(row[1:] for row in form if not row[0])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cone_inputs())
+def test_the_face_table_matches_the_oracle_faces(data):
+    # The oracle faces are the intersections of the supporting hyperplanes'
+    # zero sets; the table's covers must be their pairs one dimension
+    # apart, and each face's dimension and orthogonal lattice must be the
+    # rank and the Hermite kernel of its own rays.
+    rank, rays = data
+    cone = ts.split_degenerate(rank, rays, normalize=True).cone
+    n = cone.ambient_rank
+    faces = {frozenset(range(cone.nrays))}
+    for pairings in supporting_hyperplanes(cone.rays, n).values():
+        zeros = frozenset(i for i, p in enumerate(pairings) if not p)
+        faces |= {face & zeros for face in faces}
+    dim = {face: rational_rank([cone.rays[i] for i in face]) for face in faces}
+    covers = {
+        (tuple(sorted(upper)), tuple(sorted(lower)))
+        for upper in faces
+        for lower in faces
+        if lower < upper and dim[lower] == dim[upper] - 1
+    }
+    table = cone._faces
+    assert {
+        (entry.face.ray_indices, table[child].face.ray_indices)
+        for entry in table.values()
+        for child in entry.children
+    } == covers
+    assert {entry.face.ray_indices for entry in table.values()} == {
+        tuple(sorted(face)) for face in faces
+    }
+    for entry in table.values():
+        face_rays = [cone.rays[i] for i in entry.face.ray_indices]
+        assert entry.face.dim == rational_rank(face_rays)
+        assert entry.lattice == ts.cones._kernel_rows(face_rays, n)
 
 
 @pytest.mark.parametrize("name", FIXTURE_CONES)
@@ -179,16 +215,19 @@ def test_a_solution_missing_the_lower_face_is_refused(monkeypatch):
 
 
 def test_an_orthogonal_lattice_of_the_wrong_rank_is_refused(monkeypatch):
-    # Each upper face's orthogonal lattice must have one row fewer than its
-    # lower face's; one that keeps an extra row cannot be the lattice of a
-    # face one dimension up.
-    real = roots._orthogonal_part
-    monkeypatch.setattr(
-        roots, "_orthogonal_part", lambda lattice, ray: real(lattice, ray) + lattice[:1]
-    )
-    for cone in (ts.build_cone(2, [(1, 0), (1, 2)]), ts.build_cone(3, sixteen_gon_rays())):
-        with pytest.raises(ts.ConsistencyError, match="differ by one rank"):
+    # Each face's orthogonal lattice gives its dimension.  A step up that
+    # keeps the row it should drop puts a face at the dimension of its
+    # child, so the face table's certificate refuses the lattice before any
+    # pair is decided.
+    def cones():
+        return ts.build_cone(2, [(1, 0), (1, 2)]), ts.build_cone(3, sixteen_gon_rays())
+
+    # Faces are values: those of equal cones built before the patch serve.
+    pairs = [ts.face_lattice(cone)[:2] for cone in cones()]
+    monkeypatch.setattr(ts.cones, "_orthogonal_part", lambda lattice, ray: lattice)
+    for cone in cones():
+        with pytest.raises(ts.ConsistencyError, match="face lattice certificate fails"):
             ts.connection_graph(cone)
-        face1, face2 = ts.face_lattice(cone)[:2]
-        with pytest.raises(ts.ConsistencyError, match="differ by one rank"):
+    for cone, (face1, face2) in zip(cones(), pairs):
+        with pytest.raises(ts.ConsistencyError, match="face lattice certificate fails"):
             ts.connection_exists(cone, face1, face2)
