@@ -20,9 +20,9 @@ scan, on vectors that may repeat, vanish or span a cone with a line, gives
 The facts of a cone live on the :class:`Cone` object, computed on first
 use and dropped with it: the facet scan (sorted normals, the ray x facet
 pairing table and its column zero sets) and the face table, which lists
-every face with all its facets, its orthogonal lattice and its face
-functional, and certifies its own completeness.  Every face query reads
-the table; no process-wide cache holds it.
+every face with its facets, orthogonal lattice, face functional and
+smoothness, and certifies its own completeness.  Every face query reads
+the table through one validated lookup; no process-wide cache holds it.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from .linalg import (
     IntVec,
     _equation_form,
     _form_kernel,
+    _is_int,
     _lattice_coordinates,
     _maximal_minors,
     _pivot_index,
     _xgcd,
-    hermite_normal_form,
     integer_rank,
     primitive_vector,
     smith_normal_form,  # not called here; perfbench's tracer test looks the name up
@@ -315,6 +315,7 @@ class _FaceEntry(NamedTuple):
     lattice: tuple[IntVec, ...]  # Hermite basis of the face's orthogonal lattice
     functional: IntVec  # face_functional
     pairings: IntVec  # the functional's pairings with the rays
+    smooth: bool  # is_smooth_face
 
 
 def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
@@ -325,11 +326,20 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     Faces are the intersections of facets with the cone.  The walk down
     keeps as children all maximal proper cuts of each face by the facets.
     Going back up by ray count, each face F takes the Hermite basis K_F of
-    {x in Z^n : <p_i, x> = 0 for i in F}: the identity at the apex, else a
-    child's basis with :func:`_orthogonal_part` folded over the rays of F
-    that the child lacks; F has dimension n - len(K_F).  The functional
-    and its pairings are sums of the normals and table columns of the
-    facets through the face.
+    M_F = {x in Z^n : <p_i, x> = 0 for i in F}: the identity at the apex,
+    else K_G of a child G with most rays with :func:`_orthogonal_part`
+    folded over the rays G lacks; F has dimension n - len(K_F).  The
+    functional and its pairings are sums of the normals and table columns
+    of the facets on all rays of the face.
+
+    Smoothness (the rays extend to a lattice basis; Cox-Little-Schenck,
+    Thm 1.3.12) comes from the same step: the apex is smooth, and F is
+    smooth exactly when G is, F has one ray tau more, and the pairings of
+    p_tau with the rows of K_G have gcd 1.  Proof: faces of smooth faces are
+    smooth, and smooth faces are simplicial, so each facet of a smooth F has
+    one ray fewer.  A smooth G's rays are a basis of its saturated span S_G,
+    and Z^n / S_G is free and dual to M_G, so adding tau keeps a basis
+    exactly when p_tau is primitive modulo S_G: gcd <p_tau, K_G> = 1.
     """
     normals, table, zeros = cone._facets
     n = cone.ambient_rank
@@ -349,20 +359,25 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
         queue.extend(kids)
 
     lattice = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+    smooth = {0: True}
     for bits in sorted(children, key=int.bit_count)[1:]:
         child = max(children[bits], key=int.bit_count)
-        missing = (cone.rays[i] for i in _ray_list_of(bits & ~child))
+        missing = [cone.rays[i] for i in _ray_list_of(bits & ~child)]
         lattice[bits] = reduce(_orthogonal_part, missing, lattice[child])
+        pairs = (sum(map(mul, row, missing[0])) for row in lattice[child])
+        smooth[bits] = smooth[child] and len(missing) == 1 and math.gcd(*pairs) == 1
     dim = {bits: n - len(basis) for bits, basis in lattice.items()}
     _certify_faces(children, dim)
 
+    on = [sum(1 << k for k, p in enumerate(row) if not p) for row in table]  # each ray's facets
     out = {}
     for index, bits in enumerate(sorted(children, key=lambda b: (dim[b], _ray_list_of(b)))):
-        through = [k for k, z in enumerate(zeros) if not bits & ~z]
+        rays = _ray_list_of(bits)
+        through = _ray_list_of(reduce(and_, (on[i] for i in rays), (1 << len(zeros)) - 1))
         u = tuple(sum(normals[k][c] for k in through) for c in range(n))
         pairings = tuple(sum(row[k] for k in through) for row in table)
-        face = Face(tuple(_ray_list_of(bits)), dim[bits])
-        out[bits] = _FaceEntry(face, index, tuple(children[bits]), lattice[bits], u, pairings)
+        entry = (index, tuple(children[bits]), lattice[bits], u, pairings, smooth[bits])
+        out[bits] = _FaceEntry(Face(tuple(rays), dim[bits]), *entry)
     return out
 
 
@@ -407,7 +422,11 @@ def _certify_faces(children: dict[int, list[int]], dim: dict[int, int]) -> None:
 
 
 def _ray_list_of(bits: int) -> list[int]:
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    out = []  # one step per set bit: facet bitsets are long and sparse
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return out
 
 
 def _uncertified(bits: int, why: str) -> ConsistencyError:
@@ -426,20 +445,20 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
 def _face_entry(cone: Cone, ray_indices: tuple) -> _FaceEntry | None:
     """The table entry of the face with exactly these rays, in increasing
     order, or ``None``: one lookup by the rays' bitset."""
-    if all(isinstance(i, int) and 0 <= i < cone.nrays for i in ray_indices):
+    if all(_is_int(i) and 0 <= i < cone.nrays for i in ray_indices):
         entry = cone._faces.get(sum(1 << i for i in ray_indices))
         if entry is not None and entry.face.ray_indices == ray_indices:
             return entry
     return None
 
 
-def _functional_with_pairings(cone: Cone, face: Face) -> tuple[IntVec, IntVec]:
-    """:func:`face_functional` and its pairings with every ray, from the
-    cone's face table; a face of another cone is refused."""
-    entry = _face_entry(cone, face.ray_indices)
+def _entry_of(cone: Cone, face: Face) -> _FaceEntry:
+    """The table entry of ``face``; anything but a face of this cone's face
+    lattice is refused."""
+    entry = _face_entry(cone, face.ray_indices) if isinstance(face, Face) else None
     if entry is None or entry.face != face:
         raise InputError("face does not belong to the cone's face lattice")
-    return entry.functional, entry.pairings
+    return entry
 
 
 def face_functional(cone: Cone, face: Face) -> IntVec:
@@ -449,12 +468,15 @@ def face_functional(cone: Cone, face: Face) -> IntVec:
     is the intersection of those facets, so every ray outside it misses at
     least one of them and pairs positively with that facet's normal.
     """
-    return _functional_with_pairings(cone, face)[0]
+    return _entry_of(cone, face).functional
 
 
 def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:
     """Locate the face with exactly these rays; reject non-faces."""
-    key = tuple(sorted(ray_indices))
+    try:
+        key = tuple(sorted(ray_indices))
+    except TypeError:
+        raise InputError("ray indices must be given as an iterable of integers") from None
     entry = _face_entry(cone, key)
     if entry is None:
         raise InputError(f"ray index set {list(key)} is not a face of the cone")
@@ -462,26 +484,9 @@ def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:
 
 
 def is_smooth_face(cone: Cone, face: Face) -> bool:
-    """Whether the rays of the face extend to a lattice basis.
-
-    A face with at most one ray is smooth, since every ray of a cone is
-    primitive.  Any other face needs as many rays as dimensions
-    (simplicial).  Its k independent rays then extend to a basis exactly
-    when their pairings map Z^n onto Z^k, that is, when the row lattice of
-    the n x k transposed ray matrix is all of Z^k: its Hermite form has
-    every pivot equal to 1.  This is the same answer as every invariant
-    factor of the ray matrix being 1.  A face outside the cone's face
-    lattice is refused.
-    """
-    _functional_with_pairings(cone, face)  # refuses a foreign face
-    k = len(face.ray_indices)
-    if k <= 1:
-        return True
-    if k != face.dim:
-        return False
-    columns = tuple(zip(*(cone.rays[i] for i in face.ray_indices)))
-    h = hermite_normal_form(IntMatrix(cone.ambient_rank, k, columns)).entries
-    return all(h[i][i] == 1 for i in range(k))
+    """Whether the rays of the face extend to a lattice basis (see
+    :func:`_face_table`); a face outside the cone's face lattice is refused."""
+    return _entry_of(cone, face).smooth
 
 
 def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:

@@ -9,7 +9,9 @@ Each face carries the subgroup of the class group generated by the divisors
 *not* containing the corresponding orbit (the complement ray set, ``dset``),
 and the local class group is the quotient by that subgroup.
 :func:`face_orbit_data` computes both for every face in one pass down the
-cone's face table, one quotient per distinct subgroup.  The subgroup
+cone's face table, one quotient per distinct subgroup, and reads each
+face's smoothness off that table for ``engine.stratify`` to check against
+the local class group.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
 character ``u`` per face: u >= 1 off the face, principal class zero, the
@@ -32,7 +34,7 @@ from .abelian import (
     quotient_group,
     subgroup_canon,
 )
-from .cones import Cone, Face, _functional_with_pairings, face_lattice, is_smooth_face
+from .cones import Cone, Face, _entry_of, face_lattice
 from .errors import ConsistencyError
 from .linalg import IntMatrix, IntVec
 
@@ -116,8 +118,8 @@ def build_toric(cone: Cone) -> ToricData:
 
 
 def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
-    """Divisor subgroup, local class group and smoothness of every face, in
-    the order of ``toric.faces``.
+    """Divisor subgroup, local class group and smoothness (read off the
+    cone's face table) of every face, in the order of ``toric.faces``.
 
     One pass walks the cone's face table backwards, from the cone, so each
     face G comes after every face F one dimension up, and takes its data
@@ -126,11 +128,8 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     G>: the classes of the few rays of F missing from G are inserted into
     the Hermite basis of H(F).  H grows as faces shrink, so a face below a face
     whose subgroup is the whole group has the whole group too, and shares
-    that handle with no normal form.  Smoothness is inherited the same way:
-    a face of a smooth face is smooth, and only the other faces go through
-    :func:`~toricstrata.cones.is_smooth_face`.  Faces with the same
-    subgroup have the same local class group, so one quotient is taken per
-    distinct subgroup.
+    that handle with no normal form.  Faces with the same subgroup have the
+    same local class group, so one quotient is taken per distinct subgroup.
     """
     cone = toric.cone
     group = toric.class_group
@@ -144,13 +143,11 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
         dset = tuple(i for i in range(cone.nrays) if i not in inside)
         if up is None:
             subgroup = subgroup_canon(group, [classes[i] for i in dset])
-            smooth = is_smooth_face(cone, face)
         else:
             subgroup = up.subgroup
             if not is_full(subgroup):
                 missing = [classes[i] for i in up.face.ray_indices if i not in inside]
                 subgroup = _subgroup_join(subgroup, missing)
-            smooth = up.smooth or is_smooth_face(cone, face)
         local = local_of.get(subgroup.basis)
         if local is None:
             local = local_of[subgroup.basis] = quotient_group(group, subgroup)
@@ -160,7 +157,7 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
             subgroup=subgroup,
             local_class_group=local,
             orbit_dim=cone.ambient_rank - face.dim,
-            smooth=smooth,
+            smooth=entry.smooth,
         )
         for child in entry.children:
             above.setdefault(child, data[face])
@@ -181,12 +178,12 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
     :func:`build_toric`, as the :class:`ToricData` constructor trusts its
     caller.  A failure contradicts the theory and aborts the run.
     """
-    u, pairings = _functional_with_pairings(toric.cone, face)  # refuses a foreign face
+    entry = _entry_of(toric.cone, face)  # refuses a foreign face
     inside = set(face.ray_indices)
-    for j, p in enumerate(pairings):
+    for j, p in enumerate(entry.pairings):
         if p < 1 and j not in inside:
             raise ConsistencyError(
-                f"face functional {list(u)} pairs to {p} with ray #{j} outside "
-                f"face {list(face.ray_indices)}"
+                f"face functional {list(entry.functional)} pairs to {p} with ray #{j} "
+                f"outside face {list(face.ray_indices)}"
             )
-    return SemigroupCheck(verified=True, functional=u)
+    return SemigroupCheck(verified=True, functional=entry.functional)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, Face, _face_entry, _FaceEntry, face_lattice
+from .cones import Cone, Face, _entry_of, _FaceEntry, face_lattice
 from . import linalg
 from .errors import ConsistencyError, InputError
 from .linalg import (
@@ -174,10 +174,7 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     of the cone's face table, so both return the same verdict and the same
     re-validated witness.
     """
-    entry1, entry2 = _face_entry(cone, face1.ray_indices), _face_entry(cone, face2.ray_indices)
-    if None in (entry1, entry2) or (entry1.face, entry2.face) != (face1, face2):
-        raise InputError("faces must belong to the cone's face lattice")
-
+    entry1, entry2 = _entry_of(cone, face1), _entry_of(cone, face2)
     inner, outer = set(face1.ray_indices), set(face2.ray_indices)
     extra = outer - inner
     if not inner <= outer or len(extra) != 1:

@@ -302,6 +302,15 @@ def test_face_from_ray_indices_validates():
         ts.face_from_ray_indices(OVER_SQUARE, [0, 3])  # a diagonal, not a face
 
 
+def test_face_from_ray_indices_refuses_what_is_not_a_list_of_indices():
+    # True is not the index 1, and a number is not a list of indices
+    with pytest.raises(ts.InputError, match=r"ray index set \[True\] is not a face"):
+        ts.face_from_ray_indices(RANK3, [True])
+    for bad in (5, None, [0, "1"]):
+        with pytest.raises(ts.InputError, match="ray indices must be given as an iterable"):
+            ts.face_from_ray_indices(RANK3, bad)
+
+
 def test_faces_are_exactly_the_supported_subsets():
     # oracle: S is a face of a pointed full-dimensional cone iff some
     # functional vanishes on S and is strictly positive on the other rays
@@ -387,6 +396,23 @@ def test_is_smooth_face_refuses_what_is_not_a_face():
     for face in (ts.Face((0, 5), 2), ts.Face((1, 0), 2), ts.Face((0,), 2), ts.Face((0, 1), 1)):
         with pytest.raises(ts.InputError, match="face does not belong to the cone's face lattice"):
             ts.is_smooth_face(cone, face)
+
+
+def test_every_face_query_refuses_what_is_not_a_face():
+    # each query goes through one lookup of the face table entry
+    toric = ts.build_toric(A1)
+    face = ts.face_from_ray_indices(A1, [0])
+    queries = (
+        lambda f: ts.is_smooth_face(A1, f),
+        lambda f: ts.face_functional(A1, f),
+        lambda f: ts.verify_semigroup_equals_group(toric, f),
+        lambda f: ts.connection_exists(A1, face, f),
+        lambda f: ts.connection_exists(A1, f, face),
+    )
+    for query in queries:
+        for bad in ((0,), "x", None, ts.face_from_ray_indices(RANK3, [0, 2])):
+            with pytest.raises(ts.InputError, match="face does not belong to the cone's face lattice"):
+                query(bad)
 
 
 def test_smooth_simplicial_face_means_unit_determinant():

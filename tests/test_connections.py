@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 import toricstrata as ts
 from toricstrata import roots
 
-from oracles import connection_by_pair, rational_rank, sixteen_gon_rays, supporting_hyperplanes
+from oracles import (
+    connection_by_pair,
+    rational_rank,
+    sixteen_gon_rays,
+    smooth_by_smith,
+    supporting_hyperplanes,
+)
 
 FIXTURE_CONES = ("cone_a1.json", "cone_quadrant2.json", "cone_rank3.json")
 
@@ -231,3 +237,15 @@ def test_an_orthogonal_lattice_of_the_wrong_rank_is_refused(monkeypatch):
     for cone, (face1, face2) in zip(cones(), pairs):
         with pytest.raises(ts.ConsistencyError, match="face lattice certificate fails"):
             ts.connection_exists(cone, face1, face2)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(cone_inputs())
+def test_the_face_table_smoothness_matches_the_smith_form(data):
+    # the table decides smoothness from gcds of pairings with the
+    # orthogonal lattice of a facet; the oracle takes the Smith form of
+    # each face's rays, non-simplicial faces included
+    rank, rays = data
+    cone = ts.split_degenerate(rank, rays, normalize=True).cone
+    for entry in cone._faces.values():
+        assert entry.smooth == smooth_by_smith(ts, cone, entry.face), (cone.rays, entry.face)

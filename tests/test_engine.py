@@ -262,13 +262,14 @@ def test_stratify_inserts_route_one_subgroups_down_the_face_lattice(monkeypatch)
     # with the face caches warm.  Route one takes 17 Hermite forms: the
     # cone's subgroup, and one insertion for each of its 16 facets; the rays
     # and the apex lie below a facet whose subgroup is the whole group and
-    # take none.  Smoothness takes 16: the 2-ray facets, while the rays and
-    # the apex are smooth without one and the 16-ray cone is not simplicial.
+    # take none.  Smoothness takes none: the face table reads it off the
+    # gcds that build each face's orthogonal lattice, and cones does not
+    # import the Hermite form (the count patches the name in regardless).
     # There is one quotient per stratum.
     counts = {}
 
     def count(module, name):
-        real = getattr(module, name)
+        real = getattr(module, name, None)
         key = f"{module.__name__.rpartition('.')[2]}.{name}"
         counts[key] = 0
 
@@ -276,7 +277,7 @@ def test_stratify_inserts_route_one_subgroups_down_the_face_lattice(monkeypatch)
             counts[key] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, counting, raising=False)
 
     count(ts.abelian, "hermite_normal_form")
     count(ts.cones, "hermite_normal_form")
@@ -293,9 +294,29 @@ def test_stratify_inserts_route_one_subgroups_down_the_face_lattice(monkeypatch)
     # build_cone takes no Hermite form of its own
     assert counts == {
         "abelian.hermite_normal_form": 1 + 17,
-        "cones.hermite_normal_form": 16,
+        "cones.hermite_normal_form": 0,
         "divisors.quotient_group": 2,
     }
+
+
+@pytest.mark.parametrize("rays", [[(1, 0), (1, 2)], sixteen_gon_rays()])
+def test_stratify_catches_a_face_whose_smoothness_is_flipped(monkeypatch, rays):
+    # smoothness comes from the face table's gcds and triviality of the
+    # local class group from route one's Smith forms; flipping any one
+    # face's smoothness in the table sets the two apart in its stratum
+    real = ts.cones._face_table
+    nfaces = len(ts.face_lattice(ts.build_cone(len(rays[0]), rays)))
+    for flip in range(nfaces):
+
+        def flipped(cone):
+            table = real(cone)
+            bits = list(table)[flip]
+            return {**table, bits: table[bits]._replace(smooth=not table[bits].smooth)}
+
+        monkeypatch.setattr(ts.cones, "_face_table", flipped)
+        match = "smoothness and local class group triviality disagree"
+        with pytest.raises(ts.ConsistencyError, match=match):
+            stratify(len(rays[0]), rays)
 
 
 def test_stratify_catches_a_wrong_inserted_subgroup(monkeypatch):
