@@ -21,8 +21,9 @@ The facts of a cone live on the :class:`Cone` object, computed on first
 use and dropped with it: the facet scan (sorted normals, the ray x facet
 pairing table and its column zero sets) and the face table, which lists
 every face with its facets, orthogonal lattice, face functional and
-smoothness, and certifies its own completeness.  Every face query reads
-the table through one validated lookup; no process-wide cache holds it.
+smoothness, and certifies its own completeness and every functional.
+Every face query reads the table through one validated lookup; no
+process-wide cache holds it.
 """
 
 from __future__ import annotations
@@ -109,19 +110,6 @@ class SplitCone:
     torus_rank: int
 
 
-def _ray_list(ambient_rank: int, raw_rays, least: int) -> list:
-    """Check that the ambient rank is an integer of at least ``least`` (0 or
-    1), then read the rays once."""
-    if not isinstance(ambient_rank, int) or isinstance(ambient_rank, bool):
-        raise InputError("ambient rank must be an integer")
-    if ambient_rank < least:
-        raise InputError(f"ambient rank must be {'at least 1' if least else 'nonnegative'}")
-    try:
-        return list(raw_rays)
-    except TypeError:
-        raise InputError("rays must be given as an iterable of rays") from None
-
-
 def _validated_rays(
     ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
 ) -> tuple[list[IntVec], list[IntVec]]:
@@ -162,15 +150,28 @@ def _validated_rays(
 
 
 def _split(
-    ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
+    ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool, torus: bool
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], SplitCone]:
-    """Validate the rays of a pointed cone; return them as given, before
+    """Read and check the input once; return the rays as given, before
     normalization, the validated rays, and their split: the Hermite basis
     of their saturated span and the induced cone of their coordinates in
-    it.  Errors name the input's rays."""
-    raw_rays = _ray_list(ambient_rank, raw_rays, 1)
+    it.  With ``torus`` the rank may be 0 and no rays are the pure torus;
+    without it the rank must be at least 1 and a ray is required.  Errors
+    name the input's rays."""
+    if not isinstance(ambient_rank, int) or isinstance(ambient_rank, bool):
+        raise InputError("ambient rank must be an integer")
+    if ambient_rank < (0 if torus else 1):
+        raise InputError(f"ambient rank must be {'nonnegative' if torus else 'at least 1'}")
+    try:
+        raw_rays = list(raw_rays)
+    except TypeError:
+        raise InputError("rays must be given as an iterable of rays") from None
     if not raw_rays:
-        raise InputError("at least one ray is required")
+        if not torus:
+            raise InputError("at least one ray is required")
+        return (), (), SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
+    if ambient_rank == 0:
+        raise InputError("ambient rank must be at least 1")
     given, rays = map(tuple, _validated_rays(ambient_rank, raw_rays, normalize))
 
     # Saturation = kernel of the kernel: integer kernels are saturated, and
@@ -216,7 +217,7 @@ def build_cone(
     origin.  Ray order is preserved.  A non-extremal ray is reported with
     the other rays of the smallest face containing it.
     """
-    _, rays, split = _split(ambient_rank, raw_rays, normalize)
+    _, rays, split = _split(ambient_rank, raw_rays, normalize, torus=False)
     # No torus factor: the basis is the identity and the scanned induced cone has these rays.
     return split.cone if split.torus_rank == 0 else Cone(ambient_rank, rays)
 
@@ -332,6 +333,14 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     functional and its pairings are sums of the normals and table columns
     of the facets on all rays of the face.
 
+    Each functional is certified here, once for all its readers: it pairs
+    to 0 with the face's rays and to at least 1 with every other ray, or
+    :class:`ConsistencyError` is raised.  The columns are nonnegative, so
+    the sum vanishes on a ray exactly when every facet through the face
+    holds it: the check says that these facets cut out the face exactly
+    (Cox-Little-Schenck, 1.2), and u >= 1 off the face is the witness that
+    the semigroup certificate and route three read.
+
     Smoothness (the rays extend to a lattice basis; Cox-Little-Schenck,
     Thm 1.3.12) comes from the same step: the apex is smooth, and F is
     smooth exactly when G is, F has one ray tau more, and the pairings of
@@ -376,6 +385,9 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
         through = _ray_list_of(reduce(and_, (on[i] for i in rays), (1 << len(zeros)) - 1))
         u = tuple(sum(normals[k][c] for k in through) for c in range(n))
         pairings = tuple(sum(row[k] for k in through) for row in table)
+        for j, p in enumerate(pairings):
+            if (p != 0 if bits >> j & 1 else p < 1):
+                raise _uncertified(bits, f"its functional {list(u)} pairs to {p} with ray #{j}")
         entry = (index, tuple(children[bits]), lattice[bits], u, pairings, smooth[bits])
         out[bits] = _FaceEntry(Face(tuple(rays), dim[bits]), *entry)
     return out
@@ -545,16 +557,4 @@ def split_degenerate(
     rank ``d`` plus ``torus_rank = ambient_rank - d`` free directions.  An
     empty ray list is the pure torus case (zero-dimensional cone marker).
     """
-    return _split_degenerate(ambient_rank, raw_rays, normalize)[1]
-
-
-def _split_degenerate(
-    ambient_rank: int, raw_rays: Sequence[Sequence[int]], normalize: bool
-) -> tuple[tuple[IntVec, ...], SplitCone]:
-    """The input rays as given, before normalization, and
-    :func:`split_degenerate` of them."""
-    rays = _ray_list(ambient_rank, raw_rays, 0)
-    if not rays:
-        return (), SplitCone(IntMatrix(0, ambient_rank, ()), Cone(0, ()), ambient_rank)
-    given, _, split = _split(ambient_rank, rays, normalize)
-    return given, split
+    return _split(ambient_rank, raw_rays, normalize, torus=True)[2]

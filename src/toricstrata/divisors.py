@@ -14,9 +14,10 @@ face's smoothness off that table for ``engine.stratify`` to check against
 the local class group.  The subgroup
 coincides with the semigroup the same classes generate;
 :func:`verify_semigroup_equals_group` certifies that identity with one
-character ``u`` per face: u >= 1 off the face, principal class zero, the
-latter checked once per cone by :func:`build_toric`.  It is a hard
-invariant (a failed certificate aborts the run).
+character ``u`` per face: u >= 1 off the face, checked once per face when
+the cone's face table is built, and principal class zero, checked once
+per cone by :func:`build_toric`.  It is a hard invariant (a failed
+certificate aborts the run).
 """
 
 from __future__ import annotations
@@ -173,17 +174,10 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
     ``u`` of :func:`~toricstrata.cones.face_functional`: u >= 1 on every
     ray off the face, and the principal class ``sum_j <p_j, u> [D_j]`` is
     zero.  Then ``-[D_i] = sum_j (<p_j, u> - delta_ij) [D_j]`` over the
-    dset with nonnegative coefficients.  The pairings, read off the cone's
-    face table, are checked here; the principal class rests on
+    dset with nonnegative coefficients.  The pairings are certified when
+    the cone's face table is built, so this reads the face's entry and
+    refuses a foreign face; the principal class rests on
     :func:`build_toric`, as the :class:`ToricData` constructor trusts its
     caller.  A failure contradicts the theory and aborts the run.
     """
-    entry = _entry_of(toric.cone, face)  # refuses a foreign face
-    inside = set(face.ray_indices)
-    for j, p in enumerate(entry.pairings):
-        if p < 1 and j not in inside:
-            raise ConsistencyError(
-                f"face functional {list(entry.functional)} pairs to {p} with ray #{j} "
-                f"outside face {list(face.ray_indices)}"
-            )
-    return SemigroupCheck(verified=True, functional=entry.functional)
+    return SemigroupCheck(verified=True, functional=_entry_of(toric.cone, face).functional)

@@ -19,11 +19,12 @@ exists exactly when their gcd is 1; one extended-gcd pass decides the
 pair and gives ``x``, and a gcd ``g != 1`` is the certificate
 ``"integral-equalities"``.  Once the equalities are solvable a root
 always exists: adding a large enough multiple of
-:func:`~toricstrata.cones.face_functional` of ``f2`` to any solution keeps
-the equalities and makes every outside pairing nonnegative.  The witness
-is canonical: ``x`` reduced modulo ``K_f2`` is the same point whichever
-solution one starts from, and the least such multiple is added.  Each
-witness is re-validated before it is returned, and
+:func:`~toricstrata.cones.face_functional` of ``f2``, which the face table
+certifies to pair to 0 on ``f2`` and to at least 1 off it, to any solution
+keeps the equalities and makes every outside pairing nonnegative.  The
+witness is canonical: ``x`` reduced modulo ``K_f2`` is the same point
+whichever solution one starts from, and the least such multiple is added.
+Each witness is re-validated before it is returned, and
 :func:`connection_exists` decides one pair with the same step.  Only
 :func:`enumerate_roots`, which lists all roots in a coordinate box,
 depends on a search bound.
@@ -227,12 +228,9 @@ def _connections_down_from(
     every outside pairing nonnegative.
     """
     pivot_of = _pivot_index(upper.lattice)
-    # The functional vanishes on face2 (so the equalities still hold) and
-    # is positive on every outside ray.
-    inside = set(upper.face.ray_indices)
-    outside = [(cone.rays[j], p) for j, p in enumerate(upper.pairings) if j not in inside]
-    if any(p <= 0 for _, p in outside):
-        raise ConsistencyError("face functional vanishes off the face")
+    # The face table certified that the functional vanishes exactly on
+    # face2 (so the equalities still hold) and is >= 1 on every outside ray.
+    outside = [(cone.rays[j], p) for j, p in enumerate(upper.pairings) if p]
 
     verdicts = []
     for tau, entry1 in lower:

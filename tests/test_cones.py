@@ -295,6 +295,44 @@ def test_the_face_table_certificate_catches_every_dropped_facet(fixture_path):
                         ts.stratify(rank, rays)
 
 
+def zero_one_pairing(monkeypatch, k, j):
+    """Make every facet scan pair ray ``j`` to 0 with the ``k``-th normal in
+    its table, leaving the normals and the zero sets as they are."""
+    real = ts.cones._facet_scan
+
+    def altered(cone):
+        normals, table, zeros = real(cone)
+        row = table[j][:k] + (0,) + table[j][k + 1 :]
+        return normals, table[:j] + (row,) + table[j + 1 :], zeros
+
+    monkeypatch.setattr(ts.cones, "_facet_scan", altered)
+
+
+@pytest.mark.parametrize("name", ["polygon_16", "cyclic_4x8"])
+def test_the_face_table_refuses_a_functional_vanishing_off_its_face(fixture_path, name):
+    # The zero sets stay true, so validation, the face walk and its
+    # completeness certificate all pass; only the table's check of each
+    # face functional sees that facet k's functional vanishes on ray j,
+    # which lies off that facet.
+    with open(fixture_path(f"{name}.json")) as f:
+        data = json.load(f)
+    rank, rays = data["rank"], tuple(map(tuple, data["rays"]))
+    zeros = ts.build_cone(rank, rays)._facets[2]
+    k = len(zeros) // 2
+    j = next(i for i in range(len(rays)) if not zeros[k] >> i & 1)
+    refused = pytest.raises(
+        ts.ConsistencyError, match=rf"face lattice certificate fails .* pairs to 0 with ray #{j}$"
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        zero_one_pairing(patch, k, j)
+        with refused:
+            ts.face_lattice(ts.build_cone(rank, rays))
+        with refused:
+            ts.face_orbit_data(ts.build_toric(ts.build_cone(rank, rays)))
+        with refused:
+            ts.stratify(rank, rays)
+
+
 def test_face_from_ray_indices_validates():
     face = ts.face_from_ray_indices(RANK3, [2, 0])
     assert face.ray_indices == (0, 2) and face.dim == 2

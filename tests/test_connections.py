@@ -121,6 +121,26 @@ def test_graph_matches_the_per_pair_solve_on_random_cones(data):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(cone_inputs())
+def test_each_face_functional_is_the_sum_of_the_normals_through_its_face(data):
+    # The oracle finds the supporting hyperplanes by rational kernels; the
+    # functional of a face is the sum of the normals of those holding all
+    # its rays, and its pairings vanish exactly on its rays.
+    rank, rays = data
+    cone = ts.split_degenerate(rank, rays, normalize=True).cone
+    n = cone.ambient_rank
+    normals = supporting_hyperplanes(cone.rays, n)
+    for entry in cone._faces.values():
+        face = entry.face.ray_indices
+        assert [j for j, p in enumerate(entry.pairings) if not p] == list(face)
+        assert entry.pairings == tuple(
+            sum(a * b for a, b in zip(ray, entry.functional)) for ray in cone.rays
+        )
+        through = [u for u, pairings in normals.items() if not any(pairings[i] for i in face)]
+        assert entry.functional == tuple(sum(u[c] for u in through) for c in range(n))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cone_inputs())
 def test_each_step_up_gives_the_hermite_kernel_of_the_upper_face(data):
     # K_f2 from K_f1 and the extra ray is the Hermite basis of the integer
     # kernel of the rays of f2, and the rows with zero first entry of the

@@ -207,19 +207,6 @@ def test_semigroup_certificate_is_the_face_functional():
         assert total.is_zero()
 
 
-def test_semigroup_certificate_refuses_a_functional_vanishing_off_the_face(monkeypatch):
-    # (1, 0) pairs to 0 with the ray (0, 1), which lies off the apex face
-    entry_of = ts.divisors._entry_of
-    monkeypatch.setattr(
-        ts.divisors,
-        "_entry_of",
-        lambda cone, face: entry_of(cone, face)._replace(functional=(1, 0), pairings=(1, 0)),
-    )
-    apex = ts.face_from_ray_indices(QUADRANT2.cone, ())
-    with pytest.raises(ts.ConsistencyError, match="pairs to 0 with ray #1"):
-        ts.verify_semigroup_equals_group(QUADRANT2, apex)
-
-
 def test_semigroup_certificate_refuses_a_nonzero_principal_class(monkeypatch):
     # the conifold has class group Z; shifting one divisor class breaks the
     # relation sum_j <p_j, e_c> [D_j] = 0 for the coordinates where that

@@ -405,6 +405,32 @@ def test_closure_edges_are_covering_relations():
     assert (2, 0) not in report.closure
 
 
+def test_closure_edges_refuses_strata_that_share_a_face():
+    # faces are keyed by their rays: a copy of a stratum, or the strata of
+    # a second cone, would overwrite each other and answer wrongly
+    strata = stratify(2, [(1, 0), (1, 2)]).strata
+    other = stratify(2, [(1, 0), (-1, 2)]).strata
+    for shared in (strata[:1] + strata[:1], strata + other):
+        with pytest.raises(ts.InputError, match=r"strata 0 and \d+ share the face \[\]"):
+            ts.closure_edges(shared)
+
+
+def test_stratify_makes_no_validated_face_lookup(monkeypatch):
+    # every face fact of a stratification is read off the face table as it
+    # is walked; none goes through the lookup that refuses foreign faces
+    calls = []
+    for module in (ts.cones, ts.divisors, ts.roots):
+        real = module._entry_of
+        monkeypatch.setattr(
+            module, "_entry_of", lambda cone, face, real=real: calls.append(face) or real(cone, face)
+        )
+    report = stratify(3, sixteen_gon_rays())
+    assert len(ts.face_lattice(report.cone)) == 34
+    assert calls == []
+    ts.face_functional(report.cone, report.strata[0].faces[0])  # the count is live
+    assert len(calls) == 1
+
+
 def test_closure_matches_subgroup_containment_between_every_pair(suite_reports):
     reports = list(suite_reports[0])
     for rank, rays in [
