@@ -18,9 +18,10 @@ search of :mod:`toricstrata.linalg` over a bounded polytope, which tries
 values lazily by size and raises ``InputError`` once it has tried
 ``linalg.MAX_LATTICE_POINTS``: an early hit is cheap however large the
 target, and a polytope whose every value fails is refused only after that
-many tries.  ``stratify`` does not call it: the
-semigroup it would test there is certified in closed form by
-``divisors.verify_semigroup_equals_group``.
+many tries.  ``stratify`` does not call it: the semigroup it would test
+there equals the group by each face's functional, which the cone's face
+table certifies when it is built, and ``divisors.build_toric`` checks the
+principal classes.
 """
 
 from __future__ import annotations

@@ -40,13 +40,13 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
-    _equation_form,
-    _form_kernel,
+    _identity,
     _is_int,
+    _kernel,
     _lattice_coordinates,
     _maximal_minors,
+    _orthogonal_part,
     _pivot_index,
-    _xgcd,
     integer_rank,
     primitive_vector,
     smith_normal_form,  # not called here; perfbench's tracer test looks the name up
@@ -179,7 +179,7 @@ def _split(
     # the rational ray span intersected with the lattice.  With no
     # complement the rays span the lattice: the Hermite basis is the
     # identity and the rays are their own coordinates.
-    sat_basis = _kernel_rows(_kernel_rows(rays, ambient_rank), ambient_rank)
+    sat_basis = _kernel(_kernel(rays, ambient_rank), ambient_rank)
     basis = IntMatrix(len(sat_basis), ambient_rank, sat_basis)
     pivot_of = _pivot_index(sat_basis)
     solved = tuple(_lattice_coordinates(sat_basis, pivot_of, ray) for ray in rays)
@@ -367,7 +367,7 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
             raise _uncertified(current, "it has rays but no facet")
         queue.extend(kids)
 
-    lattice = {0: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+    lattice = {0: _identity(n)}
     smooth = {0: True}
     for bits in sorted(children, key=int.bit_count)[1:]:
         child = max(children[bits], key=int.bit_count)
@@ -499,52 +499,6 @@ def is_smooth_face(cone: Cone, face: Face) -> bool:
     """Whether the rays of the face extend to a lattice basis (see
     :func:`_face_table`); a face outside the cone's face lattice is refused."""
     return _entry_of(cone, face).smooth
-
-
-def _kernel_rows(mat_rows: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
-    """Hermite basis of the integer kernel {x : row . x == 0 for all rows}."""
-    return _form_kernel(_equation_form(mat_rows, dim), len(mat_rows))
-
-
-def _orthogonal_part(lattice: Sequence[IntVec], ray: IntVec) -> tuple[IntVec, ...]:
-    """The Hermite basis of the vectors of ``lattice``, a Hermite basis,
-    that pair to zero with ``ray``.
-
-    These are the rows with first entry zero of the Hermite form of
-    ``[lattice . ray | lattice]``, without that entry, built in one pass up
-    the rows.  An accumulator ``a`` with pairing ``g`` absorbs each row
-    ``b`` with nonzero pairing ``v`` by the unimodular step ``(b, a) ->
-    ((g/h) b - (v/h) a, x b + y a)``, ``h = gcd(v, g) = x v + y g``: the
-    first new row pairs to zero and keeps the pivot column of ``b``, as
-    ``a`` combines rows below ``b``.  Rows pairing to zero stay, so all
-    rows but the final accumulator are an echelon basis of the vectors
-    pairing to zero; positive pivots and reduced entries above them make
-    it the unique Hermite basis.
-    """
-    a, g = None, 0
-    rows = []
-    for b in reversed(lattice):
-        v = sum(map(mul, b, ray))
-        if not v:
-            rows.append(b)
-        elif a is None:
-            a, g = b, v
-        else:
-            h, x, y = _xgcd(v, g)
-            s, t = g // h, v // h
-            rows.append(tuple(s * c - t * d for c, d in zip(b, a)))
-            a, g = tuple(x * c + y * d for c, d in zip(b, a)), h
-    basis: list[IntVec] = []
-    for row in reversed(rows):
-        col = next(j for j, c in enumerate(row) if c)
-        if row[col] < 0:
-            row = tuple(-c for c in row)
-        for i, upper in enumerate(basis):
-            q = upper[col] // row[col]
-            if q:
-                basis[i] = tuple(c - q * d for c, d in zip(upper, row))
-        basis.append(row)
-    return tuple(basis)
 
 
 def split_degenerate(

@@ -11,11 +11,15 @@ elsewhere:
   normalization.  It is computed column by column: each row below the
   pivot is cleared by one extended-gcd combination with the pivot row, and
   every row operation touches only the columns from the pivot on.
-* Integer kernels and solutions of ``A x == b`` come from one Hermite form
-  of ``[A^T | I]``, built once per matrix and reduced against once per
-  right-hand side; kernel bases and particular solutions come out
-  canonical.  One routine reduces a vector modulo a Hermite basis, for
-  these solutions and for lattice coordinates alike.
+* Every integer kernel and every solution of ``A x == b`` comes from one
+  fold over the rows of ``A``, starting from the identity basis: each row
+  cuts the current Hermite basis down to its vectors pairing to zero with
+  the row, one extended-gcd pass up the basis.  For a solve, the gcd of
+  the row's pairings with the basis first decides whether the row is
+  solvable and gives the step.  Kernel bases come out as Hermite bases and
+  particular solutions reduced modulo them, so both are canonical.  One
+  routine reduces a vector modulo a Hermite basis, for these solutions
+  and for lattice coordinates alike.
 * Smith normal form returns ``(U, S, V)`` with ``U @ A @ V == S``, ``S``
   diagonal and nonnegative, each diagonal entry dividing the next.  It is
   used only where invariant factors are needed.
@@ -53,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Sequence
@@ -135,7 +140,7 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         if n < 0:
             raise InputError("matrix dimensions must be nonnegative")
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, _identity(n))
 
     def column(self, j: int) -> IntVec:
         return tuple(row[j] for row in self.entries)
@@ -169,8 +174,9 @@ def primitive_vector(vec: Sequence[int]) -> IntVec:
     return tuple(x // g for x in vec)
 
 
-def _identity_lists(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _identity(n: int) -> tuple[IntVec, ...]:
+    """The rows of the ``n x n`` identity: the Hermite basis of ``Z^n``."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -181,8 +187,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
-    u = _identity_lists(m)
-    v = _identity_lists(n)
+    u = list(map(list, _identity(m)))
+    v = list(map(list, _identity(n)))
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -462,45 +468,6 @@ class IntegerSolution:
     kernel_basis: tuple[IntVec, ...]
 
 
-def _equation_form(equations: Sequence[IntVec], dim: int) -> tuple[IntVec, ...]:
-    """Hermite form of ``[A^T | I]`` for the ``k x dim`` matrix ``A`` with
-    rows ``equations``: built once, it solves ``A x == b`` for every ``b``
-    through :func:`_solve_in_form` (Cohen, *A Course in Computational
-    Algebraic Number Theory*, 2.4).
-
-    Its ``dim`` rows are a basis of the lattice of the pairs ``(A x, x)``.
-    The rows whose first ``k`` entries vanish come last, and their last
-    ``dim`` entries are the Hermite basis of the integer kernel of ``A``.
-    """
-    columns = zip(*equations) if equations else repeat((), dim)
-    rows = tuple(col + (0,) * i + (1,) + (0,) * (dim - 1 - i) for i, col in enumerate(columns))
-    return hermite_normal_form(IntMatrix(dim, len(equations) + dim, rows)).entries
-
-
-def _solve_in_form(
-    form: Sequence[IntVec], pivot_of: dict[int, int], rhs: Sequence[int]
-) -> IntVec | None:
-    """The integer solution of ``A x == rhs`` reduced modulo the Hermite
-    kernel basis, or ``None`` when there is none; ``form`` is
-    :func:`_equation_form` of ``A`` and ``pivot_of`` its
-    :func:`_pivot_index`.
-
-    Reducing ``(-rhs, 0)`` modulo the form gives the one point ``(A x -
-    rhs, x)`` of its coset with every pivot entry in ``[0, pivot)``.  Its
-    first part vanishes exactly when the equalities are solvable, and its
-    last part is then the same solution whichever one starts from.
-    """
-    k = len(rhs)
-    _, rest = _reduce(form, pivot_of, (*(-b for b in rhs), *repeat(0, len(form))))
-    return None if any(rest[:k]) else tuple(rest[k:])
-
-
-def _form_kernel(form: Sequence[IntVec], k: int) -> tuple[IntVec, ...]:
-    """The Hermite basis of the integer kernel of the ``k``-row matrix
-    whose :func:`_equation_form` is ``form``."""
-    return tuple(row[k:] for row in form if not any(row[:k]))
-
-
 def _pivot_index(basis: Sequence[IntVec]) -> dict[int, int]:
     """Map each pivot column of a Hermite basis to its row, in row order."""
     pivot_of = {}
@@ -539,22 +506,96 @@ def _lattice_coordinates(
     return None if any(rest) else tuple(coeffs)
 
 
+def _orthogonal_part(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[IntVec, ...]:
+    """The Hermite basis of the vectors of ``lattice``, a Hermite basis,
+    that pair to zero with ``vec``.
+
+    These are the rows with first entry zero of the Hermite form of
+    ``[lattice . vec | lattice]``, without that entry, built in one pass up
+    the rows.  An accumulator ``a`` with pairing ``g`` absorbs each row
+    ``b`` with nonzero pairing ``v`` by the unimodular step ``(b, a) ->
+    ((g/h) b - (v/h) a, x b + y a)``, ``h = gcd(v, g) = x v + y g``: the
+    first new row pairs to zero and keeps the pivot column of ``b``, as
+    ``a`` combines rows below ``b``.  Rows pairing to zero stay, so all
+    rows but the final accumulator are an echelon basis of the vectors
+    pairing to zero; positive pivots and reduced entries above them make
+    it the unique Hermite basis.
+    """
+    a, g = None, 0
+    rows = []
+    for b in reversed(lattice):
+        v = sum(map(mul, b, vec))
+        if not v:
+            rows.append(b)
+        elif a is None:
+            a, g = b, v
+        else:
+            h, x, y = _xgcd(v, g)
+            s, t = g // h, v // h
+            rows.append(tuple(s * c - t * d for c, d in zip(b, a)))
+            a, g = tuple(x * c + y * d for c, d in zip(b, a)), h
+    basis: list[IntVec] = []
+    for row in reversed(rows):
+        col = next(j for j, c in enumerate(row) if c)
+        if row[col] < 0:
+            row = tuple(-c for c in row)
+        for i, upper in enumerate(basis):
+            q = upper[col] // row[col]
+            if q:
+                basis[i] = tuple(c - q * d for c, d in zip(upper, row))
+        basis.append(row)
+    return tuple(basis)
+
+
+def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, ...]:
+    """The Hermite basis of the integer kernel ``{x in Z^dim : row . x == 0
+    for all rows}``: :func:`_orthogonal_part` folded over the rows,
+    starting from the identity."""
+    return reduce(_orthogonal_part, rows, _identity(dim))
+
+
+def _gcd_vector(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[int, list[int]]:
+    """``(g, x)``: ``g >= 0`` the gcd of the pairings of ``vec`` with the
+    rows of ``lattice`` and ``x`` an integer combination of the rows with
+    ``<vec, x> == g``, from one extended-gcd pass over the pairings (it
+    stops once the gcd is 1).  ``x`` is zero when every pairing is."""
+    g, x = 0, [0] * len(vec)
+    for b in lattice:
+        v = sum(map(mul, b, vec))
+        if v:
+            g, s, t = _xgcd(g, v)
+            x = [s * c + t * d for c, d in zip(x, b)]
+            if g == 1:
+                break
+    return g, x
+
+
 def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
     """Solve the equality part of ``system`` exactly over the integers.
 
+    One equation ``a . x == rhs`` at a time: ``a`` takes the multiples of
+    ``g`` on the kernel of the earlier equations (:func:`_gcd_vector`), so
+    it is solvable exactly when ``g`` divides ``rhs - a . x0``, ``x0`` the
+    solution so far, and :func:`_orthogonal_part` gives the next kernel.
     Returns ``None`` when no integer solution exists (a certificate: the
-    right-hand side leaves a nonzero remainder modulo the Hermite form of
-    :func:`_equation_form`).  Otherwise the kernel basis is the Hermite
-    basis of the integer kernel and the particular solution is reduced
-    modulo it, so both are canonical.  Inequalities are not accepted here.
+    first ``g`` that does not divide).  Otherwise the kernel basis is the
+    Hermite basis of the integer kernel and the particular solution is
+    reduced modulo it, so both are canonical.  Inequalities are not
+    accepted here.
     """
     if system.inequalities:
         raise InputError("solve_integer_system accepts equality-only systems")
-    form = _equation_form(tuple(c for c, _ in system.equalities), system.dim)
-    particular = _solve_in_form(form, _pivot_index(form), [rhs for _, rhs in system.equalities])
-    if particular is None:
-        return None
-    return IntegerSolution(particular, _form_kernel(form, len(system.equalities)))
+    kernel = _identity(system.dim)
+    point = [0] * system.dim
+    for coeffs, rhs in system.equalities:
+        g, x = _gcd_vector(kernel, coeffs)
+        rest = rhs - sum(map(mul, coeffs, point))
+        if rest % g if g else rest:
+            return None
+        if g:
+            point = [p + rest // g * c for p, c in zip(point, x)]
+            kernel = _orthogonal_part(kernel, coeffs)
+    return IntegerSolution(tuple(_reduce(kernel, _pivot_index(kernel), point)[1]), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ positive circuits, minimal dependent sets of parts whose relation has one
 sign (Ziegler, *Lectures on Polytopes*, ch. 6), so the closed sets are the
 unions of positive circuits, found with no linear program: the rank-3 cone
 over a lattice 16-gon has 16 positive circuits and 34 closed supports among
-the 65,536 subsets of its rays.  One Hermite form of the parts gives their
-rank and Gale vectors; the circuits are read off the supporting hyperplanes
-of the Gale vectors, or off the subsets of parts when those need smaller
-minors, with the hyperplane scan and candidate limit of
-:mod:`toricstrata.cones`.
+the 65,536 subsets of its rays.  One kernel fold over the coordinates of
+the parts gives their rank and Gale vectors; the circuits are read off the
+supporting hyperplanes of the Gale vectors, or off the subsets of parts
+when those need smaller minors, with the hyperplane scan and candidate
+limit of :mod:`toricstrata.cones`.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -51,10 +51,10 @@ from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
     IntVec,
-    _equation_form,
-    _form_kernel,
+    _identity,
+    _kernel,
     _maximal_minors,
-    _pivot_index,
+    _orthogonal_part,
     primitive_vector,
 )
 
@@ -116,7 +116,10 @@ def cox_weight_system(toric: ToricData) -> WeightSystem:
 
 
 def _checked_support(ws: WeightSystem, support) -> tuple[int, ...]:
-    idx = list(support)
+    try:
+        idx = list(support)
+    except TypeError:
+        raise InputError("support must be given as an iterable of indices") from None
     if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
         raise InputError("support index must be an integer")
     idx = sorted(set(idx))
@@ -129,10 +132,12 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     """The positive circuits of ``parts``: the minimal sets of parts with a
     relation whose coefficients all have one sign.
 
-    One Hermite form of ``[V | I]``, ``V`` the parts as rows, gives their
-    rank ``r``, ``r`` coordinates on which they stay independent (the
-    pivots of its first ``r`` rows), and a basis of their relations (its
-    last rows), whose columns are the ``e = n - r`` Gale vectors.  Both
+    One pass folds :func:`~toricstrata.linalg._orthogonal_part` over the
+    coordinates of the ``n`` parts, starting from the identity basis of
+    ``Z^n``: it ends with the Hermite basis of their relations, whose
+    columns are the ``e = n - r`` Gale vectors, and the coordinates where
+    the relations' rank drops are ``r`` coordinates on which the parts
+    stay independent (the pivot columns of their Hermite form).  Both
     sides below scan the same C(n, r+1) = C(n, e-1) candidates, each one
     ``k x (k+1)`` minor vector, so the side with ``k = min(r, e-1)`` is
     taken: many parts of low rank would otherwise cost large minors (40
@@ -143,9 +148,13 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     if not vs:
         return set()
     n = len(vs)
-    form = _equation_form(tuple(zip(*vs)), n)
-    relations = _form_kernel(form, len(vs[0]))
-    rank = n - len(relations)
+    relations, pivots = _identity(n), []
+    for j, column in enumerate(zip(*vs)):
+        smaller = _orthogonal_part(relations, column)
+        if len(smaller) < len(relations):
+            pivots.append(j)
+        relations = smaller
+    rank = len(pivots)
     candidates = math.comb(n, rank + 1)
     if candidates > cones.MAX_FACET_CANDIDATES:
         raise InputError(
@@ -156,7 +165,6 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
         return set()
     if len(relations) - 1 <= rank:
         return _gale_side_circuits(vs, relations)
-    pivots = list(_pivot_index(form[:rank]))
     return _subset_side_circuits(vs, [tuple(v[j] for j in pivots) for v in vs])
 
 
@@ -395,7 +403,7 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
         + tuple(-d if row == r + j else 0 for j, d in enumerate(torsion))
         for row in range(r + t)
     ]
-    kernel = _form_kernel(_equation_form(eqs, m + t), r + t)
+    kernel = _kernel(eqs, m + t)
     projected = tuple(vec[:m] for vec in kernel)
     d = m - r
     if len(projected) != d:

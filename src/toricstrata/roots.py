@@ -15,13 +15,14 @@ A root for the pair ``(f1, f2)``, ``f2 = f1 + tau``, is a point ``x`` of
 ``M_f1`` with ``<p_tau, x> = -1`` that pairs nonnegatively with the rays
 outside ``f2``.  The values of ``<p_tau, .>`` on ``M_f1`` are the integer
 combinations of its values on the rows of ``K_f1``, so such an ``x``
-exists exactly when their gcd is 1; one extended-gcd pass decides the
-pair and gives ``x``, and a gcd ``g != 1`` is the certificate
-``"integral-equalities"``.  Once the equalities are solvable a root
-always exists: adding a large enough multiple of
-:func:`~toricstrata.cones.face_functional` of ``f2``, which the face table
-certifies to pair to 0 on ``f2`` and to at least 1 off it, to any solution
-keeps the equalities and makes every outside pairing nonnegative.  The
+exists exactly when their gcd is 1; one extended-gcd pass, the step of
+the package's integer solver, decides the pair and gives ``-x``, and a
+gcd ``g != 1`` is the certificate ``"integral-equalities"``.  Once the
+equalities are solvable a root always exists: adding a large enough
+multiple of :func:`~toricstrata.cones.face_functional` of ``f2``, which
+the face table certifies to pair to 0 on ``f2`` and to at least 1 off it,
+to any solution keeps the equalities and makes every outside pairing
+nonnegative.  The
 witness is canonical: ``x`` reduced modulo ``K_f2`` is the same point
 whichever solution one starts from, and the least such multiple is added.
 Each witness is re-validated before it is returned, and
@@ -45,10 +46,10 @@ from .linalg import (
     _boxed_solutions,
     _check_box_bound,
     _check_point_total,
+    _gcd_vector,
     _is_int,
     _pivot_index,
     _reduce,
-    _xgcd,
 )
 
 __all__ = [
@@ -183,22 +184,6 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     return _connections_down_from(cone, entry2, ((extra.pop(), entry1),))[0]
 
 
-def _solve_pair(lattice: Sequence[IntVec], ray: IntVec) -> list[int] | None:
-    """A vector of ``lattice`` pairing to -1 with ``ray``, from one
-    extended-gcd pass over the pairings of ``ray`` with its rows, or
-    ``None`` when their gcd is not 1."""
-    g, x = 0, [0] * len(ray)
-    for b in lattice:
-        # Negated pairings, so that x pairs to -g with the ray.
-        v = -sum(map(mul, b, ray))
-        if v:
-            g, s, t = _xgcd(g, v)
-            x = [s * c + t * d for c, d in zip(x, b)]
-            if g == 1:
-                return x
-    return None
-
-
 def _checked_root(cone: Cone, point: IntVec, tau: int, face1: Face) -> DemazureRoot:
     """Re-validate a witness of the pair ``(face1, face1 + tau)`` in one
     pass over the rays: -1 on ``tau``, 0 on ``face1``, >= 0 elsewhere.
@@ -223,9 +208,10 @@ def _connections_down_from(
     A pair with no point of the orthogonal lattice of ``face1`` pairing to
     -1 with ray ``tau`` is the certificate ``"integral-equalities"``;
     otherwise that point, reduced modulo the basis of ``face2``, is the
-    same whichever one :func:`_solve_pair` finds.  A "yes" shifts it by
-    the least multiple of the face functional of ``face2`` that makes
-    every outside pairing nonnegative.
+    same whichever one is found, here the negative of the gcd vector of
+    ray ``tau`` on the basis of ``face1``.  A "yes" shifts it by the least
+    multiple of the face functional of ``face2`` that makes every outside
+    pairing nonnegative.
     """
     pivot_of = _pivot_index(upper.lattice)
     # The face table certified that the functional vanishes exactly on
@@ -234,11 +220,11 @@ def _connections_down_from(
 
     verdicts = []
     for tau, entry1 in lower:
-        x = _solve_pair(entry1.lattice, cone.rays[tau])
-        if x is None:
+        g, x = _gcd_vector(entry1.lattice, cone.rays[tau])
+        if g != 1:
             verdicts.append(ConnectionVerdict("no", certificate="integral-equalities"))
             continue
-        e0 = _reduce(upper.lattice, pivot_of, x)[1]
+        e0 = _reduce(upper.lattice, pivot_of, [-c for c in x])[1]
         m = max([0] + [-(sum(map(mul, ray, e0)) // p_u) for ray, p_u in outside])
         point = tuple(a + m * b for a, b in zip(e0, upper.functional))
         root = _checked_root(cone, point, tau, entry1.face)

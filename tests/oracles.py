@@ -222,6 +222,18 @@ def smith_solve(lib, system):
     return v.apply(y), kernel
 
 
+def hermite_kernel(lib, rows, dim):
+    """The Hermite basis of the integer kernel ``{x : row . x == 0}``: the
+    kernel basis of :func:`smith_solve`, put in Hermite form by the
+    library's ``hermite_normal_form``.  Independent of the library's kernel
+    fold; ``lib`` is the toricstrata module."""
+    _, kernel = smith_solve(lib, lib.linear_system(dim, [(tuple(row), 0) for row in rows]))
+    if not kernel:
+        return ()
+    form = lib.hermite_normal_form(lib.IntMatrix.from_rows(kernel, dim)).entries
+    return tuple(row for row in form if any(row))
+
+
 def scan_lattice_points(system, bound) -> list[tuple[int, ...]]:
     """All integer points of the system with every coordinate in [-b, b]."""
     return [

@@ -191,6 +191,19 @@ def test_group_functions_refuse_wrong_types(call, message):
         call()
 
 
+K2 = ts.weight_system(Z, [(1,), (-1,)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: ts.is_closed_support(K2, 5), lambda: ts.weight_subgroup(K2, None)],
+    ids=["is_closed_support", "weight_subgroup"],
+)
+def test_support_functions_refuse_a_support_that_is_not_iterable(call):
+    with pytest.raises(ts.InputError, match="support must be given as an iterable of indices"):
+        call()
+
+
 @pytest.mark.parametrize(
     "vector, ray, message",
     [

@@ -11,6 +11,7 @@ from toricstrata import roots
 
 from oracles import (
     connection_by_pair,
+    hermite_kernel,
     rational_rank,
     sixteen_gon_rays,
     smooth_by_smith,
@@ -144,7 +145,8 @@ def test_each_face_functional_is_the_sum_of_the_normals_through_its_face(data):
 def test_each_step_up_gives_the_hermite_kernel_of_the_upper_face(data):
     # K_f2 from K_f1 and the extra ray is the Hermite basis of the integer
     # kernel of the rays of f2, and the rows with zero first entry of the
-    # Hermite form of [K_f1 . ray | K_f1].
+    # Hermite form of [K_f1 . ray | K_f1].  The kernels are the Smith-form
+    # oracle's, not the library's fold.
     rank, rays = data
     cone = ts.split_degenerate(rank, rays, normalize=True).cone
     n = cone.ambient_rank
@@ -153,9 +155,9 @@ def test_each_step_up_gives_the_hermite_kernel_of_the_upper_face(data):
         face1, face2 = graph.faces[i1], graph.faces[i2]
         (tau,) = set(face2.ray_indices) - set(face1.ray_indices)
         ray = cone.rays[tau]
-        lower = ts.cones._kernel_rows([cone.rays[i] for i in face1.ray_indices], n)
+        lower = hermite_kernel(ts, [cone.rays[i] for i in face1.ray_indices], n)
         upper = ts.cones._orthogonal_part(lower, ray)
-        assert upper == ts.cones._kernel_rows([cone.rays[i] for i in face2.ray_indices], n)
+        assert upper == hermite_kernel(ts, [cone.rays[i] for i in face2.ray_indices], n)
         rows = [(sum(a * b for a, b in zip(row, ray)),) + row for row in lower]
         form = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows)).entries
         assert upper == tuple(row[1:] for row in form if not row[0])
@@ -194,7 +196,7 @@ def test_the_face_table_matches_the_oracle_faces(data):
     for entry in table.values():
         face_rays = [cone.rays[i] for i in entry.face.ray_indices]
         assert entry.face.dim == rational_rank(face_rays)
-        assert entry.lattice == ts.cones._kernel_rows(face_rays, n)
+        assert entry.lattice == hermite_kernel(ts, face_rays, n)
 
 
 @pytest.mark.parametrize("name", FIXTURE_CONES)
@@ -211,16 +213,18 @@ def test_connection_exists_agrees_with_the_graph_on_the_fixtures(fixture_path, n
 def corrupt_pair_solutions(monkeypatch, delta, lower_rank=None):
     """Shift by ``delta`` each point that the per-pair step hands out (only
     where the lower face's orthogonal lattice has rank ``lower_rank``, if
-    given), so that it solves nothing."""
-    real = roots._solve_pair
+    given), so that it solves nothing.  The step takes the negative of the
+    gcd vector, which pairs to 1 with the extra ray, so that vector is
+    shifted by ``-delta``."""
+    real = roots._gcd_vector
 
     def corrupted(lattice, ray):
-        x = real(lattice, ray)
-        if x is None or lower_rank is not None and len(lattice) != lower_rank:
-            return x
-        return tuple(a + b for a, b in zip(x, delta))
+        g, x = real(lattice, ray)
+        if g != 1 or lower_rank is not None and len(lattice) != lower_rank:
+            return g, x
+        return g, [a - b for a, b in zip(x, delta)]
 
-    monkeypatch.setattr(roots, "_solve_pair", corrupted)
+    monkeypatch.setattr(roots, "_gcd_vector", corrupted)
 
 
 def test_a_solution_missing_the_distinguished_ray_is_refused(monkeypatch):

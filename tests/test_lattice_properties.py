@@ -1,7 +1,9 @@
 """Property checks of the Hermite form against the former min-pivot kernel,
-of the integer solver against a Smith-form solve and of the boxed lattice
-search against a box scan."""
+of the integer solver and the kernel fold against a Smith-form solve, of
+the gcd vector against ``math.gcd`` and of the boxed lattice search against
+a box scan."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
 
-from oracles import hermite_by_sweeps, in_triangular_row_lattice, smith_solve
+from oracles import hermite_by_sweeps, hermite_kernel, in_triangular_row_lattice, smith_solve
 
 small = st.integers(-3, 3)
 fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -124,3 +126,45 @@ def test_hermite_normal_form_equals_the_min_pivot_kernel(data):
     rows, ncols = data
     h = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows, ncols))
     assert h.entries == hermite_by_sweeps(rows, ncols)
+    # the kernel fold gives the Hermite basis of the Smith-form kernel,
+    # zero and dependent rows included
+    assert ts.linalg._kernel(rows, ncols) == hermite_kernel(ts, rows, ncols)
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+@st.composite
+def gcd_vector_inputs(draw):
+    """A Hermite basis of rank 0-4 in Z^0..5 and a vector, entries up to
+    10^6 in size.  In the ``"zero"`` case the vector lies in the kernel of
+    the basis, so every pairing is zero; in the ``"negative"`` case the
+    basis has one row and its pairing is negative."""
+    dim = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**6), 10**6))
+    vector = st.lists(entry, min_size=dim, max_size=dim)
+    case = draw(st.sampled_from(["random", "zero", "negative"]))
+    rows = draw(st.lists(vector, max_size=1 if case == "negative" else 4))
+    form = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows, dim)).entries
+    lattice = tuple(row for row in form if any(row))
+    vec = draw(vector)
+    if case == "zero":
+        vec = [0] * dim
+        for row in hermite_kernel(ts, lattice, dim):
+            c = draw(st.integers(-5, 5))
+            vec = [a + c * b for a, b in zip(vec, row)]
+    elif case == "negative" and lattice:
+        p = dot(lattice[0], vec)
+        vec = [-a for a in lattice[0]] if p == 0 else vec if p < 0 else [-a for a in vec]
+    return lattice, vec
+
+
+@PROPERTY
+@given(gcd_vector_inputs())
+def test_the_gcd_vector_pairs_to_the_gcd_of_the_pairings(data):
+    lattice, vec = data
+    g, x = ts.linalg._gcd_vector(lattice, vec)
+    assert g == math.gcd(*(dot(row, vec) for row in lattice))
+    assert dot(x, vec) == g
+    assert len(x) == len(vec) and in_triangular_row_lattice(lattice, x)
