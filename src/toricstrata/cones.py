@@ -10,12 +10,11 @@ saturated span, full-dimensional with the same faces.  Face machinery needs
 a full-dimensional cone, so inputs spanning a proper subspace go through
 :func:`split_degenerate` first, which returns that basis and induced cone.
 
-Facets are enumerated by brute force over the (rank-1)-subsets of rays, at
-most ``MAX_FACET_CANDIDATES`` of them.  Each subset costs one vector of
-maximal minors (fraction-free elimination, no Smith form), which is zero
-when the subset spans no hyperplane and is its normal otherwise.  The same
-scan, on vectors that may repeat, vanish or span a cone with a line, gives
-``luna`` its positive circuits on the Gale side.
+Facets come from exact double description, whose work follows the facets,
+not the (rank-1)-subsets of rays; ``MAX_FACET_CANDIDATES`` still limits
+those subsets, and so every intermediate generator.  The same routine, on
+vectors that may repeat, vanish or span a cone with a line, gives ``luna``
+its positive circuits on the Gale side.
 
 The facts of a cone live on the :class:`Cone` object, computed on first
 use and dropped with it: the facet scan (sorted normals, the ray x facet
@@ -32,7 +31,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
 from operator import and_, mul
 from typing import NamedTuple, Sequence
 
@@ -44,8 +42,8 @@ from .linalg import (
     _is_int,
     _kernel,
     _lattice_coordinates,
-    _maximal_minors,
-    _orthogonal_part,
+    _hermite_reduced,
+    _orthogonal_echelon,
     _pivot_index,
     integer_rank,
     primitive_vector,
@@ -222,83 +220,106 @@ def build_cone(
     return split.cone if split.torus_rank == 0 else Cone(ambient_rank, rays)
 
 
-# Limit on the candidate subsets of one hyperplane scan, checked before the
-# first: the (rank-1)-subsets of rays for facets, and the circuit candidates
-# of ``luna._positive_circuits``.
+# Limit on the (rank-1)-subsets of one facet computation, checked before its
+# first double-description step, and on ``luna._positive_circuits``'s candidates.
 MAX_FACET_CANDIDATES = 10_000
 
 
 def _supporting_hyperplanes(
     vectors: Sequence[IntVec], dim: int
-) -> dict[IntVec, tuple[int, ...]]:
-    """The hyperplanes spanned by ``dim - 1`` of the vectors that support
-    the cone they generate, each as its primitive inner normal mapped to its
-    pairings with the vectors.
+) -> dict[IntVec, tuple[int, ...]] | None:
+    """The facets of the cone generated by ``vectors`` (zero, repeated, or
+    with a line) as primitive inner normals mapped to their pairings with
+    the vectors: none when the cone is the whole space, ``None`` when the
+    vectors do not span Q^dim.
 
-    The vectors may include zero or repeated vectors, and their cone need
-    not be pointed.  A subset spans a hyperplane exactly when its maximal
-    minors are not all zero, and they are then its normal.  Vectors that do
-    not span Q^dim give no normal when their rank is below ``dim - 1``, and
-    otherwise only normals pairing to zero with all of them.
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996) of the dual cone {u : <v, u> >= 0}, pointed as the
+    vectors span.  One fraction-free Gauss-Jordan pass (Bareiss) takes
+    ``dim`` independent vectors greedily, each one's pivot row becoming a
+    generator of their simplicial dual cone, with the bitset of the vectors
+    it vanishes on; :func:`_add_halfspace` adds the others.  Each generator
+    is a facet of the cone over the vectors added so far, so the candidate
+    limit, checked before the first addition, bounds their number.
     """
-    found: dict[IntVec, tuple[int, ...]] = {}
-    for subset in combinations(vectors, dim - 1):
-        minors = _maximal_minors(subset)
-        if not any(minors):
+    free, gens, taken, rest, prev = list(_identity(dim)), [], 0, [], 1
+    for k, v in enumerate(vectors):
+        pairs = [sum(map(mul, v, u)) for u in free]
+        j = next((j for j, q in enumerate(pairs) if q), None)
+        if j is None:
+            rest.append(k)
             continue
-        u = primitive_vector(minors)
-        # The sign of the first nonzero pairing; a pairing of the other sign
-        # rules the hyperplane out, and the rest are not read.
-        pairings, sign = [], 0
-        for v in vectors:
-            p = sum(map(mul, v, u))
-            if p:
-                if sign * p < 0:
-                    break
-                sign = 1 if p > 0 else -1
-            pairings.append(p)
+        pivot, p = free.pop(j), pairs.pop(j)
+        if p < 0:
+            pivot, p = tuple(-x for x in pivot), -p
+
+        def step(u, q):  # one Bareiss update: every division is exact
+            return tuple((p * x - q * y) // prev for x, y in zip(u, pivot))
+
+        free = [step(u, q) for u, q in zip(free, pairs)]
+        gens = [(step(u, sum(map(mul, v, u))), z | 1 << k) for u, z in gens] + [(pivot, taken)]
+        taken, prev = taken | 1 << k, p
+    if free:
+        return None
+    candidates = math.comb(len(vectors), dim - 1) if dim else 0
+    if candidates > MAX_FACET_CANDIDATES:
+        raise InputError(
+            f"{candidates} facet candidates ({dim - 1}-subsets of {len(vectors)} rays) "
+            f"exceed the limit of {MAX_FACET_CANDIDATES}"
+        )
+    gens = [(primitive_vector(u), z) for u, z in gens]
+    for k in rest:
+        gens = _add_halfspace(gens, vectors[k], k, dim)
+        if not gens:
+            return {}
+    return {u: tuple(sum(map(mul, v, u)) for v in vectors) for u, _ in gens}
+
+
+def _add_halfspace(
+    gens: list[tuple[IntVec, int]], v: IntVec, k: int, dim: int
+) -> list[tuple[IntVec, int]]:
+    """The generators, with zero sets, of the pointed cone of ``gens`` cut by
+    <v, u> >= 0, ``v`` being vector ``k``: those pairing >= 0 with ``v``, and
+    for each adjacent pair across it the combination vanishing on ``v``.  Two
+    are adjacent when no third vanishes on all the (at least ``dim - 2``)
+    vectors both vanish on, which cut out the smallest face holding both."""
+    out, pos, neg = [], [], []
+    for u, z in gens:
+        a = sum(map(mul, v, u))
+        if a:
+            (pos if a > 0 else neg).append((u, z, a))
         else:
-            if sign >= 0:
-                found[u] = tuple(pairings)
-            else:
-                found[tuple(-x for x in u)] = tuple(-p for p in pairings)
-    return found
+            out.append((u, z | 1 << k))
+    out += [(u, z) for u, z, _ in pos]
+    zeros = [z for _, z in gens]
+    for u, zu, a in pos:
+        for w, zw, b in neg:
+            common = zu & zw
+            if common.bit_count() >= dim - 2 and not any(
+                z & common == common and z != zu and z != zw for z in zeros
+            ):
+                out.append((primitive_vector([a * y - b * x for x, y in zip(u, w)]), common | 1 << k))
+    return out
 
 
 def _facet_scan(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[int, ...]]:
-    """The facets of a full-dimensional cone: the sorted primitive inner
-    normals, the ray x facet pairing table (row ``i`` holds the pairings of
-    ray ``i`` with the normals, in their order) and the zero sets of its
-    columns (entry ``k`` is the bitset of the rays on facet ``k``).
-
-    Brute force: every (rank-1)-subset of rays spanning a hyperplane
-    proposes a normal, which is kept, with its pairings, when it supports
-    the whole cone.  The scan also tells a cone that is not
-    full-dimensional, with no rank of its own: rays in a hyperplane give a
-    normal pairing to zero with every ray, and rays of lower rank give none.
-    The rank is taken only when no normal is found, since a cone that fills
-    the whole space has no facets either, and when there are too many
-    candidates to scan, so that a cone that is not full-dimensional is told
-    so rather than refused by size.
+    """The facets of a full-dimensional cone from one double description
+    (:func:`_supporting_hyperplanes`): the sorted primitive inner normals,
+    the ray x facet pairing table (row ``i`` holds the pairings of ray ``i``
+    with the normals, in their order) and the zero sets of its columns
+    (entry ``k`` is the bitset of the rays on facet ``k``).  A cone that is
+    not full-dimensional is told so before the candidate limit is checked.
     """
-    n = cone.ambient_rank
-    candidates = math.comb(cone.nrays, n - 1) if n else 0
-    if candidates <= MAX_FACET_CANDIDATES:
-        found = _supporting_hyperplanes(cone.rays, n) if n else {}
-        if all(map(any, found.values())) and (found or cone.is_full_dimensional()):
-            normals = tuple(sorted(found))
-            table = tuple(tuple(found[u][i] for u in normals) for i in range(cone.nrays))
-            zeros = tuple(sum(1 << i for i, p in enumerate(found[u]) if not p) for u in normals)
-            return normals, table, zeros
-    elif cone.is_full_dimensional():
+    found = _supporting_hyperplanes(cone.rays, cone.ambient_rank)
+    if found is None:
         raise InputError(
-            f"{candidates} facet candidates ({n - 1}-subsets of {cone.nrays} rays) "
-            f"exceed the limit of {MAX_FACET_CANDIDATES}"
+            "cone is not full-dimensional; run split_degenerate and work with "
+            "the induced cone"
         )
-    raise InputError(
-        "cone is not full-dimensional; run split_degenerate and work with "
-        "the induced cone"
-    )
+    normals = tuple(sorted(found))
+    table = tuple(tuple(found[u][i] for u in normals) for i in range(cone.nrays))
+    zeros = tuple(sum(1 << i for i, p in enumerate(found[u]) if not p) for u in normals)
+    return normals, table, zeros
 
 
 def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
@@ -328,10 +349,10 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     keeps as children all maximal proper cuts of each face by the facets.
     Going back up by ray count, each face F takes the Hermite basis K_F of
     M_F = {x in Z^n : <p_i, x> = 0 for i in F}: the identity at the apex,
-    else K_G of a child G with most rays with :func:`_orthogonal_part`
-    folded over the rays G lacks; F has dimension n - len(K_F).  The
-    functional and its pairings are sums of the normals and table columns
-    of the facets on all rays of the face.
+    else K_G of a child G with most rays with :func:`_orthogonal_echelon`
+    folded over the rays G lacks and :func:`_hermite_reduced` once; F has
+    dimension n - len(K_F).  The functional and its pairings are sums of
+    the normals and table columns of the facets on all rays of the face.
 
     Each functional is certified here, once for all its readers: it pairs
     to 0 with the face's rays and to at least 1 with every other ray, or
@@ -372,7 +393,7 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     for bits in sorted(children, key=int.bit_count)[1:]:
         child = max(children[bits], key=int.bit_count)
         missing = [cone.rays[i] for i in _ray_list_of(bits & ~child)]
-        lattice[bits] = reduce(_orthogonal_part, missing, lattice[child])
+        lattice[bits] = _hermite_reduced(reduce(_orthogonal_echelon, missing, lattice[child]))
         pairs = (sum(map(mul, row, missing[0])) for row in lattice[child])
         smooth[bits] = smooth[child] and len(missing) == 1 and math.gcd(*pairs) == 1
     dim = {bits: n - len(basis) for bits, basis in lattice.items()}

@@ -13,13 +13,13 @@ elsewhere:
   every row operation touches only the columns from the pivot on.
 * Every integer kernel and every solution of ``A x == b`` comes from one
   fold over the rows of ``A``, starting from the identity basis: each row
-  cuts the current Hermite basis down to its vectors pairing to zero with
-  the row, one extended-gcd pass up the basis.  For a solve, the gcd of
-  the row's pairings with the basis first decides whether the row is
-  solvable and gives the step.  Kernel bases come out as Hermite bases and
-  particular solutions reduced modulo them, so both are canonical.  One
-  routine reduces a vector modulo a Hermite basis, for these solutions
-  and for lattice coordinates alike.
+  cuts the current echelon basis down to its vectors pairing to zero with
+  the row, one extended-gcd pass up the basis, and the last is reduced.
+  For a solve, the gcd of the row's pairings with the basis first decides
+  whether the row is solvable and gives the step.  Kernel bases come out
+  as Hermite bases and particular solutions reduced modulo them, so both
+  are canonical.  One routine reduces a vector modulo a Hermite basis, for
+  these solutions and for lattice coordinates alike.
 * Smith normal form returns ``(U, S, V)`` with ``U @ A @ V == S``, ``S``
   diagonal and nonnegative, each diagonal entry dividing the next.  It is
   used only where invariant factors are needed.
@@ -506,11 +506,11 @@ def _lattice_coordinates(
     return None if any(rest) else tuple(coeffs)
 
 
-def _orthogonal_part(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[IntVec, ...]:
-    """The Hermite basis of the vectors of ``lattice``, a Hermite basis,
-    that pair to zero with ``vec``.
+def _orthogonal_echelon(lattice: Sequence[IntVec], vec: Sequence[int]) -> list[IntVec]:
+    """An echelon basis, in pivot order, of the vectors of ``lattice``, an
+    echelon basis, that pair to zero with ``vec``.
 
-    These are the rows with first entry zero of the Hermite form of
+    These are the rows with first entry zero of an echelon form of
     ``[lattice . vec | lattice]``, without that entry, built in one pass up
     the rows.  An accumulator ``a`` with pairing ``g`` absorbs each row
     ``b`` with nonzero pairing ``v`` by the unimodular step ``(b, a) ->
@@ -518,8 +518,8 @@ def _orthogonal_part(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[Int
     first new row pairs to zero and keeps the pivot column of ``b``, as
     ``a`` combines rows below ``b``.  Rows pairing to zero stay, so all
     rows but the final accumulator are an echelon basis of the vectors
-    pairing to zero; positive pivots and reduced entries above them make
-    it the unique Hermite basis.
+    pairing to zero.  A fold keeps its steps in this form and takes
+    :func:`_hermite_reduced` once, at the end.
     """
     a, g = None, 0
     rows = []
@@ -534,8 +534,15 @@ def _orthogonal_part(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[Int
             s, t = g // h, v // h
             rows.append(tuple(s * c - t * d for c, d in zip(b, a)))
             a, g = tuple(x * c + y * d for c, d in zip(b, a)), h
+    rows.reverse()
+    return rows
+
+
+def _hermite_reduced(echelon: Sequence[IntVec]) -> tuple[IntVec, ...]:
+    """The Hermite basis of the lattice of an echelon basis in pivot order:
+    the unique one, with positive pivots and entries above them reduced."""
     basis: list[IntVec] = []
-    for row in reversed(rows):
+    for row in echelon:
         col = next(j for j, c in enumerate(row) if c)
         if row[col] < 0:
             row = tuple(-c for c in row)
@@ -549,9 +556,9 @@ def _orthogonal_part(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[Int
 
 def _kernel(rows: Sequence[Sequence[int]], dim: int) -> tuple[IntVec, ...]:
     """The Hermite basis of the integer kernel ``{x in Z^dim : row . x == 0
-    for all rows}``: :func:`_orthogonal_part` folded over the rows,
-    starting from the identity."""
-    return reduce(_orthogonal_part, rows, _identity(dim))
+    for all rows}``: :func:`_orthogonal_echelon` folded over the rows,
+    starting from the identity, and reduced once."""
+    return _hermite_reduced(reduce(_orthogonal_echelon, rows, _identity(dim)))
 
 
 def _gcd_vector(lattice: Sequence[IntVec], vec: Sequence[int]) -> tuple[int, list[int]]:
@@ -576,7 +583,8 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
     One equation ``a . x == rhs`` at a time: ``a`` takes the multiples of
     ``g`` on the kernel of the earlier equations (:func:`_gcd_vector`), so
     it is solvable exactly when ``g`` divides ``rhs - a . x0``, ``x0`` the
-    solution so far, and :func:`_orthogonal_part` gives the next kernel.
+    solution so far, and :func:`_orthogonal_echelon` gives the next kernel,
+    reduced once at the end.
     Returns ``None`` when no integer solution exists (a certificate: the
     first ``g`` that does not divide).  Otherwise the kernel basis is the
     Hermite basis of the integer kernel and the particular solution is
@@ -594,7 +602,8 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
             return None
         if g:
             point = [p + rest // g * c for p, c in zip(point, x)]
-            kernel = _orthogonal_part(kernel, coeffs)
+            kernel = _orthogonal_echelon(kernel, coeffs)
+    kernel = _hermite_reduced(kernel)
     return IntegerSolution(tuple(_reduce(kernel, _pivot_index(kernel), point)[1]), kernel)
 
 

@@ -20,9 +20,9 @@ unions of positive circuits, found with no linear program: the rank-3 cone
 over a lattice 16-gon has 16 positive circuits and 34 closed supports among
 the 65,536 subsets of its rays.  One kernel fold over the coordinates of
 the parts gives their rank and Gale vectors; the circuits are read off the
-supporting hyperplanes of the Gale vectors, or off the subsets of parts
-when those need smaller minors, with the hyperplane scan and candidate
-limit of :mod:`toricstrata.cones`.
+facets of the Gale vectors' cone, by the double description of
+:mod:`toricstrata.cones`, or off the subsets of parts when those need
+smaller minors, under the candidate limit of that module.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -52,9 +52,10 @@ from .linalg import (
     IntMatrix,
     IntVec,
     _identity,
+    _hermite_reduced,
     _kernel,
     _maximal_minors,
-    _orthogonal_part,
+    _orthogonal_echelon,
     primitive_vector,
 )
 
@@ -115,7 +116,13 @@ def cox_weight_system(toric: ToricData) -> WeightSystem:
     return WeightSystem(toric.class_group, toric.divisor_classes)
 
 
+def _check_weight_system(ws) -> None:
+    if not isinstance(ws, WeightSystem):
+        raise InputError("weight system must be a WeightSystem")
+
+
 def _checked_support(ws: WeightSystem, support) -> tuple[int, ...]:
+    _check_weight_system(ws)
     try:
         idx = list(support)
     except TypeError:
@@ -132,17 +139,15 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     """The positive circuits of ``parts``: the minimal sets of parts with a
     relation whose coefficients all have one sign.
 
-    One pass folds :func:`~toricstrata.linalg._orthogonal_part` over the
-    coordinates of the ``n`` parts, starting from the identity basis of
-    ``Z^n``: it ends with the Hermite basis of their relations, whose
-    columns are the ``e = n - r`` Gale vectors, and the coordinates where
-    the relations' rank drops are ``r`` coordinates on which the parts
-    stay independent (the pivot columns of their Hermite form).  Both
-    sides below scan the same C(n, r+1) = C(n, e-1) candidates, each one
-    ``k x (k+1)`` minor vector, so the side with ``k = min(r, e-1)`` is
-    taken: many parts of low rank would otherwise cost large minors (40
-    distinct weights in Z take about 0.01 s on the subset side and 5.6 s on
-    the Gale side).
+    One pass folds :func:`~toricstrata.linalg._orthogonal_echelon` over
+    the coordinates of the ``n`` parts from the identity basis of ``Z^n``,
+    reduced once to the Hermite basis of their relations: its columns are
+    the ``e = n - r`` Gale vectors, and the coordinates where its rank
+    drops are ``r`` on which the parts stay independent.  Both sides below
+    are limited by the same C(n, r+1) = C(n, e-1) candidates.  The Gale
+    side, double description in dimension ``e``, is taken when ``e - 1 <=
+    r``; else the ``(r+1)``-subsets cost smaller minors (40 distinct
+    weights in Z: 0.01 s on the subset side, 0.04-0.05 s on the Gale side).
     """
     vs = sorted(parts)
     if not vs:
@@ -150,10 +155,11 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     n = len(vs)
     relations, pivots = _identity(n), []
     for j, column in enumerate(zip(*vs)):
-        smaller = _orthogonal_part(relations, column)
+        smaller = _orthogonal_echelon(relations, column)
         if len(smaller) < len(relations):
             pivots.append(j)
         relations = smaller
+    relations = _hermite_reduced(relations)
     rank = len(pivots)
     candidates = math.comb(n, rank + 1)
     if candidates > cones.MAX_FACET_CANDIDATES:
@@ -174,12 +180,11 @@ def _gale_side_circuits(
     """Positive circuits from a basis of the relations among ``vs``.
 
     Part ``i``'s Gale vector holds the ``i``-th coefficients of the basis
-    relations, so every relation is the pairing of the Gale vectors with a
-    functional (Ziegler, *Lectures on Polytopes*, ch. 6).  A circuit, a
-    minimal support, is the set of parts whose Gale vectors lie off a
-    hyperplane spanned by Gale vectors, and its relation has one sign
-    exactly when that hyperplane supports their cone, which need not be
-    pointed.
+    relations, so every relation pairs the Gale vectors with a functional
+    (Ziegler, *Lectures on Polytopes*, ch. 6).  A minimal support is the
+    set of parts off a hyperplane spanned by Gale vectors, with a one-signed
+    relation exactly when that hyperplane is a facet of their cone, which
+    need not be pointed.
     """
     hyperplanes = cones._supporting_hyperplanes(list(zip(*relations)), len(relations))
     return {
@@ -203,14 +208,16 @@ def _subset_side_circuits(
     return circuits
 
 
-def _closed_part_sets(parts: frozenset[IntVec]) -> Iterator[frozenset[IntVec]]:
-    """Every closed subset of ``parts``: the union closure of the positive
-    circuits, the empty set first, yielded as found so a caller can stop."""
-    circuits = _positive_circuits(parts)
-    found = [frozenset()]
+def _closed_part_sets(parts: list[IntVec]) -> Iterator[list[int]]:
+    """Every closed subset of ``parts``, as the list of its indices: the
+    union closure of the positive circuits, on bitsets, the empty set first,
+    yielded as found so a caller can stop."""
+    index = {p: i for i, p in enumerate(parts)}
+    circuits = [sum(1 << index[p] for p in c) for c in _positive_circuits(frozenset(parts))]
+    found = [0]
     seen = set(found)
     for s in found:
-        yield s
+        yield [i for i in range(len(parts)) if s >> i & 1]
         for circuit in circuits:
             t = s | circuit
             if t not in seen:
@@ -279,19 +286,20 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
             by_part.setdefault(part, []).append(i)
         else:
             invariant.append(i)
+    indices = list(by_part.values())
     closed_sets, count = [], 0
-    for closed in _closed_part_sets(frozenset(by_part)):
-        count += math.prod((1 << len(by_part[p])) - 1 for p in closed) << len(invariant)
+    for closed in _closed_part_sets(list(by_part)):
+        count += math.prod((1 << len(indices[k])) - 1 for k in closed) << len(invariant)
         if count > MAX_SUPPORTS:
             raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
         closed_sets.append(closed)
     # Only parts in some closed set are expanded: a part in none has no
     # bound on its index subsets.
-    nonempty = {p: _subsets(by_part[p])[1:] for p in frozenset().union(*closed_sets)}
+    nonempty = {k: _subsets(indices[k])[1:] for k in set().union(*closed_sets)}
     free = _subsets(invariant)
     supports = []
     for closed in closed_sets:
-        for pieces in product(*(nonempty[p] for p in closed), free):
+        for pieces in product(*(nonempty[k] for k in closed), free):
             supports.append(tuple(sorted(i for piece in pieces for i in piece)))
     return supports
 
@@ -306,6 +314,7 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     is ``max |support| - free_rank`` of its subgroup's structure: the free
     rank of the subgroup is the rational rank of its weights.
     """
+    _check_weight_system(ws)
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
     # The subgroup depends only on the set of weights, and supports that
     # differ by repeated weights share it.
@@ -348,6 +357,7 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     each must be closed and must generate the whole character group
     (trivial stabilizer).
     """
+    _check_weight_system(ws)
     m = ws.ncoordinates
     supports = [tuple(range(m))]
     supports.extend(

@@ -524,9 +524,16 @@ def primitive_integer(vec):
 
 def supporting_hyperplanes(vectors, dim):
     """Inner normal -> pairings for every hyperplane spanned by ``dim - 1``
-    of the vectors with all of them on one side of it."""
+    of the vectors with all of them on one side of it.  Those are the
+    hyperplanes spanned by ``dim - 1`` of the lines through the nonzero
+    vectors, so each line is taken once."""
+    lines = set()
+    for v in vectors:
+        if any(v):
+            u = primitive_integer(v)
+            lines.add(u if next(x for x in u if x) > 0 else tuple(-x for x in u))
     found = {}
-    for subset in combinations(vectors, dim - 1):
+    for subset in combinations(sorted(lines), dim - 1):
         kernel = rational_kernel(subset, dim)
         if len(kernel) != 1:
             continue

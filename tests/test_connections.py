@@ -156,7 +156,7 @@ def test_each_step_up_gives_the_hermite_kernel_of_the_upper_face(data):
         (tau,) = set(face2.ray_indices) - set(face1.ray_indices)
         ray = cone.rays[tau]
         lower = hermite_kernel(ts, [cone.rays[i] for i in face1.ray_indices], n)
-        upper = ts.cones._orthogonal_part(lower, ray)
+        upper = ts.linalg._hermite_reduced(ts.linalg._orthogonal_echelon(lower, ray))
         assert upper == hermite_kernel(ts, [cone.rays[i] for i in face2.ray_indices], n)
         rows = [(sum(a * b for a, b in zip(row, ray)),) + row for row in lower]
         form = ts.hermite_normal_form(ts.IntMatrix.from_rows(rows)).entries
@@ -254,7 +254,7 @@ def test_an_orthogonal_lattice_of_the_wrong_rank_is_refused(monkeypatch):
 
     # Faces are values: those of equal cones built before the patch serve.
     pairs = [ts.face_lattice(cone)[:2] for cone in cones()]
-    monkeypatch.setattr(ts.cones, "_orthogonal_part", lambda lattice, ray: lattice)
+    monkeypatch.setattr(ts.cones, "_orthogonal_echelon", lambda lattice, ray: list(lattice))
     for cone in cones():
         with pytest.raises(ts.ConsistencyError, match="face lattice certificate fails"):
             ts.connection_graph(cone)
