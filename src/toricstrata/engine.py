@@ -83,6 +83,16 @@ class CrossChecks:
 
 @dataclass(frozen=True)
 class StratificationReport:
+    """Result of :func:`stratify`: the orbit strata of the variety.
+
+    ``input_rays`` are the rays as given, ``cone`` the pointed cone left
+    once a torus factor of rank ``torus_rank`` is split off, and
+    ``divisor_classes`` the classes of its rays in ``class_group``.
+    ``closure`` lists the covering pairs ``(lower, upper)`` of the strata
+    and ``connections`` route three's graph; ``cross_checks`` records the
+    comparisons every returned report has passed.
+    """
+
     ambient_rank: int
     input_rays: tuple[IntVec, ...]
     torus_rank: int

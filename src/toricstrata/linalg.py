@@ -39,7 +39,9 @@ elsewhere:
   package, ``abelian.semigroup_member`` calls it for a relative-interior
   point of a relation cone, and the lattice searches below prune with the
   same projections.
-* The boxed lattice search lists at most ``MAX_LATTICE_POINTS`` points and
+* The boxed lattice search runs in a size-reduced, length-ordered basis of
+  the equalities' integer kernel, so its innermost level steps along the
+  shortest vector.  It lists at most ``MAX_LATTICE_POINTS`` points and
   raises ``InputError`` before it would build more; ``roots.enumerate_roots``
   lists roots with it, after counting the points of all its searches
   without building any when they may pass that limit together.  Its first-hit path, behind
@@ -58,7 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
+from itertools import islice, permutations, repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -908,25 +910,56 @@ def _affine_column(
     return list(out)
 
 
+def _search_basis(basis: Sequence[IntVec]) -> tuple[IntVec, ...]:
+    """``basis`` size-reduced pairwise, then stably sorted by decreasing length.
+
+    The size-reduction step of LLL (Lenstra, Lenstra and Lovász 1982) on
+    every ordered pair ``(i, j)``: ``b_i`` becomes ``b_i - q * b_j``, with
+    ``q`` the nearest integer to ``<b_i, b_j> / <b_j, b_j>``, whenever
+    that makes it strictly shorter, until no pair does.  Squared lengths
+    are positive integers that only decrease, so the loop ends, and every
+    step is unimodular, so the lattice is unchanged.
+    """
+    vecs = [list(b) for b in basis]
+    norms = [sum(map(mul, b, b)) for b in vecs]
+    shortened = True
+    while shortened:
+        shortened = False
+        for i, j in permutations(range(len(vecs)), 2):
+            q = (2 * sum(map(mul, vecs[i], vecs[j])) + norms[j]) // (2 * norms[j])
+            if q:
+                vec = [a - q * b for a, b in zip(vecs[i], vecs[j])]
+                norm = sum(map(mul, vec, vec))
+                if norm < norms[i]:
+                    vecs[i], norms[i], shortened = vec, norm, True
+    order = sorted(range(len(vecs)), key=norms.__getitem__, reverse=True)
+    return tuple(tuple(vecs[i]) for i in order)
+
+
 def _box_search(
     system: LinearSystem, box_bound: int
 ) -> tuple[IntVec, tuple[IntVec, ...], list[_Row], list[list[_Row]]] | None:
-    """The boxed search of ``system``: particular point, kernel basis, integer
+    """The boxed search of ``system``: particular point, search basis, integer
     inequality rows and projection chain, or ``None`` if the box has no point.
 
     Equalities are eliminated first by passing to coordinates on their
     integer solution lattice, which keeps the search dimension at the
     lattice rank; the box constrains the original coordinates either way.
+    The coordinates are taken in :func:`_search_basis` of the solver's
+    Hermite kernel basis: the same lattice, but the last, innermost level,
+    whose ranges become the runs, steps along the shortest vector, so
+    fewer and longer runs cover the same points.  The search order of the
+    points follows this basis, not the Hermite one.
     """
     _check_box_bound(box_bound)
     n = system.dim
     solution = solve_integer_system(LinearSystem(n, system.equalities, ()))
     if solution is None:
         return None
-    # The solver's triangular (Hermite) kernel basis and reduced particular
-    # point keep the search ranges close to the box.
+    # The particular point, reduced modulo the Hermite basis, keeps the
+    # search ranges close to the box.
     particular = solution.particular
-    kernel = solution.kernel_basis
+    kernel = _search_basis(solution.kernel_basis)
     k = len(kernel)
 
     inequalities = _inequality_rows(system.inequalities)
@@ -1012,6 +1045,8 @@ def lattice_points_bounded(system: LinearSystem, box_bound: int) -> list[IntVec]
     exact Fourier-Motzkin projections, so only rationally feasible prefixes
     are explored.
     """
+    # The search lists points in the order of its size-reduced basis; the
+    # sort alone sets the output order.
     return sorted(_boxed_solutions(system, box_bound, stop_at_first=False))
 
 
@@ -1019,8 +1054,9 @@ def first_lattice_point(system: LinearSystem, box_bound: int) -> IntVec | None:
     """Some integer solution in the box, or ``None`` if there is none.
 
     Deterministic, and biased toward solutions with small search
-    coordinates; use :func:`lattice_points_bounded` for full enumeration.
-    Raises ``InputError`` when it would try more than
+    coordinates, which are coefficients in the size-reduced kernel basis
+    of :func:`_search_basis`; use :func:`lattice_points_bounded` for full
+    enumeration.  Raises ``InputError`` when it would try more than
     ``MAX_LATTICE_POINTS`` values.
     """
     found = _boxed_solutions(system, box_bound, stop_at_first=True)

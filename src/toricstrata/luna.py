@@ -340,12 +340,18 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
 
 @dataclass(frozen=True)
 class StabilityFailure:
+    """A support, as sorted coordinate indices, on which strong stability
+    fails, and why."""
+
     support: tuple[int, ...]
     reason: str  # "orbit-not-closed" | "stabilizer-nontrivial"
 
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Result of :func:`check_strongly_stable`: ``stable`` exactly when
+    ``failures`` is empty."""
+
     stable: bool
     failures: tuple[StabilityFailure, ...]
 

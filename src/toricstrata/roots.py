@@ -128,7 +128,9 @@ def enumerate_roots(
     of ``ray_tau . x == -1``, ``ray_j . x >= 0`` (j != tau) in the box, and
     the boxed search of :func:`~toricstrata.linalg.lattice_points_bounded`
     re-checks every point against exactly those conditions, so each is
-    wrapped without a second validation.  The roots of all rays count
+    wrapped without a second validation.  That search lists points in
+    the order of its size-reduced kernel basis of ``ray_tau . x == -1``,
+    so a sort sets the order of each group.  The roots of all rays count
     against ``MAX_LATTICE_POINTS``: a box holding more raises
     :class:`InputError` before any root is built.
     """

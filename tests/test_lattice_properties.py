@@ -1,11 +1,11 @@
 """Property checks of the Hermite form against the former min-pivot kernel,
 of the integer solver and the kernel fold against a Smith-form solve, of
-the gcd vector against ``math.gcd`` and of the boxed lattice search against
-a box scan."""
+the gcd vector against ``math.gcd``, of the boxed lattice search against
+a box scan and of that search's size-reduced basis."""
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +100,29 @@ def test_solver_agrees_with_the_smith_form_solve(system):
     for row in solution.kernel_basis:
         pivot = next(j for j, x in enumerate(row) if x)
         assert 0 <= solution.particular[pivot] < row[pivot]
+
+
+@PROPERTY
+@given(equality_systems())
+def test_the_search_basis_is_size_reduced_and_spans_the_kernel(system):
+    solution = ts.solve_integer_system(system)
+    if solution is None:
+        return
+    # a box holding the particular point, so the search is not empty
+    bound = max(map(abs, solution.particular), default=0)
+    _, basis, _, _ = ts.linalg._box_search(system, bound)
+    assert len(basis) == len(solution.kernel_basis)
+    if basis:
+        hermite = ts.hermite_normal_form(ts.IntMatrix.from_rows(basis)).entries
+        assert hermite == solution.kernel_basis
+    norms = [dot(b, b) for b in basis]
+    assert norms == sorted(norms, reverse=True)
+    # the nearest integer multiples of b_j, below and above, shorten no b_i
+    for i, j in permutations(range(len(basis)), 2):
+        ratio = Fraction(dot(basis[i], basis[j]), norms[j])
+        for q in (math.floor(ratio), math.ceil(ratio)):
+            shifted = [a - q * b for a, b in zip(basis[i], basis[j])]
+            assert dot(shifted, shifted) >= norms[i]
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Root enumeration and one-parameter orbit connections."""
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +87,48 @@ def test_enumerate_roots_matches_brute_force_scan_in_rank_four():
                 assert ts.demazure_root(cone, r.vector, i) == r
             listed += len(roots)
     assert listed > 500
+
+
+def fixture_cone(name):
+    data = json.loads((Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
+    return ts.build_cone(data["rank"], data["rays"])
+
+
+def test_enumerate_roots_matches_brute_force_scan_on_the_cyclic_fixture():
+    # rank 4, 8 rays on the moment curve: the kernel of ray t's equation
+    # has Hermite basis vectors such as (t, t - 1, t - 1, -1)
+    cone = fixture_cone("cyclic_4x8")
+    per_ray = ts.enumerate_roots(cone, 3)
+    expected = brute_force_roots(cone, 3)
+    assert [[r.vector for r in roots] for roots in per_ray] == list(expected.values())
+    assert sum(map(len, per_ray)) == 147
+
+
+def root_search_runs(cone, bound):
+    """The last-level runs of the boxed searches behind ``enumerate_roots``."""
+    from toricstrata import linalg
+
+    runs = 0
+    for tau, ray in enumerate(cone.rays):
+        others = tuple((r, 0, False) for j, r in enumerate(cone.rays) if j != tau)
+        search = linalg._box_search(
+            linalg.LinearSystem(cone.ambient_rank, ((ray, -1),), others), bound
+        )
+        if search is not None:
+            _, basis, _, chain = search
+            runs += sum(1 for _ in linalg._lattice_runs(chain, len(basis), False))
+    return runs
+
+
+def test_root_searches_step_along_short_vectors():
+    # the work of a listing, without timing it: in the Hermite kernel basis
+    # the searches below take 52, 52 and 324 runs; the size-reduced basis
+    # leaves the cyclic cone's two root-richest rays, whose Hermite bases
+    # are already reduced, as they were
+    assert root_search_runs(fixture_cone("cyclic_4x8"), 3) == 52
+    assert root_search_runs(fixture_cone("skew_rank3"), 3) == 45
+    skewed = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 4)])
+    assert root_search_runs(skewed, 8) == 281
 
 
 def test_enumerate_roots_refuses_more_roots_than_the_lattice_point_limit():
