@@ -401,10 +401,10 @@ def semigroup_member(
     point = solution.particular
     rows = [(tuple(row[p] for row in moving), -point[p], False) for p in range(tight)]
     chain = _fm_chain(rows, len(moving))
-    found = _lattice_dfs(chain, len(moving), True) if chain is not None else []
-    if not found:
+    found = _lattice_dfs(chain, len(moving)) if chain is not None else None
+    if found is None:
         return MembershipResult("no")
-    for k, row in zip(found[0], moving):
+    for k, row in zip(found, moving):
         point = tuple(x + k * y for x, y in zip(point, row))
     lift = max([0] + [-(point[p] // relation[i]) for p, i in enumerate(order[tight:], tight)])
     coeffs = [0] * m

@@ -32,26 +32,33 @@ elsewhere:
 * Rational feasibility is decided by Fourier-Motzkin elimination after
   the equalities are eliminated along the Hermite form of ``[A | b]``:
   pivot variables are substituted into the inequalities in integers, and a
-  pivot divides only when the witness is rebuilt.  Back-substitution picks
-  every coordinate strictly inside its segment, so the witness lies in the
-  relative interior of the solution set.  The intended operating envelope
-  is small: at most ~10 variables and a few dozen constraints.  In the
-  package, ``abelian.semigroup_member`` calls it for a relative-interior
-  point of a relation cone, and the lattice searches below prune with the
-  same projections.
+  pivot divides only when the witness is rebuilt.  Each elimination step
+  keeps one row per direction, the tightest; the step that leaves one
+  variable reads each pair of rows as two integers and keeps only the
+  tightest lower and upper bound, without building a row per pair.
+  Back-substitution picks every coordinate strictly inside its segment, so
+  the witness lies in the relative interior of the solution set.  The
+  intended operating envelope is small: at most ~10 variables and a few
+  dozen constraints.  In the package, ``abelian.semigroup_member`` calls it
+  for a relative-interior point of a relation cone, and the lattice
+  searches below prune with the same projections.
 * The boxed lattice search runs in a size-reduced, length-ordered basis of
   the equalities' integer kernel, so its innermost level steps along the
-  shortest vector.  It lists at most ``MAX_LATTICE_POINTS`` points and
-  raises ``InputError`` before it would build more; ``roots.enumerate_roots``
-  lists roots with it, after counting the points of all its searches
-  without building any when they may pass that limit together.  Its first-hit path, behind
-  :func:`first_lattice_point` and ``abelian.semigroup_member``, tries each
-  level's values lazily by size and raises ``InputError`` once it has tried
-  ``MAX_LATTICE_POINTS``: an early hit is cheap however wide the box, and a
-  search whose every value fails is refused only after that many tries.
+  shortest vector.  Its listing reads each run of innermost values straight
+  into one column per search coordinate, and the points are rebuilt and
+  re-checked column by column.  It lists at most ``MAX_LATTICE_POINTS``
+  points and raises ``InputError`` before it would build more;
+  ``roots.enumerate_roots`` lists roots with it, after counting the points
+  of all its searches without building any when they may pass that limit
+  together.  Its first-hit path, behind :func:`first_lattice_point` and
+  ``abelian.semigroup_member``, tries each level's values lazily by size
+  and raises ``InputError`` once it has tried ``MAX_LATTICE_POINTS``: an
+  early hit is cheap however wide the box, and a search whose every value
+  fails is refused only after that many tries.
 * Outside integer data is checked once, where it enters: by
   :meth:`IntMatrix.from_rows` and :func:`linear_system`.  The ``IntMatrix``
-  and ``LinearSystem`` constructors trust their caller.
+  and ``LinearSystem`` constructors trust their caller, and the public
+  functions that take a system refuse anything but a ``LinearSystem``.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, permutations, repeat
+from itertools import permutations, repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
@@ -462,6 +469,11 @@ def linear_system(
     return LinearSystem(dim, tuple(eqs), tuple(ineqs))
 
 
+def _check_system(system) -> None:
+    if not isinstance(system, LinearSystem):
+        raise InputError("system must be a LinearSystem")
+
+
 @dataclass(frozen=True)
 class IntegerSolution:
     """Integer solution set of an equality system: particular + lattice."""
@@ -593,6 +605,7 @@ def solve_integer_system(system: LinearSystem) -> IntegerSolution | None:
     reduced modulo it, so both are canonical.  Inequalities are not
     accepted here.
     """
+    _check_system(system)
     if system.inequalities:
         raise InputError("solve_integer_system accepts equality-only systems")
     kernel = _identity(system.dim)
@@ -651,8 +664,47 @@ def _add_rows(store: dict[IntVec, _Row], rows: Iterable[_Row]) -> None:
             store[key] = norm
 
 
+def _last_bounds(pos: list[_Row], neg: list[_Row], nvars: int) -> list[_Row]:
+    """The tightest lower and upper bound on variable 0 among the pos x neg
+    pairs of rows in variables 0 and 1, eliminating variable 1.
+
+    Each pair is read as two integers ``c . x0 >= r`` and its strictness;
+    a pair with ``c == 0`` is a constant row, checked as
+    :func:`_normalize_row` checks it.  Of the pairs with one sign of ``c``
+    the one with the largest ``r / |c|`` is tightest, a strict one winning
+    a tie, the order of :func:`_add_rows`.  The winners come back as
+    full-length rows, in the order their signs first appear among the
+    pairs, so passing them through :func:`_add_rows` gives the rows, and
+    the order, that the pairs themselves would have given.
+    """
+    best: dict[bool, tuple[int, int, bool]] = {}
+    for pvec, prhs, pstr in pos:
+        pa, pc = pvec[0], pvec[1]
+        for qvec, qrhs, qstr in neg:
+            qc = -qvec[1]
+            c, r, strict = qc * pa + pc * qvec[0], qc * prhs + pc * qrhs, pstr or qstr
+            if not c:
+                if r > 0 or (strict and r >= 0):
+                    raise _Infeasible
+                continue
+            prev = best.get(c > 0)
+            if prev is None or (r * abs(prev[0]), strict) > (prev[1] * abs(c), prev[2]):
+                best[c > 0] = (c, r, strict)
+    pad = (0,) * (nvars - 1)
+    return [((c, *pad), r, strict) for c, r, strict in best.values()]
+
+
 def _fm_chain(rows: Iterable[_Row], nvars: int) -> list[list[_Row]] | None:
     """Projection chain: chain[k] constrains variables 0..k-1 only.
+
+    Step ``k`` eliminates variable ``k - 1``: the rows without it are kept,
+    and every pair of a row with a positive and a row with a negative
+    coefficient on it adds their combination that cancels it (Schrijver,
+    *Theory of Linear and Integer Programming*, section 12.2).
+    :func:`_add_rows` keeps one row per direction.  The step that leaves
+    one variable keeps only the tightest bound of each sign among the pairs
+    (:func:`_last_bounds`) before it adds them, without building a row per
+    pair; its rows are the same as if it did.
 
     Returns ``None`` when the system is rationally infeasible.
     """
@@ -669,12 +721,15 @@ def _fm_chain(rows: Iterable[_Row], nvars: int) -> list[list[_Row]] | None:
                 (pos if c > 0 else neg if c < 0 else zero).append(row)
             store = {}
             _add_rows(store, zero)
-            for pvec, prhs, pstr in pos:
-                pc = pvec[var]
-                for qvec, qrhs, qstr in neg:
-                    qc = -qvec[var]
-                    vec = tuple(qc * x + pc * y for x, y in zip(pvec, qvec))
-                    _add_rows(store, [(vec, qc * prhs + pc * qrhs, pstr or qstr)])
+            if k == 2:
+                _add_rows(store, _last_bounds(pos, neg, nvars))
+            else:
+                for pvec, prhs, pstr in pos:
+                    pc = pvec[var]
+                    for qvec, qrhs, qstr in neg:
+                        qc = -qvec[var]
+                        vec = tuple(qc * x + pc * y for x, y in zip(pvec, qvec))
+                        _add_rows(store, [(vec, qc * prhs + pc * qrhs, pstr or qstr)])
             chain[k - 1] = list(store.values())
         return chain
     except _Infeasible:
@@ -710,6 +765,7 @@ def rational_feasible(system: LinearSystem) -> tuple[Fraction, ...] | None:
     elimination, and a witness is rebuilt by back-substitution.  Strict
     inequalities are honored throughout.
     """
+    _check_system(system)
     n = system.dim
 
     # The Hermite form of [A | b] has the rational pivot columns of A; a
@@ -880,34 +936,26 @@ def _too_many_points() -> InputError:
     )
 
 
-def _lattice_dfs(chain: list[list[_Row]], n: int, stop_at_first: bool) -> list[IntVec]:
-    """The points of :func:`_lattice_runs`, or with ``stop_at_first`` the first.
-
-    Each run is counted against ``MAX_LATTICE_POINTS`` before it is built.
-    """
+def _lattice_dfs(chain: list[list[_Row]], n: int) -> IntVec | None:
+    """The first point of the first-hit search of :func:`_lattice_runs`, or
+    ``None`` when the chain has no integer point."""
     if n == 0:
-        return [()]
-    runs = _lattice_runs(chain, n, stop_at_first)
-    if stop_at_first:
-        return [(*prefix, next(_by_size(lo, hi))) for prefix, lo, hi in islice(runs, 1)]
-    found: list[IntVec] = []
-    for prefix, lo, hi in runs:
-        count = hi - lo + 1
-        if len(found) + count > MAX_LATTICE_POINTS:
-            raise _too_many_points()
-        found.extend(zip(*(repeat(x, count) for x in prefix), range(lo, hi + 1)))
-    return found
+        return ()
+    for prefix, lo, hi in _lattice_runs(chain, n, True):
+        return (*prefix, next(_by_size(lo, hi)))
+    return None
 
 
 def _affine_column(
     const: int, terms: Iterable[tuple[int, Sequence[int]]], count: int
-) -> list[int]:
-    """``const + sum(c * column[m] for c, column in terms)`` for m < count."""
+) -> Iterator[int]:
+    """``const + sum(c * column[m] for c, column in terms)`` for m < count,
+    made lazily."""
     out = repeat(const, count)
     for c, column in terms:
         if c:
             out = map(add, out, map(mul, column, repeat(c)))
-    return list(out)
+    return out
 
 
 def _search_basis(basis: Sequence[IntVec]) -> tuple[IntVec, ...]:
@@ -1003,33 +1051,47 @@ def _check_point_total(systems: Iterable[LinearSystem], box_bound: int) -> None:
 def _boxed_solutions(system: LinearSystem, box_bound: int, stop_at_first: bool) -> list[IntVec]:
     """Integer solutions with coordinates in the box, searched by :func:`_box_search`.
 
-    Every point found is rebuilt in the original coordinates and re-checked
-    against the box, the equalities and the inequalities, one coordinate or
-    row at a time over all points.
+    The first-hit search takes the point of :func:`_lattice_dfs`.  The
+    listing reads each run of :func:`_lattice_runs` straight into one
+    column per search coordinate, the prefix repeated and the last
+    coordinate ranging, and counts it against ``MAX_LATTICE_POINTS``
+    before it adds it.  Every point found is rebuilt in the original
+    coordinates and re-checked against the box, the equalities and the
+    inequalities, one coordinate or row at a time over all points.
     """
     search = _box_search(system, box_bound)
     if search is None:
         return []
     particular, kernel, inequalities, chain = search
     n, k = system.dim, len(kernel)
-    found = _lattice_dfs(chain, k, stop_at_first)
-    count = len(found)
-    if not count:
-        return []
-    t_columns = list(zip(*found))
-    del found  # free the search tuples before the points are built
+    if stop_at_first:
+        first = _lattice_dfs(chain, k)
+        if first is None:
+            return []
+        t_columns, count = [[x] for x in first], 1
+    else:
+        t_columns, count = [[] for _ in range(k)], 0
+        for prefix, lo, hi in _lattice_runs(chain, k, False) if k else [((), 0, 0)]:
+            size = hi - lo + 1
+            if count + size > MAX_LATTICE_POINTS:
+                raise _too_many_points()
+            count += size
+            values = [*map(repeat, prefix, repeat(size)), range(lo, hi + 1)]
+            for column, run in zip(t_columns, values):
+                column.extend(run)
+        if not count:
+            return []
     x_columns = [
-        _affine_column(particular[j], [(kernel[i][j], t_columns[i]) for i in range(k)], count)
+        list(_affine_column(particular[j], [(kernel[i][j], t_columns[i]) for i in range(k)], count))
         for j in range(n)
     ]
-    del t_columns
+    del t_columns  # free the search columns before the points are built
 
     def violations() -> Iterable[bool]:
         for column in x_columns:
             yield min(column) < -box_bound or max(column) > box_bound
         for coeffs, rhs in system.equalities:
-            values = _affine_column(0, zip(coeffs, x_columns), count)
-            yield min(values) != rhs or max(values) != rhs
+            yield set(_affine_column(0, zip(coeffs, x_columns), count)) != {rhs}
         for coeffs, rhs, _ in inequalities:
             yield min(_affine_column(0, zip(coeffs, x_columns), count)) < rhs
 
@@ -1045,6 +1107,7 @@ def lattice_points_bounded(system: LinearSystem, box_bound: int) -> list[IntVec]
     exact Fourier-Motzkin projections, so only rationally feasible prefixes
     are explored.
     """
+    _check_system(system)
     # The search lists points in the order of its size-reduced basis; the
     # sort alone sets the output order.
     return sorted(_boxed_solutions(system, box_bound, stop_at_first=False))
@@ -1059,5 +1122,6 @@ def first_lattice_point(system: LinearSystem, box_bound: int) -> IntVec | None:
     enumeration.  Raises ``InputError`` when it would try more than
     ``MAX_LATTICE_POINTS`` values.
     """
+    _check_system(system)
     found = _boxed_solutions(system, box_bound, stop_at_first=True)
     return found[0] if found else None

@@ -81,8 +81,14 @@ class DemazureRoot:
     distinguished_ray: int
 
 
+def _check_cone(cone) -> None:
+    if not isinstance(cone, Cone):
+        raise InputError("cone must be a Cone")
+
+
 def demazure_root(cone: Cone, vector: IntVec, distinguished_ray: int) -> DemazureRoot:
     """Validate the defining pairings and freeze the root."""
+    _check_cone(cone)
     if not _is_int(distinguished_ray):
         raise InputError("distinguished ray index must be an integer")
     if not 0 <= distinguished_ray < cone.nrays:
@@ -114,6 +120,7 @@ def _root_pairings(cone: Cone, vector: IntVec, distinguished_ray: int) -> list[i
 
 def default_box_bound(cone: Cone) -> int:
     """Default search box: ten times the largest ray coordinate."""
+    _check_cone(cone)
     biggest = max((abs(x) for ray in cone.rays for x in ray), default=1)
     return 10 * biggest
 
@@ -134,6 +141,7 @@ def enumerate_roots(
     against ``MAX_LATTICE_POINTS``: a box holding more raises
     :class:`InputError` before any root is built.
     """
+    _check_cone(cone)
     if box_bound is None:
         box_bound = default_box_bound(cone)
     _check_box_bound(box_bound)
@@ -178,6 +186,7 @@ def connection_exists(cone: Cone, face1: Face, face2: Face) -> ConnectionVerdict
     of the cone's face table, so both return the same verdict and the same
     re-validated witness.
     """
+    _check_cone(cone)
     entry1, entry2 = _entry_of(cone, face1), _entry_of(cone, face2)
     inner, outer = set(face1.ray_indices), set(face2.ray_indices)
     extra = outer - inner
@@ -252,6 +261,7 @@ def connection_graph(cone: Cone) -> ConnectionGraph:
     """Evaluate every candidate pair of the face lattice, grouped by upper
     face in face order.  The pairs below a face are its children in the
     cone's face table with one ray fewer, taken by that ray."""
+    _check_cone(cone)
     faces = face_lattice(cone)
     table = cone._faces
     verdicts = []

@@ -243,6 +243,60 @@ def scan_lattice_points(system, bound) -> list[tuple[int, ...]]:
     ]
 
 
+def fm_chain_pairwise(rows, nvars):
+    """Fourier-Motzkin projection chain with every pos x neg pair of every
+    step built as a row: ``chain[k]`` constrains variables ``0..k-1``, or
+    ``None`` when a constant row is violated.
+
+    Rows ``(vec, rhs, strict)`` mean ``vec . x >= rhs`` (``>`` when
+    strict).  Each row is divided by the gcd of its entries and ``rhs``,
+    and one row per primitive direction is kept, in the order the
+    directions first appear: the one with the largest bound ``rhs /
+    gcd(vec)``, a strict row winning a tie.  The library's former
+    elimination, kept as the reference for its last step.
+    """
+
+    class Infeasible(Exception):
+        pass
+
+    def add(store, new_rows):
+        for vec, rhs, strict in new_rows:
+            g = gcd(*vec)
+            if g == 0:
+                if rhs > 0 or (strict and rhs >= 0):
+                    raise Infeasible
+                continue
+            h = gcd(g, rhs)
+            vec, rhs, g = tuple(x // h for x in vec), rhs // h, g // h
+            key = tuple(x // g for x in vec)
+            prev = store.get(key)
+            if prev is None or Fraction(rhs, g) > prev[0] or (
+                Fraction(rhs, g) == prev[0] and strict and not prev[1][2]
+            ):
+                store[key] = (Fraction(rhs, g), (vec, rhs, strict))
+
+    try:
+        store = {}
+        add(store, rows)
+        chain = [[] for _ in range(nvars + 1)]
+        chain[nvars] = [row for _, row in store.values()]
+        for k in range(nvars, 0, -1):
+            var = k - 1
+            pos = [row for row in chain[k] if row[0][var] > 0]
+            neg = [row for row in chain[k] if row[0][var] < 0]
+            store = {}
+            add(store, [row for row in chain[k] if row[0][var] == 0])
+            for pvec, prhs, pstr in pos:
+                for qvec, qrhs, qstr in neg:
+                    pc, qc = pvec[var], -qvec[var]
+                    vec = tuple(qc * x + pc * y for x, y in zip(pvec, qvec))
+                    add(store, [(vec, qc * prhs + pc * qrhs, pstr or qstr)])
+            chain[k - 1] = [row for _, row in store.values()]
+        return chain
+    except Infeasible:
+        return None
+
+
 def _solve_square_fraction(rows):
     """Unique solution of a square rational system, or None."""
     n = len(rows)

@@ -222,6 +222,60 @@ def test_weight_system_functions_refuse_what_is_not_a_weight_system(call, ws):
 
 
 @pytest.mark.parametrize(
+    "system",
+    ["x", None, ((), ()), ts.build_cone(1, [(1,)])],
+    ids=["str", "None", "tuple", "cone"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        ts.solve_integer_system,
+        ts.rational_feasible,
+        lambda system: ts.lattice_points_bounded(system, 2),
+        lambda system: ts.first_lattice_point(system, 2),
+    ],
+    ids=[
+        "solve_integer_system",
+        "rational_feasible",
+        "lattice_points_bounded",
+        "first_lattice_point",
+    ],
+)
+def test_system_functions_refuse_what_is_not_a_linear_system(call, system):
+    with pytest.raises(ts.InputError, match="system must be a LinearSystem"):
+        call(system)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    ["cone", None, ts.linear_system(1), ts.split_degenerate(1, [(1,)])],
+    ids=["str", "None", "system", "split"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cone: ts.demazure_root(cone, (-1,), 0),
+        ts.default_box_bound,
+        lambda cone: ts.enumerate_roots(cone, 2),
+        ts.enumerate_roots,
+        lambda cone: ts.connection_exists(cone, None, None),
+        ts.connection_graph,
+    ],
+    ids=[
+        "demazure_root",
+        "default_box_bound",
+        "enumerate_roots",
+        "enumerate_roots-default-bound",
+        "connection_exists",
+        "connection_graph",
+    ],
+)
+def test_root_functions_refuse_what_is_not_a_cone(call, cone):
+    with pytest.raises(ts.InputError, match="cone must be a Cone"):
+        call(cone)
+
+
+@pytest.mark.parametrize(
     "vector, ray, message",
     [
         ((-1.0, 0.5), 0, "root vector entries must be integers"),

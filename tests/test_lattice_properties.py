@@ -1,7 +1,8 @@
 """Property checks of the Hermite form against the former min-pivot kernel,
 of the integer solver and the kernel fold against a Smith-form solve, of
 the gcd vector against ``math.gcd``, of the boxed lattice search against
-a box scan and of that search's size-reduced basis."""
+a box scan and of that search's size-reduced basis, and of the
+Fourier-Motzkin chain against the pairwise elimination."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
 
-from oracles import hermite_by_sweeps, hermite_kernel, in_triangular_row_lattice, smith_solve
+from oracles import (
+    fm_chain_pairwise,
+    hermite_by_sweeps,
+    hermite_kernel,
+    in_triangular_row_lattice,
+    scan_lattice_points,
+    smith_solve,
+)
 
 small = st.integers(-3, 3)
 fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -63,6 +71,47 @@ def test_lattice_search_matches_the_box_scan(data):
         assert first in expected
     else:
         assert first is None
+
+
+@st.composite
+def inequality_rows(draw):
+    """1-4 variables and 0-6 integer rows ``(vec, rhs, strict)``, some
+    strict.  Each row may get a parallel copy, a nonzero multiple of its
+    vector with its own bound (a negative one may contradict it), and a
+    sibling with its last coefficient redrawn, so that eliminating the
+    last variable gives ties between strict and closed bounds.  A row may
+    be all zero, a constant that holds or fails."""
+    nvars = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[small] * nvars), small, st.booleans())
+    rows = []
+    for vec, rhs, strict in draw(st.lists(row, max_size=6)):
+        rows.append((vec, rhs, strict))
+        if draw(st.booleans()):
+            m = draw(st.sampled_from([-3, -2, -1, 2, 3]))
+            rows.append((tuple(m * x for x in vec), draw(small), draw(st.booleans())))
+        if draw(st.booleans()):
+            rows.append(((*vec[:-1], draw(small)), rhs, draw(st.booleans())))
+    if draw(st.integers(0, 4)) == 0:
+        zero = ((0,) * nvars, draw(small), draw(st.booleans()))
+        rows.insert(draw(st.integers(0, len(rows))), zero)
+    return nvars, rows
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(inequality_rows())
+def test_the_projection_chain_equals_the_pairwise_elimination(data):
+    nvars, rows = data
+    assert ts.linalg._fm_chain(rows, nvars) == fm_chain_pairwise(rows, nvars)
+
+
+@PROPERTY
+@given(inequality_rows(), st.lists(st.tuples(st.integers(-2, 2), small), max_size=1),
+       st.integers(0, 2))
+def test_the_boxed_listing_equals_the_box_scan(data, equality, bound):
+    nvars, rows = data
+    eqs = [((a, *[0] * (nvars - 1)), b) for a, b in equality]
+    system = ts.linear_system(nvars, eqs, rows)
+    assert ts.lattice_points_bounded(system, bound) == scan_lattice_points(system, bound)
 
 
 @st.composite

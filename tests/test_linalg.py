@@ -523,15 +523,18 @@ def test_box_bound_must_be_a_nonnegative_integer():
 
 def test_boxed_search_recheck_catches_a_bad_point(monkeypatch):
     # the search re-checks each point against the stored integer rows, so a
-    # point outside the system is caught even when the projection lets it in
-    real = linalg._lattice_dfs
+    # point outside the system is caught even when the projection lets it in;
+    # the search basis is the identity here, so the run ((-1,), 0, 0) is the
+    # point (-1, 0)
+    real = linalg._lattice_runs
 
     def leaky(*args):
-        return real(*args) + [(-1, 0)]
+        yield from real(*args)
+        yield (-1,), 0, 0
 
     system = ts.linear_system(2, (), [((1, 0), 0, False)])
     assert (-1, 0) not in ts.lattice_points_bounded(system, 2)
-    monkeypatch.setattr(linalg, "_lattice_dfs", leaky)
+    monkeypatch.setattr(linalg, "_lattice_runs", leaky)
     with pytest.raises(ts.ConsistencyError, match="bad point"):
         ts.lattice_points_bounded(system, 2)
 
@@ -614,12 +617,14 @@ def test_boxed_search_refuses_more_points_than_the_limit_quickly():
 
 
 def test_boxed_search_recheck_catches_a_point_outside_the_box(monkeypatch):
-    real = linalg._lattice_dfs
+    # the run ((3,), 0, 0) is the point (3, 0) in the identity search basis
+    real = linalg._lattice_runs
 
     def leaky(*args):
-        return real(*args) + [(3, 0)]
+        yield from real(*args)
+        yield (3,), 0, 0
 
     system = ts.linear_system(2, (), [((1, 0), 0, False)])
-    monkeypatch.setattr(linalg, "_lattice_dfs", leaky)
+    monkeypatch.setattr(linalg, "_lattice_runs", leaky)
     with pytest.raises(ts.ConsistencyError, match="bad point"):
         ts.lattice_points_bounded(system, 2)
