@@ -37,10 +37,12 @@ from .linalg import (
     IntVec,
     LinearSystem,
     _fm_chain,
+    _invariant_factors,
     _is_int,
     _lattice_coordinates,
     _lattice_dfs,
     _pivot_index,
+    _split_units,
     hermite_normal_form,
     rational_feasible,
     smith_normal_form,
@@ -183,10 +185,11 @@ def group_from_cokernel(a: IntMatrix) -> tuple[FgAbGroup, tuple[GroupElement, ..
     """Cokernel of ``Z^cols -> Z^rows`` given by ``x -> a @ x``.
 
     Returns the quotient in invariant-factor form together with the images
-    of the ``rows`` standard basis vectors of the target.
+    of the ``rows`` standard basis vectors of the target, read off the
+    Smith transform ``U``: ``divisors.build_toric``'s divisor classes.
     """
+    u, s, _ = smith_normal_form(a)  # refuses anything but an IntMatrix
     m = a.rows
-    u, s, _ = smith_normal_form(a)
     limit = min(m, a.cols)
     diag = [s.entries[i][i] for i in range(limit)]
     nonzero = [d for d in diag if d]
@@ -201,6 +204,11 @@ def group_from_cokernel(a: IntMatrix) -> tuple[FgAbGroup, tuple[GroupElement, ..
         coords += [col[i] % diag[i] for i in torsion_rows]
         images.append(GroupElement(group, tuple(coords)))
     return group, tuple(images)
+
+
+def _cokernel(n: int, factors: list[int]) -> FgAbGroup:
+    """``Z^n`` modulo a lattice with these invariant factors."""
+    return FgAbGroup(n - len(factors), tuple(d for d in factors if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +236,20 @@ def _relation_rows(group: FgAbGroup) -> list[IntVec]:
     ]
 
 
+def _check_group(group) -> None:
+    if not isinstance(group, FgAbGroup):
+        raise InputError("group must be an FgAbGroup")
+
+
+def _check_subgroup(sub) -> None:
+    if not isinstance(sub, SubgroupHandle):
+        raise InputError("subgroup must be a SubgroupHandle")
+
+
 def _checked_elements(group: FgAbGroup, gens: Iterable[GroupElement]) -> list[GroupElement]:
     """The generators as a list; refuses a group that is not an
     :class:`FgAbGroup` and generators that are not its elements."""
-    if not isinstance(group, FgAbGroup):
-        raise InputError("group must be an FgAbGroup")
+    _check_group(group)
     try:
         gens = list(gens)
     except TypeError:
@@ -273,20 +290,31 @@ def _subgroup_join(sub: SubgroupHandle, gens: Iterable[GroupElement]) -> Subgrou
 
 
 def subgroups_equal(a: SubgroupHandle, b: SubgroupHandle) -> bool:
+    _check_subgroup(a)
+    _check_subgroup(b)
     if a.parent != b.parent:
         raise InputError("subgroups live in different parent groups")
     return a.basis == b.basis
 
 
 def subgroup_leq(a: SubgroupHandle, b: SubgroupHandle) -> bool:
-    """Whether subgroup ``a`` is contained in subgroup ``b``."""
+    """Whether subgroup ``a`` is contained in subgroup ``b``: each row of
+    its Hermite basis is a row of that of ``b`` or reduces to zero
+    modulo it."""
+    _check_subgroup(a)
+    _check_subgroup(b)
     if a.parent != b.parent:
         raise InputError("subgroups live in different parent groups")
+    shared = set(b.basis)
     pivot_of = _pivot_index(b.basis)
-    return all(_lattice_coordinates(b.basis, pivot_of, row) is not None for row in a.basis)
+    return all(
+        row in shared or _lattice_coordinates(b.basis, pivot_of, row) is not None
+        for row in a.basis
+    )
 
 
 def full_subgroup(group: FgAbGroup) -> SubgroupHandle:
+    _check_group(group)
     return subgroup_canon(group, group.standard_generators())
 
 
@@ -294,36 +322,42 @@ def is_full(handle: SubgroupHandle) -> bool:
     """Whether the subgroup is the whole group: the Hermite basis of the
     whole preimage lattice is the identity.  A basis of full rank with
     every pivot 1 is that: the entries above a pivot lie in [0, 1)."""
+    _check_subgroup(handle)
     basis = handle.basis
     return len(basis) == handle.parent.ncoords and all(row[i] == 1 for i, row in enumerate(basis))
 
 
 def quotient_group(group: FgAbGroup, sub: SubgroupHandle) -> FgAbGroup:
-    """Invariant-factor form of ``group / sub``."""
+    """Invariant-factor form of ``group / sub``: ``Z^(r+t)`` modulo the
+    preimage lattice, read off the invariant factors of its Hermite basis
+    with no Smith transform.  The basis is a Hermite form already, so its
+    pivots 1 split off (:func:`~toricstrata.linalg._split_units`) before
+    any other form is taken."""
+    _check_group(group)
+    _check_subgroup(sub)
     if sub.parent != group:
         raise InputError("subgroup does not belong to the given group")
-    n = group.ncoords
-    k = len(sub.basis)
-    cols = IntMatrix(n, k, tuple(tuple(sub.basis[j][i] for j in range(k)) for i in range(n)))
-    quotient, _ = group_from_cokernel(cols)
-    return quotient
+    rest, units = _split_units(sub.basis)
+    n = group.ncoords - units
+    return _cokernel(n, _invariant_factors(rest, n))
 
 
 def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
-    """Abstract invariant-factor form of the subgroup itself."""
-    k = len(sub.basis)
-    # Express each relation vector in basis coordinates; the subgroup is the
-    # cokernel-free presentation L / R in those coordinates.
+    """Abstract invariant-factor form of the subgroup itself.
+
+    In the coordinates of its Hermite basis the subgroup is ``Z^k``
+    modulo the relation vectors ``d_j * e_(r+j)``, so their invariant
+    factors give it, with no Smith transform.
+    """
+    _check_subgroup(sub)
     pivot_of = _pivot_index(sub.basis)
-    cols = []
+    rows = []
     for rel in _relation_rows(sub.parent):
         coords = _lattice_coordinates(sub.basis, pivot_of, rel)
         if coords is None:
             raise ConsistencyError("relation vector not contained in subgroup lattice")
-        cols.append(coords)
-    mat = IntMatrix(k, len(cols), tuple(tuple(col[i] for col in cols) for i in range(k)))
-    structure, _ = group_from_cokernel(mat)
-    return structure
+        rows.append(coords)
+    return _cokernel(len(sub.basis), _invariant_factors(rows, len(sub.basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .linalg import (
     _hermite_reduced,
     _orthogonal_echelon,
     _pivot_index,
-    integer_rank,
     primitive_vector,
     smith_normal_form,  # not called here; perfbench's tracer test looks the name up
 )
@@ -75,14 +74,15 @@ class Cone:
     def nrays(self) -> int:
         return len(self.rays)
 
-    def is_full_dimensional(self) -> bool:
-        mat = IntMatrix(self.nrays, self.ambient_rank, self.rays)
-        return integer_rank(mat) == self.ambient_rank
-
     # Computed on first use into the instance ``__dict__``, so they go with
     # the cone; equality and hashing read only the two fields.
     _facets = cached_property(lambda self: _facet_scan(self))
     _faces = cached_property(lambda self: _face_table(self))
+
+
+def _check_cone(cone) -> None:
+    if not isinstance(cone, Cone):
+        raise InputError("cone must be a Cone")
 
 
 @dataclass(frozen=True)
@@ -325,6 +325,7 @@ def _facet_scan(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tup
 def facet_normals(cone: Cone) -> tuple[IntVec, ...]:
     """Primitive inner normals of the facets of a full-dimensional cone,
     sorted (see :func:`_facet_scan`)."""
+    _check_cone(cone)
     return cone._facets[0]
 
 
@@ -472,6 +473,7 @@ def _uncertified(bits: int, why: str) -> ConsistencyError:
 def face_lattice(cone: Cone) -> tuple[Face, ...]:
     """All faces of a full-dimensional pointed cone, sorted by (dim, rays),
     from its certified face table (see :func:`_face_table`)."""
+    _check_cone(cone)
     return tuple(entry.face for entry in cone._faces.values())
 
 
@@ -506,6 +508,7 @@ def face_functional(cone: Cone, face: Face) -> IntVec:
 
 def face_from_ray_indices(cone: Cone, ray_indices: Sequence[int]) -> Face:
     """Locate the face with exactly these rays; reject non-faces."""
+    _check_cone(cone)
     try:
         key = tuple(sorted(ray_indices))
     except TypeError:

@@ -35,8 +35,8 @@ from .abelian import (
     quotient_group,
     subgroup_canon,
 )
-from .cones import Cone, Face, _entry_of, face_lattice
-from .errors import ConsistencyError
+from .cones import Cone, Face, _check_cone, _entry_of, _ray_list_of, face_lattice
+from .errors import ConsistencyError, InputError
 from .linalg import IntMatrix, IntVec
 
 __all__ = [
@@ -91,6 +91,11 @@ class SemigroupCheck:
     functional: IntVec
 
 
+def _check_toric(toric) -> None:
+    if not isinstance(toric, ToricData):
+        raise InputError("toric data must be a ToricData")
+
+
 def build_toric(cone: Cone) -> ToricData:
     """Compute class-group data for a full-dimensional pointed cone.
 
@@ -101,6 +106,7 @@ def build_toric(cone: Cone) -> ToricData:
     be zero, one sum per column of the ray matrix; the class map is linear,
     so that of every character ``u`` is ``sum_c u_c`` times these.
     """
+    _check_cone(cone)
     faces = face_lattice(cone)
     pairing = IntMatrix(cone.nrays, cone.ambient_rank, cone.rays)
     group, classes = group_from_cokernel(pairing)
@@ -132,36 +138,37 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     that handle with no normal form.  Faces with the same subgroup have the
     same local class group, so one quotient is taken per distinct subgroup.
     """
+    _check_toric(toric)
     cone = toric.cone
     group = toric.class_group
     classes = toric.divisor_classes
+    every_ray = (1 << cone.nrays) - 1
     local_of: dict[tuple[IntVec, ...], FgAbGroup] = {}
     data = {}
-    above: dict[int, FaceOrbitData] = {}
+    above: dict[int, tuple[int, FaceOrbitData]] = {}
     for bits, entry in reversed(cone._faces.items()):
-        face, up = entry.face, above.get(bits)
-        inside = set(face.ray_indices)
-        dset = tuple(i for i in range(cone.nrays) if i not in inside)
-        if up is None:
+        dset = tuple(_ray_list_of(every_ray ^ bits))
+        if bits not in above:
             subgroup = subgroup_canon(group, [classes[i] for i in dset])
         else:
+            up_bits, up = above[bits]
             subgroup = up.subgroup
             if not is_full(subgroup):
-                missing = [classes[i] for i in up.face.ray_indices if i not in inside]
+                missing = [classes[i] for i in _ray_list_of(up_bits ^ bits)]
                 subgroup = _subgroup_join(subgroup, missing)
         local = local_of.get(subgroup.basis)
         if local is None:
             local = local_of[subgroup.basis] = quotient_group(group, subgroup)
-        data[face] = FaceOrbitData(
-            face=face,
+        orbit = data[entry.face] = FaceOrbitData(
+            face=entry.face,
             dset=dset,
             subgroup=subgroup,
             local_class_group=local,
-            orbit_dim=cone.ambient_rank - face.dim,
+            orbit_dim=cone.ambient_rank - entry.face.dim,
             smooth=entry.smooth,
         )
         for child in entry.children:
-            above.setdefault(child, data[face])
+            above.setdefault(child, (bits, orbit))
     return {face: data[face] for face in toric.faces}
 
 
@@ -180,4 +187,5 @@ def verify_semigroup_equals_group(toric: ToricData, face: Face) -> SemigroupChec
     :func:`build_toric`, as the :class:`ToricData` constructor trusts its
     caller.  A failure contradicts the theory and aborts the run.
     """
+    _check_toric(toric)
     return SemigroupCheck(verified=True, functional=_entry_of(toric.cone, face).functional)

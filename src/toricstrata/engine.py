@@ -23,7 +23,10 @@ face functional is certified when the cone's face table is built, and the
 principal classes by ``divisors.build_toric``.  Any disagreement raises
 :class:`~toricstrata.errors.ConsistencyError` because it can only mean a
 bug, never a property of the input.  The closure order of the strata is
-read off face meets: route one's subgroups satisfy H(σ ∩ τ) = H(σ) + H(τ).
+read off the facet covers of the cone's face table, and each covering pair
+is re-checked against route one's subgroups.  Route one's quotients and
+subgroup structures come from invariant factors alone; the one Smith form
+with transforms is the class group's, in ``divisors.build_toric``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 from . import luna
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subgroup_structure
-from .cones import Cone, Face, _split
-from .divisors import build_toric, face_orbit_data
+from .cones import Cone, Face, _check_cone, _ray_list_of, _split
+from .divisors import FaceOrbitData, build_toric, face_orbit_data
 from .errors import ConsistencyError, InputError
 from .linalg import IntVec
 from .luna import cox_weight_system
@@ -105,32 +108,62 @@ class StratificationReport:
     cross_checks: CrossChecks
 
 
-def closure_edges(strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
-    """Covering pairs ``(lower, upper)`` of the stratum closure order.
+def closure_edges(cone: Cone, strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
+    """Covering pairs ``(lower, upper)`` of the closure order on ``strata``,
+    strata of the stratification of ``cone``.
 
-    A stratum lies in the closure of another exactly when its subgroup is
-    contained in the other's.  The rays off σ ∩ τ are those off σ or τ, so
-    H(σ ∩ τ) = H(σ) + H(τ): for strata of one cone, S lies below T exactly
-    when the meet of their first faces is a face of T.  Each covering pair
-    is re-checked by one containment.  Faces are keyed by their rays, so
-    strata that share a face (copies, or strata of two cones) are refused.
+    If G is a facet of F, the orbit of F lies in the closure of the orbit
+    of G (Cox–Little–Schenck, Thm 3.2.6), so the order is the transitive
+    closure of the face table's facet covers mapped to the strata.  One
+    pass up the table, from small faces to large, ORs into each face the
+    bitset of the strata with a face inside it, and of the nearest of
+    them.  Faces of strata not given are walked through, so a sub-tuple of
+    the strata gets its part of the whole order.  A stratum's covers are
+    its nearest strata above, less every stratum above those.  Each
+    covering pair is re-checked by one subgroup containment.  Faces are
+    keyed by their rays, so strata that share a face (copies, or strata of
+    two cones) are refused.
     """
+    _check_cone(cone)
+    table = cone._faces
     stratum_of: dict[int, int] = {}
     for t, s in enumerate(strata):
+        if not isinstance(s, Stratum):
+            raise InputError("strata must be Stratum objects")
         for face in s.faces:
-            seen = stratum_of.setdefault(sum(1 << i for i in face.ray_indices), t)
+            bits = sum(1 << i for i in face.ray_indices)
+            if bits not in table:
+                raise InputError(
+                    f"stratum {t} has {list(face.ray_indices)}, not a face of the cone"
+                )
+            seen = stratum_of.setdefault(bits, t)
             if seen != t:
                 raise InputError(f"strata {seen} and {t} share the face {list(face.ray_indices)}")
-    heads = [sum(1 << i for i in s.faces[0].ray_indices) for s in strata]
-    up = [
-        {t for t, head_t in enumerate(heads) if t != s and stratum_of.get(head_s & head_t) == t}
-        for s, head_s in enumerate(heads)
-    ]
+    # Faces come by dimension, so a face's facets are done before it: into
+    # each face go the strata with a face inside it, and the nearest of
+    # them, met through faces of strata not given.
+    inner: dict[int, int] = {}
+    near: dict[int, int] = {}
+    for bits, entry in table.items():
+        inside = nearest = 0
+        for child in entry.children:
+            t = stratum_of.get(child)
+            bit = 0 if t is None else 1 << t
+            inside |= inner[child] | bit
+            nearest |= bit or near[child]
+        inner[bits], near[bits] = inside, nearest
+    up, next_up = [0] * len(strata), [0] * len(strata)
+    for bits, t in stratum_of.items():
+        up[t] |= inner[bits] & ~(1 << t)
+        next_up[t] |= near[bits] & ~(1 << t)
     edges = []
-    for s, above in enumerate(up):
-        for t in sorted(above.difference(*(up[k] for k in above))):
+    for s, above in enumerate(next_up):
+        covers = above
+        for t in _ray_list_of(above):
+            covers &= ~up[t]
+        for t in _ray_list_of(covers):
             if not subgroup_leq(strata[s].subgroup, strata[t].subgroup):
-                raise ConsistencyError(f"face meets put stratum {s} below {t}, subgroups do not")
+                raise ConsistencyError(f"face covers put stratum {s} below {t}, subgroups do not")
             edges.append((s, t))
     return tuple(edges)
 
@@ -150,9 +183,9 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
 
     # Route one: group faces by the subgroup attached to their orbit.
     orbit_data = face_orbit_data(toric)
-    by_subgroup: dict[tuple, list[Face]] = {}
-    for face, data in orbit_data.items():
-        by_subgroup.setdefault(data.subgroup.basis, []).append(face)
+    by_subgroup: dict[tuple, list[FaceOrbitData]] = {}
+    for data in orbit_data.values():
+        by_subgroup.setdefault(data.subgroup.basis, []).append(data)
 
     # Route two: the closed supports of the characteristic quasitorus
     # action, found from its circuits, must be exactly the face
@@ -170,11 +203,13 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
     # The faces come in (dim, rays) order, so a group's first face has the
     # largest orbit: ordering by it lists the strata by descending dimension.
     strata: list[Stratum] = []
-    for basis, faces in sorted(by_subgroup.items(), key=lambda item: (item[1][0].dim, item[0])):
-        first = orbit_data[faces[0]]
+    for basis, members in sorted(
+        by_subgroup.items(), key=lambda item: (item[1][0].face.dim, item[0])
+    ):
+        first = members[0]
         structure = subgroup_structure(first.subgroup)
-        luna_dim = max(len(orbit_data[f].dset) for f in faces) - structure.free_rank
-        dims = tuple(orbit_data[f].orbit_dim + split.torus_rank for f in faces)
+        luna_dim = max(len(m.dset) for m in members) - structure.free_rank
+        dims = tuple(m.orbit_dim + split.torus_rank for m in members)
         if luna_dim + split.torus_rank != max(dims):
             raise ConsistencyError(
                 f"stratum of subgroup basis {basis}: Luna dimension "
@@ -182,10 +217,10 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
             )
         # One quotient per subgroup: the faces share one local class group.
         smooth = first.local_class_group.is_trivial()
-        if any(orbit_data[f].smooth != smooth for f in faces):
+        if any(m.smooth != smooth for m in members):
             raise ConsistencyError(
-                f"stratum of subgroup basis {basis}: smoothness and local class "
-                f"group triviality disagree across faces {[f.ray_indices for f in faces]}"
+                f"stratum of subgroup basis {basis}: smoothness and local class group "
+                f"triviality disagree across faces {[m.face.ray_indices for m in members]}"
             )
         strata.append(
             Stratum(
@@ -193,7 +228,7 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
                 subgroup=first.subgroup,
                 structure=structure,
                 local_class_group=first.local_class_group,
-                faces=tuple(faces),
+                faces=tuple(m.face for m in members),
                 orbit_dims=dims,
                 dim=max(dims),
                 smooth=smooth,
@@ -225,7 +260,7 @@ def stratify(ambient_rank: int, rays, normalize: bool = False) -> Stratification
         class_group=toric.class_group,
         divisor_classes=toric.divisor_classes,
         strata=tuple(strata),
-        closure=closure_edges(tuple(strata)),
+        closure=closure_edges(cone, tuple(strata)),
         connections=graph,
         cross_checks=checks,
     )

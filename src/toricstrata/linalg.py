@@ -10,7 +10,10 @@ elsewhere:
   ``[0, pivot)``, zero rows last.  Canonical subgroup bases depend on this
   normalization.  It is computed column by column: each row below the
   pivot is cleared by one extended-gcd combination with the pivot row, and
-  every row operation touches only the columns from the pivot on.
+  every row operation touches only the columns from the pivot on.  A row
+  ``±e_c`` clears its column from the other rows first; route one's
+  subgroup insertions are full of such rows: the class group's Smith form
+  leaves most divisor classes of a cone with many rays as unit vectors.
 * Every integer kernel and every solution of ``A x == b`` comes from one
   fold over the rows of ``A``, starting from the identity basis: each row
   cuts the current echelon basis down to its vectors pairing to zero with
@@ -21,8 +24,10 @@ elsewhere:
   are canonical.  One routine reduces a vector modulo a Hermite basis, for
   these solutions and for lattice coordinates alike.
 * Smith normal form returns ``(U, S, V)`` with ``U @ A @ V == S``, ``S``
-  diagonal and nonnegative, each diagonal entry dividing the next.  It is
-  used only where invariant factors are needed.
+  diagonal and nonnegative, each diagonal entry dividing the next.  The
+  package takes it only for the class group, whose divisor classes are
+  read off ``U``.  Invariant factors alone come from alternating row and
+  column Hermite forms, with no transform.
 * An inequality ``(coeffs, rhs, strict)`` means ``coeffs . x >= rhs``
   (``> rhs`` when strict); an equality ``(coeffs, rhs)`` means
   ``coeffs . x == rhs``.  A ``LinearSystem`` stores both as integer rows:
@@ -82,7 +87,6 @@ __all__ = [
     "LinearSystem",
     "first_lattice_point",
     "hermite_normal_form",
-    "integer_rank",
     "lattice_points_bounded",
     "linear_system",
     "primitive_vector",
@@ -147,6 +151,8 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
+        if not _is_int(n):
+            raise InputError("matrix dimension must be an integer")
         if n < 0:
             raise InputError("matrix dimensions must be nonnegative")
         return IntMatrix(n, n, _identity(n))
@@ -175,6 +181,11 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, data)
 
 
+def _check_matrix(a) -> None:
+    if not isinstance(a, IntMatrix):
+        raise InputError("matrix must be an IntMatrix")
+
+
 def primitive_vector(vec: Sequence[int]) -> IntVec:
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = math.gcd(*vec)
@@ -194,6 +205,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U and V are unimodular; S is diagonal with nonnegative entries and each
     diagonal entry divides the next.
     """
+    _check_matrix(a)
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
     u = list(map(list, _identity(m)))
@@ -301,10 +313,25 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     extended-gcd combination with it, a unimodular 2 x 2 step that leaves
     the gcd in the pivot.  The rows from the pivot down are zero left of
     the pivot column, so every step touches only the columns from the
-    pivot on.
+    pivot on.  A row ``±e_c`` first clears column ``c`` of every other row,
+    a unimodular step that touches no other column, so the elimination
+    finds that column already done.
     """
+    _check_matrix(a)
     m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
+    unit_of = {}
+    for i, row in enumerate(a.entries):
+        if row.count(0) == n - 1:
+            x = next(filter(None, row))
+            if x == 1 or x == -1:
+                unit_of.setdefault(row.index(x), i)
+    if unit_of:
+        kept = set(unit_of.values())
+        for i, row in enumerate(h):
+            if i not in kept:
+                for c in unit_of:
+                    row[c] = 0
     r = 0
     for j in range(n):
         if r == m:
@@ -342,9 +369,52 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     return IntMatrix(m, n, tuple(map(tuple, h)))
 
 
-def integer_rank(a: IntMatrix) -> int:
-    """Rank of the matrix over the rationals."""
-    return sum(1 for row in hermite_normal_form(a).entries if any(row))
+def _split_units(form: Sequence[IntVec]) -> tuple[list[IntVec], int]:
+    """The nonzero rows of a Hermite form less those with pivot 1 and their
+    pivot columns, and how many were split off.
+
+    Entries above a pivot lie in ``[0, pivot)``, so a pivot 1 is alone in
+    its column, and column operations clear the rest of its row: the row
+    and column split off as an invariant factor 1, and what is left is
+    again a Hermite form with the other factors.
+    """
+    units = {row.index(1) for row in form if next(filter(None, row), 0) == 1}
+    rest = [
+        tuple(x for c, x in enumerate(row) if c not in units)
+        for row in form
+        if next(filter(None, row), 0) > 1
+    ]
+    return rest, len(units)
+
+
+def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """The nonzero diagonal of the Smith form of the matrix with these
+    ``rows``, ``ncols`` wide, computed without transforms: its invariant
+    factors, each dividing the next, one per unit of rank.
+
+    Hermite forms of the rows and of the columns alternate until the matrix
+    is diagonal (Cohen, *A Course in Computational Algebraic Number Theory*,
+    2.4), each followed by :func:`_split_units`.  A round either finds the
+    first pivot dividing the rest of its row, which then splits off with
+    its column, or replaces it by a proper divisor, so the rounds end.
+    gcd/lcm pairs then turn the diagonal into a divisibility chain
+    presenting the same group.
+    """
+    ones = 0
+    columns = tuple(zip(*rows)) if rows else ((),) * ncols
+    while True:
+        form = hermite_normal_form(IntMatrix(len(columns), len(rows), columns))
+        rows, units = _split_units(form.entries)
+        ones += units
+        if all(row.count(0) == len(row) - 1 for row in rows):
+            break
+        columns = tuple(zip(*rows))
+    d = sorted(map(sum, rows))
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return [1] * ones + d
 
 
 def _maximal_minors(rows: Sequence[Sequence[int]]) -> IntVec:

@@ -46,7 +46,7 @@ from .abelian import (
 )
 from . import cones
 from .cones import Cone, Face, build_cone
-from .divisors import ToricData
+from .divisors import ToricData, _check_toric
 from .errors import ConsistencyError, InputError
 from .linalg import (
     IntMatrix,
@@ -113,6 +113,7 @@ def weight_system(group: FgAbGroup, rows) -> WeightSystem:
 
 def cox_weight_system(toric: ToricData) -> WeightSystem:
     """The characteristic quasitorus action attached to a toric variety."""
+    _check_toric(toric)
     return WeightSystem(toric.class_group, toric.divisor_classes)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .cones import Cone, Face, _entry_of, _FaceEntry, face_lattice
+from .cones import Cone, Face, _check_cone, _entry_of, _FaceEntry, face_lattice
 from . import linalg
 from .errors import ConsistencyError, InputError
 from .linalg import (
@@ -79,11 +79,6 @@ class DemazureRoot:
 
     vector: IntVec
     distinguished_ray: int
-
-
-def _check_cone(cone) -> None:
-    if not isinstance(cone, Cone):
-        raise InputError("cone must be a Cone")
 
 
 def demazure_root(cone: Cone, vector: IntVec, distinguished_ray: int) -> DemazureRoot:

@@ -720,6 +720,6 @@ def sample_cones(lib, seed, count, min_rank=2, max_rank=4, max_rays=6, coord=5):
             cone = lib.build_cone(rank, rays)
         except lib.InputError:
             continue
-        if cone.is_full_dimensional():
+        if rational_rank(cone.rays) == rank:
             cones.append(cone)
     return cones

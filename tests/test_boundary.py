@@ -171,6 +171,7 @@ def test_torsion_orders_are_kept_as_a_tuple():
 
 Z = ts.FgAbGroup(1, ())
 ONE = Z.element((1,))
+SUB = ts.subgroup_canon(Z, [ONE])
 
 
 @pytest.mark.parametrize(
@@ -184,6 +185,21 @@ ONE = Z.element((1,))
         (lambda: ts.subgroup_canon(Z, [(1,)]), "generators must be group elements"),
         (lambda: ts.semigroup_member(Z, [(1,)], ONE), "generators must be group elements"),
         (lambda: ts.semigroup_member(Z, [ONE], (1,)), "target must be a group element"),
+        (lambda: ts.full_subgroup("x"), "group must be an FgAbGroup"),
+        (lambda: ts.quotient_group("x", SUB), "group must be an FgAbGroup"),
+        (lambda: ts.quotient_group(Z, "x"), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.subgroup_structure("x"), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.is_full("x"), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.subgroup_leq(SUB, "x"), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.subgroup_leq("x", SUB), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.subgroups_equal("x", SUB), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.subgroups_equal(SUB, None), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.group_from_cokernel([[1]]), "matrix must be an IntMatrix"),
+        (lambda: ts.smith_normal_form([[1]]), "matrix must be an IntMatrix"),
+        (lambda: ts.hermite_normal_form([[1]]), "matrix must be an IntMatrix"),
+        (lambda: IntMatrix.identity(True), "matrix dimension must be an integer"),
+        (lambda: IntMatrix.identity(2.5), "matrix dimension must be an integer"),
+        (lambda: IntMatrix.identity("2"), "matrix dimension must be an integer"),
     ],
 )
 def test_group_functions_refuse_wrong_types(call, message):
@@ -273,6 +289,65 @@ def test_system_functions_refuse_what_is_not_a_linear_system(call, system):
 def test_root_functions_refuse_what_is_not_a_cone(call, cone):
     with pytest.raises(ts.InputError, match="cone must be a Cone"):
         call(cone)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    ["cone", None, ts.linear_system(1), ts.split_degenerate(1, [(1,)])],
+    ids=["str", "None", "system", "split"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        ts.build_toric,
+        ts.face_lattice,
+        ts.facet_normals,
+        lambda cone: ts.face_from_ray_indices(cone, [0]),
+        lambda cone: ts.closure_edges(cone, ()),
+    ],
+    ids=["build_toric", "face_lattice", "facet_normals", "face_from_ray_indices", "closure_edges"],
+)
+def test_cone_functions_refuse_what_is_not_a_cone(call, cone):
+    with pytest.raises(ts.InputError, match="cone must be a Cone"):
+        call(cone)
+
+
+A1_TORIC = ts.build_toric(ts.build_cone(2, [(1, 0), (1, 2)]))
+
+
+@pytest.mark.parametrize(
+    "toric",
+    ["x", None, A1_TORIC.cone, ts.cox_weight_system(A1_TORIC)],
+    ids=["str", "None", "cone", "weights"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        ts.face_orbit_data,
+        lambda toric: ts.verify_semigroup_equals_group(toric, A1_TORIC.faces[0]),
+        ts.cox_weight_system,
+        ts.face_support_bridge,
+    ],
+    ids=[
+        "face_orbit_data",
+        "verify_semigroup_equals_group",
+        "cox_weight_system",
+        "face_support_bridge",
+    ],
+)
+def test_toric_functions_refuse_what_is_not_toric_data(call, toric):
+    with pytest.raises(ts.InputError, match="toric data must be a ToricData"):
+        call(toric)
+
+
+def test_closure_edges_refuses_what_is_not_a_stratum_of_the_cone():
+    report = ts.stratify(2, [(1, 0), (1, 2)])
+    wider = ts.stratify(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    for strata in ("x", (report.strata[0], None)):
+        with pytest.raises(ts.InputError, match="strata must be Stratum objects"):
+            ts.closure_edges(report.cone, strata)
+    with pytest.raises(ts.InputError, match=r"stratum \d+ has \[.*\], not a face of the cone"):
+        ts.closure_edges(report.cone, wider.strata)
 
 
 @pytest.mark.parametrize(

@@ -299,6 +299,20 @@ def test_stratify_inserts_route_one_subgroups_down_the_face_lattice(monkeypatch)
     }
 
 
+def test_stratify_takes_one_smith_form_for_the_class_group(fixture_path, monkeypatch):
+    # build_toric's divisor classes need the Smith transform; route one's
+    # quotients and subgroup structures read invariant factors without one
+    calls = []
+    real = ts.linalg.smith_normal_form
+    for module in (ts.linalg, ts.abelian, ts.cones):
+        monkeypatch.setattr(module, "smith_normal_form", lambda a: calls.append(a) or real(a))
+    with open(fixture_path("cyclic_4x8.json")) as handle:
+        data = json.load(handle)
+    report = stratify(data["rank"], data["rays"])
+    assert len(report.strata) == 23
+    assert len(calls) == 1 and calls[0].entries == report.cone.rays
+
+
 @pytest.mark.parametrize("rays", [[(1, 0), (1, 2)], sixteen_gon_rays()])
 def test_stratify_catches_a_face_whose_smoothness_is_flipped(monkeypatch, rays):
     # smoothness comes from the face table's gcds and triviality of the
@@ -408,11 +422,12 @@ def test_closure_edges_are_covering_relations():
 def test_closure_edges_refuses_strata_that_share_a_face():
     # faces are keyed by their rays: a copy of a stratum, or the strata of
     # a second cone, would overwrite each other and answer wrongly
-    strata = stratify(2, [(1, 0), (1, 2)]).strata
+    report = stratify(2, [(1, 0), (1, 2)])
+    strata = report.strata
     other = stratify(2, [(1, 0), (-1, 2)]).strata
     for shared in (strata[:1] + strata[:1], strata + other):
         with pytest.raises(ts.InputError, match=r"strata 0 and \d+ share the face \[\]"):
-            ts.closure_edges(shared)
+            ts.closure_edges(report.cone, shared)
 
 
 def test_stratify_makes_no_validated_face_lookup(monkeypatch):
@@ -446,7 +461,8 @@ def test_closure_matches_subgroup_containment_between_every_pair(suite_reports):
     for report in reports:
         assert report.closure == closure_by_containment(ts, report.strata)
         every_other = report.strata[::2]
-        assert ts.closure_edges(every_other) == closure_by_containment(ts, every_other)
+        expected = closure_by_containment(ts, every_other)
+        assert ts.closure_edges(report.cone, every_other) == expected
 
 
 @pytest.mark.parametrize("name", ["cone_a1", "cone_quadrant2", "cone_rank3", "cyclic_4x8"])

@@ -1,5 +1,6 @@
 """Property checks of the Hermite form against the former min-pivot kernel,
-of the integer solver and the kernel fold against a Smith-form solve, of
+of the transform-free invariant factors against the Smith diagonal, of the
+integer solver and the kernel fold against a Smith-form solve, of
 the gcd vector against ``math.gcd``, of the boxed lattice search against
 a box scan and of that search's size-reduced basis, and of the
 Fourier-Motzkin chain against the pairwise elimination."""
@@ -19,6 +20,7 @@ from oracles import (
     in_triangular_row_lattice,
     scan_lattice_points,
     smith_solve,
+    snf_diagonal_by_minors,
 )
 
 small = st.integers(-3, 3)
@@ -177,7 +179,8 @@ def test_the_search_basis_is_size_reduced_and_spans_the_kernel(system):
 @st.composite
 def hermite_inputs(draw):
     """0-6 rows and 0-6 columns with entries up to 10^6 in size, some rows
-    and columns zero, some rows sums of others (rank deficient)."""
+    and columns zero, some rows sums of others (rank deficient), and some
+    rows ``±e_c``, repeated or not, which the Hermite form clears first."""
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**6), 10**6))
     row = st.lists(entry, min_size=ncols, max_size=ncols)
@@ -189,6 +192,10 @@ def hermite_inputs(draw):
         rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
     if nrows and draw(st.booleans()):
         rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if nrows and ncols:
+        for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+            rows[i] = [0] * ncols
+            rows[i][draw(st.integers(0, ncols - 1))] = draw(st.sampled_from((1, -1)))
     return rows, ncols
 
 
@@ -201,6 +208,18 @@ def test_hermite_normal_form_equals_the_min_pivot_kernel(data):
     # the kernel fold gives the Hermite basis of the Smith-form kernel,
     # zero and dependent rows included
     assert ts.linalg._kernel(rows, ncols) == hermite_kernel(ts, rows, ncols)
+
+
+@PROPERTY
+@given(hermite_inputs())
+def test_invariant_factors_are_the_nonzero_smith_diagonal(data):
+    rows, ncols = data
+    _, s, _ = ts.smith_normal_form(ts.IntMatrix.from_rows(rows, ncols))
+    diagonal = [s.entries[i][i] for i in range(min(len(rows), ncols))]
+    factors = ts.linalg._invariant_factors(rows, ncols)
+    assert factors == [d for d in diagonal if d]
+    if len(rows) <= 4 and ncols <= 4:
+        assert factors == [d for d in snf_diagonal_by_minors(rows, ncols) if d]
 
 
 def dot(a, b):

@@ -177,11 +177,14 @@ def test_smith_normal_form_random_matches_minor_gcds():
         assert diag == snf_diagonal_by_minors(a.entries, a.cols)
 
 
-def test_integer_rank_matches_rational_rank():
+def test_hermite_and_invariant_factor_ranks_match_rational_rank():
     rng = random.Random(4)
     for _ in range(80):
         rows = random_matrix(rng, max_dim=5, entry=8)
-        assert ts.integer_rank(mat(rows)) == rational_rank(rows)
+        a = mat(rows)
+        rank = rational_rank(rows)
+        assert sum(1 for row in ts.hermite_normal_form(a).entries if any(row)) == rank
+        assert len(linalg._invariant_factors(a.entries, a.cols)) == rank
 
 
 # ---------------------------------------------------------------------------

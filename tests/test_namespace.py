@@ -22,7 +22,7 @@ ROOT_NAMES = (
     "demazure_root", "enumerate_roots", "face_from_ray_indices", "face_functional",
     "face_lattice", "face_orbit_data", "face_support_bridge", "facet_normals",
     "first_lattice_point", "full_subgroup", "gale_dual", "graph_components",
-    "group_from_cokernel", "hermite_normal_form", "integer_rank", "is_closed_support",
+    "group_from_cokernel", "hermite_normal_form", "is_closed_support",
     "is_full", "is_smooth_face", "isolated_faces", "lattice_points_bounded",
     "linear_system", "luna_strata", "primitive_vector", "quotient_group",
     "rational_feasible", "semigroup_member", "smith_normal_form", "solve_integer_system",
@@ -41,7 +41,7 @@ def test_root_all_is_the_concatenation_of_the_module_lists():
 
 
 def test_every_earlier_root_name_is_still_exported():
-    assert len(ROOT_NAMES) == len(set(ROOT_NAMES)) == 71
+    assert len(ROOT_NAMES) == len(set(ROOT_NAMES)) == 70
     assert set(ROOT_NAMES) <= set(ts.__all__)
     assert set(ts.__all__) - set(ROOT_NAMES) == {"IntVec", "StabilityFailure"}
     namespace = {}
