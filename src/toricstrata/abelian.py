@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import add, mod, neg, sub
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 from .linalg import (
     IntMatrix,
     IntVec,
@@ -66,22 +66,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+@dataclass(init=False, repr=False, eq=False)
+class FgAbGroup(_Record):
     """``Z^free_rank x Z/torsion[0] x ...`` with a divisibility chain."""
 
     free_rank: int
     torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        r = self.free_rank
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
+    def __init__(self, free_rank, torsion) -> None:
+        if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
             raise InputError("free rank must be a nonnegative integer")
         try:
-            torsion = tuple(self.torsion)
+            torsion = tuple(torsion)  # hashable whatever iterable came in
         except TypeError:
             raise InputError("torsion orders must be given as an iterable of integers") from None
-        object.__setattr__(self, "torsion", torsion)  # hashable whatever iterable came in
         prev = None
         for d in torsion:
             if not isinstance(d, int) or d < 2:
@@ -89,6 +87,8 @@ class FgAbGroup:
             if prev is not None and d % prev:
                 raise InputError("torsion orders must form a divisibility chain")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def ncoords(self) -> int:
@@ -140,8 +140,8 @@ class FgAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+@dataclass(init=False, repr=False, eq=False)
+class GroupElement(_Record):
     """An element of an :class:`FgAbGroup`, torsion coordinates reduced.
 
     Construct through :meth:`FgAbGroup.element`, which checks the
@@ -150,6 +150,10 @@ class GroupElement:
 
     group: FgAbGroup
     coords: IntVec
+
+    def __init__(self, group, coords) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
 
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.group != other.group:
@@ -215,8 +219,8 @@ def _cokernel(n: int, factors: list[int]) -> FgAbGroup:
 # Subgroups
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
+@dataclass(init=False, repr=False, eq=False)
+class SubgroupHandle(_Record):
     """Canonical handle: Hermite basis of the preimage lattice in Z^(r+t).
 
     Construct only through :func:`subgroup_canon`; identical subgroups yield
@@ -225,6 +229,10 @@ class SubgroupHandle:
 
     parent: FgAbGroup
     basis: tuple[IntVec, ...]
+
+    def __init__(self, parent, basis) -> None:
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "basis", basis)
 
 
 def _relation_rows(group: FgAbGroup) -> list[IntVec]:
@@ -364,13 +372,17 @@ def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
 # Semigroup membership
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+@dataclass(init=False, repr=False, eq=False)
+class MembershipResult(_Record):
     """Verdict for nonnegative-combination membership: ``"yes"`` with
     coefficients that reach the target, or ``"no"``."""
 
     status: str  # "yes" | "no"
     coefficients: IntVec | None = None
+
+    def __init__(self, status, coefficients=None) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def is_yes(self) -> bool:
         return self.status == "yes"

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_, mul
 from typing import NamedTuple, Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 from .linalg import (
     IntMatrix,
     IntVec,
@@ -63,12 +63,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cone:
+@dataclass(init=False, repr=False, eq=False)
+class Cone(_Record):
     """A pointed cone: primitive, pairwise distinct, extremal generators."""
 
     ambient_rank: int
     rays: tuple[IntVec, ...]
+
+    def __init__(self, ambient_rank, rays) -> None:
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "rays", rays)
 
     @property
     def nrays(self) -> int:
@@ -85,16 +89,20 @@ def _check_cone(cone) -> None:
         raise InputError("cone must be a Cone")
 
 
-@dataclass(frozen=True)
-class Face:
+@dataclass(init=False, repr=False, eq=False)
+class Face(_Record):
     """A face of a cone, identified by the sorted indices of its rays."""
 
     ray_indices: tuple[int, ...]
     dim: int
 
+    def __init__(self, ray_indices, dim) -> None:
+        object.__setattr__(self, "ray_indices", ray_indices)
+        object.__setattr__(self, "dim", dim)
 
-@dataclass(frozen=True)
-class SplitCone:
+
+@dataclass(init=False, repr=False, eq=False)
+class SplitCone(_Record):
     """Degenerate-input factorization: X = (full-dimensional part) x torus.
 
     ``sublattice_basis`` rows are the Hermite basis of the saturated
@@ -106,6 +114,11 @@ class SplitCone:
     sublattice_basis: IntMatrix
     cone: Cone
     torus_rank: int
+
+    def __init__(self, sublattice_basis, cone, torus_rank) -> None:
+        object.__setattr__(self, "sublattice_basis", sublattice_basis)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "torus_rank", torus_rank)
 
 
 def _validated_rays(

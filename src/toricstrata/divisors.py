@@ -36,7 +36,7 @@ from .abelian import (
     subgroup_canon,
 )
 from .cones import Cone, Face, _check_cone, _entry_of, _ray_list_of, face_lattice
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 from .linalg import IntMatrix, IntVec
 
 __all__ = [
@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToricData:
+@dataclass(init=False, repr=False, eq=False)
+class ToricData(_Record):
     """Cone with its class group, divisor classes (ray order) and faces
     (in :func:`~toricstrata.cones.face_lattice` order: by dimension, then
     rays)."""
@@ -60,9 +60,15 @@ class ToricData:
     divisor_classes: tuple[GroupElement, ...]
     faces: tuple[Face, ...]
 
+    def __init__(self, cone, class_group, divisor_classes, faces) -> None:
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "class_group", class_group)
+        object.__setattr__(self, "divisor_classes", divisor_classes)
+        object.__setattr__(self, "faces", faces)
 
-@dataclass(frozen=True)
-class FaceOrbitData:
+
+@dataclass(init=False, repr=False, eq=False)
+class FaceOrbitData(_Record):
     """Orbit-level invariants attached to one face.
 
     ``dset`` holds the indices of the rays outside the face: the divisors
@@ -77,9 +83,17 @@ class FaceOrbitData:
     orbit_dim: int
     smooth: bool
 
+    def __init__(self, face, dset, subgroup, local_class_group, orbit_dim, smooth) -> None:
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "dset", dset)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "local_class_group", local_class_group)
+        object.__setattr__(self, "orbit_dim", orbit_dim)
+        object.__setattr__(self, "smooth", smooth)
 
-@dataclass(frozen=True)
-class SemigroupCheck:
+
+@dataclass(init=False, repr=False, eq=False)
+class SemigroupCheck(_Record):
     """Certificate of the semigroup-equals-group identity for one face.
 
     ``functional`` is the character whose pairings with the rays outside
@@ -89,6 +103,10 @@ class SemigroupCheck:
 
     verified: bool
     functional: IntVec
+
+    def __init__(self, verified, functional) -> None:
+        object.__setattr__(self, "verified", verified)
+        object.__setattr__(self, "functional", functional)
 
 
 def _check_toric(toric) -> None:

@@ -37,7 +37,7 @@ from . import luna
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subgroup_structure
 from .cones import Cone, Face, _check_cone, _ray_list_of, _split
 from .divisors import FaceOrbitData, build_toric, face_orbit_data
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 from .linalg import IntVec
 from .luna import cox_weight_system
 from .roots import ConnectionGraph, connection_graph, graph_components
@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Stratum:
+@dataclass(init=False, repr=False, eq=False)
+class Stratum(_Record):
     """One orbit of the connected automorphism group.
 
     ``faces`` lists the cone faces whose torus orbits this stratum unites;
@@ -68,9 +68,21 @@ class Stratum:
     dim: int
     smooth: bool
 
+    def __init__(
+        self, index, subgroup, structure, local_class_group, faces, orbit_dims, dim, smooth
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "local_class_group", local_class_group)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "orbit_dims", orbit_dims)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "smooth", smooth)
 
-@dataclass(frozen=True)
-class CrossChecks:
+
+@dataclass(init=False, repr=False, eq=False)
+class CrossChecks(_Record):
     """Outcome of the independent-route comparisons.
 
     Every field is a hard guarantee: a report is only returned when they
@@ -83,9 +95,19 @@ class CrossChecks:
     semigroup_verified: bool
     smooth_iff_trivial_local_class: bool
 
+    def __init__(
+        self, subgroup_vs_luna, connections_refine, connections_equal, semigroup_verified,
+        smooth_iff_trivial_local_class
+    ) -> None:
+        object.__setattr__(self, "subgroup_vs_luna", subgroup_vs_luna)
+        object.__setattr__(self, "connections_refine", connections_refine)
+        object.__setattr__(self, "connections_equal", connections_equal)
+        object.__setattr__(self, "semigroup_verified", semigroup_verified)
+        object.__setattr__(self, "smooth_iff_trivial_local_class", smooth_iff_trivial_local_class)
 
-@dataclass(frozen=True)
-class StratificationReport:
+
+@dataclass(init=False, repr=False, eq=False)
+class StratificationReport(_Record):
     """Result of :func:`stratify`: the orbit strata of the variety.
 
     ``input_rays`` are the rays as given, ``cone`` the pointed cone left
@@ -106,6 +128,21 @@ class StratificationReport:
     closure: tuple[tuple[int, int], ...]
     connections: ConnectionGraph
     cross_checks: CrossChecks
+
+    def __init__(
+        self, ambient_rank, input_rays, torus_rank, cone, class_group, divisor_classes,
+        strata, closure, connections, cross_checks
+    ) -> None:
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "input_rays", input_rays)
+        object.__setattr__(self, "torus_rank", torus_rank)
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "class_group", class_group)
+        object.__setattr__(self, "divisor_classes", divisor_classes)
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "connections", connections)
+        object.__setattr__(self, "cross_checks", cross_checks)
 
 
 def closure_edges(cone: Cone, strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:

@@ -76,7 +76,7 @@ from itertools import permutations, repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 
 IntVec = tuple[int, ...]
 
@@ -115,8 +115,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+@dataclass(init=False, repr=False, eq=False)
+class IntMatrix(_Record):
     """Immutable dense matrix of arbitrary-precision integers (row-major).
 
     Build matrices with :meth:`from_rows`, which checks its rows; the
@@ -126,6 +126,11 @@ class IntMatrix:
     rows: int
     cols: int
     entries: tuple[IntVec, ...]
+
+    def __init__(self, rows, cols, entries) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(data: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -483,8 +488,8 @@ def _is_rational(x) -> bool:
     return _is_int(x) or isinstance(x, Fraction)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+@dataclass(init=False, repr=False, eq=False)
+class LinearSystem(_Record):
     """Mixed equality/inequality system over a fixed number of variables.
 
     ``equalities`` entries are ``(coeffs, rhs)`` meaning ``coeffs . x == rhs``
@@ -497,6 +502,11 @@ class LinearSystem:
     dim: int
     equalities: tuple[tuple[IntVec, int], ...]
     inequalities: tuple[_Row, ...]
+
+    def __init__(self, dim, equalities, inequalities) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "inequalities", inequalities)
 
 
 def linear_system(
@@ -544,12 +554,16 @@ def _check_system(system) -> None:
         raise InputError("system must be a LinearSystem")
 
 
-@dataclass(frozen=True)
-class IntegerSolution:
+@dataclass(init=False, repr=False, eq=False)
+class IntegerSolution(_Record):
     """Integer solution set of an equality system: particular + lattice."""
 
     particular: IntVec
     kernel_basis: tuple[IntVec, ...]
+
+    def __init__(self, particular, kernel_basis) -> None:
+        object.__setattr__(self, "particular", particular)
+        object.__setattr__(self, "kernel_basis", kernel_basis)
 
 
 def _pivot_index(basis: Sequence[IntVec]) -> dict[int, int]:
@@ -734,6 +748,17 @@ def _add_rows(store: dict[IntVec, _Row], rows: Iterable[_Row]) -> None:
             store[key] = norm
 
 
+def _pair_rows(pos: list[_Row], neg: list[_Row], var: int) -> Iterator[_Row]:
+    """The combination of each pos x neg pair of rows that cancels variable
+    ``var``, pairs in row order."""
+    for pvec, prhs, pstr in pos:
+        pc = pvec[var]
+        for qvec, qrhs, qstr in neg:
+            qc = -qvec[var]
+            vec = tuple([qc * x + pc * y for x, y in zip(pvec, qvec)])  # faster than a genexpr
+            yield vec, qc * prhs + pc * qrhs, pstr or qstr
+
+
 def _last_bounds(pos: list[_Row], neg: list[_Row], nvars: int) -> list[_Row]:
     """The tightest lower and upper bound on variable 0 among the pos x neg
     pairs of rows in variables 0 and 1, eliminating variable 1.
@@ -794,12 +819,7 @@ def _fm_chain(rows: Iterable[_Row], nvars: int) -> list[list[_Row]] | None:
             if k == 2:
                 _add_rows(store, _last_bounds(pos, neg, nvars))
             else:
-                for pvec, prhs, pstr in pos:
-                    pc = pvec[var]
-                    for qvec, qrhs, qstr in neg:
-                        qc = -qvec[var]
-                        vec = tuple(qc * x + pc * y for x, y in zip(pvec, qvec))
-                        _add_rows(store, [(vec, qc * prhs + pc * qrhs, pstr or qstr)])
+                _add_rows(store, _pair_rows(pos, neg, var))
             chain[k - 1] = list(store.values())
         return chain
     except _Infeasible:

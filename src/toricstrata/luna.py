@@ -47,7 +47,7 @@ from .abelian import (
 from . import cones
 from .cones import Cone, Face, build_cone
 from .divisors import ToricData, _check_toric
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 from .linalg import (
     IntMatrix,
     IntVec,
@@ -80,12 +80,16 @@ __all__ = [
 MAX_SUPPORTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+@dataclass(init=False, repr=False, eq=False)
+class WeightSystem(_Record):
     """A quasitorus action: character group plus one weight per coordinate."""
 
     group: FgAbGroup
     weights: tuple[GroupElement, ...]
+
+    def __init__(self, group, weights) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def ncoordinates(self) -> int:
@@ -254,14 +258,20 @@ def weight_subgroup(ws: WeightSystem, support) -> SubgroupHandle:
     return subgroup_canon(ws.group, tuple(ws.weights[i] for i in support))
 
 
-@dataclass(frozen=True)
-class LunaStratum:
+@dataclass(init=False, repr=False, eq=False)
+class LunaStratum(_Record):
     """One stratum of the quotient: a subgroup class of closed supports."""
 
     subgroup: SubgroupHandle
     structure: FgAbGroup
     supports: tuple[tuple[int, ...], ...]
     dim: int
+
+    def __init__(self, subgroup, structure, supports, dim) -> None:
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "dim", dim)
 
 
 def _subsets(indices: list[int]) -> list[tuple[int, ...]]:
@@ -339,22 +349,30 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     return tuple(strata)
 
 
-@dataclass(frozen=True)
-class StabilityFailure:
+@dataclass(init=False, repr=False, eq=False)
+class StabilityFailure(_Record):
     """A support, as sorted coordinate indices, on which strong stability
     fails, and why."""
 
     support: tuple[int, ...]
     reason: str  # "orbit-not-closed" | "stabilizer-nontrivial"
 
+    def __init__(self, support, reason) -> None:
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "reason", reason)
 
-@dataclass(frozen=True)
-class StabilityReport:
+
+@dataclass(init=False, repr=False, eq=False)
+class StabilityReport(_Record):
     """Result of :func:`check_strongly_stable`: ``stable`` exactly when
     ``failures`` is empty."""
 
     stable: bool
     failures: tuple[StabilityFailure, ...]
+
+    def __init__(self, stable, failures) -> None:
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "failures", failures)
 
 
 def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
@@ -380,8 +398,8 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     return StabilityReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class GaleDual:
+@dataclass(init=False, repr=False, eq=False)
+class GaleDual(_Record):
     """Result of Gale duality: the rebuilt cone and the character sublattice.
 
     ``lattice_basis`` rows span, inside the coordinate lattice of the
@@ -392,6 +410,10 @@ class GaleDual:
 
     cone: Cone
     lattice_basis: IntMatrix
+
+    def __init__(self, cone, lattice_basis) -> None:
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "lattice_basis", lattice_basis)
 
 
 def gale_dual(ws: WeightSystem) -> GaleDual:

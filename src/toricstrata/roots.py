@@ -39,7 +39,7 @@ from typing import Sequence
 
 from .cones import Cone, Face, _check_cone, _entry_of, _FaceEntry, face_lattice
 from . import linalg
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, _Record
 from .linalg import (
     IntVec,
     LinearSystem,
@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class DemazureRoot:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class DemazureRoot(_Record):
     """A validated root.
 
     Built by :func:`demazure_root`, by :func:`enumerate_roots` from
@@ -79,6 +79,10 @@ class DemazureRoot:
 
     vector: IntVec
     distinguished_ray: int
+
+    def __init__(self, vector, distinguished_ray) -> None:
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "distinguished_ray", distinguished_ray)
 
 
 def demazure_root(cone: Cone, vector: IntVec, distinguished_ray: int) -> DemazureRoot:
@@ -160,13 +164,18 @@ def enumerate_roots(
     )
 
 
-@dataclass(frozen=True)
-class ConnectionVerdict:
+@dataclass(init=False, repr=False, eq=False)
+class ConnectionVerdict(_Record):
     """Yes (with live witness) or certified no (with the certificate kind)."""
 
     status: str  # "yes" | "no"
     witness: DemazureRoot | None = None
     certificate: str | None = None  # "combinatorial" | "integral-equalities"
+
+    def __init__(self, status, witness=None, certificate=None) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
 
     def is_yes(self) -> bool:
         return self.status == "yes"
@@ -238,8 +247,8 @@ def _connections_down_from(
     return tuple(verdicts)
 
 
-@dataclass(frozen=True)
-class ConnectionGraph:
+@dataclass(init=False, repr=False, eq=False)
+class ConnectionGraph(_Record):
     """All candidate face pairs of a cone with their connection verdicts.
 
     ``verdicts`` entries are ``(i1, i2, verdict)`` with ``i1``/``i2``
@@ -250,6 +259,11 @@ class ConnectionGraph:
     cone: Cone
     faces: tuple[Face, ...]
     verdicts: tuple[tuple[int, int, ConnectionVerdict], ...]
+
+    def __init__(self, cone, faces, verdicts) -> None:
+        object.__setattr__(self, "cone", cone)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "verdicts", verdicts)
 
 
 def connection_graph(cone: Cone) -> ConnectionGraph:
@@ -292,8 +306,8 @@ def graph_components(graph: ConnectionGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
-@dataclass(frozen=True)
-class IsolatedFace:
+@dataclass(init=False, repr=False, eq=False)
+class IsolatedFace(_Record):
     """A face with no incident yes-edge.
 
     ``fully_certified`` is true when every incident candidate pair came back
@@ -302,6 +316,10 @@ class IsolatedFace:
 
     face: Face
     fully_certified: bool
+
+    def __init__(self, face, fully_certified) -> None:
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "fully_certified", fully_certified)
 
 
 def isolated_faces(graph: ConnectionGraph) -> tuple[IsolatedFace, ...]:
