@@ -11,10 +11,11 @@ a full-dimensional cone, so inputs spanning a proper subspace go through
 :func:`split_degenerate` first, which returns that basis and induced cone.
 
 Facets come from exact double description, whose work follows the facets,
-not the (rank-1)-subsets of rays; ``MAX_FACET_CANDIDATES`` still limits
-those subsets, and so every intermediate generator.  The same routine, on
-vectors that may repeat, vanish or span a cone with a line, gives ``luna``
-its positive circuits on the Gale side.
+not the (rank-1)-subsets of rays.  The same routine, on vectors that may
+repeat, vanish or span a cone with a line, gives ``luna`` its positive
+circuits.  One limit, ``MAX_FACES``, bounds both the generators of every
+double-description step and the faces of the face table, and is checked
+as they are found.
 
 The facts of a cone live on the :class:`Cone` object, computed on first
 use and dropped with it: the facet scan (sorted normals, the ray x facet
@@ -31,6 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import groupby
 from operator import and_, mul
 from typing import NamedTuple, Sequence
 
@@ -233,27 +235,28 @@ def build_cone(
     return split.cone if split.torus_rank == 0 else Cone(ambient_rank, rays)
 
 
-# Limit on the (rank-1)-subsets of one facet computation, checked before its
-# first double-description step, and on ``luna._positive_circuits``'s candidates.
-MAX_FACET_CANDIDATES = 10_000
+# Limit on the faces of a cone, checked on the generators of every
+# double-description step, each a facet of the cone over the vectors added so
+# far, and on the faces the face table's walk finds, before any is built.
+MAX_FACES = 4_096
 
 
 def _supporting_hyperplanes(
     vectors: Sequence[IntVec], dim: int
-) -> dict[IntVec, tuple[int, ...]] | None:
+) -> dict[IntVec, int] | None:
     """The facets of the cone generated by ``vectors`` (zero, repeated, or
-    with a line) as primitive inner normals mapped to their pairings with
-    the vectors: none when the cone is the whole space, ``None`` when the
-    vectors do not span Q^dim.
+    with a line) as primitive inner normals mapped to the bitsets of the
+    vectors they vanish on: none when the cone is the whole space, ``None``
+    when the vectors do not span Q^dim.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
     and Prodon 1996) of the dual cone {u : <v, u> >= 0}, pointed as the
     vectors span.  One fraction-free Gauss-Jordan pass (Bareiss) takes
     ``dim`` independent vectors greedily, each one's pivot row becoming a
     generator of their simplicial dual cone, with the bitset of the vectors
-    it vanishes on; :func:`_add_halfspace` adds the others.  Each generator
-    is a facet of the cone over the vectors added so far, so the candidate
-    limit, checked before the first addition, bounds their number.
+    it vanishes on; :func:`_add_halfspace` adds the others, keeping those
+    bitsets exact.  Each generator is a facet of the cone over the vectors
+    added so far, so ``MAX_FACES`` bounds their number after every addition.
     """
     free, gens, taken, rest, prev = list(_identity(dim)), [], 0, [], 1
     for k, v in enumerate(vectors):
@@ -274,18 +277,17 @@ def _supporting_hyperplanes(
         taken, prev = taken | 1 << k, p
     if free:
         return None
-    candidates = math.comb(len(vectors), dim - 1) if dim else 0
-    if candidates > MAX_FACET_CANDIDATES:
-        raise InputError(
-            f"{candidates} facet candidates ({dim - 1}-subsets of {len(vectors)} rays) "
-            f"exceed the limit of {MAX_FACET_CANDIDATES}"
-        )
     gens = [(primitive_vector(u), z) for u, z in gens]
-    for k in rest:
+    for added, k in enumerate(rest, dim + 1):
         gens = _add_halfspace(gens, vectors[k], k, dim)
         if not gens:
             return {}
-    return {u: tuple(sum(map(mul, v, u)) for v in vectors) for u, _ in gens}
+        if len(gens) > MAX_FACES:
+            raise InputError(
+                f"{len(gens)} facets of the cone over {added} of {len(vectors)} vectors "
+                f"exceed the limit of {MAX_FACES} faces"
+            )
+    return dict(gens)
 
 
 def _add_halfspace(
@@ -295,22 +297,31 @@ def _add_halfspace(
     <v, u> >= 0, ``v`` being vector ``k``: those pairing >= 0 with ``v``, and
     for each adjacent pair across it the combination vanishing on ``v``.  Two
     are adjacent when no third vanishes on all the (at least ``dim - 2``)
-    vectors both vanish on, which cut out the smallest face holding both."""
+    vectors both vanish on, which cut out the smallest face holding both:
+    the bitsets of the generators vanishing on each of those vectors meet
+    in the pair alone."""
     out, pos, neg = [], [], []
-    for u, z in gens:
+    for g, (u, z) in enumerate(gens):
         a = sum(map(mul, v, u))
         if a:
-            (pos if a > 0 else neg).append((u, z, a))
+            (pos if a > 0 else neg).append((u, z, a, g))
         else:
             out.append((u, z | 1 << k))
-    out += [(u, z) for u, z, _ in pos]
+    out += [(u, z) for u, z, _, _ in pos]
     zeros = [z for _, z in gens]
-    for u, zu, a in pos:
-        for w, zw, b in neg:
+    on: dict[int, int] = {}  # vector index -> bitset of the generators vanishing on it
+    every = (1 << len(gens)) - 1
+    for u, zu, a, gu in pos:
+        for w, zw, b, gw in neg:
             common = zu & zw
-            if common.bit_count() >= dim - 2 and not any(
-                z & common == common and z != zu and z != zw for z in zeros
-            ):
+            if common.bit_count() < dim - 2:
+                continue
+            meet = every
+            for j in _ray_list_of(common):
+                if j not in on:
+                    on[j] = sum(1 << g for g, z in enumerate(zeros) if z >> j & 1)
+                meet &= on[j]
+            if meet == 1 << gu | 1 << gw:
                 out.append((primitive_vector([a * y - b * x for x, y in zip(u, w)]), common | 1 << k))
     return out
 
@@ -321,7 +332,7 @@ def _facet_scan(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tup
     the ray x facet pairing table (row ``i`` holds the pairings of ray ``i``
     with the normals, in their order) and the zero sets of its columns
     (entry ``k`` is the bitset of the rays on facet ``k``).  A cone that is
-    not full-dimensional is told so before the candidate limit is checked.
+    not full-dimensional is told so before ``MAX_FACES`` is checked.
     """
     found = _supporting_hyperplanes(cone.rays, cone.ambient_rank)
     if found is None:
@@ -330,8 +341,8 @@ def _facet_scan(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tup
             "the induced cone"
         )
     normals = tuple(sorted(found))
-    table = tuple(tuple(found[u][i] for u in normals) for i in range(cone.nrays))
-    zeros = tuple(sum(1 << i for i, p in enumerate(found[u]) if not p) for u in normals)
+    table = tuple(tuple(sum(map(mul, ray, u)) for u in normals) for ray in cone.rays)
+    zeros = tuple(found[u] for u in normals)
     return normals, table, zeros
 
 
@@ -360,7 +371,9 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     order.  Read-only.
 
     Faces are the intersections of facets with the cone.  The walk down
-    keeps as children all maximal proper cuts of each face by the facets.
+    keeps as children all maximal proper cuts of each face by the facets,
+    and refuses a cone with more than ``MAX_FACES`` faces before any
+    lattice is built.
     Going back up by ray count, each face F takes the Hermite basis K_F of
     M_F = {x in Z^n : <p_i, x> = 0 for i in F}: the identity at the apex,
     else K_G of a child G with most rays with :func:`_orthogonal_echelon`
@@ -389,18 +402,21 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     n = cone.ambient_rank
     children: dict[int, list[int]] = {}
     queue = [(1 << cone.nrays) - 1]
+    found = set(queue)
     while queue:
         current = queue.pop()
-        if current in children:
-            continue
-        # A cut is maximal when no larger one contains it.
+        # A cut is maximal when no cut with more rays contains it.
         kids = children[current] = []
-        for cut in sorted({current & z for z in zeros} - {current}, key=int.bit_count, reverse=True):
-            if not any(cut & kid == cut for kid in kids):
-                kids.append(cut)
+        cuts = sorted({current & z for z in zeros} - {current}, key=int.bit_count, reverse=True)
+        for _, same in groupby(cuts, int.bit_count):
+            kids += [cut for cut in same if not any(cut & kid == cut for kid in kids)]
         if current and not kids:
             raise _uncertified(current, "it has rays but no facet")
-        queue.extend(kids)
+        new = [kid for kid in kids if kid not in found]
+        found.update(new)
+        if len(found) > MAX_FACES:
+            raise InputError(f"{len(found)} faces found so far exceed the limit of {MAX_FACES} faces")
+        queue.extend(new)
 
     lattice = {0: _identity(n)}
     smooth = {0: True}

@@ -422,50 +422,6 @@ def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
     return [1] * ones + d
 
 
-def _maximal_minors(rows: Sequence[Sequence[int]]) -> IntVec:
-    """Signed maximal minors of a k x (k+1) integer matrix: entry j is
-    (-1)^j times the determinant of the matrix without column j.
-
-    By Laplace expansion the vector pairs to zero with every row.  It is
-    zero exactly when the rank is below k, and otherwise it spans the
-    rational kernel.  Fraction-free Gauss-Jordan elimination (Bareiss)
-    keeps every entry a minor of the input, so each division is exact; it
-    ends with the pivot columns diagonal, and the kernel vector reads off
-    the one free column.
-    """
-    k = len(rows)
-    m = [list(row) for row in rows]
-    pivots: list[int] = []
-    free = None
-    sign, prev = 1, 1
-    for j in range(k + 1):
-        t = len(pivots)
-        i = next((i for i in range(t, k) if m[i][j]), None)
-        if i is None:
-            if free is not None:
-                return (0,) * (k + 1)
-            free = j
-            continue
-        if i != t:
-            m[t], m[i] = m[i], m[t]
-            sign = -sign
-        pivot_row, p = m[t], m[t][j]
-        for r in range(k):
-            if r != t:
-                q = m[r][j]
-                m[r] = [(p * x - q * y) // prev for x, y in zip(m[r], pivot_row)]
-        pivots.append(j)
-        prev = p
-    # prev == sign * (minor without the free column), so the vector below
-    # is -(-1)^free * sign times the signed minors.
-    kernel = [0] * (k + 1)
-    for r, j in enumerate(pivots):
-        kernel[j] = m[r][free]
-    kernel[free] = -prev
-    scale = -sign if free % 2 == 0 else sign
-    return tuple(scale * x for x in kernel)
-
-
 # ---------------------------------------------------------------------------
 # Linear systems
 

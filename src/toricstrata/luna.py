@@ -19,10 +19,9 @@ sign (Ziegler, *Lectures on Polytopes*, ch. 6), so the closed sets are the
 unions of positive circuits, found with no linear program: the rank-3 cone
 over a lattice 16-gon has 16 positive circuits and 34 closed supports among
 the 65,536 subsets of its rays.  One kernel fold over the coordinates of
-the parts gives their rank and Gale vectors; the circuits are read off the
+the parts gives their Gale vectors, and the circuits are read off the
 facets of the Gale vectors' cone, by the double description of
-:mod:`toricstrata.cones`, or off the subsets of parts when those need
-smaller minors, under the candidate limit of that module.
+:mod:`toricstrata.cones` under its limit ``MAX_FACES``.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from .abelian import (
@@ -51,11 +50,7 @@ from .errors import ConsistencyError, InputError, _Record
 from .linalg import (
     IntMatrix,
     IntVec,
-    _identity,
-    _hermite_reduced,
     _kernel,
-    _maximal_minors,
-    _orthogonal_echelon,
     primitive_vector,
 )
 
@@ -76,7 +71,8 @@ __all__ = [
 ]
 
 # Limit on the listed closed supports, checked before they are listed; the
-# circuit candidates share ``cones.MAX_FACET_CANDIDATES``.
+# positive circuits, facets of the Gale vectors' cone, are limited by
+# ``cones.MAX_FACES`` as double description finds them.
 MAX_SUPPORTS = 1 << 20
 
 
@@ -144,79 +140,30 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
     """The positive circuits of ``parts``: the minimal sets of parts with a
     relation whose coefficients all have one sign.
 
-    One pass folds :func:`~toricstrata.linalg._orthogonal_echelon` over
-    the coordinates of the ``n`` parts from the identity basis of ``Z^n``,
-    reduced once to the Hermite basis of their relations: its columns are
-    the ``e = n - r`` Gale vectors, and the coordinates where its rank
-    drops are ``r`` on which the parts stay independent.  Both sides below
-    are limited by the same C(n, r+1) = C(n, e-1) candidates.  The Gale
-    side, double description in dimension ``e``, is taken when ``e - 1 <=
-    r``; else the ``(r+1)``-subsets cost smaller minors (40 distinct
-    weights in Z: 0.01 s on the subset side, 0.04-0.05 s on the Gale side).
+    Part ``i``'s Gale vector holds the ``i``-th coefficients of the Hermite
+    basis of the relations among the parts, so every relation pairs the
+    Gale vectors with a functional (Ziegler, *Lectures on Polytopes*,
+    ch. 6).  A minimal support is the set of parts off a hyperplane spanned
+    by Gale vectors, with a one-signed relation exactly when that
+    hyperplane is a facet of their cone, which need not be pointed.
     """
     vs = sorted(parts)
-    if not vs:
-        return set()
-    n = len(vs)
-    relations, pivots = _identity(n), []
-    for j, column in enumerate(zip(*vs)):
-        smaller = _orthogonal_echelon(relations, column)
-        if len(smaller) < len(relations):
-            pivots.append(j)
-        relations = smaller
-    relations = _hermite_reduced(relations)
-    rank = len(pivots)
-    candidates = math.comb(n, rank + 1)
-    if candidates > cones.MAX_FACET_CANDIDATES:
-        raise InputError(
-            f"{candidates} positive-circuit candidates ({rank + 1}-subsets of "
-            f"{n} parts) exceed the limit of {cones.MAX_FACET_CANDIDATES}"
-        )
+    relations = _kernel(list(zip(*vs)), len(vs))
     if not relations:
         return set()
-    if len(relations) - 1 <= rank:
-        return _gale_side_circuits(vs, relations)
-    return _subset_side_circuits(vs, [tuple(v[j] for j in pivots) for v in vs])
-
-
-def _gale_side_circuits(
-    vs: list[IntVec], relations: tuple[IntVec, ...]
-) -> set[frozenset[IntVec]]:
-    """Positive circuits from a basis of the relations among ``vs``.
-
-    Part ``i``'s Gale vector holds the ``i``-th coefficients of the basis
-    relations, so every relation pairs the Gale vectors with a functional
-    (Ziegler, *Lectures on Polytopes*, ch. 6).  A minimal support is the
-    set of parts off a hyperplane spanned by Gale vectors, with a one-signed
-    relation exactly when that hyperplane is a facet of their cone, which
-    need not be pointed.
-    """
     hyperplanes = cones._supporting_hyperplanes(list(zip(*relations)), len(relations))
     return {
-        frozenset(v for v, p in zip(vs, pairings) if p)
-        for pairings in hyperplanes.values()
+        frozenset(v for i, v in enumerate(vs) if not zeros >> i & 1)
+        for zeros in hyperplanes.values()
     }
-
-
-def _subset_side_circuits(
-    vs: list[IntVec], projected: list[IntVec]
-) -> set[frozenset[IntVec]]:
-    """Positive circuits of ``vs`` from their images ``projected`` on ``r``
-    coordinates where they keep rank ``r``: a circuit extended by parts
-    independent of it is an ``(r+1)``-subset whose maximal minors are the
-    circuit's one relation."""
-    circuits = set()
-    for subset in combinations(range(len(vs)), len(projected[0]) + 1):
-        relation = _maximal_minors(tuple(zip(*(projected[i] for i in subset))))
-        if any(relation) and (min(relation) >= 0 or max(relation) <= 0):
-            circuits.add(frozenset(vs[i] for i, c in zip(subset, relation) if c))
-    return circuits
 
 
 def _closed_part_sets(parts: list[IntVec]) -> Iterator[list[int]]:
     """Every closed subset of ``parts``, as the list of its indices: the
     union closure of the positive circuits, on bitsets, the empty set first,
-    yielded as found so a caller can stop."""
+    yielded as found so a caller can stop.  Each closed set gives at least
+    one support, so more sets found than ``MAX_SUPPORTS`` are refused before
+    they are yielded."""
     index = {p: i for i, p in enumerate(parts)}
     circuits = [sum(1 << index[p] for p in c) for c in _positive_circuits(frozenset(parts))]
     found = [0]
@@ -228,6 +175,8 @@ def _closed_part_sets(parts: list[IntVec]) -> Iterator[list[int]]:
             if t not in seen:
                 seen.add(t)
                 found.append(t)
+        if len(found) > MAX_SUPPORTS:
+            raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
 
 
 def _free_parts(ws: WeightSystem, support) -> frozenset[IntVec]:
@@ -320,8 +269,8 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
 
     The closed sets of free parts are the unions of positive circuits (see
     ``_closed_part_sets``), so the work follows the number of closed
-    supports, not the 2^m index subsets; the circuit candidates and the
-    supports are limited before they are computed.  A stratum's dimension
+    supports, not the 2^m index subsets; the circuits are limited as they
+    are found and the supports before they are listed.  A stratum's dimension
     is ``max |support| - free_rank`` of its subgroup's structure: the free
     rank of the subgroup is the rational rank of its weights.
     """

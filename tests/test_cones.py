@@ -3,6 +3,7 @@
 import gc
 import importlib
 import json
+import math
 import pkgutil
 import random
 import time
@@ -154,8 +155,8 @@ def test_sixteen_ray_cone_stratifies_quickly():
 
 
 def test_twenty_four_ray_cone_stratifies_within_the_envelope():
-    # C(24, 22) = 276 circuit candidates, 50 closed supports; about 0.17 s was
-    # measured on a 2-core x86_64 host (Python 3.11)
+    # 24 positive circuits, the facet complements, and 50 closed supports;
+    # about 0.17 s was measured on a 2-core x86_64 host (Python 3.11)
     start = time.perf_counter()
     report = ts.stratify(3, twenty_four_gon_rays())
     assert time.perf_counter() - start < 10.0
@@ -164,9 +165,10 @@ def test_twenty_four_ray_cone_stratifies_within_the_envelope():
 
 
 def test_forty_ray_cone_stratifies_within_the_envelope():
-    # C(40, 2) = 780 facet and 780 circuit candidates, each one 2 x 3 minor
-    # vector, and 82 faces; about 0.8 s was measured on a 2-core x86_64 host
-    # (Python 3.11), most of it in the per-face class-group quotients
+    # 40 facets and 40 positive circuits, each set from double description
+    # in dimension 3, and 82 faces; about 0.8 s was measured on a 2-core
+    # x86_64 host (Python 3.11), most of it in the per-face class-group
+    # quotients
     start = time.perf_counter()
     report = ts.stratify(3, forty_gon_rays())
     assert time.perf_counter() - start < 10.0
@@ -179,35 +181,81 @@ def cyclic_rays(rank, count):
     return [tuple(t**k for k in range(rank)) for t in range(count)]
 
 
-def test_facet_enumeration_refuses_too_many_candidates_at_once():
-    # C(16, 7) = 11,440 candidate subsets, over the 10,000 limit.  With the
-    # limit lifted, double description finds the 440 facets in about 0.04 s
-    # on a 2-core x86_64 host (Python 3.11), where a scan of every subset
-    # took 1.6 s; the limit stays until one on faces replaces it
+def test_past_the_face_limit_a_cone_builds_but_does_not_stratify():
+    # Cyclic 8x16 has 440 facets, found by double description in about
+    # 0.03 s, and 6,304 faces, over the limit of 4,096: the face walk stops
+    # at the limit, before any orthogonal lattice is built.
     from toricstrata import cones
 
-    assert cones.MAX_FACET_CANDIDATES == 10_000
+    assert cones.MAX_FACES == 4096
     rays = cyclic_rays(8, 16)
     start = time.perf_counter()
-    for build in (ts.build_cone, ts.stratify):
-        with pytest.raises(ts.InputError, match="11440 facet candidates .* limit of 10000"):
-            build(8, rays)
-    with pytest.raises(ts.InputError, match="11440 facet candidates"):
-        ts.facet_normals(ts.Cone(8, tuple(rays)))
+    cone = ts.build_cone(8, rays)
+    assert len(ts.facet_normals(cone)) == 440
+    message = r"^\d+ faces found so far exceed the limit of 4096 faces$"
+    with pytest.raises(ts.InputError, match=message):
+        ts.face_lattice(cone)
+    with pytest.raises(ts.InputError, match=message):
+        ts.stratify(8, rays)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "rank, count, faces, strata", [(4, 41, 238, 155), (5, 24, 1058, 989)]
+)
+def test_cones_with_many_facet_candidates_stratify(rank, count, faces, strata):
+    # C(41, 3) = 10,660 and C(24, 4) = 10,626 (rank-1)-subsets of rays, so
+    # a limit on those subsets refused them both.  On a 2-core x86_64 host
+    # (Python 3.11) they stratify in about 0.3 s and 0.9 s.
+    report = ts.stratify(rank, cyclic_rays(rank, count))
+    assert sum(len(stratum.faces) for stratum in report.strata) == faces
+    assert len(report.strata) == strata
+
+
+def test_a_cone_with_too_many_faces_is_refused_within_a_second():
+    # Cyclic 9x18 has 1,287 facets and 25,538 faces; its whole face table
+    # takes about 6 s and 94 MB.  The walk stops at the limit instead.
+    rays = cyclic_rays(9, 18)
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match=r"^\d+ faces found so far exceed the limit of 4096 faces$"):
+        ts.stratify(9, rays)
     assert time.perf_counter() - start < 1.0
 
 
-def test_facets_decide_full_dimensionality_without_a_rank():
+@pytest.mark.parametrize(
+    "rank, rays, faces",
+    [
+        (13, [tuple(int(i == j) for j in range(13)) for i in range(13)], 8192),
+        (8, cyclic_rays(8, 15), 4834),
+        (9, cyclic_rays(9, 13), 4448),
+    ],
+    ids=["orthant-13", "cyclic-8x15", "cyclic-9x13"],
+)
+def test_the_face_limit_refuses_cones_the_candidate_limit_let_through(rank, rays, faces):
+    # The limit of 10,000 on the (rank-1)-subsets of rays let these three
+    # through (13, 6,435 and 1,287 subsets), and they stratified in about
+    # 2.7, 5.1 and 5.2 s on a 2-core x86_64 host (Python 3.11).  Their
+    # faces (2^13 for the orthant) are over the face limit, so they are
+    # refused now.
+    assert math.comb(len(rays), rank - 1) <= 10_000 and faces > 4096
+    with pytest.raises(ts.InputError, match=r"^\d+ faces found so far exceed the limit of 4096 faces$"):
+        ts.stratify(rank, rays)
+
+
+def test_facets_decide_full_dimensionality_without_a_rank(monkeypatch):
     # the greedy start of double description tells a cone that is not
-    # full-dimensional, over the candidate limit or under it
+    # full-dimensional before any limit is checked
+    from toricstrata import cones
+
     assert ts.facet_normals(ts.build_cone(2, [(1, 0), (1, 2)])) == ((0, 1), (2, -1))
     flat = ts.Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     wide = ts.Cone(8, tuple(row + (0,) for row in cyclic_rays(7, 16)))
+    monkeypatch.setattr(cones, "MAX_FACES", 1)
     for cone in (flat, wide):
         with pytest.raises(ts.InputError, match="cone is not full-dimensional"):
             ts.facet_normals(cone)
-    with pytest.raises(ts.InputError, match="11440 facet candidates"):
-        ts.build_cone(8, cyclic_rays(8, 16))
+    with pytest.raises(ts.InputError, match="facets of the cone over .* exceed the limit of 1 faces"):
+        ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -144,23 +144,12 @@ def test_luna_strata_group_supports_by_subgroup_not_by_size():
 
 def test_luna_strata_respects_the_weight_cap():
     # 21 alternating weights have (2^11 - 1) * (2^10 - 1) = 2,094,081
-    # nonempty closed supports; 20 random weights in Z^10 have
-    # C(20, 11) = 167,960 circuit candidates.  Both limits trip before the
-    # work they bound.
+    # nonempty closed supports, refused before they are listed.
     alternating = weight_system(1, (), [(1,), (-1,)] * 10 + [(1,)])
-    rng = random.Random(36)
-    wide = weight_system(
-        10, (), [tuple(rng.randint(-3, 3) for _ in range(10)) for _ in range(20)]
-    )
-    for ws, message in (
-        (alternating, "more closed supports than the limit of 1048576"),
-        (wide, r"167960 positive-circuit candidates \(11-subsets of 20 parts\) "
-               "exceed the limit of 10000"),
-    ):
-        start = time.perf_counter()
-        with pytest.raises(ts.InputError, match=message):
-            ts.luna_strata(ws)
-        assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match="more closed supports than the limit of 1048576"):
+        ts.luna_strata(alternating)
+    assert time.perf_counter() - start < 0.1
     assert len(ts.luna_strata(weight_system(1, (), [(0,)]))) == 1
     # 40 copies of one weight have no positive circuit, so the empty support
     # is the only closed one; the 2^40 subsets of its part are never built.
@@ -170,10 +159,24 @@ def test_luna_strata_respects_the_weight_cap():
     assert time.perf_counter() - start < 0.1
 
 
+def test_the_union_closure_holds_no_more_closed_sets_than_the_support_limit(monkeypatch):
+    # Each closed set gives at least one support, so the closure refuses as
+    # soon as it has found more sets than the limit, not once it has yielded
+    # that many: its queue holds each set's unions with every circuit.  The
+    # weights 1, 2, 3 and their negatives have 9 circuits, the pairs of
+    # opposite signs; the unions with the first one it yields make 18 sets.
+    monkeypatch.setattr(ts.luna, "MAX_SUPPORTS", 10)
+    yielded = []
+    with pytest.raises(ts.InputError, match="^more closed supports than the limit of 10$"):
+        for closed in ts.luna._closed_part_sets([(k,) for k in (1, -1, 2, -2, 3, -3)]):
+            yielded.append(closed)
+    assert len(yielded) == 2
+
+
 def test_many_weights_of_low_rank_stay_within_the_envelope():
-    # 40 distinct weights in Z: C(40, 2) = 780 circuit candidates, each a
-    # 1 x 2 minor vector on the subset side (about 0.01 s on a 2-core x86_64
-    # host, Python 3.11) but 38 x 39 on the Gale side (about 5.6 s).
+    # 40 distinct weights in Z: their 400 positive circuits, the pairs of
+    # opposite signs, are the facets of a cone over 40 Gale vectors in
+    # dimension 39 (about 0.02 s on a 2-core x86_64 host, Python 3.11).
     ws = weight_system(1, (), [(k,) for k in range(-20, 21) if k])
     start = time.perf_counter()
     assert ts.is_closed_support(ws, range(40))
@@ -181,15 +184,61 @@ def test_many_weights_of_low_rank_stay_within_the_envelope():
     assert time.perf_counter() - start < 1.0
 
 
-def test_one_candidate_limit_bounds_facets_and_circuits(monkeypatch):
-    # Lowering the documented limit refuses both scans: the square cone has
-    # C(4, 2) = 6 facet candidates, three weights in Z C(3, 2) = 3 circuit
-    # candidates.
-    monkeypatch.setattr(ts.cones, "MAX_FACET_CANDIDATES", 2)
-    with pytest.raises(ts.InputError, match="6 facet candidates"):
-        ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
-    with pytest.raises(ts.InputError, match="3 positive-circuit candidates"):
-        ts.luna_strata(weight_system(1, (), [(1,), (2,), (-1,)]))
+def test_many_weights_of_low_rank_are_refused_past_the_face_limit():
+    # 140 distinct weights in Z have 70 x 70 = 4,900 positive circuits, over
+    # the limit of 4,096 facets of their Gale vectors' cone, so closedness
+    # and stability checks refuse them.  An earlier version took such
+    # circuits from the one-signed minors of the 9,730 pairs of weights and
+    # answered both.
+    ws = weight_system(1, (), [(k,) for k in range(-70, 71) if k])
+    message = r"^4900 facets of the cone over 140 of 140 vectors exceed the limit of 4096 faces$"
+    with pytest.raises(ts.InputError, match=message):
+        ts.is_closed_support(ws, range(140))
+    with pytest.raises(ts.InputError, match=message):
+        ts.check_strongly_stable(ws)
+
+
+def distinct_random_weights(seed, count, rank, bound):
+    rng = random.Random(seed)
+    rows = set()
+    while len(rows) < count:
+        rows.add(tuple(rng.randint(-bound, bound) for _ in range(rank)))
+    return weight_system(rank, (), sorted(rows))
+
+
+@pytest.mark.parametrize("count, rank, bound", [(60, 2, 9), (30, 15, 2)])
+def test_random_weights_are_refused_on_faces_within_a_second(count, rank, bound):
+    # Their Gale vectors' cones have thousands of facets.  With no limit,
+    # double description took 1.8 s to find the 7,833 of the first and did
+    # not end within 100 s on the second (2-core x86_64 host, Python 3.11);
+    # the step that passes the limit is the last one taken.
+    ws = distinct_random_weights(36, count, rank, bound)
+    start = time.perf_counter()
+    with pytest.raises(
+        ts.InputError,
+        match=r"^\d+ facets of the cone over \d+ of \d+ vectors exceed the limit of 4096 faces$",
+    ):
+        ts.luna_strata(ws)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_one_face_limit_bounds_facets_faces_and_circuits(monkeypatch):
+    # Lowering the documented limit refuses all three: the cone over a
+    # square has 4 facets and 10 faces, and the weights 1, 2, -1, -2 in Z
+    # have 4 positive circuits, the facets of their Gale vectors' cone.
+    square = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
+    ws = weight_system(1, (), [(1,), (2,), (-1,), (-2,)])
+    monkeypatch.setattr(ts.cones, "MAX_FACES", 3)
+    message = r"^4 facets of the cone over 4 of 4 vectors exceed the limit of 3 faces$"
+    with pytest.raises(ts.InputError, match=message):
+        ts.build_cone(3, square)
+    with pytest.raises(ts.InputError, match=message):
+        ts.luna_strata(ws)
+    monkeypatch.setattr(ts.cones, "MAX_FACES", 4)
+    cone = ts.build_cone(3, square)
+    with pytest.raises(ts.InputError, match=r"^5 faces found so far exceed the limit of 4 faces$"):
+        ts.face_lattice(cone)
+    assert len(ts.luna_strata(ws)) == 3
 
 
 def test_luna_strata_supports_match_a_brute_force_scan():

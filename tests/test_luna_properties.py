@@ -113,9 +113,9 @@ def distinct_parts(draw, gale_regime):
 @pytest.mark.parametrize("gale_regime", [True, False], ids=["e-1<=r", "e-1>r"])
 @settings(PROPERTY, max_examples=60)
 @given(st.data())
-def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, data):
-    # Each side is called directly in both regimes, so the side that size
-    # does not pick is checked too.
+def test_positive_circuits_are_the_minimal_closed_sets_in_both_regimes(gale_regime, data):
+    # The Gale side serves both regimes: e - 1 <= r, where the Gale vectors'
+    # dimension is small, and e - 1 > r, where the parts' rank is.
     free, parts = data.draw(distinct_parts(gale_regime))
     vs = sorted(parts)
     a = ts.IntMatrix.from_rows(vs)
@@ -125,10 +125,7 @@ def test_both_circuit_sides_give_the_minimal_closed_sets(gale_regime, data):
     rank = sum(1 for row in hnf.entries if any(row))
     relations = transform.entries[rank:]
     assert relations and (len(relations) - 1 <= rank) == gale_regime
-    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf.entries[:rank]]
-    expected = minimal_closed_sets(free, vs)
-    assert luna._gale_side_circuits(vs, relations) == expected
-    assert luna._subset_side_circuits(vs, [[v[j] for j in pivots] for v in vs]) == expected
+    assert luna._positive_circuits(frozenset(vs)) == minimal_closed_sets(free, vs)
 
 
 @st.composite

@@ -41,9 +41,9 @@ def test_readme_library_snippet_values_hold():
 
 
 def test_readme_quotes_the_package_limits():
-    assert "**10,000 candidates** (`cones.MAX_FACET_CANDIDATES`)" in README
-    assert ts.cones.MAX_FACET_CANDIDATES == 10_000
-    assert "**10,000 circuit candidates**" in README
+    assert "**4,096 faces** (`cones.MAX_FACES`)" in README
+    assert ts.cones.MAX_FACES == 4096
+    assert "  - the **4,096 faces** above" in README
     assert "**2^20 closed supports**" in README
     assert ts.luna.MAX_SUPPORTS == 2**20
     assert re.search(r"\*\*2\^20 = 1,048,576 points\*\*\s+\(`linalg.MAX_LATTICE_POINTS`\)", README)
