@@ -15,12 +15,12 @@ canonical bases are identical tuples, so handles can serve as dict keys.
 element is a nonnegative integer combination of others: ``"yes"`` with a
 re-checked witness or ``"no"``.  Its one search is the first-hit lattice
 search of :mod:`toricstrata.linalg` over a bounded polytope, which tries
-values lazily by size and raises ``InputError`` once it has tried
-``linalg.MAX_LATTICE_POINTS``: an early hit is cheap however large the
-target, and a polytope whose every value fails is refused only after that
-many tries.  ``stratify`` does not call it: the semigroup it would test
-there equals the group by each face's functional, which the cone's face
-table certifies when it is built, and ``divisors.build_toric`` checks the
+values lazily by size and raises ``InputError`` once its tries pass
+``errors.MAX_WORK``: an early hit is cheap however large the target, and a
+polytope whose every value fails is refused only after that many tries.
+``stratify`` does not call it: the semigroup it would test there equals
+the group by each face's functional, which the cone's face table
+certifies when it is built, and ``divisors.build_toric`` checks the
 principal classes.
 """
 
@@ -423,7 +423,7 @@ def semigroup_member(
     come first.  Keeping the tight coefficients nonnegative bounds a
     polytope in those rows' coordinates, in which the first-hit lattice
     search finds an integer point or proves there is none; it raises
-    ``InputError`` past ``linalg.MAX_LATTICE_POINTS`` tried values.  The
+    ``InputError`` once its tries pass ``errors.MAX_WORK``.  The
     witness is re-checked against the target.
     """
     gens = _checked_elements(group, gens)

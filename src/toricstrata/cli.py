@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 
 from .abelian import FgAbGroup
 from .cones import Cone, split_degenerate
@@ -64,19 +63,17 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except FileNotFoundError:
-        raise InputError(f"{path}: file not found")
+        raise InputError("file not found")
     except IsADirectoryError:
-        raise InputError(f"{path}: is a directory")
+        raise InputError("is a directory")
     except UnicodeDecodeError:
-        raise InputError(f"{path}: not UTF-8 text")
+        raise InputError("not UTF-8 text")
     except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
+        raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except ValueError as exc:  # e.g. an integer beyond the digit limit
-        raise InputError(f"{path}: unreadable JSON value: {exc}")
+        raise InputError(f"unreadable JSON value: {exc}")
     except RecursionError:
-        raise InputError(f"{path}: JSON nested too deeply")
+        raise InputError("JSON nested too deeply")
 
 
 def _as_int(value, what: str) -> int:
@@ -99,59 +96,46 @@ def _as_int_rows(value, what: str) -> list[tuple[int, ...]]:
 def _checked_document(path: str, required: tuple[str, ...]):
     data = _load_json(path)
     if not isinstance(data, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
+        raise InputError("top level must be a JSON object")
     if data.get("schema") != 1:
-        raise InputError(f'{path}: expected "schema": 1')
+        raise InputError('expected "schema": 1')
     for key in required:
         if key not in data:
-            raise InputError(f'{path}: missing required key "{key}"')
+            raise InputError(f'missing required key "{key}"')
     return data
-
-
-@contextmanager
-def _naming(path: str):
-    """Prefix input errors raised by library validation with the file."""
-    try:
-        yield
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_cone_file(path: str) -> tuple[int, list[tuple[int, ...]]]:
     data = _checked_document(path, ("rank", "rays"))
-    rank = _as_int(data["rank"], f"{path}: rank")
-    rays = _as_int_rows(data["rays"], f"{path}: rays")
-    return rank, rays
+    return _as_int(data["rank"], "rank"), _as_int_rows(data["rays"], "rays")
 
 
 def _load_pointed_cone(args) -> Cone:
     rank, rays = _load_cone_file(args.file)
     if not rays:
         raise InputError(
-            f"{args.file}: no rays — the variety is a torus; "
-            f"use the stratify command, which handles torus factors"
+            "no rays — the variety is a torus; "
+            "use the stratify command, which handles torus factors"
         )
-    with _naming(args.file):
-        split = split_degenerate(rank, rays, normalize=args.normalize)
+    split = split_degenerate(rank, rays, normalize=args.normalize)
     if split.torus_rank:
         raise InputError(
-            f"{args.file}: rays span a proper subspace (torus factor present); "
-            f"use the stratify command, which splits the factor off"
+            "rays span a proper subspace (torus factor present); "
+            "use the stratify command, which splits the factor off"
         )
     return split.cone
 
 
 def _load_weight_system(path: str) -> WeightSystem:
     data = _checked_document(path, ("free_rank", "torsion", "weights"))
-    free_rank = _as_int(data["free_rank"], f"{path}: free_rank")
+    free_rank = _as_int(data["free_rank"], "free_rank")
     if not isinstance(data["torsion"], list):
-        raise InputError(f"{path}: torsion must be a list of integers")
-    torsion = tuple(_as_int(x, f"{path}: torsion[{i}]") for i, x in enumerate(data["torsion"]))
-    rows = _as_int_rows(data["weights"], f"{path}: weights")
+        raise InputError("torsion must be a list of integers")
+    torsion = tuple(_as_int(x, f"torsion[{i}]") for i, x in enumerate(data["torsion"]))
+    rows = _as_int_rows(data["weights"], "weights")
     if not rows:
-        raise InputError(f"{path}: at least one weight is required")
-    with _naming(path):
-        return weight_system(FgAbGroup(free_rank, torsion), rows)
+        raise InputError("at least one weight is required")
+    return weight_system(FgAbGroup(free_rank, torsion), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +276,7 @@ def _report_text(report: StratificationReport) -> list[str]:
 
 def _cmd_stratify(args):
     rank, rays = _load_cone_file(args.file)
-    with _naming(args.file):
-        report = stratify(rank, rays, normalize=args.normalize)
+    report = stratify(rank, rays, normalize=args.normalize)
     return _report_payload(report), _report_text(report)
 
 
@@ -493,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, lines = args.handler(args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # every handler reads one input file, named once here for any refusal
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -13,9 +13,8 @@ a full-dimensional cone, so inputs spanning a proper subspace go through
 Facets come from exact double description, whose work follows the facets,
 not the (rank-1)-subsets of rays.  The same routine, on vectors that may
 repeat, vanish or span a cone with a line, gives ``luna`` its positive
-circuits.  One limit, ``MAX_FACES``, bounds both the generators of every
-double-description step and the faces of the face table, and is checked
-as they are found.
+circuits.  Both it and the face table's walk count their work against
+``errors.MAX_WORK``.
 
 The facts of a cone live on the :class:`Cone` object, computed on first
 use and dropped with it: the facet scan (sorted normals, the ray x facet
@@ -36,7 +35,7 @@ from itertools import groupby
 from operator import and_, mul
 from typing import NamedTuple, Sequence
 
-from .errors import ConsistencyError, InputError, _Record
+from .errors import ConsistencyError, InputError, _Record, _check_work
 from .linalg import (
     IntMatrix,
     IntVec,
@@ -235,12 +234,6 @@ def build_cone(
     return split.cone if split.torus_rank == 0 else Cone(ambient_rank, rays)
 
 
-# Limit on the faces of a cone, checked on the generators of every
-# double-description step, each a facet of the cone over the vectors added so
-# far, and on the faces the face table's walk finds, before any is built.
-MAX_FACES = 4_096
-
-
 def _supporting_hyperplanes(
     vectors: Sequence[IntVec], dim: int
 ) -> dict[IntVec, int] | None:
@@ -255,8 +248,10 @@ def _supporting_hyperplanes(
     ``dim`` independent vectors greedily, each one's pivot row becoming a
     generator of their simplicial dual cone, with the bitset of the vectors
     it vanishes on; :func:`_add_halfspace` adds the others, keeping those
-    bitsets exact.  Each generator is a facet of the cone over the vectors
-    added so far, so ``MAX_FACES`` bounds their number after every addition.
+    bitsets exact.  Work is counted against ``MAX_WORK``: once the greedy
+    pass has decided that the vectors span, the ``dim x dim`` entries each
+    of its ``dim`` pivots updated, and before each addition ``dim`` for each
+    pair of generators it tests across the new vector.
     """
     free, gens, taken, rest, prev = list(_identity(dim)), [], 0, [], 1
     for k, v in enumerate(vectors):
@@ -277,32 +272,32 @@ def _supporting_hyperplanes(
         taken, prev = taken | 1 << k, p
     if free:
         return None
+    steps = dim**3
+    _check_work("double description", steps)
     gens = [(primitive_vector(u), z) for u, z in gens]
-    for added, k in enumerate(rest, dim + 1):
-        gens = _add_halfspace(gens, vectors[k], k, dim)
+    for k in rest:
+        pairings = [sum(map(mul, vectors[k], u)) for u, _ in gens]
+        steps += sum(a > 0 for a in pairings) * sum(a < 0 for a in pairings) * dim
+        _check_work("double description", steps)
+        gens = _add_halfspace(gens, pairings, k, dim)
         if not gens:
             return {}
-        if len(gens) > MAX_FACES:
-            raise InputError(
-                f"{len(gens)} facets of the cone over {added} of {len(vectors)} vectors "
-                f"exceed the limit of {MAX_FACES} faces"
-            )
     return dict(gens)
 
 
 def _add_halfspace(
-    gens: list[tuple[IntVec, int]], v: IntVec, k: int, dim: int
+    gens: list[tuple[IntVec, int]], pairings: list[int], k: int, dim: int
 ) -> list[tuple[IntVec, int]]:
     """The generators, with zero sets, of the pointed cone of ``gens`` cut by
-    <v, u> >= 0, ``v`` being vector ``k``: those pairing >= 0 with ``v``, and
-    for each adjacent pair across it the combination vanishing on ``v``.  Two
-    are adjacent when no third vanishes on all the (at least ``dim - 2``)
-    vectors both vanish on, which cut out the smallest face holding both:
-    the bitsets of the generators vanishing on each of those vectors meet
-    in the pair alone."""
+    <v, u> >= 0, ``v`` being vector ``k`` and ``pairings`` its pairings with
+    the generators: those pairing >= 0 with ``v``, and for each adjacent
+    pair across it the combination vanishing on ``v``.  Two are adjacent
+    when no third vanishes on all the (at least ``dim - 2``) vectors both
+    vanish on, which cut out the smallest face holding both: the bitsets of
+    the generators vanishing on each of those vectors meet in the pair
+    alone."""
     out, pos, neg = [], [], []
-    for g, (u, z) in enumerate(gens):
-        a = sum(map(mul, v, u))
+    for g, ((u, z), a) in enumerate(zip(gens, pairings)):
         if a:
             (pos if a > 0 else neg).append((u, z, a, g))
         else:
@@ -332,7 +327,7 @@ def _facet_scan(cone: Cone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tup
     the ray x facet pairing table (row ``i`` holds the pairings of ray ``i``
     with the normals, in their order) and the zero sets of its columns
     (entry ``k`` is the bitset of the rays on facet ``k``).  A cone that is
-    not full-dimensional is told so before ``MAX_FACES`` is checked.
+    not full-dimensional is told so before any work is counted.
     """
     found = _supporting_hyperplanes(cone.rays, cone.ambient_rank)
     if found is None:
@@ -371,9 +366,10 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     order.  Read-only.
 
     Faces are the intersections of facets with the cone.  The walk down
-    keeps as children all maximal proper cuts of each face by the facets,
-    and refuses a cone with more than ``MAX_FACES`` faces before any
-    lattice is built.
+    keeps as children all maximal proper cuts of each face by the facets.
+    Before it cuts a face it counts against ``MAX_WORK`` one step per facet
+    and the ``n x n`` entries of the lattice the pass up builds for the
+    face, so a refused cone builds no lattice.
     Going back up by ray count, each face F takes the Hermite basis K_F of
     M_F = {x in Z^n : <p_i, x> = 0 for i in F}: the identity at the apex,
     else K_G of a child G with most rays with :func:`_orthogonal_echelon`
@@ -403,8 +399,11 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
     children: dict[int, list[int]] = {}
     queue = [(1 << cone.nrays) - 1]
     found = set(queue)
+    steps = 0
     while queue:
         current = queue.pop()
+        steps += len(zeros) + n * n
+        _check_work("face walk", steps)
         # A cut is maximal when no cut with more rays contains it.
         kids = children[current] = []
         cuts = sorted({current & z for z in zeros} - {current}, key=int.bit_count, reverse=True)
@@ -414,8 +413,6 @@ def _face_table(cone: Cone) -> dict[int, _FaceEntry]:
             raise _uncertified(current, "it has rays but no facet")
         new = [kid for kid in kids if kid not in found]
         found.update(new)
-        if len(found) > MAX_FACES:
-            raise InputError(f"{len(found)} faces found so far exceed the limit of {MAX_FACES} faces")
         queue.extend(new)
 
     lattice = {0: _identity(n)}

@@ -36,7 +36,7 @@ from .abelian import (
     subgroup_canon,
 )
 from .cones import Cone, Face, _check_cone, _entry_of, _ray_list_of, face_lattice
-from .errors import ConsistencyError, InputError, _Record
+from .errors import ConsistencyError, InputError, _Record, _check_work
 from .linalg import IntMatrix, IntVec
 
 __all__ = [
@@ -155,6 +155,8 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     whose subgroup is the whole group has the whole group too, and shares
     that handle with no normal form.  Faces with the same subgroup have the
     same local class group, so one quotient is taken per distinct subgroup.
+    The entries of the matrices the insertions hand to the Hermite form are
+    counted against ``errors.MAX_WORK``.
     """
     _check_toric(toric)
     cone = toric.cone
@@ -164,6 +166,7 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
     local_of: dict[tuple[IntVec, ...], FgAbGroup] = {}
     data = {}
     above: dict[int, tuple[int, FaceOrbitData]] = {}
+    entries = 0
     for bits, entry in reversed(cone._faces.items()):
         dset = tuple(_ray_list_of(every_ray ^ bits))
         if bits not in above:
@@ -173,6 +176,8 @@ def face_orbit_data(toric: ToricData) -> dict[Face, FaceOrbitData]:
             subgroup = up.subgroup
             if not is_full(subgroup):
                 missing = [classes[i] for i in _ray_list_of(up_bits ^ bits)]
+                entries += (len(missing) + len(subgroup.basis)) * group.ncoords
+                _check_work("route one", entries)
                 subgroup = _subgroup_join(subgroup, missing)
         local = local_of.get(subgroup.basis)
         if local is None:

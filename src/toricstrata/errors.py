@@ -6,6 +6,11 @@ files, out-of-envelope sizes); the CLI maps it to exit code 1.
 computations that are guaranteed to agree did not.  It is never caught inside
 the library: reaching it means a bug, and silent continuation would produce
 wrong mathematics.
+
+``MAX_WORK`` is the one limit on the size of an input.  Each loop that
+dominates a stage counts its elementary steps in a local variable, charged
+once per step in bulk, and passes the count to :func:`_check_work`, which
+reads the limit when it is called.
 """
 
 from dataclasses import FrozenInstanceError
@@ -20,6 +25,17 @@ class InputError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; results cannot be trusted."""
+
+
+# Cyclic 7x17, the largest cone README lists as answered, counts 1,987,568
+# face-walk steps; see README's "Work limit" for the measured envelope.
+MAX_WORK = 1 << 21
+
+
+def _check_work(stage: str, count: int) -> None:
+    """Refuse the input once a stage has counted more than ``MAX_WORK`` steps."""
+    if count > MAX_WORK:
+        raise InputError(f"{stage}: {count} steps pass the work limit MAX_WORK = {MAX_WORK}")
 
 
 class _FieldValues:

@@ -51,15 +51,13 @@ elsewhere:
   the equalities' integer kernel, so its innermost level steps along the
   shortest vector.  Its listing reads each run of innermost values straight
   into one column per search coordinate, and the points are rebuilt and
-  re-checked column by column.  It lists at most ``MAX_LATTICE_POINTS``
-  points and raises ``InputError`` before it would build more;
-  ``roots.enumerate_roots`` lists roots with it, after counting the points
-  of all its searches without building any when they may pass that limit
-  together.  Its first-hit path, behind :func:`first_lattice_point` and
-  ``abelian.semigroup_member``, tries each level's values lazily by size
-  and raises ``InputError`` once it has tried ``MAX_LATTICE_POINTS``: an
-  early hit is cheap however wide the box, and a search whose every value
-  fails is refused only after that many tries.
+  re-checked column by column.  The values it tries on the levels above
+  the last and the coordinates it lists count against ``errors.MAX_WORK``;
+  ``roots.enumerate_roots`` lists roots with it.  Its first-hit path,
+  behind :func:`first_lattice_point` and ``abelian.semigroup_member``,
+  tries each level's values lazily by size: an early hit is cheap however
+  wide the box, and a search whose every value fails is refused only once
+  its tries pass the limit.
 * Outside integer data is checked once, where it enters: by
   :meth:`IntMatrix.from_rows` and :func:`linear_system`.  The ``IntMatrix``
   and ``LinearSystem`` constructors trust their caller, and the public
@@ -76,7 +74,7 @@ from itertools import permutations, repeat
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConsistencyError, InputError, _Record
+from .errors import ConsistencyError, InputError, _Record, _check_work
 
 IntVec = tuple[int, ...]
 
@@ -399,13 +397,17 @@ def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
 
     Hermite forms of the rows and of the columns alternate until the matrix
     is diagonal (Cohen, *A Course in Computational Algebraic Number Theory*,
-    2.4), each followed by :func:`_split_units`.  A round either finds the
-    first pivot dividing the rest of its row, which then splits off with
-    its column, or replaces it by a proper divisor, so the rounds end.
+    2.4), each followed by :func:`_split_units`.  Take the first pivot not
+    yet alone in its row and column: the next round puts there the gcd of
+    its row, so it either stays, alone now, or becomes a proper divisor,
+    and the pivots before it stay.  When it stays, the same holds of the
+    next pivot not alone.  So a round that splits off no unit and does not
+    end the loop makes the pivots, read in order, a smaller tuple, and the
+    rounds end; a round that does not raises :class:`ConsistencyError`.
     gcd/lcm pairs then turn the diagonal into a divisibility chain
     presenting the same group.
     """
-    ones = 0
+    ones, pivots = 0, None
     columns = tuple(zip(*rows)) if rows else ((),) * ncols
     while True:
         form = hermite_normal_form(IntMatrix(len(columns), len(rows), columns))
@@ -413,6 +415,9 @@ def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
         ones += units
         if all(row.count(0) == len(row) - 1 for row in rows):
             break
+        last, pivots = pivots, [next(filter(None, row)) for row in rows]
+        if not units and last is not None and pivots >= last:
+            raise ConsistencyError(f"invariant factors: a round left the pivots {pivots} no smaller")
         columns = tuple(zip(*rows))
     d = sorted(map(sum, rows))
     for i in range(len(d)):
@@ -898,11 +903,6 @@ def _check_box_bound(box_bound) -> None:
         raise InputError("box bound must be a nonnegative integer")
 
 
-# Limit on the points one boxed search lists, checked before each batch of
-# points is built, and on the values one first-hit search orders.
-MAX_LATTICE_POINTS = 2**20
-
-
 def _by_size(lo: int, hi: int) -> Iterator[int]:
     """The integers of [lo, hi] in the order 0, 1, -1, 2, -2, ..., made lazily."""
     for size in range(max(0, lo, -hi), max(hi, -lo) + 1):
@@ -929,7 +929,8 @@ def _lattice_runs(
     floor division: ``x >= -(s // |a[level]|)`` for a lower row, ``x <= s
     // |a[level]|`` for an upper one.  Prefixes come in lexicographic
     order, or with ``stop_at_first`` with values in the order 0, 1, -1, 2,
-    -2, ..., each counted against ``MAX_LATTICE_POINTS`` when tried.  A
+    -2, ....  Each value is counted against ``MAX_WORK`` as it is tried,
+    as its multiply-adds and the divisions that bound the next level.  A
     level whose rows have no prefix coefficients has the same range under
     every prefix, so an empty one ends the search before the descent.
     """
@@ -947,11 +948,11 @@ def _lattice_runs(
             quotients = list(map(floordiv, start[level], own[level]))
             if -min(quotients[: nlower[level]]) > min(quotients[nlower[level] :]):
                 return
-    tried = 0
+    steps = 0
 
     def descend(level: int, prefix: IntVec, sums: list[list[int]]):
         # sums[m] belongs to level ``level + m``
-        nonlocal tried
+        nonlocal steps
         quotients = list(map(floordiv, sums[0], own[level]))
         split = nlower[level]
         lo, hi = -min(quotients[:split]), min(quotients[split:])
@@ -961,25 +962,14 @@ def _lattice_runs(
             yield prefix, lo, hi
             return
         deeper = list(zip(sums[1:], [cols[m][level] for m in range(level + 1, n)]))
+        cost = sum(len(col) for _, col in deeper) + len(own[level + 1])
         for v in _by_size(lo, hi) if stop_at_first else range(lo, hi + 1):
-            if stop_at_first:
-                tried += 1
-                if tried > MAX_LATTICE_POINTS:
-                    raise InputError(
-                        f"a first-hit lattice search would try more than {MAX_LATTICE_POINTS} "
-                        "values, the limit MAX_LATTICE_POINTS"
-                    )
+            steps += cost
+            _check_work("lattice search", steps)
             shifted = [[x + a * v for x, a in zip(row_sums, col)] for row_sums, col in deeper]
             yield from descend(level + 1, (*prefix, v), shifted)
 
     yield from descend(0, (), start)
-
-
-def _too_many_points() -> InputError:
-    return InputError(
-        f"more than {MAX_LATTICE_POINTS} lattice points in the box, the "
-        "limit of the boxed search; use a smaller box bound"
-    )
 
 
 def _lattice_dfs(chain: list[list[_Row]], n: int) -> IntVec | None:
@@ -1074,36 +1064,16 @@ def _box_search(
     return particular, kernel, inequalities, chain
 
 
-def _check_point_total(systems: Iterable[LinearSystem], box_bound: int) -> None:
-    """Raise the boxed search's ``InputError`` if the systems together have
-    more than ``MAX_LATTICE_POINTS`` integer solutions in the box.
-
-    Solutions are counted run by run, none is built, and the count stops
-    once it passes the limit.
-    """
-    total = 0
-    for system in systems:
-        search = _box_search(system, box_bound)
-        if search is None:
-            continue
-        _, kernel, _, chain = search
-        runs = _lattice_runs(chain, len(kernel), False) if kernel else [((), 0, 0)]
-        for _, lo, hi in runs:
-            total += hi - lo + 1
-            if total > MAX_LATTICE_POINTS:
-                raise _too_many_points()
-
-
 def _boxed_solutions(system: LinearSystem, box_bound: int, stop_at_first: bool) -> list[IntVec]:
     """Integer solutions with coordinates in the box, searched by :func:`_box_search`.
 
     The first-hit search takes the point of :func:`_lattice_dfs`.  The
     listing reads each run of :func:`_lattice_runs` straight into one
     column per search coordinate, the prefix repeated and the last
-    coordinate ranging, and counts it against ``MAX_LATTICE_POINTS``
-    before it adds it.  Every point found is rebuilt in the original
-    coordinates and re-checked against the box, the equalities and the
-    inequalities, one coordinate or row at a time over all points.
+    coordinate ranging, and counts the coordinates of its points against
+    ``MAX_WORK`` before it adds it.  Every point found is rebuilt in the
+    original coordinates and re-checked against the box, the equalities and
+    the inequalities, one coordinate or row at a time over all points.
     """
     search = _box_search(system, box_bound)
     if search is None:
@@ -1119,8 +1089,7 @@ def _boxed_solutions(system: LinearSystem, box_bound: int, stop_at_first: bool) 
         t_columns, count = [[] for _ in range(k)], 0
         for prefix, lo, hi in _lattice_runs(chain, k, False) if k else [((), 0, 0)]:
             size = hi - lo + 1
-            if count + size > MAX_LATTICE_POINTS:
-                raise _too_many_points()
+            _check_work("lattice listing", (count + size) * n)
             count += size
             values = [*map(repeat, prefix, repeat(size)), range(lo, hi + 1)]
             for column, run in zip(t_columns, values):
@@ -1165,8 +1134,8 @@ def first_lattice_point(system: LinearSystem, box_bound: int) -> IntVec | None:
     Deterministic, and biased toward solutions with small search
     coordinates, which are coefficients in the size-reduced kernel basis
     of :func:`_search_basis`; use :func:`lattice_points_bounded` for full
-    enumeration.  Raises ``InputError`` when it would try more than
-    ``MAX_LATTICE_POINTS`` values.
+    enumeration.  Raises ``InputError`` once the values it has tried pass
+    ``errors.MAX_WORK``.
     """
     _check_system(system)
     found = _boxed_solutions(system, box_bound, stop_at_first=True)

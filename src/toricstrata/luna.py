@@ -21,7 +21,9 @@ over a lattice 16-gon has 16 positive circuits and 34 closed supports among
 the 65,536 subsets of its rays.  One kernel fold over the coordinates of
 the parts gives their Gale vectors, and the circuits are read off the
 facets of the Gale vectors' cone, by the double description of
-:mod:`toricstrata.cones` under its limit ``MAX_FACES``.
+:mod:`toricstrata.cones`.  The double description, the union closure and
+the listing of the supports each count their work against
+``errors.MAX_WORK``.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -46,7 +48,7 @@ from .abelian import (
 from . import cones
 from .cones import Cone, Face, build_cone
 from .divisors import ToricData, _check_toric
-from .errors import ConsistencyError, InputError, _Record
+from .errors import ConsistencyError, InputError, _Record, _check_work
 from .linalg import (
     IntMatrix,
     IntVec,
@@ -69,12 +71,6 @@ __all__ = [
     "weight_subgroup",
     "weight_system",
 ]
-
-# Limit on the listed closed supports, checked before they are listed; the
-# positive circuits, facets of the Gale vectors' cone, are limited by
-# ``cones.MAX_FACES`` as double description finds them.
-MAX_SUPPORTS = 1 << 20
-
 
 @dataclass(init=False, repr=False, eq=False)
 class WeightSystem(_Record):
@@ -161,22 +157,23 @@ def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
 def _closed_part_sets(parts: list[IntVec]) -> Iterator[list[int]]:
     """Every closed subset of ``parts``, as the list of its indices: the
     union closure of the positive circuits, on bitsets, the empty set first,
-    yielded as found so a caller can stop.  Each closed set gives at least
-    one support, so more sets found than ``MAX_SUPPORTS`` are refused before
-    they are yielded."""
+    yielded as found so a caller can stop.  Each set yielded is then joined
+    with every circuit, and those joins are counted against ``MAX_WORK``
+    before they are made; they bound the sets found, too."""
     index = {p: i for i, p in enumerate(parts)}
     circuits = [sum(1 << index[p] for p in c) for c in _positive_circuits(frozenset(parts))]
     found = [0]
     seen = set(found)
+    joins = 0
     for s in found:
         yield [i for i in range(len(parts)) if s >> i & 1]
+        joins += len(circuits)
+        _check_work("union closure", joins)
         for circuit in circuits:
             t = s | circuit
             if t not in seen:
                 seen.add(t)
                 found.append(t)
-        if len(found) > MAX_SUPPORTS:
-            raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
 
 
 def _free_parts(ws: WeightSystem, support) -> frozenset[IntVec]:
@@ -236,7 +233,9 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
 
     A support is closed exactly when its set of nonzero free parts is, so
     each closed set of parts expands into the supports holding at least one
-    index of every part in it, plus any indices of zero free part.
+    index of every part in it, plus any indices of zero free part.  Each
+    support is counted against ``MAX_WORK`` by the most indices it can hold,
+    before any is listed.
     """
     by_part: dict[IntVec, list[int]] = {}
     invariant = []
@@ -249,9 +248,9 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
     indices = list(by_part.values())
     closed_sets, count = [], 0
     for closed in _closed_part_sets(list(by_part)):
-        count += math.prod((1 << len(indices[k])) - 1 for k in closed) << len(invariant)
-        if count > MAX_SUPPORTS:
-            raise InputError(f"more closed supports than the limit of {MAX_SUPPORTS}")
+        supports = math.prod((1 << len(indices[k])) - 1 for k in closed) << len(invariant)
+        count += supports * (len(invariant) + sum(len(indices[k]) for k in closed))
+        _check_work("closed supports", count)
         closed_sets.append(closed)
     # Only parts in some closed set are expanded: a part in none has no
     # bound on its index subsets.
@@ -269,10 +268,9 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
 
     The closed sets of free parts are the unions of positive circuits (see
     ``_closed_part_sets``), so the work follows the number of closed
-    supports, not the 2^m index subsets; the circuits are limited as they
-    are found and the supports before they are listed.  A stratum's dimension
-    is ``max |support| - free_rank`` of its subgroup's structure: the free
-    rank of the subgroup is the rational rank of its weights.
+    supports, not the 2^m index subsets.  A stratum's dimension is ``max
+    |support| - free_rank`` of its subgroup's structure: the free rank of
+    the subgroup is the rational rank of its weights.
     """
     _check_weight_system(ws)
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}

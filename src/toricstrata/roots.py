@@ -38,14 +38,12 @@ from operator import mul
 from typing import Sequence
 
 from .cones import Cone, Face, _check_cone, _entry_of, _FaceEntry, face_lattice
-from . import linalg
-from .errors import ConsistencyError, InputError, _Record
+from .errors import ConsistencyError, InputError, _Record, _check_work
 from .linalg import (
     IntVec,
     LinearSystem,
     _boxed_solutions,
     _check_box_bound,
-    _check_point_total,
     _gcd_vector,
     _is_int,
     _pivot_index,
@@ -136,9 +134,10 @@ def enumerate_roots(
     re-checks every point against exactly those conditions, so each is
     wrapped without a second validation.  That search lists points in
     the order of its size-reduced kernel basis of ``ray_tau . x == -1``,
-    so a sort sets the order of each group.  The roots of all rays count
-    against ``MAX_LATTICE_POINTS``: a box holding more raises
-    :class:`InputError` before any root is built.
+    so a sort sets the order of each group.  The coordinates of the roots
+    of all rays count against ``errors.MAX_WORK``, each ray's as its search
+    lists them and all rays' once more after each search, so the roots held
+    at once stay within twice the limit.
     """
     _check_cone(cone)
     if box_bound is None:
@@ -153,15 +152,13 @@ def enumerate_roots(
         )
         for tau in range(cone.nrays)
     ]
-    # A ray's roots differ on the n - 1 pivot coordinates of the Hermite
-    # kernel basis of its equation, all in the box, so only a box that may
-    # hold more than the limit needs the count before the listing.
-    if len(systems) * (2 * box_bound + 1) ** (n - 1) > linalg.MAX_LATTICE_POINTS:
-        _check_point_total(systems, box_bound)
-    return tuple(
-        tuple(DemazureRoot(p, tau) for p in sorted(_boxed_solutions(system, box_bound, False)))
-        for tau, system in enumerate(systems)
-    )
+    groups, listed = [], 0
+    for tau, system in enumerate(systems):
+        points = sorted(_boxed_solutions(system, box_bound, False))
+        listed += len(points) * n
+        _check_work("root listing", listed)
+        groups.append(tuple(DemazureRoot(p, tau) for p in points))
+    return tuple(groups)
 
 
 @dataclass(init=False, repr=False, eq=False)

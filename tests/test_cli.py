@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricstrata.cli import main
+from toricstrata.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -134,13 +134,42 @@ def test_roots_json_output(capsys, fixture_path):
     assert payload["box_bound"] == 2
 
 
-def test_roots_refuses_a_default_box_over_the_lattice_point_limit(capsys, tmp_path):
+def test_roots_refuses_a_default_box_over_the_work_limit(capsys, tmp_path):
     # the default bound 110 holds about 2.5 million roots of the first ray
     rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 11, 1]]
     path = write_json(tmp_path, "big.json", {"schema": 1, "rank": 4, "rays": rays})
     code, out, err = run_cli(capsys, "roots", path)
     assert code == 1 and out == ""
-    assert "more than 1048576 lattice points in the box" in err
+    assert err.startswith(f"error: {path}: lattice listing: ")
+    assert err.endswith(" steps pass the work limit MAX_WORK = 2097152\n")
+
+
+def cyclic_rays(rank, count):
+    return [[t**k for k in range(rank)] for t in range(count)]
+
+
+def test_every_command_names_the_input_file_once(capsys, tmp_path, fixture_path):
+    # Each command loads its file and is then refused by the work limit, at
+    # the stage named after the file: main names the file once for all.
+    cyclic = write_json(tmp_path, "cyclic.json", {"schema": 1, "rank": 8, "rays": cyclic_rays(8, 16)})
+    box = write_json(tmp_path, "box.json", {"schema": 1, "rank": 2, "rays": [[1, 0], [0, 1]]})
+    weights = [[k] for k in range(-70, 71) if k]
+    many = write_json(tmp_path, "many.json", {"schema": 1, "free_rank": 1, "torsion": [], "weights": weights})
+    cases = [
+        ("stratify", cyclic, "face walk"),
+        ("connections", cyclic, "face walk"),
+        ("classgroup", cyclic, "face walk"),
+        ("roots", box, "lattice listing"),
+        ("luna", fixture_path("weights_z2_20.json"), "union closure"),
+        ("stable", many, "double description"),
+    ]
+    assert sorted(command for command, _, _ in cases) == sorted(name for name, *_ in _COMMANDS)
+    for command, path, stage in cases:
+        extra = ["--bound", "2000000"] if command == "roots" else []
+        code, out, err = run_cli(capsys, command, path, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: {stage}: "), err
+        assert err.count(path) == 1
 
 
 def test_connections_text_output(capsys, fixture_path):

@@ -3,7 +3,6 @@
 import gc
 import importlib
 import json
-import math
 import pkgutil
 import random
 import time
@@ -181,18 +180,20 @@ def cyclic_rays(rank, count):
     return [tuple(t**k for k in range(rank)) for t in range(count)]
 
 
-def test_past_the_face_limit_a_cone_builds_but_does_not_stratify():
-    # Cyclic 8x16 has 440 facets, found by double description in about
-    # 0.03 s, and 6,304 faces, over the limit of 4,096: the face walk stops
-    # at the limit, before any orthogonal lattice is built.
-    from toricstrata import cones
+WORK_REFUSAL = r"^{}: \d+ steps pass the work limit MAX_WORK = {}$"
 
-    assert cones.MAX_FACES == 4096
+
+def test_past_the_work_limit_a_cone_builds_but_does_not_stratify():
+    # Cyclic 8x16 has 440 facets, found by double description in about
+    # 0.03 s, and 6,304 faces, each counted as its 440 cuts and the 8 x 8
+    # entries of its lattice: 3,177,216 steps, over the limit, so the walk
+    # stops before any orthogonal lattice is built.
+    assert ts.errors.MAX_WORK == 2**21
     rays = cyclic_rays(8, 16)
     start = time.perf_counter()
     cone = ts.build_cone(8, rays)
     assert len(ts.facet_normals(cone)) == 440
-    message = r"^\d+ faces found so far exceed the limit of 4096 faces$"
+    message = WORK_REFUSAL.format("face walk", 2**21)
     with pytest.raises(ts.InputError, match=message):
         ts.face_lattice(cone)
     with pytest.raises(ts.InputError, match=message):
@@ -212,49 +213,66 @@ def test_cones_with_many_facet_candidates_stratify(rank, count, faces, strata):
     assert len(report.strata) == strata
 
 
-def test_a_cone_with_too_many_faces_is_refused_within_a_second():
+def test_a_cone_past_the_work_limit_is_refused_within_a_second():
     # Cyclic 9x18 has 1,287 facets and 25,538 faces; its whole face table
-    # takes about 6 s and 94 MB.  The walk stops at the limit instead.
+    # takes about 6 s and 94 MB.  Double description counts 9 steps for
+    # each of its pair tests and stops at the limit instead.
     rays = cyclic_rays(9, 18)
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match=r"^\d+ faces found so far exceed the limit of 4096 faces$"):
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("double description", 2**21)):
         ts.stratify(9, rays)
     assert time.perf_counter() - start < 1.0
 
 
+def orthant_rays(rank):
+    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+
 @pytest.mark.parametrize(
-    "rank, rays, faces",
+    "rank, rays, faces, steps",
     [
-        (13, [tuple(int(i == j) for j in range(13)) for i in range(13)], 8192),
-        (8, cyclic_rays(8, 15), 4834),
-        (9, cyclic_rays(9, 13), 4448),
+        (13, orthant_rays(13), 8192, 1_490_944),
+        (8, cyclic_rays(8, 15), 4834, 1_904_596),
+        (9, cyclic_rays(9, 13), 4448, 1_169_824),
     ],
     ids=["orthant-13", "cyclic-8x15", "cyclic-9x13"],
 )
-def test_the_face_limit_refuses_cones_the_candidate_limit_let_through(rank, rays, faces):
-    # The limit of 10,000 on the (rank-1)-subsets of rays let these three
-    # through (13, 6,435 and 1,287 subsets), and they stratified in about
-    # 2.7, 5.1 and 5.2 s on a 2-core x86_64 host (Python 3.11).  Their
-    # faces (2^13 for the orthant) are over the face limit, so they are
-    # refused now.
-    assert math.comb(len(rays), rank - 1) <= 10_000 and faces > 4096
-    with pytest.raises(ts.InputError, match=r"^\d+ faces found so far exceed the limit of 4096 faces$"):
-        ts.stratify(rank, rays)
+def test_the_work_limit_keeps_cones_the_face_limit_refused(monkeypatch, rank, rays, faces, steps):
+    # A limit of 4,096 faces refused these three; their face walks count
+    # under the work limit.  A limit one step lower refuses each walk.
+    assert len(ts.face_lattice(ts.build_cone(rank, rays))) == faces
+    monkeypatch.setattr(ts.errors, "MAX_WORK", steps - 1)
+    with pytest.raises(ts.InputError, match=rf"^face walk: {steps} steps pass"):
+        ts.face_lattice(ts.build_cone(rank, rays))
+
+
+def test_the_rank_13_orthant_stratifies():
+    # 2^13 faces, one stratum: the class group is trivial (about 2.3 s on
+    # a 2-core x86_64 host, Python 3.11)
+    report = ts.stratify(13, orthant_rays(13))
+    assert len(report.strata) == 1 and len(report.strata[0].faces) == 8192
+
+
+def test_the_face_walk_refuses_a_face_with_rays_but_no_facet():
+    # A facet scan of the quadrant whose one zero set is {0} cuts the cone
+    # down to the face {0}, which no facet cuts further.
+    cone = ts.Cone(2, ((1, 0), (0, 1)))
+    vars(cone)["_facets"] = (((0, 1),), ((0,), (1,)), (0b01,))
+    with pytest.raises(ts.ConsistencyError, match=r"at face \[0\]: it has rays but no facet"):
+        ts.face_lattice(cone)
 
 
 def test_facets_decide_full_dimensionality_without_a_rank(monkeypatch):
     # the greedy start of double description tells a cone that is not
-    # full-dimensional before any limit is checked
-    from toricstrata import cones
-
+    # full-dimensional before any work is counted
     assert ts.facet_normals(ts.build_cone(2, [(1, 0), (1, 2)])) == ((0, 1), (2, -1))
     flat = ts.Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     wide = ts.Cone(8, tuple(row + (0,) for row in cyclic_rays(7, 16)))
-    monkeypatch.setattr(cones, "MAX_FACES", 1)
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 0)
     for cone in (flat, wide):
         with pytest.raises(ts.InputError, match="cone is not full-dimensional"):
             ts.facet_normals(cone)
-    with pytest.raises(ts.InputError, match="facets of the cone over .* exceed the limit of 1 faces"):
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("double description", 0)):
         ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 
 

@@ -80,10 +80,10 @@ def test_build_toric_requires_full_dimensional_cone(monkeypatch):
     with pytest.raises(ts.InputError) as err:
         ts.build_toric(ts.build_cone(3, [(1, 0, 0), (1, 2, 0)]))
     assert "split_degenerate" in str(err.value)
-    # Under any face limit the cone is still told it is not full-dimensional:
+    # Under any work limit the cone is still told it is not full-dimensional:
     # a square cone in a hyperplane of Z^4 has 4 facets and 10 faces in it.
     flat = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)])
-    monkeypatch.setattr(ts.cones, "MAX_FACES", 1)
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 0)
     with pytest.raises(ts.InputError, match="not full-dimensional"):
         ts.build_toric(flat)
 

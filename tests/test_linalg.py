@@ -187,6 +187,17 @@ def test_hermite_and_invariant_factor_ranks_match_rational_rank():
         assert len(linalg._invariant_factors(a.entries, a.cols)) == rank
 
 
+def test_invariant_factors_refuse_a_round_that_makes_no_progress(monkeypatch):
+    # A Hermite form that returns its input makes the rounds swap two
+    # matrices forever: the second round's pivots (2, 2) are smaller than
+    # the first's (2, 3), but the third round's are (2, 3) again.
+    monkeypatch.setattr(linalg, "hermite_normal_form", lambda matrix: matrix)
+    start = time.perf_counter()
+    with pytest.raises(ts.ConsistencyError, match=r"left the pivots \[2, 3\] no smaller"):
+        linalg._invariant_factors([(2, 3), (0, 2)], 2)
+    assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # integer equality systems
 
@@ -560,27 +571,32 @@ def test_boxed_search_recheck_catches_an_off_lattice_particular(monkeypatch):
         ts.lattice_points_bounded(system, 2)
 
 
-def test_boxed_search_limit_counts_points_exactly(monkeypatch):
-    # the running count covers every batch: 9 points in three batches pass,
-    # 10 points in four batches (1 + 2 + 3 + 4) are one too many
-    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 9)
-    assert len(ts.lattice_points_bounded(ts.linear_system(2), 1)) == 9
-    system = ts.linear_system(2, (), [((1, 1), 1, False)])
-    assert len(scan_lattice_points(system, 2)) == 10
-    with pytest.raises(ts.InputError, match="more than 9 lattice points in the box"):
-        ts.lattice_points_bounded(system, 2)
-    # the first-hit search counts the values it orders, 3 + 3 here
-    assert ts.first_lattice_point(ts.linear_system(3), 1) == (0, 0, 0)
+def test_boxed_search_limit_counts_listed_coordinates_exactly(monkeypatch):
+    # The listing counts the coordinates of every batch: the 49 points of
+    # [-3, 3]^2 come in seven batches of 7 and hold 98 coordinates; a limit
+    # of 97 refuses the seventh batch.
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 98)
+    assert len(ts.lattice_points_bounded(ts.linear_system(2), 3)) == 49
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 97)
+    with pytest.raises(ts.InputError, match="^lattice listing: 98 steps pass the work limit MAX_WORK = 97$"):
+        ts.lattice_points_bounded(ts.linear_system(2), 3)
+    # a search of one variable tries no value before its one batch
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 7)
+    assert len(ts.lattice_points_bounded(ts.linear_system(1), 3)) == 7
+    with pytest.raises(ts.InputError, match="^lattice listing: 9 steps pass"):
+        ts.lattice_points_bounded(ts.linear_system(1), 4)
 
 
 def test_first_hit_search_limit_counts_the_values_it_tries(monkeypatch):
     # 1/2 <= y - x <= 1/2 has no integer point, and the range of y moves
-    # with x, so every value of x is tried and fails: the 6 values of x in
-    # [-3, 2] at box bound 3 pass a limit of 6, the 7th at bound 4 does not
+    # with x, so every value of x is tried and fails.  Each value shifts
+    # the 4 rows that bound y and divides them, 8 steps: the 6 values of x
+    # in [-3, 2] at box bound 3 pass a limit of 48, the 7th at bound 4 does
+    # not
     no_integer_y = ts.linear_system(2, (), [((-2, 2), 1, False), ((2, -2), -1, False)])
-    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 6)
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 48)
     assert ts.first_lattice_point(no_integer_y, 3) is None
-    with pytest.raises(ts.InputError, match="more than 6 values, the limit MAX_LATTICE_POINTS"):
+    with pytest.raises(ts.InputError, match="^lattice search: 56 steps pass the work limit MAX_WORK = 48$"):
         ts.first_lattice_point(no_integer_y, 4)
 
 
@@ -611,10 +627,10 @@ def test_first_hit_order_is_by_size_then_positive_first():
 
 
 def test_boxed_search_refuses_more_points_than_the_limit_quickly():
-    assert linalg.MAX_LATTICE_POINTS == 2**20
+    assert ts.errors.MAX_WORK == 2**21
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
-        ts.lattice_points_bounded(ts.linear_system(3), 51)  # 103^3 points
+    with pytest.raises(ts.InputError, match=r"^lattice listing: \d+ steps pass the work limit MAX_WORK = 2097152$"):
+        ts.lattice_points_bounded(ts.linear_system(3), 51)  # 103^3 points, 3 coordinates each
     assert time.perf_counter() - start < 10
     assert ts.first_lattice_point(ts.linear_system(3), 51) == (0, 0, 0)
 

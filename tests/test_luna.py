@@ -78,6 +78,17 @@ def test_is_closed_support_rejects_bad_indices():
         ts.is_closed_support(K7, (9,))
 
 
+def test_support_index_n_is_out_of_range():
+    # the indices of n weights are 0..n-1: n itself is refused, n - 1 taken
+    n = K7.ncoordinates
+    for check in (ts.is_closed_support, ts.weight_subgroup):
+        with pytest.raises(ts.InputError, match="support index out of range"):
+            check(K7, [n])
+        with pytest.raises(ts.InputError, match="support index out of range"):
+            check(K7, [-1])
+        check(K7, [n - 1])
+
+
 def test_support_indices_must_be_integers():
     # True is not index 1, and 0.5 or "0" must not reach the index arithmetic
     for check in (ts.is_closed_support, ts.weight_subgroup):
@@ -142,12 +153,17 @@ def test_luna_strata_group_supports_by_subgroup_not_by_size():
     assert full.dim == 2
 
 
+WORK_REFUSAL = r"^{}: {} steps pass the work limit MAX_WORK = {}$"
+
+
 def test_luna_strata_respects_the_weight_cap():
     # 21 alternating weights have (2^11 - 1) * (2^10 - 1) = 2,094,081
-    # nonempty closed supports, refused before they are listed.
+    # nonempty closed supports of up to 21 indices each, refused before
+    # they are listed.
     alternating = weight_system(1, (), [(1,), (-1,)] * 10 + [(1,)])
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="more closed supports than the limit of 1048576"):
+    message = WORK_REFUSAL.format("closed supports", 2_094_081 * 21, 2**21)
+    with pytest.raises(ts.InputError, match=message):
         ts.luna_strata(alternating)
     assert time.perf_counter() - start < 0.1
     assert len(ts.luna_strata(weight_system(1, (), [(0,)]))) == 1
@@ -159,18 +175,19 @@ def test_luna_strata_respects_the_weight_cap():
     assert time.perf_counter() - start < 0.1
 
 
-def test_the_union_closure_holds_no_more_closed_sets_than_the_support_limit(monkeypatch):
-    # Each closed set gives at least one support, so the closure refuses as
-    # soon as it has found more sets than the limit, not once it has yielded
-    # that many: its queue holds each set's unions with every circuit.  The
-    # weights 1, 2, 3 and their negatives have 9 circuits, the pairs of
-    # opposite signs; the unions with the first one it yields make 18 sets.
-    monkeypatch.setattr(ts.luna, "MAX_SUPPORTS", 10)
+def test_the_union_closure_counts_its_joins_before_making_them(monkeypatch):
+    # The weights 1, 2, 3 and their negatives have 9 circuits, the pairs of
+    # opposite signs, found by double description in 5^3 + 30 = 155 steps.
+    # Each set yielded is then joined with all 9, so a limit of 155 lets
+    # the joins of the first 17 sets through and refuses the 18th set's,
+    # before its unions join the queue.  Each join finds at most one set,
+    # so the queue stays within the joins.
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 155)
     yielded = []
-    with pytest.raises(ts.InputError, match="^more closed supports than the limit of 10$"):
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("union closure", 162, 155)):
         for closed in ts.luna._closed_part_sets([(k,) for k in (1, -1, 2, -2, 3, -3)]):
             yielded.append(closed)
-    assert len(yielded) == 2
+    assert len(yielded) == 18
 
 
 def test_many_weights_of_low_rank_stay_within_the_envelope():
@@ -184,14 +201,14 @@ def test_many_weights_of_low_rank_stay_within_the_envelope():
     assert time.perf_counter() - start < 1.0
 
 
-def test_many_weights_of_low_rank_are_refused_past_the_face_limit():
-    # 140 distinct weights in Z have 70 x 70 = 4,900 positive circuits, over
-    # the limit of 4,096 facets of their Gale vectors' cone, so closedness
-    # and stability checks refuse them.  An earlier version took such
-    # circuits from the one-signed minors of the 9,730 pairs of weights and
-    # answered both.
+def test_many_weights_of_low_rank_are_refused_past_the_work_limit():
+    # 140 distinct weights in Z have 139 Gale vectors in dimension 139, and
+    # the greedy pass of double description updates 139^3 entries, over the
+    # limit, so closedness and stability checks refuse them.  An earlier
+    # version took their 4,900 circuits from the one-signed minors of the
+    # 9,730 pairs of weights and answered both.
     ws = weight_system(1, (), [(k,) for k in range(-70, 71) if k])
-    message = r"^4900 facets of the cone over 140 of 140 vectors exceed the limit of 4096 faces$"
+    message = WORK_REFUSAL.format("double description", 139**3, 2**21)
     with pytest.raises(ts.InputError, match=message):
         ts.is_closed_support(ws, range(140))
     with pytest.raises(ts.InputError, match=message):
@@ -211,33 +228,37 @@ def test_random_weights_are_refused_on_faces_within_a_second(count, rank, bound)
     # Their Gale vectors' cones have thousands of facets.  With no limit,
     # double description took 1.8 s to find the 7,833 of the first and did
     # not end within 100 s on the second (2-core x86_64 host, Python 3.11);
-    # the step that passes the limit is the last one taken.
+    # each addition counts its pair tests before it makes them.
     ws = distinct_random_weights(36, count, rank, bound)
     start = time.perf_counter()
     with pytest.raises(
-        ts.InputError,
-        match=r"^\d+ facets of the cone over \d+ of \d+ vectors exceed the limit of 4096 faces$",
+        ts.InputError, match=WORK_REFUSAL.format("double description", r"\d+", 2**21)
     ):
         ts.luna_strata(ws)
     assert time.perf_counter() - start < 1.0
 
 
-def test_one_face_limit_bounds_facets_faces_and_circuits(monkeypatch):
-    # Lowering the documented limit refuses all three: the cone over a
-    # square has 4 facets and 10 faces, and the weights 1, 2, -1, -2 in Z
-    # have 4 positive circuits, the facets of their Gale vectors' cone.
+def test_one_work_limit_bounds_facets_faces_circuits_and_closure(monkeypatch):
+    # Lowering the one limit refuses each stage at its own count.  The cone
+    # over a square counts 27 + 2 * 1 * 3 = 33 steps of double description
+    # and 10 faces of 4 + 9 steps in its walk, 130.  The weights 1, 2, -1,
+    # -2 in Z have 4 positive circuits, found in 33 steps as well, and 10
+    # closed sets, each joined with the 4 circuits.
     square = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
     ws = weight_system(1, (), [(1,), (2,), (-1,), (-2,)])
-    monkeypatch.setattr(ts.cones, "MAX_FACES", 3)
-    message = r"^4 facets of the cone over 4 of 4 vectors exceed the limit of 3 faces$"
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 32)
+    message = WORK_REFUSAL.format("double description", 33, 32)
     with pytest.raises(ts.InputError, match=message):
         ts.build_cone(3, square)
     with pytest.raises(ts.InputError, match=message):
         ts.luna_strata(ws)
-    monkeypatch.setattr(ts.cones, "MAX_FACES", 4)
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 39)
     cone = ts.build_cone(3, square)
-    with pytest.raises(ts.InputError, match=r"^5 faces found so far exceed the limit of 4 faces$"):
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("face walk", 52, 39)):
         ts.face_lattice(cone)
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("union closure", 40, 39)):
+        ts.luna_strata(ws)
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 40)
     assert len(ts.luna_strata(ws)) == 3
 
 

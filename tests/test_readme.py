@@ -40,11 +40,13 @@ def test_readme_library_snippet_values_hold():
     assert checked == 5
 
 
-def test_readme_quotes_the_package_limits():
-    assert "**4,096 faces** (`cones.MAX_FACES`)" in README
-    assert ts.cones.MAX_FACES == 4096
-    assert "  - the **4,096 faces** above" in README
-    assert "**2^20 closed supports**" in README
-    assert ts.luna.MAX_SUPPORTS == 2**20
-    assert re.search(r"\*\*2\^20 = 1,048,576 points\*\*\s+\(`linalg.MAX_LATTICE_POINTS`\)", README)
-    assert ts.linalg.MAX_LATTICE_POINTS == 2**20 == 1_048_576
+def test_readme_quotes_the_package_limits(capsys, fixture_path):
+    assert "`toricstrata.errors.MAX_WORK` = **2^21 = 2,097,152 steps**" in README
+    assert ts.errors.MAX_WORK == 2**21 == 2_097_152
+    for gone in ("MAX_FACES", "MAX_SUPPORTS", "MAX_LATTICE_POINTS"):
+        assert gone not in README
+    # the quoted refusal is the CLI's, path and count included
+    block = fenced_block("error: tests/fixtures/cyclic_9x18.json")
+    path = fixture_path("cyclic_9x18.json")
+    assert main(["stratify", path]) == 1
+    assert capsys.readouterr().err.replace(path, "tests/fixtures/cyclic_9x18.json") == block

@@ -131,31 +131,33 @@ def test_root_searches_step_along_short_vectors():
     assert root_search_runs(skewed, 8) == 281
 
 
-def test_enumerate_roots_refuses_more_roots_than_the_lattice_point_limit():
+LISTING_REFUSAL = r"^lattice listing: \d+ steps pass the work limit MAX_WORK = 2097152$"
+
+
+def test_enumerate_roots_refuses_more_roots_than_the_work_limit():
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
+    with pytest.raises(ts.InputError, match=LISTING_REFUSAL):
         ts.enumerate_roots(quadrant(4), 101)  # 102^3 roots on the first ray
     assert time.perf_counter() - start < 10
 
 
 def test_enumerate_roots_limit_counts_the_roots_of_all_rays(monkeypatch):
-    from toricstrata import linalg
-
-    # each ray of the quadrant has B + 1 = 4 roots at bound 3: eight in all
-    # pass a limit of 8, and a limit of 7 refuses the second ray's batch
-    # although each ray alone stays under it
-    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 8)
+    # each ray of the quadrant has B + 1 = 4 roots of 2 coordinates at
+    # bound 3: both rays' 16 coordinates pass a limit of 16, and a limit of
+    # 15 refuses the second ray's roots although each ray alone stays under
+    # it
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 16)
     assert [len(g) for g in ts.enumerate_roots(quadrant(2), 3)] == [4, 4]
-    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 7)
-    with pytest.raises(ts.InputError, match="more than 7 lattice points in the box"):
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 15)
+    with pytest.raises(ts.InputError, match="^root listing: 16 steps pass the work limit MAX_WORK = 15$"):
         ts.enumerate_roots(quadrant(2), 3)
     assert len(ts.lattice_points_bounded(ts.linear_system(1), 3)) == 7
 
 
 def test_enumerate_roots_refuses_an_oversized_box_before_building_a_root(monkeypatch):
-    # rays 0 and 1 have 1,024,690 roots each at the default bound 100: each
-    # alone is under the limit, both together are over it, and the count
-    # that refuses them builds no point
+    # rays 0 and 1 have 1,024,690 roots each at the default bound 100, of
+    # 4 coordinates each: the listing of ray 0 passes the limit in its
+    # search columns and stops before it builds any point
     from toricstrata import linalg
 
     cone = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 10)])
@@ -163,24 +165,10 @@ def test_enumerate_roots_refuses_an_oversized_box_before_building_a_root(monkeyp
     real = linalg._affine_column
     monkeypatch.setattr(linalg, "_affine_column", lambda *args: built.append(1) or real(*args))
     start = time.perf_counter()
-    with pytest.raises(ts.InputError, match="more than 1048576 lattice points in the box"):
+    with pytest.raises(ts.InputError, match=LISTING_REFUSAL):
         ts.enumerate_roots(cone)
     assert time.perf_counter() - start < 2
     assert built == []
-
-
-def test_enumerate_roots_counts_only_a_box_that_may_pass_the_limit(monkeypatch):
-    # nrays * (2B + 1)^(n - 1) bounds the roots: 3 * 9^2 = 243 at bound 4
-    from toricstrata import linalg, roots
-
-    counted = []
-    real = roots._check_point_total
-    monkeypatch.setattr(roots, "_check_point_total", lambda *args: counted.append(1) or real(*args))
-    assert [len(g) for g in ts.enumerate_roots(quadrant(3), 4)] == [25, 25, 25]
-    assert counted == []
-    monkeypatch.setattr(linalg, "MAX_LATTICE_POINTS", 242)
-    assert [len(g) for g in ts.enumerate_roots(quadrant(3), 4)] == [25, 25, 25]
-    assert counted == [1]
 
 
 def test_enumerate_roots_a1_reference_values():

@@ -83,9 +83,10 @@ def test_semigroup_member_is_limited_by_the_values_it_tries(monkeypatch):
         assert result.is_yes() and min(result.coefficients) >= 0
         assert combination(1, (), [(7,), (11,), (13,)], result.coefficients) == (target,)
     assert time.perf_counter() - start < 1
-    # 30, the largest integer outside the semigroup, is refused after 5 tries
-    monkeypatch.setattr(ts.linalg, "MAX_LATTICE_POINTS", 4)
-    with pytest.raises(ts.InputError, match="MAX_LATTICE_POINTS"):
+    # 30, the largest integer outside the semigroup, is decided after 5
+    # tries of 4 steps each: a limit of 19 refuses the fifth
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 19)
+    with pytest.raises(ts.InputError, match="^lattice search: 20 steps pass the work limit MAX_WORK = 19$"):
         ts.semigroup_member(g, gens, g.element((30,)))
-    monkeypatch.setattr(ts.linalg, "MAX_LATTICE_POINTS", 5)
+    monkeypatch.setattr(ts.errors, "MAX_WORK", 20)
     assert ts.semigroup_member(g, gens, g.element((30,))).status == "no"
