@@ -688,7 +688,7 @@ def _normalize_row(row: _Row) -> _Row | None:
         return None
     g = math.gcd(g, rhs)
     if g > 1:
-        vec = tuple(x // g for x in vec)
+        vec = tuple([x // g for x in vec])
         rhs //= g
     return vec, rhs, strict
 
@@ -703,7 +703,7 @@ def _add_rows(store: dict[IntVec, _Row], rows: Iterable[_Row]) -> None:
             continue
         vec, rhs, strict = norm
         g = math.gcd(*vec)
-        key = tuple(x // g for x in vec)
+        key = tuple([x // g for x in vec])
         prev = store.get(key)
         if prev is None or (rhs * math.gcd(*prev[0]), strict) > (prev[1] * g, prev[2]):
             store[key] = norm

@@ -19,11 +19,11 @@ sign (Ziegler, *Lectures on Polytopes*, ch. 6), so the closed sets are the
 unions of positive circuits, found with no linear program: the rank-3 cone
 over a lattice 16-gon has 16 positive circuits and 34 closed supports among
 the 65,536 subsets of its rays.  One kernel fold over the coordinates of
-the parts gives their Gale vectors, and the circuits are read off the
-facets of the Gale vectors' cone, by the double description of
-:mod:`toricstrata.cones`.  The double description, the union closure and
-the listing of the supports each count their work against
-``errors.MAX_WORK``.
+the parts gives their Gale vectors, and each circuit is the bitset of the
+parts off a facet of their cone, from the double description of
+:mod:`toricstrata.cones`; closed sets are bitsets over the same sorted
+parts.  The double description, the union closure and the listing of the
+supports each count their work against ``errors.MAX_WORK``.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Iterator
 
 from .abelian import (
@@ -132,66 +134,68 @@ def _checked_support(ws: WeightSystem, support) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _positive_circuits(parts: frozenset[IntVec]) -> set[frozenset[IntVec]]:
-    """The positive circuits of ``parts``: the minimal sets of parts with a
-    relation whose coefficients all have one sign.
+def _part_bits(weights) -> tuple[list[IntVec], list[int]]:
+    """The distinct nonzero free parts of ``weights``, sorted, over which
+    circuits and closed sets are bitsets, and each weight's bit among them:
+    ``1 << k`` for part ``k``, 0 for a zero part."""
+    free = [w.free_part() for w in weights]
+    parts = sorted({p for p in free if any(p)})
+    bit = {p: 1 << k for k, p in enumerate(parts)}
+    return parts, [bit.get(p, 0) for p in free]
+
+
+def _positive_circuits(parts: list[IntVec]) -> list[int]:
+    """The positive circuits of the distinct nonzero ``parts`` as bitsets:
+    the minimal sets of parts with a relation of one sign.
 
     Part ``i``'s Gale vector holds the ``i``-th coefficients of the Hermite
     basis of the relations among the parts, so every relation pairs the
     Gale vectors with a functional (Ziegler, *Lectures on Polytopes*,
     ch. 6).  A minimal support is the set of parts off a hyperplane spanned
     by Gale vectors, with a one-signed relation exactly when that
-    hyperplane is a facet of their cone, which need not be pointed.
+    hyperplane is a facet of their cone, which need not be pointed: each
+    circuit is the complement of a facet's zero set.
     """
-    vs = sorted(parts)
-    relations = _kernel(list(zip(*vs)), len(vs))
+    relations = _kernel(list(zip(*parts)), len(parts))
     if not relations:
-        return set()
+        return []
     hyperplanes = cones._supporting_hyperplanes(list(zip(*relations)), len(relations))
-    return {
-        frozenset(v for i, v in enumerate(vs) if not zeros >> i & 1)
-        for zeros in hyperplanes.values()
-    }
+    every = (1 << len(parts)) - 1
+    return [every ^ zeros for zeros in hyperplanes.values()]
 
 
-def _closed_part_sets(parts: list[IntVec]) -> Iterator[list[int]]:
-    """Every closed subset of ``parts``, as the list of its indices: the
-    union closure of the positive circuits, on bitsets, the empty set first,
+def _closed_part_sets(parts: list[IntVec]) -> Iterator[int]:
+    """Every closed subset of the distinct nonzero ``parts``, as a bitset:
+    the union closure of the positive circuits, the empty set first,
     yielded as found so a caller can stop.  Each set yielded is then joined
     with every circuit, and those joins are counted against ``MAX_WORK``
-    before they are made; they bound the sets found, too."""
-    index = {p: i for i, p in enumerate(parts)}
-    circuits = [sum(1 << index[p] for p in c) for c in _positive_circuits(frozenset(parts))]
-    found = [0]
-    seen = set(found)
-    joins = 0
-    for s in found:
-        yield [i for i in range(len(parts)) if s >> i & 1]
+    before they are made; they bound the sets found, too.  Depth first, the
+    joins soon reach large unions, which they mostly find again."""
+    circuits = _positive_circuits(parts)
+    seen, frontier, joins = {0}, [0], 0
+    while frontier:
+        s = frontier.pop()
+        yield s
         joins += len(circuits)
         _check_work("union closure", joins)
         for circuit in circuits:
             t = s | circuit
             if t not in seen:
                 seen.add(t)
-                found.append(t)
+                frontier.append(t)
 
 
-def _free_parts(ws: WeightSystem, support) -> frozenset[IntVec]:
-    parts = (ws.weights[i].free_part() for i in support)
-    return frozenset(p for p in parts if any(p))
-
-
-def _covered(parts: frozenset[IntVec], circuits: set[frozenset[IntVec]]) -> bool:
-    """Do the positive circuits inside ``parts`` cover it?  A subset's
+def _covered(mask: int, circuits: list[int]) -> bool:
+    """Do the positive circuits inside ``mask`` cover it?  A subset's
     circuits are those of the whole inside it, so one list serves them all."""
-    return frozenset().union(*(c for c in circuits if c <= parts)) == parts
+    return reduce(or_, (c for c in circuits if c | mask == mask), 0) == mask
 
 
 def is_closed_support(ws: WeightSystem, support) -> bool:
     """Are the orbits of points with this support closed, that is, do the
     positive circuits among its nonzero free parts cover them?"""
-    parts = _free_parts(ws, _checked_support(ws, support))
-    return _covered(parts, _positive_circuits(parts))
+    parts, _ = _part_bits(ws.weights[i] for i in _checked_support(ws, support))
+    return _covered((1 << len(parts)) - 1, _positive_circuits(parts))
 
 
 def weight_subgroup(ws: WeightSystem, support) -> SubgroupHandle:
@@ -237,17 +241,12 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
     support is counted against ``MAX_WORK`` by the most indices it can hold,
     before any is listed.
     """
-    by_part: dict[IntVec, list[int]] = {}
-    invariant = []
-    for i, w in enumerate(ws.weights):
-        part = w.free_part()
-        if any(part):
-            by_part.setdefault(part, []).append(i)
-        else:
-            invariant.append(i)
-    indices = list(by_part.values())
+    parts, bits = _part_bits(ws.weights)
+    indices = [[i for i, bit in enumerate(bits) if bit == 1 << k] for k in range(len(parts))]
+    invariant = [i for i, bit in enumerate(bits) if not bit]
     closed_sets, count = [], 0
-    for closed in _closed_part_sets(list(by_part)):
+    for mask in _closed_part_sets(parts):
+        closed = cones._ray_list_of(mask)
         supports = math.prod((1 << len(indices[k])) - 1 for k in closed) << len(invariant)
         count += supports * (len(invariant) + sum(len(indices[k]) for k in closed))
         _check_work("closed supports", count)
@@ -282,11 +281,7 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
         sub = by_weights.get(key)
         if sub is None:
             sub = by_weights[key] = subgroup_canon(ws.group, [ws.weights[i] for i in support])
-        entry = classes.get(sub.basis)
-        if entry is None:
-            classes[sub.basis] = (sub, [support])
-        else:
-            entry[1].append(support)
+        classes.setdefault(sub.basis, (sub, []))[1].append(support)
     strata = []
     for sub, supports in classes.values():
         structure = subgroup_structure(sub)
@@ -335,10 +330,11 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     supports.extend(
         tuple(j for j in range(m) if j != i) for i in range(m)
     )
-    circuits = _positive_circuits(_free_parts(ws, range(m)))
+    parts, bits = _part_bits(ws.weights)
+    circuits = _positive_circuits(parts)
     failures = []
     for support in supports:
-        if not _covered(_free_parts(ws, support), circuits):
+        if not _covered(reduce(or_, (bits[i] for i in support), 0), circuits):
             failures.append(StabilityFailure(support, "orbit-not-closed"))
         if not is_full(subgroup_canon(ws.group, [ws.weights[i] for i in support])):
             failures.append(StabilityFailure(support, "stabilizer-nontrivial"))
@@ -420,12 +416,13 @@ def face_support_bridge(toric: ToricData) -> dict[Face, tuple[int, ...]]:
     computation routes disagree.
     """
     ws = cox_weight_system(toric)
-    circuits = _positive_circuits(_free_parts(ws, range(ws.ncoordinates)))
+    parts, bits = _part_bits(ws.weights)
+    circuits = _positive_circuits(parts)
     mapping: dict[Face, tuple[int, ...]] = {}
     for face in toric.faces:
         inside = set(face.ray_indices)
         support = tuple(i for i in range(toric.cone.nrays) if i not in inside)
-        if not _covered(_free_parts(ws, support), circuits):
+        if not _covered(reduce(or_, (bits[i] for i in support), 0), circuits):
             raise ConsistencyError(
                 f"support {support} of face {face.ray_indices} is not closed"
             )

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,19 @@ def test_roots_refuses_a_default_box_over_the_work_limit(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {path}: lattice listing: ")
     assert err.endswith(" steps pass the work limit MAX_WORK = 2097152\n")
+
+
+def test_luna_refuses_a_closure_of_new_unions_within_a_second(capsys, fixture_path):
+    # The weights -30..30 other than 0 in Z have 900 positive circuits, the
+    # pairs of opposite signs, and most of their unions are new.  The union
+    # closure joins 2,331 closed sets with all 900 before it is refused
+    # (about 0.3 s on a 2-core x86_64 host, Python 3.11).
+    path = fixture_path("weights_z_60.json")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "luna", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: union closure: {2_331 * 900} steps pass the work limit MAX_WORK = 2097152\n"
 
 
 def cyclic_rays(rank, count):

@@ -60,12 +60,37 @@ def test_luna_supports_match_the_subset_scan(system):
     assert sorted(got) == sorted(expected)
 
 
+def part_sets(parts, masks):
+    """The sets of parts that the bitsets ``masks`` over ``parts`` hold,
+    after checking that no bitset repeats."""
+    masks = list(masks)
+    assert len(set(masks)) == len(masks)
+    return {frozenset(p for k, p in enumerate(parts) if mask >> k & 1) for mask in masks}
+
+
+def free_parts(system):
+    free, _, rows = system
+    return free, sorted({row[:free] for row in rows if any(row[:free])})
+
+
 @PROPERTY
 @given(weight_rows())
 def test_positive_circuits_are_the_minimal_closed_part_sets(system):
-    free, _, rows = system
-    parts = sorted({row[:free] for row in rows if any(row[:free])})
-    assert luna._positive_circuits(frozenset(parts)) == minimal_closed_sets(free, parts)
+    free, parts = free_parts(system)
+    circuits = luna._positive_circuits(parts)
+    assert part_sets(parts, circuits) == minimal_closed_sets(free, parts)
+
+
+@PROPERTY
+@given(weight_rows())
+def test_the_union_closure_yields_every_union_of_circuits_once(system):
+    free, parts = free_parts(system)
+    unions = {frozenset()}
+    for circuit in minimal_closed_sets(free, parts):
+        unions |= {u | circuit for u in unions}
+    closed = list(luna._closed_part_sets(parts))
+    assert closed[0] == 0
+    assert part_sets(parts, closed) == unions
 
 
 NONZERO = {d: [v for v in product(range(-2, 3), repeat=d) if any(v)] for d in (1, 2, 3)}
@@ -125,7 +150,7 @@ def test_positive_circuits_are_the_minimal_closed_sets_in_both_regimes(gale_regi
     rank = sum(1 for row in hnf.entries if any(row))
     relations = transform.entries[rank:]
     assert relations and (len(relations) - 1 <= rank) == gale_regime
-    assert luna._positive_circuits(frozenset(vs)) == minimal_closed_sets(free, vs)
+    assert part_sets(vs, luna._positive_circuits(vs)) == minimal_closed_sets(free, vs)
 
 
 @st.composite
