@@ -380,10 +380,6 @@ class MembershipResult(_Record):
     status: str  # "yes" | "no"
     coefficients: IntVec | None = None
 
-    def __init__(self, status, coefficients=None) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "coefficients", coefficients)
-
     def is_yes(self) -> bool:
         return self.status == "yes"
 

@@ -71,10 +71,6 @@ class Cone(_Record):
     ambient_rank: int
     rays: tuple[IntVec, ...]
 
-    def __init__(self, ambient_rank, rays) -> None:
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "rays", rays)
-
     @property
     def nrays(self) -> int:
         return len(self.rays)
@@ -115,11 +111,6 @@ class SplitCone(_Record):
     sublattice_basis: IntMatrix
     cone: Cone
     torus_rank: int
-
-    def __init__(self, sublattice_basis, cone, torus_rank) -> None:
-        object.__setattr__(self, "sublattice_basis", sublattice_basis)
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "torus_rank", torus_rank)
 
 
 def _validated_rays(

@@ -60,12 +60,6 @@ class ToricData(_Record):
     divisor_classes: tuple[GroupElement, ...]
     faces: tuple[Face, ...]
 
-    def __init__(self, cone, class_group, divisor_classes, faces) -> None:
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "class_group", class_group)
-        object.__setattr__(self, "divisor_classes", divisor_classes)
-        object.__setattr__(self, "faces", faces)
-
 
 @dataclass(init=False, repr=False, eq=False)
 class FaceOrbitData(_Record):
@@ -103,10 +97,6 @@ class SemigroupCheck(_Record):
 
     verified: bool
     functional: IntVec
-
-    def __init__(self, verified, functional) -> None:
-        object.__setattr__(self, "verified", verified)
-        object.__setattr__(self, "functional", functional)
 
 
 def _check_toric(toric) -> None:

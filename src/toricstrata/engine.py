@@ -38,7 +38,7 @@ from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subg
 from .cones import Cone, Face, _check_cone, _ray_list_of, _split
 from .divisors import FaceOrbitData, build_toric, face_orbit_data
 from .errors import ConsistencyError, InputError, _Record
-from .linalg import IntVec
+from .linalg import IntVec, _is_int
 from .luna import cox_weight_system
 from .roots import ConnectionGraph, connection_graph, graph_components
 
@@ -68,18 +68,6 @@ class Stratum(_Record):
     dim: int
     smooth: bool
 
-    def __init__(
-        self, index, subgroup, structure, local_class_group, faces, orbit_dims, dim, smooth
-    ) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "local_class_group", local_class_group)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "orbit_dims", orbit_dims)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "smooth", smooth)
-
 
 @dataclass(init=False, repr=False, eq=False)
 class CrossChecks(_Record):
@@ -94,16 +82,6 @@ class CrossChecks(_Record):
     connections_equal: bool
     semigroup_verified: bool
     smooth_iff_trivial_local_class: bool
-
-    def __init__(
-        self, subgroup_vs_luna, connections_refine, connections_equal, semigroup_verified,
-        smooth_iff_trivial_local_class
-    ) -> None:
-        object.__setattr__(self, "subgroup_vs_luna", subgroup_vs_luna)
-        object.__setattr__(self, "connections_refine", connections_refine)
-        object.__setattr__(self, "connections_equal", connections_equal)
-        object.__setattr__(self, "semigroup_verified", semigroup_verified)
-        object.__setattr__(self, "smooth_iff_trivial_local_class", smooth_iff_trivial_local_class)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -129,21 +107,6 @@ class StratificationReport(_Record):
     connections: ConnectionGraph
     cross_checks: CrossChecks
 
-    def __init__(
-        self, ambient_rank, input_rays, torus_rank, cone, class_group, divisor_classes,
-        strata, closure, connections, cross_checks
-    ) -> None:
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "input_rays", input_rays)
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "class_group", class_group)
-        object.__setattr__(self, "divisor_classes", divisor_classes)
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "connections", connections)
-        object.__setattr__(self, "cross_checks", cross_checks)
-
 
 def closure_edges(cone: Cone, strata: tuple[Stratum, ...]) -> tuple[tuple[int, int], ...]:
     """Covering pairs ``(lower, upper)`` of the closure order on ``strata``,
@@ -162,17 +125,23 @@ def closure_edges(cone: Cone, strata: tuple[Stratum, ...]) -> tuple[tuple[int, i
     two cones) are refused.
     """
     _check_cone(cone)
-    table = cone._faces
+    table, nrays = cone._faces, cone.nrays
+    try:
+        strata = tuple(strata)
+    except TypeError:
+        raise InputError("strata must be Stratum objects") from None
     stratum_of: dict[int, int] = {}
     for t, s in enumerate(strata):
         if not isinstance(s, Stratum):
             raise InputError("strata must be Stratum objects")
         for face in s.faces:
-            bits = sum(1 << i for i in face.ray_indices)
-            if bits not in table:
-                raise InputError(
-                    f"stratum {t} has {list(face.ray_indices)}, not a face of the cone"
-                )
+            rays = face.ray_indices if isinstance(face, Face) else None
+            ok = isinstance(rays, tuple) and all(_is_int(i) and 0 <= i < nrays for i in rays)
+            bits = sum(1 << i for i in rays) if ok else -1
+            entry = table.get(bits)
+            if entry is None or entry.face is not face and entry.face != face:
+                shown = list(rays) if isinstance(rays, tuple) else repr(face)
+                raise InputError(f"stratum {t} has {shown}, not a face of the cone")
             seen = stratum_of.setdefault(bits, t)
             if seen != t:
                 raise InputError(f"strata {seen} and {t} share the face {list(face.ray_indices)}")

@@ -464,11 +464,6 @@ class LinearSystem(_Record):
     equalities: tuple[tuple[IntVec, int], ...]
     inequalities: tuple[_Row, ...]
 
-    def __init__(self, dim, equalities, inequalities) -> None:
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "equalities", equalities)
-        object.__setattr__(self, "inequalities", inequalities)
-
 
 def linear_system(
     dim: int,
@@ -521,10 +516,6 @@ class IntegerSolution(_Record):
 
     particular: IntVec
     kernel_basis: tuple[IntVec, ...]
-
-    def __init__(self, particular, kernel_basis) -> None:
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "kernel_basis", kernel_basis)
 
 
 def _pivot_index(basis: Sequence[IntVec]) -> dict[int, int]:

@@ -81,10 +81,6 @@ class WeightSystem(_Record):
     group: FgAbGroup
     weights: tuple[GroupElement, ...]
 
-    def __init__(self, group, weights) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "weights", weights)
-
     @property
     def ncoordinates(self) -> int:
         return len(self.weights)
@@ -217,12 +213,6 @@ class LunaStratum(_Record):
     supports: tuple[tuple[int, ...], ...]
     dim: int
 
-    def __init__(self, subgroup, structure, supports, dim) -> None:
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "dim", dim)
-
 
 def _subsets(indices: list[int]) -> list[tuple[int, ...]]:
     """All subsets of ``indices``, the empty one first."""
@@ -299,10 +289,6 @@ class StabilityFailure(_Record):
     support: tuple[int, ...]
     reason: str  # "orbit-not-closed" | "stabilizer-nontrivial"
 
-    def __init__(self, support, reason) -> None:
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "reason", reason)
-
 
 @dataclass(init=False, repr=False, eq=False)
 class StabilityReport(_Record):
@@ -311,10 +297,6 @@ class StabilityReport(_Record):
 
     stable: bool
     failures: tuple[StabilityFailure, ...]
-
-    def __init__(self, stable, failures) -> None:
-        object.__setattr__(self, "stable", stable)
-        object.__setattr__(self, "failures", failures)
 
 
 def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
@@ -353,10 +335,6 @@ class GaleDual(_Record):
 
     cone: Cone
     lattice_basis: IntMatrix
-
-    def __init__(self, cone, lattice_basis) -> None:
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "lattice_basis", lattice_basis)
 
 
 def gale_dual(ws: WeightSystem) -> GaleDual:

@@ -257,11 +257,6 @@ class ConnectionGraph(_Record):
     faces: tuple[Face, ...]
     verdicts: tuple[tuple[int, int, ConnectionVerdict], ...]
 
-    def __init__(self, cone, faces, verdicts) -> None:
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "verdicts", verdicts)
-
 
 def connection_graph(cone: Cone) -> ConnectionGraph:
     """Evaluate every candidate pair of the face lattice, grouped by upper
@@ -284,6 +279,8 @@ def connection_graph(cone: Cone) -> ConnectionGraph:
 
 def graph_components(graph: ConnectionGraph) -> tuple[tuple[int, ...], ...]:
     """Connected components over the yes-edges, as sorted face index tuples."""
+    if not isinstance(graph, ConnectionGraph):
+        raise InputError("graph must be a ConnectionGraph")
     parent = list(range(len(graph.faces)))
 
     def find(x: int) -> int:
@@ -313,10 +310,6 @@ class IsolatedFace(_Record):
 
     face: Face
     fully_certified: bool
-
-    def __init__(self, face, fully_certified) -> None:
-        object.__setattr__(self, "face", face)
-        object.__setattr__(self, "fully_certified", fully_certified)
 
 
 def isolated_faces(graph: ConnectionGraph) -> tuple[IsolatedFace, ...]:

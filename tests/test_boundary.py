@@ -8,6 +8,7 @@ constructors and never re-enters those factories.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -312,6 +313,19 @@ def test_cone_functions_refuse_what_is_not_a_cone(call, cone):
         call(cone)
 
 
+@pytest.mark.parametrize(
+    "graph",
+    ["x", None, ts.build_cone(2, [(1, 0), (1, 2)])],
+    ids=["str", "None", "cone"],
+)
+@pytest.mark.parametrize(
+    "call", [ts.graph_components, ts.isolated_faces], ids=["graph_components", "isolated_faces"]
+)
+def test_graph_functions_refuse_what_is_not_a_connection_graph(call, graph):
+    with pytest.raises(ts.InputError, match="graph must be a ConnectionGraph"):
+        call(graph)
+
+
 A1_TORIC = ts.build_toric(ts.build_cone(2, [(1, 0), (1, 2)]))
 
 
@@ -343,11 +357,41 @@ def test_toric_functions_refuse_what_is_not_toric_data(call, toric):
 def test_closure_edges_refuses_what_is_not_a_stratum_of_the_cone():
     report = ts.stratify(2, [(1, 0), (1, 2)])
     wider = ts.stratify(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
-    for strata in ("x", (report.strata[0], None)):
+    for strata in ("x", (report.strata[0], None), 5, None):
         with pytest.raises(ts.InputError, match="strata must be Stratum objects"):
             ts.closure_edges(report.cone, strata)
     with pytest.raises(ts.InputError, match=r"stratum \d+ has \[.*\], not a face of the cone"):
         ts.closure_edges(report.cone, wider.strata)
+
+
+A1_REPORT = ts.stratify(2, [(1, 0), (1, 2)])
+
+
+def test_closure_edges_reads_the_strata_once():
+    assert ts.closure_edges(A1_REPORT.cone, iter(A1_REPORT.strata)) == A1_REPORT.closure
+
+
+@pytest.mark.parametrize(
+    "face, shown",
+    [
+        (ts.Face((-1,), 1), r"\[-1\]"),
+        (ts.Face((0.5,), 1), r"\[0\.5\]"),
+        (ts.Face((True,), 1), r"\[True\]"),
+        (ts.Face((1 << 40,), 1), r"\[1099511627776\]"),
+        (ts.Face((0,), 2), r"\[0\]"),
+        (ts.Face([0], 1), r"Face\(ray_indices=\[0\], dim=1\)"),
+        (ts.Face(0, 1), r"Face\(ray_indices=0, dim=1\)"),
+        ("x", "'x'"),
+        (None, "None"),
+    ],
+    ids=[
+        "negative", "float", "bool", "huge", "wrong-dim", "list", "int", "str", "None",
+    ],
+)
+def test_closure_edges_refuses_a_stratum_face_that_is_not_a_face_of_the_cone(face, shown):
+    stratum = dataclasses.replace(A1_REPORT.strata[0], faces=(face,))
+    with pytest.raises(ts.InputError, match=rf"stratum 0 has {shown}, not a face of the cone"):
+        ts.closure_edges(A1_REPORT.cone, (stratum,))
 
 
 @pytest.mark.parametrize(

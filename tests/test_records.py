@@ -98,3 +98,53 @@ def test_no_record_carries_generated_code():
 
 def test_demazure_root_stays_slotted(samples):
     assert not hasattr(samples[ts.DemazureRoot], "__dict__")
+
+
+OWN_INIT = {
+    # built thousands of times per stratification or root listing, where the
+    # shared ``__init__`` costs about twice a hand-written one
+    "IntMatrix", "GroupElement", "SubgroupHandle", "Face", "FaceOrbitData",
+    "ConnectionVerdict", "DemazureRoot",
+    # validates its fields
+    "FgAbGroup",
+}
+
+
+def test_only_the_hot_and_the_validating_records_define_an_init():
+    assert {cls.__name__ for cls in RECORDS if "__init__" in vars(cls)} == OWN_INIT
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((True,), {}, r"StabilityReport\(\) missing field 'failures'"),
+        ((), {"failures": ()}, r"StabilityReport\(\) missing field 'stable'"),
+        ((True, ()), {"reason": "x"}, r"StabilityReport\(\) got 'reason' as an unknown field"),
+        ((True, ()), {"stable": False}, r"StabilityReport\(\) got 'stable' twice"),
+        ((True,), {"stable": False, "failures": ()}, r"StabilityReport\(\) got 'stable' twice"),
+        ((True, (), ()), {}, r"StabilityReport\(\) takes 2 fields but 3 were given"),
+    ],
+    ids=["missing-last", "missing-first", "unknown", "repeated", "repeated-first", "too-many"],
+)
+def test_the_shared_init_names_the_record_it_refuses(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        ts.StabilityReport(*args, **kwargs)
+
+
+def test_the_shared_init_stores_fields_by_position_or_name_and_fills_defaults():
+    assert ts.MembershipResult("no").coefficients is None
+    assert ts.MembershipResult(status="yes", coefficients=(1, 2)).coefficients == (1, 2)
+    assert ts.StabilityFailure((0,), reason="orbit-not-closed") == ts.StabilityFailure(
+        support=(0,), reason="orbit-not-closed"
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if cls.__name__ not in OWN_INIT], ids=lambda cls: cls.__name__
+)
+def test_replace_changes_one_field_through_the_shared_init(samples, cls):
+    x = samples[cls]
+    first, *rest = dataclasses.fields(x)
+    changed = dataclasses.replace(x, **{first.name: "changed"})
+    assert getattr(changed, first.name) == "changed"
+    assert all(getattr(changed, f.name) is getattr(x, f.name) for f in rest)
