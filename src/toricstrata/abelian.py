@@ -151,10 +151,6 @@ class GroupElement(_Record):
     group: FgAbGroup
     coords: IntVec
 
-    def __init__(self, group, coords) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
-
     def _check_same_group(self, other: "GroupElement") -> None:
         if self.group != other.group:
             raise InputError("elements belong to different groups")

@@ -496,8 +496,10 @@ def face_lattice(cone: Cone) -> tuple[Face, ...]:
 
 def _face_entry(cone: Cone, ray_indices: tuple) -> _FaceEntry | None:
     """The table entry of the face with exactly these rays, in increasing
-    order, or ``None``: one lookup by the rays' bitset."""
-    if all(_is_int(i) and 0 <= i < cone.nrays for i in ray_indices):
+    order, or ``None``: one lookup by the rays' bitset.  Anything but a
+    tuple of ``int`` indices gives ``None``."""
+    nrays = cone.nrays
+    if isinstance(ray_indices, tuple) and all(_is_int(i) and 0 <= i < nrays for i in ray_indices):
         entry = cone._faces.get(sum(1 << i for i in ray_indices))
         if entry is not None and entry.face.ray_indices == ray_indices:
             return entry

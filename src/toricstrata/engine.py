@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 from . import luna
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subgroup_structure
-from .cones import Cone, Face, _check_cone, _ray_list_of, _split
+from .cones import Cone, Face, _check_cone, _face_entry, _ray_list_of, _split
 from .divisors import FaceOrbitData, build_toric, face_orbit_data
 from .errors import ConsistencyError, InputError, _Record
-from .linalg import IntVec, _is_int
+from .linalg import IntVec
 from .luna import cox_weight_system
 from .roots import ConnectionGraph, connection_graph, graph_components
 
@@ -125,7 +125,7 @@ def closure_edges(cone: Cone, strata: tuple[Stratum, ...]) -> tuple[tuple[int, i
     two cones) are refused.
     """
     _check_cone(cone)
-    table, nrays = cone._faces, cone.nrays
+    table = cone._faces
     try:
         strata = tuple(strata)
     except TypeError:
@@ -134,17 +134,18 @@ def closure_edges(cone: Cone, strata: tuple[Stratum, ...]) -> tuple[tuple[int, i
     for t, s in enumerate(strata):
         if not isinstance(s, Stratum):
             raise InputError("strata must be Stratum objects")
+        if not isinstance(s.faces, tuple):
+            raise InputError(f"stratum {t} has faces {s.faces!r}, not a tuple of faces")
         for face in s.faces:
             rays = face.ray_indices if isinstance(face, Face) else None
-            ok = isinstance(rays, tuple) and all(_is_int(i) and 0 <= i < nrays for i in rays)
-            bits = sum(1 << i for i in rays) if ok else -1
-            entry = table.get(bits)
-            if entry is None or entry.face is not face and entry.face != face:
+            entry = None if rays is None else _face_entry(cone, rays)
+            if entry is None or entry.face != face:
                 shown = list(rays) if isinstance(rays, tuple) else repr(face)
                 raise InputError(f"stratum {t} has {shown}, not a face of the cone")
+            bits = sum(1 << i for i in rays)
             seen = stratum_of.setdefault(bits, t)
             if seen != t:
-                raise InputError(f"strata {seen} and {t} share the face {list(face.ray_indices)}")
+                raise InputError(f"strata {seen} and {t} share the face {list(rays)}")
     # Faces come by dimension, so a face's facets are done before it: into
     # each face go the strata with a face inside it, and the nearest of
     # them, met through faces of strata not given.

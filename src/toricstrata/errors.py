@@ -54,12 +54,13 @@ class _Record:
 
     The shared ``__init__`` stores two positional fields in about 1 us, a
     hand-written one in 0.45 us, and a ``suite200`` benchmark pass builds
-    thousands of ``IntMatrix``, ``ConnectionVerdict``, ``DemazureRoot``,
-    ``Face``, ``FaceOrbitData`` and ``SubgroupHandle`` (``GroupElement``
-    comes from every group operation): with all records on it, ``stratify``
-    took about 7% longer on those cones and ``enumerate_roots`` 9% on the
-    ``roots_box`` ones.  So those seven write their own, as ``FgAbGroup``
-    does to validate; the rest are built about once per cone or call.
+    ``IntMatrix``, ``ConnectionVerdict``, ``DemazureRoot``, ``Face``,
+    ``FaceOrbitData`` and ``SubgroupHandle`` 2,000 to 6,800 times each (a
+    ``roots_box`` pass ``DemazureRoot`` 58,549 times): with those on it
+    too, ``stratify`` took about 7% longer on those cones and
+    ``enumerate_roots`` 9% on the ``roots_box`` ones.  So those six write
+    their own, as ``FgAbGroup`` does to validate; every other record is
+    built at most about 1,500 times per pass (``GroupElement`` 758).
     """
 
     __slots__ = ()

@@ -372,25 +372,29 @@ def test_closure_edges_reads_the_strata_once():
 
 
 @pytest.mark.parametrize(
-    "face, shown",
+    "faces, message",
     [
-        (ts.Face((-1,), 1), r"\[-1\]"),
-        (ts.Face((0.5,), 1), r"\[0\.5\]"),
-        (ts.Face((True,), 1), r"\[True\]"),
-        (ts.Face((1 << 40,), 1), r"\[1099511627776\]"),
-        (ts.Face((0,), 2), r"\[0\]"),
-        (ts.Face([0], 1), r"Face\(ray_indices=\[0\], dim=1\)"),
-        (ts.Face(0, 1), r"Face\(ray_indices=0, dim=1\)"),
-        ("x", "'x'"),
-        (None, "None"),
+        ((ts.Face((-1,), 1),), r"\[-1\], not a face of the cone"),
+        ((ts.Face((0.5,), 1),), r"\[0\.5\], not a face of the cone"),
+        ((ts.Face((True,), 1),), r"\[True\], not a face of the cone"),
+        ((ts.Face((1 << 40,), 1),), r"\[1099511627776\], not a face of the cone"),
+        ((ts.Face((0,), 2),), r"\[0\], not a face of the cone"),
+        ((ts.Face([0], 1),), r"Face\(ray_indices=\[0\], dim=1\), not a face of the cone"),
+        ((ts.Face(0, 1),), r"Face\(ray_indices=0, dim=1\), not a face of the cone"),
+        (("x",), "'x', not a face of the cone"),
+        ((None,), "None, not a face of the cone"),
+        (5, "faces 5, not a tuple of faces"),
+        (None, "faces None, not a tuple of faces"),
+        ([ts.Face((0,), 1)], r"faces \[Face\(.*\)\], not a tuple of faces"),
     ],
     ids=[
         "negative", "float", "bool", "huge", "wrong-dim", "list", "int", "str", "None",
+        "faces-int", "faces-None", "faces-list",
     ],
 )
-def test_closure_edges_refuses_a_stratum_face_that_is_not_a_face_of_the_cone(face, shown):
-    stratum = dataclasses.replace(A1_REPORT.strata[0], faces=(face,))
-    with pytest.raises(ts.InputError, match=rf"stratum 0 has {shown}, not a face of the cone"):
+def test_closure_edges_refuses_a_stratum_face_that_is_not_a_face_of_the_cone(faces, message):
+    stratum = dataclasses.replace(A1_REPORT.strata[0], faces=faces)
+    with pytest.raises(ts.InputError, match=rf"stratum 0 has {message}"):
         ts.closure_edges(A1_REPORT.cone, (stratum,))
 
 

@@ -528,7 +528,8 @@ def test_every_face_query_refuses_what_is_not_a_face():
         lambda f: ts.connection_exists(A1, f, face),
     )
     for query in queries:
-        for bad in ((0,), "x", None, ts.face_from_ray_indices(RANK3, [0, 2])):
+        foreign = ts.face_from_ray_indices(RANK3, [0, 2])
+        for bad in ((0,), "x", None, ts.Face(0, 1), ts.Face([0], 1), foreign):
             with pytest.raises(ts.InputError, match="face does not belong to the cone's face lattice"):
                 query(bad)
 

@@ -103,8 +103,8 @@ def test_demazure_root_stays_slotted(samples):
 OWN_INIT = {
     # built thousands of times per stratification or root listing, where the
     # shared ``__init__`` costs about twice a hand-written one
-    "IntMatrix", "GroupElement", "SubgroupHandle", "Face", "FaceOrbitData",
-    "ConnectionVerdict", "DemazureRoot",
+    "IntMatrix", "SubgroupHandle", "Face", "FaceOrbitData", "ConnectionVerdict",
+    "DemazureRoot",
     # validates its fields
     "FgAbGroup",
 }
