@@ -27,7 +27,6 @@ principal classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mod, neg, sub
 from typing import Iterable, Sequence
 
@@ -66,7 +65,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FgAbGroup(_Record):
     """``Z^free_rank x Z/torsion[0] x ...`` with a divisibility chain."""
 
@@ -74,7 +72,7 @@ class FgAbGroup(_Record):
     torsion: tuple[int, ...]
 
     def __init__(self, free_rank, torsion) -> None:
-        if not isinstance(free_rank, int) or isinstance(free_rank, bool) or free_rank < 0:
+        if not _is_int(free_rank) or free_rank < 0:
             raise InputError("free rank must be a nonnegative integer")
         try:
             torsion = tuple(torsion)  # hashable whatever iterable came in
@@ -82,7 +80,7 @@ class FgAbGroup(_Record):
             raise InputError("torsion orders must be given as an iterable of integers") from None
         prev = None
         for d in torsion:
-            if not isinstance(d, int) or d < 2:
+            if not _is_int(d) or d < 2:
                 raise InputError("torsion orders must be integers >= 2")
             if prev is not None and d % prev:
                 raise InputError("torsion orders must form a divisibility chain")
@@ -140,7 +138,6 @@ class FgAbGroup(_Record):
         return " x ".join(parts) if parts else "0"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GroupElement(_Record):
     """An element of an :class:`FgAbGroup`, torsion coordinates reduced.
 
@@ -215,7 +212,6 @@ def _cokernel(n: int, factors: list[int]) -> FgAbGroup:
 # Subgroups
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SubgroupHandle(_Record):
     """Canonical handle: Hermite basis of the preimage lattice in Z^(r+t).
 
@@ -368,7 +364,6 @@ def subgroup_structure(sub: SubgroupHandle) -> FgAbGroup:
 # Semigroup membership
 
 
-@dataclass(init=False, repr=False, eq=False)
 class MembershipResult(_Record):
     """Verdict for nonnegative-combination membership: ``"yes"`` with
     coefficients that reach the target, or ``"no"``."""

@@ -28,6 +28,7 @@ from .cones import Cone, split_degenerate
 from .divisors import build_toric, face_orbit_data
 from .engine import StratificationReport, stratify
 from .errors import InputError
+from .linalg import _is_int
 from .luna import (
     WeightSystem,
     check_strongly_stable,
@@ -66,6 +67,8 @@ def _load_json(path: str):
         raise InputError("file not found")
     except IsADirectoryError:
         raise InputError("is a directory")
+    except OSError as exc:  # e.g. a name too long, a file as a directory, a link loop
+        raise InputError(exc.strerror)
     except UnicodeDecodeError:
         raise InputError("not UTF-8 text")
     except json.JSONDecodeError as exc:
@@ -77,7 +80,7 @@ def _load_json(path: str):
 
 
 def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise InputError(f"{what} must be an integer")
     return value
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from operator import and_, mul
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Cone(_Record):
     """A pointed cone: primitive, pairwise distinct, extremal generators."""
 
@@ -86,7 +84,6 @@ def _check_cone(cone) -> None:
         raise InputError("cone must be a Cone")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Face(_Record):
     """A face of a cone, identified by the sorted indices of its rays."""
 
@@ -98,7 +95,6 @@ class Face(_Record):
         object.__setattr__(self, "dim", dim)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SplitCone(_Record):
     """Degenerate-input factorization: X = (full-dimensional part) x torus.
 
@@ -130,9 +126,8 @@ def _validated_rays(
             raise InputError(
                 f"ray #{idx} has {len(vec)} coordinates, expected {ambient_rank}"
             )
-        for x in vec:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InputError(f"ray #{idx} has a non-integer coordinate")
+        if not all(map(_is_int, vec)):
+            raise InputError(f"ray #{idx} has a non-integer coordinate")
         if not any(vec):
             raise InputError(f"ray #{idx} is the zero vector")
         prim = primitive_vector(vec)
@@ -161,7 +156,7 @@ def _split(
     it.  With ``torus`` the rank may be 0 and no rays are the pure torus;
     without it the rank must be at least 1 and a ray is required.  Errors
     name the input's rays."""
-    if not isinstance(ambient_rank, int) or isinstance(ambient_rank, bool):
+    if not _is_int(ambient_rank):
         raise InputError("ambient rank must be an integer")
     if ambient_rank < (0 if torus else 1):
         raise InputError(f"ambient rank must be {'nonnegative' if torus else 'at least 1'}")
@@ -182,7 +177,14 @@ def _split(
     # the rational ray span intersected with the lattice.  With no
     # complement the rays span the lattice: the Hermite basis is the
     # identity and the rays are their own coordinates.
-    sat_basis = _kernel(_kernel(rays, ambient_rank), ambient_rank)
+    # Each fold pairs its row with the at most n x n entries of the lattice
+    # so far, charged before the fold runs.
+    steps = len(rays) * ambient_rank**2
+    _check_work("saturation", steps)
+    complement = _kernel(rays, ambient_rank)
+    steps += len(complement) * ambient_rank**2
+    _check_work("saturation", steps)
+    sat_basis = _kernel(complement, ambient_rank)
     basis = IntMatrix(len(sat_basis), ambient_rank, sat_basis)
     pivot_of = _pivot_index(sat_basis)
     solved = tuple(_lattice_coordinates(sat_basis, pivot_of, ray) for ray in rays)

@@ -22,7 +22,6 @@ certificate aborts the run).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .abelian import (
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ToricData(_Record):
     """Cone with its class group, divisor classes (ray order) and faces
     (in :func:`~toricstrata.cones.face_lattice` order: by dimension, then
@@ -61,7 +59,6 @@ class ToricData(_Record):
     faces: tuple[Face, ...]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FaceOrbitData(_Record):
     """Orbit-level invariants attached to one face.
 
@@ -86,7 +83,6 @@ class FaceOrbitData(_Record):
         object.__setattr__(self, "smooth", smooth)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SemigroupCheck(_Record):
     """Certificate of the semigroup-equals-group identity for one face.
 

@@ -31,8 +31,6 @@ with transforms is the class group's, in ``divisors.build_toric``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import luna
 from .abelian import FgAbGroup, GroupElement, SubgroupHandle, subgroup_leq, subgroup_structure
 from .cones import Cone, Face, _check_cone, _face_entry, _ray_list_of, _split
@@ -51,7 +49,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Stratum(_Record):
     """One orbit of the connected automorphism group.
 
@@ -69,7 +66,6 @@ class Stratum(_Record):
     smooth: bool
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CrossChecks(_Record):
     """Outcome of the independent-route comparisons.
 
@@ -84,7 +80,6 @@ class CrossChecks(_Record):
     smooth_iff_trivial_local_class: bool
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StratificationReport(_Record):
     """Result of :func:`stratify`: the orbit strata of the variety.
 

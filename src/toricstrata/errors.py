@@ -12,11 +12,12 @@ dominates a stage counts its elementary steps in a local variable, charged
 once per step in bulk, and passes the count to :func:`_check_work`, which
 reads the limit when it is called.
 
-:class:`_Record` gives the package's records one ``__init__``; a record
-writes its own only to validate or where it is built thousands of times.
+A class that subclasses :class:`_Record` is a record: the base makes it a
+dataclass and gives it one ``__init__``; a record writes its own only to
+validate or where it is built thousands of times.
 """
 
-from dataclasses import MISSING, FrozenInstanceError
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from operator import attrgetter
 
 __all__ = ["ConsistencyError", "InputError"]
@@ -44,13 +45,16 @@ def _check_work(stage: str, count: int) -> None:
 class _Record:
     """Immutable value semantics shared by the package's records.
 
-    Each record is a ``@dataclass(init=False, repr=False, eq=False)``.  This
-    base gives what ``frozen=True`` would ``exec`` per class: an
-    ``__init__`` taking the fields by position or by name, with declared
-    defaults, that raises ``TypeError`` naming the record for a field
-    missing, unknown or given twice; immutable fields; equality and hashing
-    by the field tuple; the dataclass repr.  ``dataclasses.replace``,
-    ``asdict`` and ``fields`` still work.
+    Subclassing this base is the whole declaration of a record: the
+    subclass is made a ``dataclass(init=False, repr=False, eq=False)``,
+    which collects its fields and defaults, and the base gives what
+    ``frozen=True`` would ``exec`` per class: an ``__init__`` taking the
+    fields by position or by name, with declared defaults, that raises
+    ``TypeError`` naming the record for a field missing, unknown or given
+    twice; immutable fields; equality and hashing by the field tuple; the
+    dataclass repr.  ``dataclasses.replace``, ``asdict`` and ``fields``
+    work.  A slotted record, such as ``DemazureRoot``, declares its
+    ``__slots__``.
 
     The shared ``__init__`` stores two positional fields in about 1 us, a
     hand-written one in 0.45 us, and a ``suite200`` benchmark pass builds
@@ -67,6 +71,7 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        dataclass(cls, init=False, repr=False, eq=False)
         # ``_values(record)`` is the field tuple: every record has two fields
         # or more, so the getter returns a tuple
         cls._values = attrgetter(*cls.__annotations__)

@@ -67,7 +67,6 @@ elsewhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, repeat
@@ -113,7 +112,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(init=False, repr=False, eq=False)
 class IntMatrix(_Record):
     """Immutable dense matrix of arbitrary-precision integers (row-major).
 
@@ -449,7 +447,6 @@ def _is_rational(x) -> bool:
     return _is_int(x) or isinstance(x, Fraction)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LinearSystem(_Record):
     """Mixed equality/inequality system over a fixed number of variables.
 
@@ -510,7 +507,6 @@ def _check_system(system) -> None:
         raise InputError("system must be a LinearSystem")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class IntegerSolution(_Record):
     """Integer solution set of an equality system: particular + lattice."""
 

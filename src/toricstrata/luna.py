@@ -33,7 +33,6 @@ cone from a strongly stable weight system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -54,6 +53,7 @@ from .errors import ConsistencyError, InputError, _Record, _check_work
 from .linalg import (
     IntMatrix,
     IntVec,
+    _is_int,
     _kernel,
     primitive_vector,
 )
@@ -74,7 +74,7 @@ __all__ = [
     "weight_system",
 ]
 
-@dataclass(init=False, repr=False, eq=False)
+
 class WeightSystem(_Record):
     """A quasitorus action: character group plus one weight per coordinate."""
 
@@ -122,7 +122,7 @@ def _checked_support(ws: WeightSystem, support) -> tuple[int, ...]:
         idx = list(support)
     except TypeError:
         raise InputError("support must be given as an iterable of indices") from None
-    if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
+    if not all(map(_is_int, idx)):
         raise InputError("support index must be an integer")
     idx = sorted(set(idx))
     if idx and (idx[0] < 0 or idx[-1] >= ws.ncoordinates):
@@ -155,6 +155,8 @@ def _positive_circuits(parts: list[IntVec]) -> list[int]:
     relations = _kernel(list(zip(*parts)), len(parts))
     if not relations:
         return []
+    # The Gale vectors span, so the greedy pass's charge is known before it runs.
+    _check_work("double description", len(relations) ** 3)
     hyperplanes = cones._supporting_hyperplanes(list(zip(*relations)), len(relations))
     every = (1 << len(parts)) - 1
     return [every ^ zeros for zeros in hyperplanes.values()]
@@ -204,7 +206,6 @@ def weight_subgroup(ws: WeightSystem, support) -> SubgroupHandle:
     return subgroup_canon(ws.group, tuple(ws.weights[i] for i in support))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LunaStratum(_Record):
     """One stratum of the quotient: a subgroup class of closed supports."""
 
@@ -281,7 +282,6 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     return tuple(strata)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StabilityFailure(_Record):
     """A support, as sorted coordinate indices, on which strong stability
     fails, and why."""
@@ -290,7 +290,6 @@ class StabilityFailure(_Record):
     reason: str  # "orbit-not-closed" | "stabilizer-nontrivial"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StabilityReport(_Record):
     """Result of :func:`check_strongly_stable`: ``stable`` exactly when
     ``failures`` is empty."""
@@ -323,7 +322,6 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     return StabilityReport(not failures, tuple(failures))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GaleDual(_Record):
     """Result of Gale duality: the rebuilt cone and the character sublattice.
 

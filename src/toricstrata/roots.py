@@ -33,7 +33,6 @@ depends on a search bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
@@ -65,7 +64,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
 class DemazureRoot(_Record):
     """A validated root.
 
@@ -75,6 +73,7 @@ class DemazureRoot(_Record):
     witness passed.
     """
 
+    __slots__ = ("vector", "distinguished_ray")
     vector: IntVec
     distinguished_ray: int
 
@@ -161,7 +160,6 @@ def enumerate_roots(
     return tuple(groups)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ConnectionVerdict(_Record):
     """Yes (with live witness) or certified no (with the certificate kind)."""
 
@@ -244,7 +242,6 @@ def _connections_down_from(
     return tuple(verdicts)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ConnectionGraph(_Record):
     """All candidate face pairs of a cone with their connection verdicts.
 
@@ -300,7 +297,6 @@ def graph_components(graph: ConnectionGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class IsolatedFace(_Record):
     """A face with no incident yes-edge.
 

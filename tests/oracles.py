@@ -613,7 +613,13 @@ def minimal_closed_sets(rank, parts):
 
 
 # ---------------------------------------------------------------------------
-# lattice polygons
+# cyclic cones and lattice polygons
+
+
+def cyclic_rays(rank, points):
+    """Rays (1, t, ..., t^(rank-1)) of the moment curve, one for each t in
+    ``points``: the cone over a cyclic polytope, with many faces and strata."""
+    return [tuple(t**k for k in range(rank)) for t in points]
 
 
 def polygon_rays(start, edges):

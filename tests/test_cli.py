@@ -1,6 +1,8 @@
 """Command line interface: output formats, exit codes, error reporting."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from toricstrata.cli import _COMMANDS, main
+
+from oracles import cyclic_rays
 
 
 def run_cli(capsys, *argv):
@@ -158,14 +162,10 @@ def test_luna_refuses_a_closure_of_new_unions_within_a_second(capsys, fixture_pa
     assert err == f"error: {path}: union closure: {2_331 * 900} steps pass the work limit MAX_WORK = 2097152\n"
 
 
-def cyclic_rays(rank, count):
-    return [[t**k for k in range(rank)] for t in range(count)]
-
-
 def test_every_command_names_the_input_file_once(capsys, tmp_path, fixture_path):
     # Each command loads its file and is then refused by the work limit, at
     # the stage named after the file: main names the file once for all.
-    cyclic = write_json(tmp_path, "cyclic.json", {"schema": 1, "rank": 8, "rays": cyclic_rays(8, 16)})
+    cyclic = write_json(tmp_path, "cyclic.json", {"schema": 1, "rank": 8, "rays": cyclic_rays(8, range(16))})
     box = write_json(tmp_path, "box.json", {"schema": 1, "rank": 2, "rays": [[1, 0], [0, 1]]})
     weights = [[k] for k in range(-70, 71) if k]
     many = write_json(tmp_path, "many.json", {"schema": 1, "free_rank": 1, "torsion": [], "weights": weights})
@@ -325,6 +325,19 @@ def test_missing_file_reports_cleanly(capsys):
     code, out, err = run_cli(capsys, "stratify", "/nonexistent/f.json")
     assert code == 1 and out == ""
     assert "file not found" in err
+
+
+@pytest.mark.parametrize(
+    "name, errno_code",
+    [("a" * 300 + ".json", errno.ENAMETOOLONG), ("cone_a1.json/x", errno.ENOTDIR)],
+    ids=["name-too-long", "file-as-directory"],
+)
+def test_a_path_the_system_refuses_is_an_input_error(capsys, fixture_path, name, errno_code):
+    path = fixture_path(name)
+    code, out, err = run_cli(capsys, "stratify", path)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {os.strerror(errno_code)}\n"
+    assert "Traceback" not in err
 
 
 def test_invalid_json_reports_position(capsys, tmp_path):

@@ -14,6 +14,7 @@ import toricstrata as ts
 
 from oracles import (
     closed_system_feasible,
+    cyclic_rays,
     det_int,
     rational_rank,
     sample_cones,
@@ -175,11 +176,6 @@ def test_forty_ray_cone_stratifies_within_the_envelope():
     assert sum(len(stratum.faces) for stratum in report.strata) == 82
 
 
-def cyclic_rays(rank, count):
-    """Points (1, t, t^2, ...) of the moment curve, t = 0..count-1."""
-    return [tuple(t**k for k in range(rank)) for t in range(count)]
-
-
 WORK_REFUSAL = r"^{}: \d+ steps pass the work limit MAX_WORK = {}$"
 
 
@@ -189,7 +185,7 @@ def test_past_the_work_limit_a_cone_builds_but_does_not_stratify():
     # entries of its lattice: 3,177,216 steps, over the limit, so the walk
     # stops before any orthogonal lattice is built.
     assert ts.errors.MAX_WORK == 2**21
-    rays = cyclic_rays(8, 16)
+    rays = cyclic_rays(8, range(16))
     start = time.perf_counter()
     cone = ts.build_cone(8, rays)
     assert len(ts.facet_normals(cone)) == 440
@@ -208,7 +204,7 @@ def test_cones_with_many_facet_candidates_stratify(rank, count, faces, strata):
     # C(41, 3) = 10,660 and C(24, 4) = 10,626 (rank-1)-subsets of rays, so
     # a limit on those subsets refused them both.  On a 2-core x86_64 host
     # (Python 3.11) they stratify in about 0.3 s and 0.9 s.
-    report = ts.stratify(rank, cyclic_rays(rank, count))
+    report = ts.stratify(rank, cyclic_rays(rank, range(count)))
     assert sum(len(stratum.faces) for stratum in report.strata) == faces
     assert len(report.strata) == strata
 
@@ -217,10 +213,22 @@ def test_a_cone_past_the_work_limit_is_refused_within_a_second():
     # Cyclic 9x18 has 1,287 facets and 25,538 faces; its whole face table
     # takes about 6 s and 94 MB.  Double description counts 9 steps for
     # each of its pair tests and stops at the limit instead.
-    rays = cyclic_rays(9, 18)
+    rays = cyclic_rays(9, range(18))
     start = time.perf_counter()
     with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("double description", 2**21)):
         ts.stratify(9, rays)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "call", [ts.stratify, ts.build_cone, ts.split_degenerate], ids=lambda call: call.__name__
+)
+def test_the_saturation_of_one_ray_in_a_large_rank_is_refused_within_a_second(call):
+    # The 1,199 kernel rows of one ray in rank 1200 fold over the 1200 x 1200
+    # identity: about 20 s before the fold was charged, which now comes first.
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("saturation", 2**21)):
+        call(1200, [(1,) + (0,) * 1199])
     assert time.perf_counter() - start < 1.0
 
 
@@ -232,8 +240,8 @@ def orthant_rays(rank):
     "rank, rays, faces, steps",
     [
         (13, orthant_rays(13), 8192, 1_490_944),
-        (8, cyclic_rays(8, 15), 4834, 1_904_596),
-        (9, cyclic_rays(9, 13), 4448, 1_169_824),
+        (8, cyclic_rays(8, range(15)), 4834, 1_904_596),
+        (9, cyclic_rays(9, range(13)), 4448, 1_169_824),
     ],
     ids=["orthant-13", "cyclic-8x15", "cyclic-9x13"],
 )
@@ -267,12 +275,12 @@ def test_facets_decide_full_dimensionality_without_a_rank(monkeypatch):
     # full-dimensional before any work is counted
     assert ts.facet_normals(ts.build_cone(2, [(1, 0), (1, 2)])) == ((0, 1), (2, -1))
     flat = ts.Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
-    wide = ts.Cone(8, tuple(row + (0,) for row in cyclic_rays(7, 16)))
+    wide = ts.Cone(8, tuple(row + (0,) for row in cyclic_rays(7, range(16))))
     monkeypatch.setattr(ts.errors, "MAX_WORK", 0)
     for cone in (flat, wide):
         with pytest.raises(ts.InputError, match="cone is not full-dimensional"):
             ts.facet_normals(cone)
-    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("double description", 0)):
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("saturation", 0)):
         ts.build_cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
 
 
@@ -348,7 +356,7 @@ def test_the_face_table_certificate_catches_every_dropped_facet(fixture_path):
     # notice the missing facet.
     with open(fixture_path("polygon_16.json")) as f:
         polygon = json.load(f)
-    cyclic = (5, cyclic_rays(5, 12))
+    cyclic = (5, cyclic_rays(5, range(12)))
     for rank, rays in (cyclic, (polygon["rank"], polygon["rays"])):
         rays = tuple(map(tuple, rays))
         for k in range(len(ts.facet_normals(ts.build_cone(rank, rays)))):

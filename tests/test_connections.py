@@ -11,6 +11,7 @@ from toricstrata import roots
 
 from oracles import (
     connection_by_pair,
+    cyclic_rays,
     hermite_kernel,
     rational_rank,
     sixteen_gon_rays,
@@ -43,10 +44,6 @@ def assert_graph_matches_oracle(cone):
 def test_graph_matches_the_per_pair_solve_on_the_suite(suite_cones):
     pairs = sum(len(assert_graph_matches_oracle(cone).verdicts) for cone in suite_cones)
     assert pairs == 4865
-
-
-def cyclic_rays(rank, points):
-    return [tuple(t**i for i in range(rank)) for t in points]
 
 
 def pyramid_rays(base, apex):

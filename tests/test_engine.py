@@ -9,16 +9,10 @@ import pytest
 import toricstrata as ts
 from toricstrata import stratify
 
-from oracles import closure_by_containment, sample_cones, sixteen_gon_rays, twelve_gon_rays
+from oracles import closure_by_containment, cyclic_rays, sample_cones, sixteen_gon_rays, twelve_gon_rays
 
 
 RANK3_RAYS = [(1, 0, 0), (1, 2, 0), (0, 1, 2)]
-
-
-def cyclic_rays(rank, count):
-    """Rays (1, t, ..., t^(rank-1)) for t = 0..count-1: a cyclic polytope's
-    cone, with many strata."""
-    return [tuple(t**k for k in range(rank)) for t in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +450,7 @@ def test_closure_matches_subgroup_containment_between_every_pair(suite_reports):
     ]:
         reports.append(stratify(rank, rays))
     for rank, counts in [(4, range(6, 13)), (5, range(7, 11))]:
-        reports.extend(stratify(rank, cyclic_rays(rank, m)) for m in counts)
+        reports.extend(stratify(rank, cyclic_rays(rank, range(m))) for m in counts)
     assert max(len(report.closure) for report in reports) == 325
     for report in reports:
         assert report.closure == closure_by_containment(ts, report.strata)
@@ -496,6 +490,6 @@ def test_stratify_checks_containment_once_per_covering_pair(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(ts.engine, "subgroup_leq", counting)
-    report = stratify(5, cyclic_rays(5, 12))
+    report = stratify(5, cyclic_rays(5, range(12)))
     assert len(report.strata) == 209 and len(report.closure) == 509
     assert len(calls) <= len(report.closure)

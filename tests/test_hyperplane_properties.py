@@ -11,6 +11,7 @@ from toricstrata.cones import _supporting_hyperplanes
 from toricstrata.linalg import _kernel
 
 from oracles import (
+    cyclic_rays,
     forty_gon_rays,
     rational_rank,
     supporting_hyperplanes,
@@ -68,18 +69,14 @@ def gale_vectors(parts):
     return list(zip(*_kernel(list(zip(*parts)), len(parts))))
 
 
-def cyclic_rays(rank, count):
-    return [tuple(t**i for i in range(rank)) for t in range(count)]
-
-
 # Six parts of rank 3 take the Gale side in dimension 3.  The last part is
 # independent of the others, so its Gale vector is zero; the first and
 # fifth have opposite Gale vectors, so their cone has a line.
 NON_POINTED_PARTS = [(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)]
 
 NAMED_SYSTEMS = {
-    "cyclic_5x12": (5, cyclic_rays(5, 12)),
-    "cyclic_6x13": (6, cyclic_rays(6, 13)),
+    "cyclic_5x12": (5, cyclic_rays(5, range(12))),
+    "cyclic_6x13": (6, cyclic_rays(6, range(13))),
     "twenty_four_gon": (3, twenty_four_gon_rays()),
     "forty_gon": (3, forty_gon_rays()),
     "gale_non_pointed": (3, gale_vectors(NON_POINTED_PARTS)),

@@ -215,6 +215,19 @@ def test_many_weights_of_low_rank_are_refused_past_the_work_limit():
         ts.check_strongly_stable(ws)
 
 
+def test_the_greedy_pass_is_charged_before_it_runs():
+    # The weights 1..450 and -1 in Z have 450 Gale vectors in dimension 450,
+    # whose greedy pass took 8.4 s before its charge refused them.
+    ws = weight_system(1, (), [(k,) for k in range(1, 451)] + [(-1,)])
+    message = WORK_REFUSAL.format("double description", 450**3, 2**21)
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match=message):
+        ts.luna_strata(ws)
+    with pytest.raises(ts.InputError, match=message):
+        ts.check_strongly_stable(ws)
+    assert time.perf_counter() - start < 1.0
+
+
 def distinct_random_weights(seed, count, rank, bound):
     rng = random.Random(seed)
     rows = set()
@@ -240,16 +253,19 @@ def test_random_weights_are_refused_on_faces_within_a_second(count, rank, bound)
 
 def test_one_work_limit_bounds_facets_faces_circuits_and_closure(monkeypatch):
     # Lowering the one limit refuses each stage at its own count.  The cone
-    # over a square counts 27 + 2 * 1 * 3 = 33 steps of double description
+    # over a square folds its 4 rays over 3 x 3 entries, 36 steps of
+    # saturation, counts 27 + 2 * 1 * 3 = 33 steps of double description
     # and 10 faces of 4 + 9 steps in its walk, 130.  The weights 1, 2, -1,
     # -2 in Z have 4 positive circuits, found in 33 steps as well, and 10
     # closed sets, each joined with the 4 circuits.
     square = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
     ws = weight_system(1, (), [(1,), (2,), (-1,), (-2,)])
     monkeypatch.setattr(ts.errors, "MAX_WORK", 32)
+    with pytest.raises(ts.InputError, match=WORK_REFUSAL.format("saturation", 36, 32)):
+        ts.build_cone(3, square)
     message = WORK_REFUSAL.format("double description", 33, 32)
     with pytest.raises(ts.InputError, match=message):
-        ts.build_cone(3, square)
+        ts.facet_normals(ts.Cone(3, tuple(square)))
     with pytest.raises(ts.InputError, match=message):
         ts.luna_strata(ws)
     monkeypatch.setattr(ts.errors, "MAX_WORK", 39)

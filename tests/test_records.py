@@ -2,14 +2,17 @@
 and hashed by their field tuples, copyable and picklable, with the
 dataclass repr; and their classes carry no generated methods."""
 
+import ast
 import copy
 import dataclasses
 import pickle
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
 import toricstrata as ts
+from toricstrata.errors import _Record
 
 RECORDS = tuple(
     getattr(ts, name) for name in ts.__all__ if dataclasses.is_dataclass(getattr(ts, name))
@@ -94,6 +97,33 @@ def test_no_record_carries_generated_code():
         if getattr(getattr(value, "__code__", None), "co_filename", None) == "<string>"
     ]
     assert generated == []
+
+
+def test_no_record_class_carries_a_dataclass_decorator():
+    decorated = [
+        f"{path.name}:{node.name}"
+        for path in Path(ts.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if "dataclass" in ast.unparse(decorator)
+    ]
+    assert decorated == []
+
+
+def test_subclassing_the_base_alone_declares_a_record():
+    class Point(_Record):
+        x: int
+        y: int = 0
+
+    assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
+    assert Point.__match_args__ == ("x", "y")
+    p = Point(1)
+    assert p.y == 0 and p == Point(x=1, y=0)
+    assert dataclasses.replace(p, y=2) == Point(1, 2)
+    assert repr(p) == f"{Point.__qualname__}(x=1, y=0)"
+    with pytest.raises(FrozenInstanceError):
+        p.x = 2
 
 
 def test_demazure_root_stays_slotted(samples):
