@@ -53,7 +53,6 @@ __all__ = [
     "GroupElement",
     "MembershipResult",
     "SubgroupHandle",
-    "full_subgroup",
     "group_from_cokernel",
     "is_full",
     "quotient_group",
@@ -61,7 +60,6 @@ __all__ = [
     "subgroup_canon",
     "subgroup_leq",
     "subgroup_structure",
-    "subgroups_equal",
 ]
 
 
@@ -121,12 +119,6 @@ class FgAbGroup(_Record):
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.ncoords)
-
-    def standard_generators(self) -> tuple["GroupElement", ...]:
-        n = self.ncoords
-        return tuple(
-            GroupElement(self, tuple(1 if i == j else 0 for j in range(n))) for i in range(n)
-        )
 
     def describe(self) -> str:
         parts = []
@@ -289,14 +281,6 @@ def _subgroup_join(sub: SubgroupHandle, gens: Iterable[GroupElement]) -> Subgrou
     return SubgroupHandle(group, tuple(row for row in h.entries if any(row)))
 
 
-def subgroups_equal(a: SubgroupHandle, b: SubgroupHandle) -> bool:
-    _check_subgroup(a)
-    _check_subgroup(b)
-    if a.parent != b.parent:
-        raise InputError("subgroups live in different parent groups")
-    return a.basis == b.basis
-
-
 def subgroup_leq(a: SubgroupHandle, b: SubgroupHandle) -> bool:
     """Whether subgroup ``a`` is contained in subgroup ``b``: each row of
     its Hermite basis is a row of that of ``b`` or reduces to zero
@@ -311,11 +295,6 @@ def subgroup_leq(a: SubgroupHandle, b: SubgroupHandle) -> bool:
         row in shared or _lattice_coordinates(b.basis, pivot_of, row) is not None
         for row in a.basis
     )
-
-
-def full_subgroup(group: FgAbGroup) -> SubgroupHandle:
-    _check_group(group)
-    return subgroup_canon(group, group.standard_generators())
 
 
 def is_full(handle: SubgroupHandle) -> bool:

@@ -284,8 +284,6 @@ def _cmd_stratify(args):
 
 
 def _cmd_roots(args):
-    if args.bound is not None and args.bound < 0:
-        raise InputError("--bound must be nonnegative")
     cone = _load_pointed_cone(args)
     bound = args.bound if args.bound is not None else default_box_bound(cone)
     groups = enumerate_roots(cone, bound)
@@ -320,8 +318,9 @@ def _cmd_connections(args):
         "verdicts": [_verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts],
         "components": [[list(graph.faces[i].ray_indices) for i in comp] for comp in components],
         "isolated": [
-            {"face": list(entry.face.ray_indices), "fully_certified": entry.fully_certified}
-            for entry in isolated
+            # Part of schema 1; every verdict is a "yes" or a certified "no".
+            {"face": list(face.ray_indices), "fully_certified": True}
+            for face in isolated
         ],
     }
     lines = [f"candidate pairs ({len(graph.verdicts)}):"]
@@ -332,7 +331,7 @@ def _cmd_connections(args):
     if isolated:
         lines.append(
             "faces with no connection: "
-            + ", ".join(_idx_set(e.face.ray_indices) for e in isolated)
+            + ", ".join(_idx_set(face.ray_indices) for face in isolated)
         )
     return payload, lines
 

@@ -45,7 +45,7 @@ from .linalg import (
     _hermite_reduced,
     _orthogonal_echelon,
     _pivot_index,
-    primitive_vector,
+    _primitive,
     smith_normal_form,  # not called here; perfbench's tracer test looks the name up
 )
 
@@ -130,7 +130,7 @@ def _validated_rays(
             raise InputError(f"ray #{idx} has a non-integer coordinate")
         if not any(vec):
             raise InputError(f"ray #{idx} is the zero vector")
-        prim = primitive_vector(vec)
+        prim = _primitive(vec)
         if prim != vec:
             if not normalize:
                 raise InputError(
@@ -267,7 +267,7 @@ def _supporting_hyperplanes(
         return None
     steps = dim**3
     _check_work("double description", steps)
-    gens = [(primitive_vector(u), z) for u, z in gens]
+    gens = [(_primitive(u), z) for u, z in gens]
     for k in rest:
         pairings = [sum(map(mul, vectors[k], u)) for u, _ in gens]
         steps += sum(a > 0 for a in pairings) * sum(a < 0 for a in pairings) * dim
@@ -310,7 +310,7 @@ def _add_halfspace(
                     on[j] = sum(1 << g for g, z in enumerate(zeros) if z >> j & 1)
                 meet &= on[j]
             if meet == 1 << gu | 1 << gw:
-                out.append((primitive_vector([a * y - b * x for x, y in zip(u, w)]), common | 1 << k))
+                out.append((_primitive([a * y - b * x for x, y in zip(u, w)]), common | 1 << k))
     return out
 
 

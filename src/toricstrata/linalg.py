@@ -86,7 +86,6 @@ __all__ = [
     "hermite_normal_form",
     "lattice_points_bounded",
     "linear_system",
-    "primitive_vector",
     "rational_feasible",
     "smith_normal_form",
     "solve_integer_system",
@@ -187,7 +186,7 @@ def _check_matrix(a) -> None:
         raise InputError("matrix must be an IntMatrix")
 
 
-def primitive_vector(vec: Sequence[int]) -> IntVec:
+def _primitive(vec: Sequence[int]) -> IntVec:
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = math.gcd(*vec)
     if g == 0:

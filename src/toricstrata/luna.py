@@ -55,7 +55,7 @@ from .linalg import (
     IntVec,
     _is_int,
     _kernel,
-    primitive_vector,
+    _primitive,
 )
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "gale_dual",
     "is_closed_support",
     "luna_strata",
-    "weight_subgroup",
     "weight_system",
 ]
 
@@ -152,6 +151,11 @@ def _positive_circuits(parts: list[IntVec]) -> list[int]:
     hyperplane is a facet of their cone, which need not be pointed: each
     circuit is the complement of a facet's zero set.
     """
+    # The fold starts from a parts x parts identity.  The Gale dimension is
+    # at least the number of parts less the free rank, so that much of the
+    # greedy pass's charge is known before the fold runs.
+    rank = len(parts[0]) if parts else 0
+    _check_work("double description", max(0, len(parts) - rank) ** 3)
     relations = _kernel(list(zip(*parts)), len(parts))
     if not relations:
         return []
@@ -196,16 +200,6 @@ def is_closed_support(ws: WeightSystem, support) -> bool:
     return _covered((1 << len(parts)) - 1, _positive_circuits(parts))
 
 
-def weight_subgroup(ws: WeightSystem, support) -> SubgroupHandle:
-    """Canonical subgroup generated by the weights in the support.
-
-    Two closed supports lie in the same Luna stratum exactly when these
-    subgroups coincide.
-    """
-    support = _checked_support(ws, support)
-    return subgroup_canon(ws.group, tuple(ws.weights[i] for i in support))
-
-
 class LunaStratum(_Record):
     """One stratum of the quotient: a subgroup class of closed supports."""
 
@@ -233,8 +227,9 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
     before any is listed.
     """
     parts, bits = _part_bits(ws.weights)
-    indices = [[i for i, bit in enumerate(bits) if bit == 1 << k] for k in range(len(parts))]
-    invariant = [i for i, bit in enumerate(bits) if not bit]
+    indices, invariant = [[] for _ in parts], []
+    for i, bit in enumerate(bits):
+        (indices[bit.bit_length() - 1] if bit else invariant).append(i)
     closed_sets, count = [], 0
     for mask in _closed_part_sets(parts):
         closed = cones._ray_list_of(mask)
@@ -306,13 +301,13 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     (trivial stabilizer).
     """
     _check_weight_system(ws)
+    parts, bits = _part_bits(ws.weights)
+    circuits = _positive_circuits(parts)
     m = ws.ncoordinates
     supports = [tuple(range(m))]
     supports.extend(
         tuple(j for j in range(m) if j != i) for i in range(m)
     )
-    parts, bits = _part_bits(ws.weights)
-    circuits = _positive_circuits(parts)
     failures = []
     for support in supports:
         if not _covered(reduce(or_, (bits[i] for i in support), 0), circuits):
@@ -376,7 +371,7 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
             raise InputError(
                 f"coordinate {i} pairs to zero with every invariant character"
             )
-        rays.append(primitive_vector(column))
+        rays.append(_primitive(column))
     try:
         cone = build_cone(d, rays)
     except InputError as exc:

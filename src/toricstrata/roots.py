@@ -53,7 +53,6 @@ __all__ = [
     "ConnectionGraph",
     "ConnectionVerdict",
     "DemazureRoot",
-    "IsolatedFace",
     "connection_exists",
     "connection_graph",
     "default_box_bound",
@@ -297,26 +296,9 @@ def graph_components(graph: ConnectionGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
-class IsolatedFace(_Record):
-    """A face with no incident yes-edge.
-
-    ``fully_certified`` is true when every incident candidate pair came back
-    as a certified no.
-    """
-
-    face: Face
-    fully_certified: bool
-
-
-def isolated_faces(graph: ConnectionGraph) -> tuple[IsolatedFace, ...]:
-    """The faces with no incident yes-edge, in face order.
-
-    Every verdict is a "yes" or a certified "no", so these are the
-    singleton components of :func:`graph_components` and each is fully
-    certified.
-    """
-    return tuple(
-        IsolatedFace(graph.faces[c[0]], fully_certified=True)
-        for c in graph_components(graph)
-        if len(c) == 1
-    )
+def isolated_faces(graph: ConnectionGraph) -> tuple[Face, ...]:
+    """The faces with no incident yes-edge, in face order: the singleton
+    components of :func:`graph_components`.  Every verdict is a "yes" or a
+    certified "no", so each incident pair of such a face is a certified
+    "no"."""
+    return tuple(graph.faces[c[0]] for c in graph_components(graph) if len(c) == 1)

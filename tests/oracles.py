@@ -712,7 +712,7 @@ def sample_cones(lib, seed, count, min_rank=2, max_rank=4, max_rays=6, coord=5):
             for _attempt in range(60):
                 v = tuple(rng.randint(-coord, coord) for _ in range(rank))
                 if any(v):
-                    p = lib.primitive_vector(v)
+                    p = primitive_integer(v)
                     if p not in seen:
                         seen.add(p)
                         rays.append(p)

@@ -133,9 +133,16 @@ def test_subgroup_order_and_membership_against_exhaustive_closure():
         assert quotient.order() == group.order() // len(elements)
 
 
+def full(group):
+    """The whole group, generated by its unit elements."""
+    n = group.ncoords
+    units = [group.element([int(i == j) for j in range(n)]) for i in range(n)]
+    return ts.subgroup_canon(group, units)
+
+
 def test_is_full_agrees_with_equality_to_the_full_subgroup():
     # is_full reads the identity basis off the handle; the definition it
-    # replaced compared with full_subgroup's Hermite form
+    # replaced compared with the Hermite form of the unit elements
     rng = random.Random(31)
     for _ in range(200):
         group = grp(rng.randint(0, 2), rng.choice([(), (2,), (3,), (2, 4), (2, 6), (3, 3)]))
@@ -144,8 +151,8 @@ def test_is_full_agrees_with_equality_to_the_full_subgroup():
             for _ in range(rng.randint(0, 4))
         ]
         handle = ts.subgroup_canon(group, gens)
-        assert ts.is_full(handle) == ts.subgroups_equal(handle, ts.full_subgroup(group))
-    assert ts.is_full(ts.full_subgroup(grp(0)))
+        assert ts.is_full(handle) == (handle == full(group))
+    assert ts.is_full(full(grp(0)))
 
 
 def test_subgroup_leq_and_equality():
@@ -154,10 +161,11 @@ def test_subgroup_leq_and_equality():
     four = ts.subgroup_canon(g, [g.element((4,))])
     assert ts.subgroup_leq(four, two)
     assert not ts.subgroup_leq(two, four)
-    assert not ts.subgroups_equal(two, four)
-    assert ts.subgroups_equal(two, ts.subgroup_canon(g, [g.element((6,))]))
-    full = ts.full_subgroup(g)
-    assert ts.subgroup_leq(two, full) and ts.is_full(full)
+    # handles are canonical, so == decides equality
+    assert two != four
+    assert two == ts.subgroup_canon(g, [g.element((6,))])
+    whole = full(g)
+    assert ts.subgroup_leq(two, whole) and ts.is_full(whole)
     trivial = ts.subgroup_canon(g, [])
     assert ts.subgroup_leq(trivial, four)
     assert ts.subgroup_structure(trivial).describe() == "0"
@@ -170,7 +178,7 @@ def test_quotient_group_examples():
     z4 = grp(0, (4,))
     half = ts.quotient_group(z4, ts.subgroup_canon(z4, [z4.element((2,))]))
     assert half.describe() == "Z/2"
-    assert ts.quotient_group(z4, ts.full_subgroup(z4)).describe() == "0"
+    assert ts.quotient_group(z4, full(z4)).describe() == "0"
     assert ts.quotient_group(z4, ts.subgroup_canon(z4, [])).describe() == "Z/4"
 
 

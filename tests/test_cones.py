@@ -16,6 +16,7 @@ from oracles import (
     closed_system_feasible,
     cyclic_rays,
     det_int,
+    primitive_integer,
     rational_rank,
     sample_cones,
     forty_gon_rays,
@@ -97,7 +98,7 @@ def _random_ray_set(rng):
         c = [rng.randint(-3, 3) for _ in range(k)]
         v = tuple(sum(c[i] * basis[i][j] for i in range(k)) for j in range(n))
         if any(v):
-            rays.add(ts.primitive_vector(v))
+            rays.add(primitive_integer(v))
     if 0 < len(rays) < 6 and rng.random() < 0.2:
         rays.add(tuple(-x for x in rng.choice(sorted(rays))))
     return n, sorted(rays)
@@ -600,7 +601,7 @@ def test_split_degenerate_coordinates_embed_back_onto_the_rays():
             if rational_rank(b) == d:
                 break
         rays = [
-            ts.primitive_vector([sum(r[l] * b[l][j] for l in range(d)) for j in range(n)])
+            primitive_integer([sum(r[l] * b[l][j] for l in range(d)) for j in range(n)])
             for r in cone.rays
         ]
         split = ts.split_degenerate(n, rays)

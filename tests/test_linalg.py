@@ -32,15 +32,15 @@ def mat(rows, cols=None):
 
 
 def test_primitive_vector_divides_out_the_gcd():
-    assert ts.primitive_vector((2, 4, 6)) == (1, 2, 3)
-    assert ts.primitive_vector((-3, 6)) == (-1, 2)
-    assert ts.primitive_vector((0, 0, 5)) == (0, 0, 1)
-    assert ts.primitive_vector((7,)) == (1,)
+    assert linalg._primitive((2, 4, 6)) == (1, 2, 3)
+    assert linalg._primitive((-3, 6)) == (-1, 2)
+    assert linalg._primitive((0, 0, 5)) == (0, 0, 1)
+    assert linalg._primitive((7,)) == (1,)
 
 
 def test_primitive_vector_rejects_zero():
     with pytest.raises(ts.InputError):
-        ts.primitive_vector((0, 0))
+        linalg._primitive((0, 0))
 
 
 def test_primitive_vector_random_gcd_is_one():
@@ -49,7 +49,7 @@ def test_primitive_vector_random_gcd_is_one():
         v = tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 5)))
         if not any(v):
             continue
-        p = ts.primitive_vector(v)
+        p = linalg._primitive(v)
         g = 0
         for x in p:
             g = abs(x) if g == 0 else __import__("math").gcd(g, abs(x))

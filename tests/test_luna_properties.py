@@ -13,6 +13,7 @@ from oracles import (
     det_int,
     hermite_with_transform,
     minimal_closed_sets,
+    primitive_integer,
     rational_rank,
     spans_a_subspace,
 )
@@ -170,7 +171,7 @@ def cox_weight_systems(draw):
 
     def image(point):
         scaled = [d * sum(map(mul, row, point)) for d, row in zip(diagonal, upper)]
-        return ts.primitive_vector([sum(map(mul, row, scaled)) for row in lower])
+        return primitive_integer([sum(map(mul, row, scaled)) for row in lower])
 
     rays = [image((1, t, t * t)[:rank]) for t in params]
     return ts.cox_weight_system(ts.build_toric(ts.build_cone(rank, rays)))

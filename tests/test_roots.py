@@ -280,8 +280,13 @@ def test_connection_graph_components_split_off_the_singular_faces():
 def test_isolated_faces_of_the_cyclic_example_are_fully_certified():
     graph = ts.connection_graph(RANK3)
     isolated = ts.isolated_faces(graph)
-    assert {f.face.ray_indices for f in isolated} == {(0, 1), (0, 1, 2)}
-    assert all(f.fully_certified for f in isolated)
+    assert {f.ray_indices for f in isolated} == {(0, 1), (0, 1, 2)}
+    # every pair that touches an isolated face is a "no" with a certificate kind
+    touching = [
+        v for i1, i2, v in graph.verdicts if {graph.faces[i1], graph.faces[i2]} & set(isolated)
+    ]
+    assert touching
+    assert all(v.status == "no" and v.certificate for v in touching)
 
 
 def test_quadrant_connection_graph_is_fully_connected():
