@@ -186,12 +186,16 @@ SUB = ts.subgroup_canon(Z, [ONE])
         (lambda: ts.subgroup_canon(Z, [(1,)]), "generators must be group elements"),
         (lambda: ts.semigroup_member(Z, [(1,)], ONE), "generators must be group elements"),
         (lambda: ts.semigroup_member(Z, [ONE], (1,)), "target must be a group element"),
+        # the group is checked when there are no generators to check
+        (lambda: ts.subgroup_canon("x", []), "group must be an FgAbGroup"),
         (lambda: ts.quotient_group("x", SUB), "group must be an FgAbGroup"),
         (lambda: ts.quotient_group(Z, "x"), "subgroup must be a SubgroupHandle"),
         (lambda: ts.subgroup_structure("x"), "subgroup must be a SubgroupHandle"),
         (lambda: ts.is_full("x"), "subgroup must be a SubgroupHandle"),
         (lambda: ts.subgroup_leq(SUB, "x"), "subgroup must be a SubgroupHandle"),
         (lambda: ts.subgroup_leq("x", SUB), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.subgroup_leq(SUB, None), "subgroup must be a SubgroupHandle"),
+        (lambda: ts.is_full(None), "subgroup must be a SubgroupHandle"),
         (lambda: ts.group_from_cokernel([[1]]), "matrix must be an IntMatrix"),
         (lambda: ts.smith_normal_form([[1]]), "matrix must be an IntMatrix"),
         (lambda: ts.hermite_normal_form([[1]]), "matrix must be an IntMatrix"),

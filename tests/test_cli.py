@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from toricstrata import luna
 from toricstrata.cli import _COMMANDS, main
 
 from oracles import cyclic_rays
@@ -160,6 +161,21 @@ def test_luna_refuses_a_closure_of_new_unions_within_a_second(capsys, fixture_pa
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out == ""
     assert err == f"error: {path}: union closure: {2_331 * 900} steps pass the work limit MAX_WORK = 2097152\n"
+
+
+@pytest.mark.parametrize("command", ["luna", "stable"])
+def test_many_weights_are_refused_before_the_gale_fold(capsys, tmp_path, monkeypatch, command):
+    # The weights 1..3000 and -1 in Z: the Gale dimension is at least the
+    # number of parts less the free rank, so the fold is charged first.
+    def fold(*args):
+        raise AssertionError("the Gale kernel was folded")
+
+    monkeypatch.setattr(luna, "_kernel", fold)
+    weights = [[k] for k in range(1, 3001)] + [[-1]]
+    path = write_json(tmp_path, "many.json", {"schema": 1, "free_rank": 1, "torsion": [], "weights": weights})
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: double description: {3000**3} steps pass the work limit MAX_WORK = 2097152\n"
 
 
 def test_every_command_names_the_input_file_once(capsys, tmp_path, fixture_path):

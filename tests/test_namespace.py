@@ -5,6 +5,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import toricstrata as ts
 
 MODULES = ("abelian", "cones", "divisors", "engine", "errors", "linalg", "luna", "roots")
@@ -50,6 +52,23 @@ def test_every_earlier_root_name_is_still_exported():
     namespace = {}
     exec("from toricstrata import *", namespace)
     assert all(name in namespace for name in ROOT_NAMES)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("abelian", "subgroups_equal"),
+        ("abelian", "full_subgroup"),
+        ("luna", "weight_subgroup"),
+        ("roots", "IsolatedFace"),
+        ("linalg", "primitive_vector"),
+    ],
+)
+def test_removed_names_stay_removed(module, name):
+    # nothing called them; each has a replacement over names that stay
+    assert name not in ts.__all__
+    assert not hasattr(ts, name)
+    assert not hasattr(importlib.import_module(f"toricstrata.{module}"), name)
 
 
 # ``perfbench/test_perfbench.py`` looks this name up in ``cones``.
