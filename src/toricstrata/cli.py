@@ -19,7 +19,6 @@ canonical: two-space indentation, sorted keys, trailing newline.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -208,6 +207,7 @@ def _verdict_text(graph, i1: int, i2: int, verdict) -> str:
 
 def _report_payload(report: StratificationReport) -> dict:
     graph = report.connections
+    checks = report.cross_checks
     return {
         "schema": 1,
         "ambient_rank": report.ambient_rank,
@@ -232,7 +232,7 @@ def _report_payload(report: StratificationReport) -> dict:
         "connections": {
             "verdicts": [_verdict_payload(graph, i1, i2, v) for i1, i2, v in graph.verdicts],
         },
-        "checks": dataclasses.asdict(report.cross_checks),
+        "checks": {name: getattr(checks, name) for name in checks.__match_args__},
         # Part of schema 1; every check is a hard guarantee, so it stays empty.
         "warnings": [],
     }

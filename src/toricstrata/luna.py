@@ -22,8 +22,9 @@ the 65,536 subsets of its rays.  One kernel fold over the coordinates of
 the parts gives their Gale vectors, and each circuit is the bitset of the
 parts off a facet of their cone, from the double description of
 :mod:`toricstrata.cones`; closed sets are bitsets over the same sorted
-parts.  The double description, the union closure and the listing of the
-supports each count their work against ``errors.MAX_WORK``.
+parts.  The double description, the union closure, the listing of the
+supports and the supports the stability check tests each count their work
+against ``errors.MAX_WORK``.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -304,6 +305,8 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
     parts, bits = _part_bits(ws.weights)
     circuits = _positive_circuits(parts)
     m = ws.ncoordinates
+    # m + 1 supports of up to m indices each, listed and joined below
+    _check_work("stability supports", (m + 1) * m)
     supports = [tuple(range(m))]
     supports.extend(
         tuple(j for j in range(m) if j != i) for i in range(m)

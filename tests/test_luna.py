@@ -243,6 +243,24 @@ def test_the_gale_fold_is_charged_before_it_runs(monkeypatch):
         ts.check_strongly_stable(ws)
 
 
+def test_the_stability_supports_are_charged_before_they_are_listed(monkeypatch):
+    # 2,000 copies of the weight 1 and one -1 in Z: two parts, so the
+    # circuits are cheap, but the 2,002 supports of up to 2,001 indices
+    # each took 4.0 s and 154 MB before their charge refused them.
+    def canon(*args):
+        raise AssertionError("a support's subgroup was computed")
+
+    monkeypatch.setattr(ts.luna, "subgroup_canon", canon)
+    ws = weight_system(1, (), [(1,)] * 2000 + [(-1,)])
+    message = WORK_REFUSAL.format("stability supports", 2002 * 2001, 2**21)
+    start = time.perf_counter()
+    with pytest.raises(ts.InputError, match=message):
+        ts.check_strongly_stable(ws)
+    with pytest.raises(ts.InputError, match=message):
+        ts.gale_dual(ws)
+    assert time.perf_counter() - start < 1.0
+
+
 def distinct_random_weights(seed, count, rank, bound):
     rng = random.Random(seed)
     rows = set()

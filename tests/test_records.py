@@ -1,13 +1,19 @@
 """The package's records behave as frozen dataclasses: immutable, compared
 and hashed by their field tuples, copyable and picklable, with the
-dataclass repr; and their classes carry no generated methods."""
+dataclass repr; and their classes carry no generated methods.  Their
+dataclass metadata is built on first use, so importing the package does
+not import ``dataclasses``."""
 
 import ast
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
+from types import MemberDescriptorType
 
 import pytest
 
@@ -34,8 +40,7 @@ def walk(value):
         yield from walk(child)
 
 
-@pytest.fixture(scope="module")
-def samples():
+def sample_records():
     """One instance of each record class, from a few library calls."""
     report = ts.stratify(2, [(1, 0), (1, 2)])
     toric = ts.build_toric(report.cone)
@@ -62,6 +67,11 @@ def samples():
         if dataclasses.is_dataclass(value):
             found.setdefault(type(value), value)
     return found
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return sample_records()
 
 
 def test_the_samples_cover_every_record_class(samples):
@@ -115,10 +125,13 @@ def test_subclassing_the_base_alone_declares_a_record():
         x: int
         y: int = 0
 
-    assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
     assert Point.__match_args__ == ("x", "y")
     p = Point(1)
     assert p.y == 0 and p == Point(x=1, y=0)
+    # built and filled in without the dataclass metadata, made on first read
+    assert "__dataclass_fields__" not in vars(Point)
+    assert [f.name for f in dataclasses.fields(Point)] == ["x", "y"]
+    assert "__dataclass_fields__" in vars(Point)
     assert dataclasses.replace(p, y=2) == Point(1, 2)
     assert repr(p) == f"{Point.__qualname__}(x=1, y=0)"
     with pytest.raises(FrozenInstanceError):
@@ -127,6 +140,59 @@ def test_subclassing_the_base_alone_declares_a_record():
 
 def test_demazure_root_stays_slotted(samples):
     assert not hasattr(samples[ts.DemazureRoot], "__dict__")
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_the_declared_fields_agree_with_the_dataclass_fields(cls):
+    fields = dataclasses.fields(cls)
+    assert cls.__match_args__ == tuple(f.name for f in fields)
+    assert cls._defaults == {
+        f.name: f.default for f in fields if f.default is not dataclasses.MISSING
+    }
+    assert all(f.default_factory is dataclasses.MISSING for f in fields)
+
+
+def test_a_slotted_record_takes_no_default_from_its_slots():
+    slots = ts.DemazureRoot.__slots__
+    assert all(isinstance(vars(ts.DemazureRoot)[name], MemberDescriptorType) for name in slots)
+    assert ts.DemazureRoot._defaults == {}
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(ts.DemazureRoot))
+
+
+def test_the_base_is_not_a_dataclass():
+    assert not dataclasses.is_dataclass(_Record)
+    assert not hasattr(_Record, "__dataclass_fields__")
+
+
+FRESH_INTERPRETER = """
+import sys
+before = set(sys.modules)
+import toricstrata.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+import dataclasses
+from test_records import sample_records
+for cls, x in sample_records().items():
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(x), cls
+    names = tuple(f.name for f in dataclasses.fields(x))
+    assert names == cls.__match_args__, cls
+    assert dataclasses.replace(x) == x, cls
+    assert tuple(dataclasses.asdict(x)) == names, cls
+    print(cls.__name__)
+"""
+
+
+def test_a_fresh_interpreter_imports_the_cli_without_dataclasses():
+    # Compared with the modules loaded before the import, so what a host's
+    # ``site`` loads neither passes nor fails the test.
+    paths = [str(Path(ts.__file__).parent.parent), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    added, *checked = result.stdout.splitlines()
+    assert added == "[]"
+    assert sorted(checked) == sorted(cls.__name__ for cls in RECORDS)
 
 
 OWN_INIT = {
