@@ -30,8 +30,8 @@ from .errors import InputError
 from .linalg import _is_int
 from .luna import (
     WeightSystem,
+    _gale_dual,
     check_strongly_stable,
-    gale_dual,
     luna_strata,
     weight_system,
 )
@@ -378,7 +378,7 @@ def _cmd_stable(args):
     if report.stable:
         lines.append("strongly stable: yes")
         try:
-            dual = gale_dual(ws)
+            dual = _gale_dual(ws)  # the report above holds it stable
         except InputError as exc:
             payload["dual_cone"] = None
             lines.append(f"dual cone: not available ({exc})")

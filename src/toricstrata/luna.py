@@ -249,6 +249,16 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
     return supports
 
 
+def _subgroup_of(ws: WeightSystem, support, by_weights: dict) -> SubgroupHandle:
+    """The subgroup the weights of ``support`` generate, kept in ``by_weights``
+    by the set of weights: supports differing by repeated weights share it."""
+    key = frozenset(ws.weights[i].coords for i in support)
+    sub = by_weights.get(key)
+    if sub is None:
+        sub = by_weights[key] = subgroup_canon(ws.group, [ws.weights[i] for i in support])
+    return sub
+
+
 def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     """All Luna strata, sorted by descending dimension.
 
@@ -260,14 +270,9 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     """
     _check_weight_system(ws)
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
-    # The subgroup depends only on the set of weights, and supports that
-    # differ by repeated weights share it.
     by_weights: dict[frozenset[IntVec], SubgroupHandle] = {}
     for support in _closed_supports(ws):
-        key = frozenset(ws.weights[i].coords for i in support)
-        sub = by_weights.get(key)
-        if sub is None:
-            sub = by_weights[key] = subgroup_canon(ws.group, [ws.weights[i] for i in support])
+        sub = _subgroup_of(ws, support, by_weights)
         classes.setdefault(sub.basis, (sub, []))[1].append(support)
     strata = []
     for sub, supports in classes.values():
@@ -299,23 +304,22 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
 
     Checked on the full support and every support missing one coordinate:
     each must be closed and must generate the whole character group
-    (trivial stabilizer).
+    (trivial stabilizer).  The m + 1 supports are charged before any is built,
+    and supports with one set of weights share one subgroup.
     """
     _check_weight_system(ws)
     parts, bits = _part_bits(ws.weights)
     circuits = _positive_circuits(parts)
     m = ws.ncoordinates
-    # m + 1 supports of up to m indices each, listed and joined below
+    # m + 1 supports of up to m indices each, built and joined below
     _check_work("stability supports", (m + 1) * m)
-    supports = [tuple(range(m))]
-    supports.extend(
-        tuple(j for j in range(m) if j != i) for i in range(m)
-    )
+    by_weights: dict[frozenset[IntVec], SubgroupHandle] = {}
     failures = []
-    for support in supports:
+    for dropped in range(-1, m):  # -1 drops nothing: the full support
+        support = tuple(j for j in range(m) if j != dropped)
         if not _covered(reduce(or_, (bits[i] for i in support), 0), circuits):
             failures.append(StabilityFailure(support, "orbit-not-closed"))
-        if not is_full(subgroup_canon(ws.group, [ws.weights[i] for i in support])):
+        if not is_full(_subgroup_of(ws, support, by_weights)):
             failures.append(StabilityFailure(support, "stabilizer-nontrivial"))
     return StabilityReport(not failures, tuple(failures))
 
@@ -334,19 +338,28 @@ class GaleDual(_Record):
 
 
 def gale_dual(ws: WeightSystem) -> GaleDual:
-    """Rebuild the toric variety presented by a strongly stable action."""
+    """Rebuild the toric variety presented by a strongly stable action, checked first."""
     report = check_strongly_stable(ws)
     if not report.stable:
         what = ", ".join(
             f"{f.reason} at support {f.support}" for f in report.failures[:3]
         )
         raise InputError(f"Gale duality needs a strongly stable action; found {what}")
+    return _gale_dual(ws)
+
+
+def _gale_dual(ws: WeightSystem) -> GaleDual:
+    """Gale duality on a strongly stable action, whose rays are distinct, so
+    the saturation ``build_cone`` charges first is charged before the kernel
+    fold, worded as the refusal of ``build_cone`` is wrapped below."""
     m = ws.ncoordinates
     r = ws.group.free_rank
     torsion = ws.group.torsion
     t = len(torsion)
     if m <= r:
         raise InputError("need more weights than the free rank to span a cone")
+    d = m - r
+    _check_work("weights do not present a pointed cone: saturation", m * d * d)
 
     # Kernel of (a, k) |-> sum a_i * w_i - sum k_j * d_j * e_j over the
     # free-plus-torsion coordinate presentation; its projection to the a
@@ -361,7 +374,6 @@ def gale_dual(ws: WeightSystem) -> GaleDual:
     ]
     kernel = _kernel(eqs, m + t)
     projected = tuple(vec[:m] for vec in kernel)
-    d = m - r
     if len(projected) != d:
         raise ConsistencyError(
             f"invariant-character lattice has rank {len(projected)}, expected {d}"

@@ -41,12 +41,12 @@ from .errors import ConsistencyError, InputError, _Record, _check_work
 from .linalg import (
     IntVec,
     LinearSystem,
-    _boxed_solutions,
     _check_box_bound,
     _gcd_vector,
     _is_int,
     _pivot_index,
     _reduce,
+    lattice_points_bounded,
 )
 
 __all__ = [
@@ -132,7 +132,7 @@ def enumerate_roots(
     re-checks every point against exactly those conditions, so each is
     wrapped without a second validation.  That search lists points in
     the order of its size-reduced kernel basis of ``ray_tau . x == -1``,
-    so a sort sets the order of each group.  The coordinates of the roots
+    so its sort sets the order of each group.  The coordinates of the roots
     of all rays count against ``errors.MAX_WORK``, each ray's as its search
     lists them and all rays' once more after each search, so the roots held
     at once stay within twice the limit.
@@ -152,7 +152,7 @@ def enumerate_roots(
     ]
     groups, listed = [], 0
     for tau, system in enumerate(systems):
-        points = sorted(_boxed_solutions(system, box_bound, False))
+        points = lattice_points_bounded(system, box_bound)
         listed += len(points) * n
         _check_work("root listing", listed)
         groups.append(tuple(DemazureRoot(p, tau) for p in points))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toricstrata import luna
+from toricstrata import cli, luna
 from toricstrata.cli import _COMMANDS, main
 
 from oracles import cyclic_rays
@@ -235,6 +235,40 @@ def test_stable_reports_stable_with_the_dual_cone(capsys, fixture_path):
     assert code == 0
     assert "strongly stable: yes" in out
     assert "dual cone: rank 5," in out
+
+
+def test_stable_checks_stability_once(capsys, fixture_path, monkeypatch):
+    # the report the command prints is the one the Gale dual relies on
+    calls = []
+    real = luna.check_strongly_stable
+
+    def counted(ws):
+        calls.append(ws)
+        return real(ws)
+
+    monkeypatch.setattr(luna, "check_strongly_stable", counted)
+    monkeypatch.setattr(cli, "check_strongly_stable", counted)
+    code, out, _ = run_cli(capsys, "stable", fixture_path("weights_k7.json"))
+    assert code == 0 and "dual cone: rank 5," in out
+    assert len(calls) == 1
+
+
+def test_stable_refuses_the_dual_cone_of_many_weights_within_a_second(capsys, tmp_path):
+    # 700 copies of the weight 1 and 701 of -1 in Z are strongly stable;
+    # their dual cone's first saturation, 1,401 rays in rank 1,400, is
+    # refused before the Gale fold.  Checking stability twice and folding
+    # first took 6.0 s and 80 MB (2-core x86_64 host, Python 3.11).
+    weights = [[1]] * 700 + [[-1]] * 701
+    path = write_json(tmp_path, "stable.json", {"schema": 1, "free_rank": 1, "torsion": [], "weights": weights})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stable", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert out == (
+        "strongly stable: yes\n"
+        "dual cone: not available (weights do not present a pointed cone: saturation:"
+        " 2745960000 steps pass the work limit MAX_WORK = 2097152)\n"
+    )
 
 
 def test_stable_reports_failures(capsys, tmp_path):

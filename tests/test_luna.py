@@ -261,6 +261,80 @@ def test_the_stability_supports_are_charged_before_they_are_listed(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_the_stability_check_builds_one_subgroup_per_weight_set(monkeypatch):
+    # 1,000 copies of the weight 1 and one -1 in Z: the 1,002 supports hold
+    # two sets of weights, {1, -1} and {1}, so two Hermite forms serve them
+    # all.  Each support took its own, about 1,000 rows each.
+    calls = []
+    real = ts.luna.subgroup_canon
+    monkeypatch.setattr(
+        ts.luna, "subgroup_canon", lambda group, gens: calls.append(len(gens)) or real(group, gens)
+    )
+    report = ts.check_strongly_stable(weight_system(1, (), [(1,)] * 1000 + [(-1,)]))
+    assert calls == [1001, 1000]
+    # dropping the -1 leaves copies of 1 alone, not closed
+    assert [(f.support, f.reason) for f in report.failures] == [
+        (tuple(range(1000)), "orbit-not-closed")
+    ]
+
+
+def test_gale_dual_charges_the_saturation_before_the_fold(monkeypatch):
+    # 200 copies of the weight 1 and 201 of -1 in Z are strongly stable,
+    # and their 401 rays in rank 400 pass the limit in build_cone's first
+    # saturation charge, 401 * 400^2 steps, which is made before the
+    # 401-square Gale fold; the circuits' fold over two parts still runs.
+    real = ts.luna._kernel
+
+    def fold(rows, n):
+        assert n <= 100, "the Gale kernel was folded"
+        return real(rows, n)
+
+    monkeypatch.setattr(ts.luna, "_kernel", fold)
+    ws = weight_system(1, (), [(1,)] * 200 + [(-1,)] * 201)
+    with pytest.raises(ts.InputError) as err:
+        ts.gale_dual(ws)
+    assert str(err.value) == (
+        "weights do not present a pointed cone: saturation: 64160000 steps"
+        " pass the work limit MAX_WORK = 2097152"
+    )
+
+
+def reference_stability_report(ws):
+    """Strong stability support by support, one subgroup for each."""
+    m = ws.ncoordinates
+    supports = [tuple(range(m))] + [tuple(j for j in range(m) if j != i) for i in range(m)]
+    failures = []
+    for support in supports:
+        if not ts.is_closed_support(ws, support):
+            failures.append(ts.StabilityFailure(support, "orbit-not-closed"))
+        if not ts.is_full(ts.subgroup_canon(ws.group, [ws.weights[i] for i in support])):
+            failures.append(ts.StabilityFailure(support, "stabilizer-nontrivial"))
+    return ts.StabilityReport(not failures, tuple(failures))
+
+
+def test_the_stability_check_matches_a_support_by_support_reference():
+    # Few distinct free parts, many repeated weights: supports share weight
+    # sets, and supports whose weights differ only in torsion must not
+    # share a subgroup.
+    rng = random.Random(43)
+    reasons = []
+    for _ in range(80):
+        free = rng.randint(1, 2)
+        torsion = rng.choice([(), (2,), (3,), (2, 4)])
+        parts = [tuple(rng.randint(-2, 2) for _ in range(free)) for _ in range(rng.randint(2, 3))]
+        rows = [
+            rng.choice(parts) + tuple(rng.randrange(d) for d in torsion)
+            for _ in range(rng.randint(2, 9))
+        ]
+        ws = weight_system(free, torsion, rows)
+        report = ts.check_strongly_stable(ws)
+        assert report == reference_stability_report(ws), rows
+        reasons.append({f.reason for f in report.failures})
+    # not vacuous: stable systems, and each kind of failure alone
+    assert set() in reasons
+    assert {"orbit-not-closed"} in reasons and {"stabilizer-nontrivial"} in reasons
+
+
 def distinct_random_weights(seed, count, rank, bound):
     rng = random.Random(seed)
     rows = set()
