@@ -13,8 +13,9 @@ canonical bases are identical tuples, so handles can serve as dict keys.
 
 :func:`semigroup_member` decides exactly, with no search bound, whether an
 element is a nonnegative integer combination of others: ``"yes"`` with a
-re-checked witness or ``"no"``.  Its one search is the first-hit lattice
-search of :mod:`toricstrata.linalg` over a bounded polytope, which tries
+re-checked witness or ``"no"``.  Its body lives in
+:mod:`toricstrata._polyhedra`, imported on the first call.  Its one search
+is the first-hit lattice search over a bounded polytope, which tries
 values lazily by size and raises ``InputError`` once its tries pass
 ``errors.MAX_WORK``: an early hit is cheap however large the target, and a
 polytope whose every value fails is refused only after that many tries.
@@ -34,18 +35,13 @@ from .errors import ConsistencyError, InputError, _Record
 from .linalg import (
     IntMatrix,
     IntVec,
-    LinearSystem,
-    _fm_chain,
     _invariant_factors,
     _is_int,
     _lattice_coordinates,
-    _lattice_dfs,
     _pivot_index,
     _split_units,
     hermite_normal_form,
-    rational_feasible,
     smith_normal_form,
-    solve_integer_system,
 )
 
 __all__ = [
@@ -354,77 +350,22 @@ class MembershipResult(_Record):
         return self.status == "yes"
 
 
-def _unbounded_relation(group: FgAbGroup, gens: Sequence[GroupElement]) -> IntVec:
-    """A relation ``sum R_i * g_i == 0`` with ``R >= 0``, positive exactly on
-    the coefficients that are unbounded on any nonempty ``{c >= 0 : sum c_i
-    * free(g_i) == b}``.
-
-    Those are the coefficients positive somewhere on the relation cone
-    ``{c >= 0 : sum c_i * free(g_i) == 0}``, the polyhedron's recession
-    cone (Schrijver, *Theory of Linear and Integer Programming*, 8.2), so
-    a relative-interior point of the cone is positive on exactly them.
-    Scaled by its denominators and the torsion exponent, it is ``R``.
-    """
-    r = group.free_rank
-    units = IntMatrix.identity(len(gens)).entries
-    eqs = tuple((tuple(g.coords[fc] for g in gens), 0) for fc in range(r))
-    point = rational_feasible(LinearSystem(len(gens), eqs, tuple((u, 0, False) for u in units)))
-    if point is None:
-        raise ConsistencyError("the relation cone lost its apex")
-    scale = math.lcm(*(x.denominator for x in point)) * (group.torsion[-1] if group.torsion else 1)
-    return tuple(int(x * scale) for x in point)
-
-
 def semigroup_member(
     group: FgAbGroup, gens: Sequence[GroupElement], target: GroupElement
 ) -> MembershipResult:
     """Is ``target`` a nonnegative integer combination of ``gens``?  Decided
     exactly.
 
-    With ``R`` from :func:`_unbounded_relation`, the coefficients where
-    ``R`` is positive may take any sign: adding a multiple of ``R`` makes
-    them nonnegative.  The integer solutions of the equalities, with one
-    multiple of each torsion order as an extra unknown, are a point plus a
-    Hermite kernel basis whose rows moving the other, tight, coefficients
-    come first.  Keeping the tight coefficients nonnegative bounds a
+    With ``R`` from :func:`~toricstrata._polyhedra._unbounded_relation`,
+    the coefficients where ``R`` is positive may take any sign: adding a
+    multiple of ``R`` makes them nonnegative.  The integer solutions of
+    the equalities, with one multiple of each torsion order as an extra
+    unknown, are a point plus a Hermite kernel basis whose rows moving the
+    other, tight, coefficients come first.  Keeping the tight coefficients nonnegative bounds a
     polytope in those rows' coordinates, in which the first-hit lattice
     search finds an integer point or proves there is none; it raises
     ``InputError`` once its tries pass ``errors.MAX_WORK``.  The
     witness is re-checked against the target.
     """
-    gens = _checked_elements(group, gens)
-    if not isinstance(target, GroupElement):
-        raise InputError("target must be a group element")
-    if target.group != group:
-        raise InputError("target belongs to a different group")
-    relation = _unbounded_relation(group, gens)
-    m = len(gens)
-    order = sorted(range(m), key=lambda i: relation[i] > 0)  # tight first
-    tight = relation.count(0)
-    torsion = _relation_rows(group)
-    eqs = tuple(
-        ((*(gens[i].coords[c] for i in order), *(-row[c] for row in torsion)), target.coords[c])
-        for c in range(group.ncoords)
-    )
-    solution = solve_integer_system(LinearSystem(m + len(torsion), eqs, ()))
-    if solution is None:
-        return MembershipResult("no")
-    moving = [row for row in solution.kernel_basis if any(row[:tight])]
-    point = solution.particular
-    rows = [(tuple(row[p] for row in moving), -point[p], False) for p in range(tight)]
-    chain = _fm_chain(rows, len(moving))
-    found = _lattice_dfs(chain, len(moving)) if chain is not None else None
-    if found is None:
-        return MembershipResult("no")
-    for k, row in zip(found, moving):
-        point = tuple(x + k * y for x, y in zip(point, row))
-    lift = max([0] + [-(point[p] // relation[i]) for p, i in enumerate(order[tight:], tight)])
-    coeffs = [0] * m
-    for p, i in enumerate(order):
-        coeffs[i] = point[p] + lift * relation[i]
-    total = group.zero()
-    for c, g in zip(coeffs, gens):
-        total = total + c * g
-    if min(coeffs, default=0) < 0 or total != target:
-        raise ConsistencyError("semigroup membership witness does not reach the target")
-    return MembershipResult("yes", tuple(coeffs))
+    from . import _polyhedra
+    return _polyhedra.semigroup_member(group, gens, target)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -10,6 +9,7 @@ import toricstrata as ts
 from toricstrata import stratify
 
 from oracles import closure_by_containment, cyclic_rays, sample_cones, sixteen_gon_rays, twelve_gon_rays
+from test_load_boundary import lazy_modules_after
 
 
 RANK3_RAYS = [(1, 0, 0), (1, 2, 0), (0, 1, 2)]
@@ -196,36 +196,26 @@ def test_partition_check_catches_a_connection_across_strata(monkeypatch):
         stratify(3, RANK3_RAYS)
 
 
-def test_stratify_solves_no_linear_program(monkeypatch, suite_cones, fixture_path):
-    # Fourier-Motzkin elimination is reached only through _fm_chain and
-    # rational_feasible; every module binding of either is made to fail.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a linear program was solved")
+STRATIFY_AND_LUNA = """
+cones, k7 = data
+for rank, rays in cones:
+    ts.stratify(rank, rays)
+group = ts.FgAbGroup(k7["free_rank"], tuple(k7["torsion"]))
+assert len(ts.luna_strata(ts.weight_system(group, k7["weights"]))) == 3
+"""
 
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "toricstrata":
-            continue
-        for attr in ("_fm_chain", "rational_feasible"):
-            if hasattr(module, attr):
-                monkeypatch.setattr(module, attr, refuse)
-                patched.add(f"{name}.{attr}")
-    assert {
-        "toricstrata.rational_feasible",
-        "toricstrata.linalg.rational_feasible",
-        "toricstrata.linalg._fm_chain",
-        "toricstrata.abelian._fm_chain",
-    } <= patched
+
+def test_stratify_solves_no_linear_program(suite_cones, fixture_path):
+    # Fourier-Motzkin elimination and every linear program live in
+    # toricstrata._polyhedra, which a fresh interpreter that stratifies and
+    # takes Luna strata never loads
     with open(fixture_path("cone_rank3.json")) as handle:
         rank3 = json.load(handle)
-    stratify(rank3["rank"], rank3["rays"])
-    stratify(3, sixteen_gon_rays())
-    for cone in suite_cones[:20]:
-        stratify(cone.ambient_rank, cone.rays)
     with open(fixture_path("weights_k7.json")) as handle:
         k7 = json.load(handle)
-    group = ts.FgAbGroup(k7["free_rank"], tuple(k7["torsion"]))
-    assert len(ts.luna_strata(ts.weight_system(group, k7["weights"]))) == 3
+    cones = [(rank3["rank"], rank3["rays"]), (3, sixteen_gon_rays())]
+    cones += [(cone.ambient_rank, cone.rays) for cone in suite_cones[:20]]
+    assert lazy_modules_after(STRATIFY_AND_LUNA, [cones, k7]) == ([], [])
 
 
 def test_standalone_luna_strata_agree_with_stratify(suite_reports):

@@ -12,6 +12,7 @@ from itertools import permutations, product
 from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
+from toricstrata import _polyhedra
 
 from oracles import (
     fm_chain_pairwise,
@@ -103,7 +104,7 @@ def inequality_rows(draw):
 @given(inequality_rows())
 def test_the_projection_chain_equals_the_pairwise_elimination(data):
     nvars, rows = data
-    assert ts.linalg._fm_chain(rows, nvars) == fm_chain_pairwise(rows, nvars)
+    assert _polyhedra._fm_chain(rows, nvars) == fm_chain_pairwise(rows, nvars)
 
 
 @PROPERTY
@@ -161,7 +162,7 @@ def test_the_search_basis_is_size_reduced_and_spans_the_kernel(system):
         return
     # a box holding the particular point, so the search is not empty
     bound = max(map(abs, solution.particular), default=0)
-    _, basis, _, _ = ts.linalg._box_search(system, bound)
+    _, basis, _, _ = _polyhedra._box_search(system, bound)
     assert len(basis) == len(solution.kernel_basis)
     if basis:
         hermite = ts.hermite_normal_form(ts.IntMatrix.from_rows(basis)).entries

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import toricstrata as ts
-from toricstrata import linalg
+from toricstrata import _polyhedra, linalg
 from toricstrata.linalg import IntMatrix
 
 from oracles import (
@@ -355,10 +355,10 @@ def test_rational_feasible_strict_edge_cases():
 
 def test_fourier_motzkin_keeps_one_row_per_direction():
     # 3t >= 5 implies t >= 1: only the row with the larger bound 5/3 stays
-    chain = ts.linalg._fm_chain([((3,), 5, False), ((1,), 1, False)], 1)
+    chain = _polyhedra._fm_chain([((3,), 5, False), ((1,), 1, False)], 1)
     assert chain[1] == [((3,), 5, False)]
     # on a tie of bounds the strict row wins
-    chain = ts.linalg._fm_chain([((2,), 2, False), ((1,), 1, True)], 1)
+    chain = _polyhedra._fm_chain([((2,), 2, False), ((1,), 1, True)], 1)
     assert chain[1] == [((1,), 1, True)]
 
 
@@ -540,7 +540,7 @@ def test_boxed_search_recheck_catches_a_bad_point(monkeypatch):
     # point outside the system is caught even when the projection lets it in;
     # the search basis is the identity here, so the run ((-1,), 0, 0) is the
     # point (-1, 0)
-    real = linalg._lattice_runs
+    real = _polyhedra._lattice_runs
 
     def leaky(*args):
         yield from real(*args)
@@ -548,7 +548,7 @@ def test_boxed_search_recheck_catches_a_bad_point(monkeypatch):
 
     system = ts.linear_system(2, (), [((1, 0), 0, False)])
     assert (-1, 0) not in ts.lattice_points_bounded(system, 2)
-    monkeypatch.setattr(linalg, "_lattice_runs", leaky)
+    monkeypatch.setattr(_polyhedra, "_lattice_runs", leaky)
     with pytest.raises(ts.ConsistencyError, match="bad point"):
         ts.lattice_points_bounded(system, 2)
 
@@ -623,7 +623,7 @@ def test_first_hit_order_is_by_size_then_positive_first():
     for lo in range(-5, 6):
         for hi in range(lo, 6):
             expected = sorted(range(lo, hi + 1), key=lambda v: (abs(v), v < 0))
-            assert list(linalg._by_size(lo, hi)) == expected
+            assert list(_polyhedra._by_size(lo, hi)) == expected
 
 
 def test_boxed_search_refuses_more_points_than_the_limit_quickly():
@@ -637,13 +637,13 @@ def test_boxed_search_refuses_more_points_than_the_limit_quickly():
 
 def test_boxed_search_recheck_catches_a_point_outside_the_box(monkeypatch):
     # the run ((3,), 0, 0) is the point (3, 0) in the identity search basis
-    real = linalg._lattice_runs
+    real = _polyhedra._lattice_runs
 
     def leaky(*args):
         yield from real(*args)
         yield (3,), 0, 0
 
     system = ts.linear_system(2, (), [((1, 0), 0, False)])
-    monkeypatch.setattr(linalg, "_lattice_runs", leaky)
+    monkeypatch.setattr(_polyhedra, "_lattice_runs", leaky)
     with pytest.raises(ts.ConsistencyError, match="bad point"):
         ts.lattice_points_bounded(system, 2)

@@ -106,17 +106,17 @@ def test_enumerate_roots_matches_brute_force_scan_on_the_cyclic_fixture():
 
 def root_search_runs(cone, bound):
     """The last-level runs of the boxed searches behind ``enumerate_roots``."""
-    from toricstrata import linalg
+    from toricstrata import _polyhedra, linalg
 
     runs = 0
     for tau, ray in enumerate(cone.rays):
         others = tuple((r, 0, False) for j, r in enumerate(cone.rays) if j != tau)
-        search = linalg._box_search(
+        search = _polyhedra._box_search(
             linalg.LinearSystem(cone.ambient_rank, ((ray, -1),), others), bound
         )
         if search is not None:
             _, basis, _, chain = search
-            runs += sum(1 for _ in linalg._lattice_runs(chain, len(basis), False))
+            runs += sum(1 for _ in _polyhedra._lattice_runs(chain, len(basis), False))
     return runs
 
 
@@ -158,12 +158,12 @@ def test_enumerate_roots_refuses_an_oversized_box_before_building_a_root(monkeyp
     # rays 0 and 1 have 1,024,690 roots each at the default bound 100, of
     # 4 coordinates each: the listing of ray 0 passes the limit in its
     # search columns and stops before it builds any point
-    from toricstrata import linalg
+    from toricstrata import _polyhedra
 
     cone = ts.build_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 10)])
     built = []
-    real = linalg._affine_column
-    monkeypatch.setattr(linalg, "_affine_column", lambda *args: built.append(1) or real(*args))
+    real = _polyhedra._affine_column
+    monkeypatch.setattr(_polyhedra, "_affine_column", lambda *args: built.append(1) or real(*args))
     start = time.perf_counter()
     with pytest.raises(ts.InputError, match=LISTING_REFUSAL):
         ts.enumerate_roots(cone)

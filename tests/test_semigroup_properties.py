@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toricstrata as ts
-from toricstrata import abelian
+from toricstrata import _polyhedra
 
 from oracles import combination, first_box_hit, numerical_semigroup, unbounded_coefficients
 
@@ -49,7 +49,7 @@ def test_semigroup_member_agrees_with_a_box_scan(case):
 def test_relation_is_positive_exactly_on_the_unbounded_coefficients(case):
     free, torsion, gens, _ = case
     group = ts.FgAbGroup(free, torsion)
-    relation = abelian._unbounded_relation(group, [group.element(g) for g in gens])
+    relation = _polyhedra._unbounded_relation(group, [group.element(g) for g in gens])
     assert min(relation) >= 0
     assert not any(combination(free, torsion, gens, relation))
     support = {i for i, x in enumerate(relation) if x}
