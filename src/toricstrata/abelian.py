@@ -144,10 +144,14 @@ class GroupElement(_Record):
         return GroupElement(self.group, self.group._reduced(tuple(coords)))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         self._check_same_group(other)
         return self._element(map(add, self.coords, other.coords))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         self._check_same_group(other)
         return self._element(map(sub, self.coords, other.coords))
 
@@ -155,7 +159,7 @@ class GroupElement(_Record):
         return self._element(map(neg, self.coords))
 
     def __rmul__(self, k: int) -> "GroupElement":
-        if not isinstance(k, int):
+        if not _is_int(k):
             return NotImplemented
         return self._element(k * a for a in self.coords)
 

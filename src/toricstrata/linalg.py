@@ -46,9 +46,10 @@ elsewhere:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from functools import reduce
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, InputError, _Record
 
@@ -138,6 +139,8 @@ class IntMatrix(_Record):
         return IntMatrix(n, n, _identity(n))
 
     def column(self, j: int) -> IntVec:
+        if not (_is_int(j) and 0 <= j < self.cols):
+            raise InputError(f"column index {j!r} is not in range({self.cols})")
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
@@ -145,6 +148,8 @@ class IntMatrix(_Record):
 
     def apply(self, vec: Sequence[int]) -> IntVec:
         """Matrix-vector product."""
+        if not (isinstance(vec, Sequence) and all(map(_is_int, vec))):
+            raise InputError(f"vector {vec!r} is not a sequence of integers")
         if len(vec) != self.cols:
             raise InputError("vector length does not match matrix columns")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.entries)

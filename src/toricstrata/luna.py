@@ -23,8 +23,8 @@ the parts gives their Gale vectors, and each circuit is the bitset of the
 parts off a facet of their cone, from the double description of
 :mod:`toricstrata.cones`; closed sets are bitsets over the same sorted
 parts.  The double description, the union closure, the listing of the
-supports and the supports the stability check tests each count their work
-against ``errors.MAX_WORK``.
+supports, and the subgroups and failing supports of the stability check
+each count their work against ``errors.MAX_WORK``.
 
 The module also provides the two bridges to toric geometry: reading the
 weight system off divisor classes, and Gale duality, which rebuilds the
@@ -34,6 +34,7 @@ cone from a strongly stable weight system.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -249,16 +250,6 @@ def _closed_supports(ws: WeightSystem) -> list[tuple[int, ...]]:
     return supports
 
 
-def _subgroup_of(ws: WeightSystem, support, by_weights: dict) -> SubgroupHandle:
-    """The subgroup the weights of ``support`` generate, kept in ``by_weights``
-    by the set of weights: supports differing by repeated weights share it."""
-    key = frozenset(ws.weights[i].coords for i in support)
-    sub = by_weights.get(key)
-    if sub is None:
-        sub = by_weights[key] = subgroup_canon(ws.group, [ws.weights[i] for i in support])
-    return sub
-
-
 def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     """All Luna strata, sorted by descending dimension.
 
@@ -270,9 +261,13 @@ def luna_strata(ws: WeightSystem) -> tuple[LunaStratum, ...]:
     """
     _check_weight_system(ws)
     classes: dict[tuple, tuple[SubgroupHandle, list[tuple[int, ...]]]] = {}
+    # supports differing by repeated weights share one subgroup
     by_weights: dict[frozenset[IntVec], SubgroupHandle] = {}
     for support in _closed_supports(ws):
-        sub = _subgroup_of(ws, support, by_weights)
+        key = frozenset(ws.weights[i].coords for i in support)
+        sub = by_weights.get(key)
+        if sub is None:
+            sub = by_weights[key] = subgroup_canon(ws.group, [ws.weights[i] for i in support])
         classes.setdefault(sub.basis, (sub, []))[1].append(support)
     strata = []
     for sub, supports in classes.values():
@@ -304,23 +299,38 @@ def check_strongly_stable(ws: WeightSystem) -> StabilityReport:
 
     Checked on the full support and every support missing one coordinate:
     each must be closed and must generate the whole character group
-    (trivial stabilizer).  The m + 1 supports are charged before any is built,
-    and supports with one set of weights share one subgroup.
+    (trivial stabilizer).  Dropping a coordinate changes the parts or the
+    weights only when it is their one index, so each distinct set is
+    decided once; the subgroups' generators are charged before any is
+    taken, the failing supports' indices before any is listed.
     """
     _check_weight_system(ws)
     parts, bits = _part_bits(ws.weights)
     circuits = _positive_circuits(parts)
     m = ws.ncoordinates
-    # m + 1 supports of up to m indices each, built and joined below
-    _check_work("stability supports", (m + 1) * m)
-    by_weights: dict[frozenset[IntVec], SubgroupHandle] = {}
+    coords = [w.coords for w in ws.weights]
+    elements, uses, part_uses = dict(zip(coords, ws.weights)), Counter(coords), Counter(bits)
+    # each verdict's reasons to fail, by the part bit or weight dropped (0, None: none)
+    every = (1 << len(parts)) - 1
+    drop_bits = {0, *(bit for bit, n in part_uses.items() if n == 1)}
+    closed = {b: () if _covered(every ^ b, circuits) else ("orbit-not-closed",) for b in drop_bits}
+    drop_weights = [None, *(c for c, n in uses.items() if n == 1)]
+    hermite = len(drop_weights) * len(uses)
+    _check_work("stability supports", hermite)
+    full = {}
+    for dropped in drop_weights:
+        sub = subgroup_canon(ws.group, [elements[c] for c in uses if c != dropped])
+        full[dropped] = () if is_full(sub) else ("stabilizer-nontrivial",)
+    failing = []
+    for dropped, bit, weight in zip(range(-1, m), [0, *bits], [None, *coords]):
+        reasons = closed.get(bit, closed[0]) + full.get(weight, full[None])
+        if reasons:
+            failing.append((dropped, reasons))
+    _check_work("stability supports", hermite + sum(m - (d >= 0) for d, _ in failing))
     failures = []
-    for dropped in range(-1, m):  # -1 drops nothing: the full support
+    for dropped, reasons in failing:  # -1 drops nothing: the full support
         support = tuple(j for j in range(m) if j != dropped)
-        if not _covered(reduce(or_, (bits[i] for i in support), 0), circuits):
-            failures.append(StabilityFailure(support, "orbit-not-closed"))
-        if not is_full(_subgroup_of(ws, support, by_weights)):
-            failures.append(StabilityFailure(support, "stabilizer-nontrivial"))
+        failures.extend(StabilityFailure(support, reason) for reason in reasons)
     return StabilityReport(not failures, tuple(failures))
 
 

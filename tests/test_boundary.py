@@ -209,6 +209,34 @@ def test_group_functions_refuse_wrong_types(call, message):
         call()
 
 
+MATRIX = IntMatrix.from_rows([(1, 2), (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MATRIX.apply([1.5, 2]), r"^vector \[1\.5, 2\] is not a sequence of integers$"),
+        (lambda: MATRIX.apply(None), "^vector None is not a sequence of integers$"),
+        (lambda: MATRIX.column(-1), r"^column index -1 is not in range\(2\)$"),
+        (lambda: MATRIX.column(5), r"^column index 5 is not in range\(2\)$"),
+    ],
+    ids=["float entry", "None", "negative column", "column past the end"],
+)
+def test_matrix_methods_refuse_a_bad_vector_or_index(call, message):
+    with pytest.raises(ts.InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: ONE + 5, lambda: ONE - "a", lambda: True * ONE],
+    ids=["element plus int", "element minus str", "bool times element"],
+)
+def test_element_operators_refuse_what_is_not_an_element_or_an_integer(call):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        call()
+
+
 K2 = ts.weight_system(Z, [(1,), (-1,)])
 
 

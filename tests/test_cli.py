@@ -271,6 +271,20 @@ def test_stable_refuses_the_dual_cone_of_many_weights_within_a_second(capsys, tm
     )
 
 
+def test_stable_answers_many_repeated_weights_within_a_second(capsys, tmp_path):
+    # 20,000 copies of the weight 1 and one -1 in Z: the support without
+    # the -1 is not closed.  Charging every support by its indices refused
+    # them at 400,060,002 steps.
+    weights = [[1]] * 20_000 + [[-1]]
+    path = write_json(tmp_path, "stable.json", {"schema": 1, "free_rank": 1, "torsion": [], "weights": weights})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stable", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert out.startswith("strongly stable: no\n")
+    assert out.count("orbit-not-closed") == 1 and "stabilizer-nontrivial" not in out
+
+
 def test_stable_reports_failures(capsys, tmp_path):
     path = write_json(
         tmp_path,

@@ -244,15 +244,17 @@ def test_the_gale_fold_is_charged_before_it_runs(monkeypatch):
 
 
 def test_the_stability_supports_are_charged_before_they_are_listed(monkeypatch):
-    # 2,000 copies of the weight 1 and one -1 in Z: two parts, so the
-    # circuits are cheap, but the 2,002 supports of up to 2,001 indices
-    # each took 4.0 s and 154 MB before their charge refused them.
-    def canon(*args):
-        raise AssertionError("a support's subgroup was computed")
+    # 2,000 copies of the weight 2 and one -2 in Z: every support generates
+    # 2Z, so all 2,002 fail, and their 4,004,001 indices are charged after
+    # the 4 generators of the two subgroups and before any failure is
+    # listed.  Charging all m + 1 supports refused them at 4,006,002 steps.
+    def failure(*args):
+        raise AssertionError("a stability failure was listed")
 
-    monkeypatch.setattr(ts.luna, "subgroup_canon", canon)
-    ws = weight_system(1, (), [(1,)] * 2000 + [(-1,)])
-    message = WORK_REFUSAL.format("stability supports", 2002 * 2001, 2**21)
+    monkeypatch.setattr(ts.luna, "StabilityFailure", failure)
+    ws = weight_system(1, (), [(2,)] * 2000 + [(-2,)])
+    message = WORK_REFUSAL.format("stability supports", 4 + 2001 + 2001 * 2000, 2**21)
+    assert 4 + 2001 + 2001 * 2000 == 4_004_005
     start = time.perf_counter()
     with pytest.raises(ts.InputError, match=message):
         ts.check_strongly_stable(ws)
@@ -263,19 +265,47 @@ def test_the_stability_supports_are_charged_before_they_are_listed(monkeypatch):
 
 def test_the_stability_check_builds_one_subgroup_per_weight_set(monkeypatch):
     # 1,000 copies of the weight 1 and one -1 in Z: the 1,002 supports hold
-    # two sets of weights, {1, -1} and {1}, so two Hermite forms serve them
-    # all.  Each support took its own, about 1,000 rows each.
+    # two sets of weights, {1, -1} and {1}, so two Hermite forms of the
+    # distinct weights serve them all.  Each support took its own, about
+    # 1,000 rows each, and then each weight set one of all its indices.
     calls = []
     real = ts.luna.subgroup_canon
     monkeypatch.setattr(
         ts.luna, "subgroup_canon", lambda group, gens: calls.append(len(gens)) or real(group, gens)
     )
     report = ts.check_strongly_stable(weight_system(1, (), [(1,)] * 1000 + [(-1,)]))
-    assert calls == [1001, 1000]
+    assert calls == [2, 1]
     # dropping the -1 leaves copies of 1 alone, not closed
     assert [(f.support, f.reason) for f in report.failures] == [
         (tuple(range(1000)), "orbit-not-closed")
     ]
+
+
+def test_the_stability_check_of_many_repeated_weights_is_linear():
+    # 100,000 copies of the weight 1 and one -1 in Z: two closedness tests
+    # and two Hermite forms settle the 100,002 supports, and only the one
+    # without the -1 fails.  Charging (m + 1) * m steps refused every
+    # input of 1,448 weights or more.
+    ws = weight_system(1, (), [(1,)] * 100_000 + [(-1,)])
+    start = time.perf_counter()
+    report = ts.check_strongly_stable(ws)
+    assert time.perf_counter() - start < 1.0
+    assert not report.stable
+    assert report.failures == (ts.StabilityFailure(tuple(range(100_000)), "orbit-not-closed"),)
+
+
+def test_the_stability_subgroups_are_charged_before_they_are_taken(monkeypatch):
+    # 1,448 distinct residues of Z/10007, each with one index: 1,449 weight
+    # sets of up to 1,448 generators each, charged before any Hermite form.
+    def canon(*args):
+        raise AssertionError("a stability subgroup was computed")
+
+    monkeypatch.setattr(ts.luna, "subgroup_canon", canon)
+    ws = weight_system(0, (10007,), [(k,) for k in range(1, 1449)])
+    message = WORK_REFUSAL.format("stability supports", 1449 * 1448, 2**21)
+    assert 1449 * 1448 == 2_098_152
+    with pytest.raises(ts.InputError, match=message):
+        ts.check_strongly_stable(ws)
 
 
 def test_gale_dual_charges_the_saturation_before_the_fold(monkeypatch):
@@ -315,22 +345,27 @@ def reference_stability_report(ws):
 def test_the_stability_check_matches_a_support_by_support_reference():
     # Few distinct free parts, many repeated weights: supports share weight
     # sets, and supports whose weights differ only in torsion must not
-    # share a subgroup.
+    # share a subgroup.  Free rank 0, a single weight and zero free parts
+    # leave some supports with no part to drop.
     rng = random.Random(43)
-    reasons = []
-    for _ in range(80):
-        free = rng.randint(1, 2)
+    reasons, shapes = [], set()
+    for _ in range(120):
+        free = rng.randint(0, 2)
         torsion = rng.choice([(), (2,), (3,), (2, 4)])
-        parts = [tuple(rng.randint(-2, 2) for _ in range(free)) for _ in range(rng.randint(2, 3))]
+        parts = [tuple(rng.randint(-2, 2) for _ in range(free)) for _ in range(rng.randint(1, 3))]
         rows = [
             rng.choice(parts) + tuple(rng.randrange(d) for d in torsion)
-            for _ in range(rng.randint(2, 9))
+            for _ in range(rng.randint(1, 9))
         ]
         ws = weight_system(free, torsion, rows)
         report = ts.check_strongly_stable(ws)
         assert report == reference_stability_report(ws), rows
         reasons.append({f.reason for f in report.failures})
-    # not vacuous: stable systems, and each kind of failure alone
+        zero_part = free and any(not any(w.free_part()) for w in ws.weights)
+        kinds = [("rank 0", not free), ("one weight", len(rows) == 1), ("zero part", zero_part)]
+        shapes |= {kind for kind, hit in kinds if hit}
+    # not vacuous: each shape above, stable systems, and each kind of failure alone
+    assert shapes == {"rank 0", "one weight", "zero part"}
     assert set() in reasons
     assert {"orbit-not-closed"} in reasons and {"stabilizer-nontrivial"} in reasons
 
